@@ -1,9 +1,9 @@
 """2D spectral-element Poisson/diffusion solver with nonuniformly weighted
 Schwarz smoothers, polynomial multigrid and multigrid-preconditioned CG."""
 
-from .basis import Basis1D, Interp1D, gll_basis, interp_matrix, overlap_width
+from .basis import Basis1D, gll_basis, interp_matrix, overlap_width
 from .krylov import SolveConfig, solve, solve_mg, solve_mgcg
-from .mesh import Field, FieldLayout, MeshConfig, gather_element, scatter_add_element
+from .mesh import FieldLayout, MeshConfig, periodic_windows
 from .metrics import ConvergenceReport, convergence_rate, cycle_cost, work_per_decades
 from .multigrid import (MultigridHierarchy, OverlapRule, build_hierarchy,
                         coarse_solve, prolongate, restrict_residual, v_cycle)

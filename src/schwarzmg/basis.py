@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Basis1D", "Interp1D", "gll_basis", "interp_matrix", "overlap_width"]
+__all__ = ["Basis1D", "gll_basis", "interp_matrix", "overlap_width"]
 
 
 def _legendre(p: int, x):
@@ -127,24 +127,15 @@ def lagrange_eval_matrix(basis: Basis1D, x) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class Interp1D:
-    """Evaluation of a source Lagrange basis at a target basis's GLL nodes."""
-
-    p_from: int
-    p_to: int
-    matrix: np.ndarray  # shape (p_to + 1, p_from + 1)
-
-
-def interp_matrix(src: Basis1D, dst: Basis1D) -> Interp1D:
-    """Interpolation matrix from the nodes of ``src`` to the nodes of ``dst``.
+def interp_matrix(src: Basis1D, dst: Basis1D) -> np.ndarray:
+    """Interpolation matrix, shape (dst.p + 1, src.p + 1), from the nodes of
+    ``src`` to the nodes of ``dst``.
 
     Exact for polynomials of degree <= src.p; each row sums to one.
     """
     if src.p > dst.p:
         raise ValueError(f"source order {src.p} exceeds target order {dst.p}")
-    return Interp1D(p_from=src.p, p_to=dst.p,
-                    matrix=lagrange_eval_matrix(src, dst.nodes))
+    return lagrange_eval_matrix(src, dst.nodes)
 
 
 def overlap_width(basis: Basis1D, n_o: int) -> float:

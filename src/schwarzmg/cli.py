@@ -106,9 +106,14 @@ def _cmd_table(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    return _cmd_table(args)
+    try:
+        if args.command == "solve":
+            return _cmd_solve(args)
+        return _cmd_table(args)
+    except ValueError as exc:
+        # Bad input (order, overlap rule, tolerance, mesh too small).
+        print(f"schwarzmg: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

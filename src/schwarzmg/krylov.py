@@ -88,7 +88,7 @@ def solve_mgcg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     converged = res[0] <= r_max
     cycles = 0
     if not converged:
-        p = v_cycle(h, np.zeros_like(f), r).copy()
+        p = v_cycle(h, np.zeros_like(f), r)
         delta = np.vdot(p, r)
         for _ in range(cfg.max_cycles):
             q = op.apply(p)
@@ -104,7 +104,7 @@ def solve_mgcg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
             if res[-1] <= r_max:
                 converged = True
                 break
-            z = v_cycle(h, np.zeros_like(f), r).copy()
+            z = v_cycle(h, np.zeros_like(f), r)
             beta = np.vdot(z, r - r_old) / delta
             p = z + beta * p
             delta = np.vdot(z, r)

@@ -3,15 +3,17 @@
 The mesh is fully periodic and uniform, so element-local views are plain
 index windows with modular wrap; no DOF indirection tables are needed.
 Global coefficients live in a single dense (N_y, N_x) array, row-major by
-y then x, with N_x = p * n_x unique nodes per direction.
+y then x, with N_x = p * n_x unique nodes per direction. Every periodic
+node index comes from ``periodic_windows``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MeshConfig", "FieldLayout", "Field",
-           "gather_element", "scatter_add_element"]
+from .basis import Basis1D
+
+__all__ = ["MeshConfig", "FieldLayout", "periodic_windows"]
 
 
 @dataclass(frozen=True)
@@ -74,51 +76,14 @@ def layout_for(mesh: MeshConfig, p: int) -> FieldLayout:
     return FieldLayout(p=p, n_x=mesh.n_x, n_y=mesh.n_y)
 
 
-@dataclass(eq=False)
-class Field:
-    """Global coefficient array bound to its layout."""
+def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
+    """Global node indices of every element window on a periodic line.
 
-    layout: FieldLayout
-    values: np.ndarray
-
-    def __post_init__(self):
-        expect = (self.layout.N_y, self.layout.N_x)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape} != layout {expect}")
-
-    @classmethod
-    def zeros(cls, layout: FieldLayout) -> "Field":
-        return cls(layout, layout.zeros())
-
-    def copy(self) -> "Field":
-        return Field(self.layout, self.values.copy())
-
-
-def element_indices(layout: FieldLayout, e_x: int, e_y: int, n_o: int = 0):
-    """Periodic global index windows (iy, ix) of one element, optionally
-    extended by ``n_o`` node layers into the neighbors."""
-    if not (0 <= e_x < layout.n_x and 0 <= e_y < layout.n_y):
-        raise IndexError(f"element ({e_x}, {e_y}) out of range")
-    offs = np.arange(-n_o, layout.p + n_o + 1)
-    ix = (e_x * layout.p + offs) % layout.N_x
-    iy = (e_y * layout.p + offs) % layout.N_y
-    return iy, ix
-
-
-def gather_element(field: Field, e_x: int, e_y: int) -> np.ndarray:
-    """Local (p+1)x(p+1) coefficient block of element (e_x, e_y), indexed
-    [y, x], with periodic wrap at the mesh edges."""
-    iy, ix = element_indices(field.layout, e_x, e_y)
-    return field.values[np.ix_(iy, ix)]
-
-
-def scatter_add_element(field: Field, e_x: int, e_y: int, block: np.ndarray) -> None:
-    """Accumulate a local block into the global array (transpose of gather)."""
-    p = field.layout.p
-    if block.shape != (p + 1, p + 1):
-        raise ValueError(f"block shape {block.shape} != {(p + 1, p + 1)}")
-    iy, ix = element_indices(field.layout, e_x, e_y)
-    np.add.at(field.values, np.ix_(iy, ix), block)
+    Row e holds the p + 1 + 2*n_o nodes e*p - n_o ... e*p + p + n_o,
+    wrapped modulo the p*n unique nodes; this is the only place a
+    periodic node index is computed.
+    """
+    return (np.arange(n)[:, None] * p + np.arange(-n_o, p + n_o + 1)) % (p * n)
 
 
 def all_element_windows(layout: FieldLayout, n_o: int = 0):
@@ -128,15 +93,9 @@ def all_element_windows(layout: FieldLayout, n_o: int = 0):
     (n_y, n_x, m, m) with m = p + 1 + 2*n_o, and ``flat`` are the raveled
     global indices for bincount-style scatter-add.
     """
-    p = layout.p
-    offs = np.arange(-n_o, p + n_o + 1)
-    iy = (np.arange(layout.n_y)[:, None] * p + offs[None, :]) % layout.N_y
-    ix = (np.arange(layout.n_x)[:, None] * p + offs[None, :]) % layout.N_x
-    gy = iy[:, None, :, None]
-    gx = ix[None, :, None, :]
-    flat = (gy * layout.N_x + gx).reshape(layout.n_y, layout.n_x,
-                                          offs.size, offs.size)
-    return gy, gx, np.ascontiguousarray(flat)
+    gy = periodic_windows(layout.p, layout.n_y, n_o)[:, None, :, None]
+    gx = periodic_windows(layout.p, layout.n_x, n_o)[None, :, None, :]
+    return gy, gx, np.ascontiguousarray(gy * layout.N_x + gx)
 
 
 def scatter_blocks(flat: np.ndarray, blocks: np.ndarray, layout: FieldLayout,
@@ -148,3 +107,19 @@ def scatter_blocks(flat: np.ndarray, blocks: np.ndarray, layout: FieldLayout,
         return acc
     out += acc
     return out
+
+
+def _global_mass(basis: Basis1D, n: int, d: float) -> np.ndarray:
+    """Assembled periodic global 1D mass diagonal (the quadrature weights)."""
+    idx = periodic_windows(basis.p, n)
+    return np.bincount(idx.ravel(), weights=np.tile((d / 2.0) * basis.weights, n),
+                       minlength=basis.p * n)
+
+
+def _global_1d(basis: Basis1D, n: int, d: float):
+    """Assembled periodic global 1D mass (diagonal) and stiffness matrices."""
+    idx = periodic_windows(basis.p, n)
+    N = basis.p * n
+    stiff = np.zeros((N, N))
+    np.add.at(stiff, (idx[:, :, None], idx[:, None, :]), (2.0 / d) * basis.stiff)
+    return _global_mass(basis, n, d), stiff

@@ -8,12 +8,12 @@ the right side projected onto the complement of constants.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import MeshConfig, layout_for
+from .mesh import MeshConfig, periodic_windows
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
 from .schwarz import (AdditiveSchwarz, MultiplicativeSchwarz, SweepCounter,
                       WeightKind)
@@ -66,8 +66,6 @@ class Level:
     # Global per-direction prolongation matrices from level l-1 to l.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
-    u: np.ndarray = field(default=None, repr=False)
-    f: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -115,12 +113,10 @@ def _global_prolongation(j: np.ndarray, p_c: int, p_f: int, n: int) -> np.ndarra
     Rows of fine nodes shared between elements are written consistently
     (interpolation of a continuous field is single-valued there).
     """
-    nf, nc = p_f * n, p_c * n
-    P = np.zeros((nf, nc))
-    for e in range(n):
-        rows = (e * p_f + np.arange(p_f + 1)) % nf
-        cols = (e * p_c + np.arange(p_c + 1)) % nc
-        P[np.ix_(rows, cols)] = j
+    P = np.zeros((p_f * n, p_c * n))
+    rows = periodic_windows(p_f, n)[:, :, None]
+    cols = periodic_windows(p_c, n)[:, None, :]
+    P[rows, cols] = j
     return P
 
 
@@ -146,7 +142,6 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
     for l in range(depth + 1):
         p_l = 1 << l
         basis = gll_basis(p_l)
-        layout = layout_for(mesh, p_l)
         if nu_hat is None:
             op = PoissonOperator(basis, mesh)
             nu_bar = None
@@ -160,16 +155,14 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
             n_o = rule.layers(p_l)
             factor = 2 ** (depth - l) if variable else 1
             if smoother == "add":
-                sm = AdditiveSchwarz(basis, layout, mesh.dx, mesh.dy, n_o,
+                sm = AdditiveSchwarz(basis, op.layout, mesh.dx, mesh.dy, n_o,
                                      weight, nu_bar=nu_bar)
             else:
-                sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy,
+                sm = MultiplicativeSchwarz(basis, op.layout, mesh.dx, mesh.dy,
                                            n_o, nu_bar=nu_bar, counter=counter)
             lv = Level(l, basis, op, sm, n_pre * factor, n_post * factor, n_o)
-        lv.u = layout.zeros()
-        lv.f = layout.zeros()
         if l > 0:
-            j = interp_matrix(levels[l - 1].basis, basis).matrix
+            j = interp_matrix(levels[l - 1].basis, basis)
             lv.px = _global_prolongation(j, 1 << (l - 1), p_l, mesh.n_x)
             lv.py = _global_prolongation(j, 1 << (l - 1), p_l, mesh.n_y)
         levels.append(lv)
@@ -230,22 +223,24 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
 
 def v_cycle(h: MultigridHierarchy, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """One multigrid V-cycle: descend smoothing/restricting, coarse solve,
-    ascend correcting/smoothing."""
+    ascend correcting/smoothing.
+
+    Updates the caller's top-level ``u`` in place and returns it; ``f`` is
+    left unchanged, and the hierarchy keeps no field between calls.
+    """
     L = h.depth
-    top = h.levels[L]
-    top.u = u
-    top.f = f
+    us, fs = [None] * L + [u], [None] * L + [f]
     for l in range(L, 0, -1):
         lv = h.levels[l]
         if l < L:
-            lv.u[...] = 0.0
+            us[l] = np.zeros_like(fs[l])
         if lv.n_pre:
-            lv.u = lv.smoother.smooth(lv.op, lv.u, lv.f, lv.n_pre)
-        h.levels[l - 1].f = restrict_residual(h, l, lv.f - lv.op.apply(lv.u))
-    h.levels[0].u = coarse_solve(h, h.levels[0].f)
+            us[l] = lv.smoother.smooth(lv.op, us[l], fs[l], lv.n_pre)
+        fs[l - 1] = restrict_residual(h, l, fs[l] - lv.op.apply(us[l]))
+    us[0] = coarse_solve(h, fs[0])
     for l in range(1, L + 1):
         lv = h.levels[l]
-        lv.u += prolongate(h, l, h.levels[l - 1].u)
+        us[l] += prolongate(h, l, us[l - 1])
         if lv.n_post:
-            lv.u = lv.smoother.smooth(lv.op, lv.u, lv.f, lv.n_post)
-    return top.u
+            us[l] = lv.smoother.smooth(lv.op, us[l], fs[l], lv.n_post)
+    return us[L]

@@ -12,8 +12,8 @@ Dense assembly routines are included as independent test oracles.
 import numpy as np
 
 from .basis import Basis1D
-from .mesh import (FieldLayout, MeshConfig, all_element_windows, layout_for,
-                   scatter_blocks)
+from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
+                   all_element_windows, layout_for, scatter_blocks)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "residual",
            "manufactured_rhs_poisson", "manufactured_rhs_diffusion",
@@ -69,13 +69,11 @@ class DiffusionOperator:
         # Quadrature weight tensor times nu, per element.
         w2 = np.outer(basis.weights, basis.weights)
         self._nu_w = nu[self._gy, self._gx] * w2
+        # Poisson scaling convention:
+        #   (2/dx) d/dxi, quadrature (dx/2)(dy/2), test gradient (2/dx).
         self._cx = mesh.dy / mesh.dx
         self._cy = mesh.dx / mesh.dy
         self._d = basis.diff
-        # Consistency with the Poisson scaling convention:
-        #   (2/dx) d/dxi, quadrature (dx/2)(dy/2), test gradient (2/dx).
-        self.mass_x = (mesh.dx / 2.0) * basis.weights
-        self.mass_y = (mesh.dy / 2.0) * basis.weights
 
     def element_kernel(self, block: np.ndarray, e_x: int, e_y: int):
         d = self._d
@@ -109,30 +107,16 @@ def residual(op, u: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def nodal_coordinates(mesh: MeshConfig, basis: Basis1D):
     """Global node coordinates (X, Y), each of shape (N_y, N_x)."""
-    layout = layout_for(mesh, basis.p)
-    p = basis.p
-    x = np.empty(layout.N_x)
-    y = np.empty(layout.N_y)
-    for e in range(mesh.n_x):
-        x[e * p:(e + 1) * p] = (e + (basis.nodes[:-1] + 1) / 2) * mesh.dx
-    for e in range(mesh.n_y):
-        y[e * p:(e + 1) * p] = (e + (basis.nodes[:-1] + 1) / 2) * mesh.dy
+    t = (basis.nodes[:-1] + 1) / 2
+    x = (np.arange(mesh.n_x)[:, None] + t).ravel() * mesh.dx
+    y = (np.arange(mesh.n_y)[:, None] + t).ravel() * mesh.dy
     return np.meshgrid(x, y)
 
 
 def _global_quadrature(mesh: MeshConfig, basis: Basis1D):
     """Assembled global quadrature weights as an (N_y, N_x) tensor."""
-    layout = layout_for(mesh, basis.p)
-    p = basis.p
-    wx = np.zeros(layout.N_x)
-    wy = np.zeros(layout.N_y)
-    for e in range(mesh.n_x):
-        idx = (e * p + np.arange(p + 1)) % layout.N_x
-        np.add.at(wx, idx, (mesh.dx / 2.0) * basis.weights)
-    for e in range(mesh.n_y):
-        idx = (e * p + np.arange(p + 1)) % layout.N_y
-        np.add.at(wy, idx, (mesh.dy / 2.0) * basis.weights)
-    return np.outer(wy, wx)
+    return np.outer(_global_mass(basis, mesh.n_y, mesh.dy),
+                    _global_mass(basis, mesh.n_x, mesh.dx))
 
 
 def project_mean(f: np.ndarray) -> np.ndarray:
@@ -200,23 +184,8 @@ def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
 
 
 # ----------------------------------------------------------------------
-# Dense assembly oracles (testing only; kept independent of the
-# sum-factorized apply path above)
-
-
-def _global_1d(basis: Basis1D, n: int, d: float):
-    """Assembled periodic global 1D mass (diagonal) and stiffness matrices."""
-    p = basis.p
-    N = p * n
-    mass = np.zeros(N)
-    stiff = np.zeros((N, N))
-    m_el = (d / 2.0) * basis.weights
-    l_el = (2.0 / d) * basis.stiff
-    for e in range(n):
-        idx = (e * p + np.arange(p + 1)) % N
-        np.add.at(mass, idx, m_el)
-        stiff[np.ix_(idx, idx)] += l_el
-    return mass, stiff
+# Dense assembly oracles (testing only; they share nothing with the
+# sum-factorized apply path above but the periodic window indices)
 
 
 def dense_poisson_matrix(basis: Basis1D, mesh: MeshConfig) -> np.ndarray:
@@ -229,23 +198,19 @@ def dense_poisson_matrix(basis: Basis1D, mesh: MeshConfig) -> np.ndarray:
 def dense_diffusion_matrix(basis: Basis1D, mesh: MeshConfig,
                            nu: np.ndarray) -> np.ndarray:
     """Element-by-element dense assembly of the variable-diffusion operator."""
-    p = basis.p
     layout = layout_for(mesh, basis.p)
-    N = layout.size
-    A = np.zeros((N, N))
-    eye = np.eye(p + 1)
+    iy, ix, flat = all_element_windows(layout)
+    m2 = (basis.p + 1) ** 2
+    eye = np.eye(basis.p + 1)
     gx = np.kron(eye, basis.diff)   # d/dxi on vec(y slow, x fast)
     gy = np.kron(basis.diff, eye)
-    w2 = np.outer(basis.weights, basis.weights).ravel()
+    # Quadrature weight times nu, per element and local node.
+    wnu = (np.outer(basis.weights, basis.weights).ravel()
+           * nu[iy, ix].reshape(-1, m2))[:, :, None]
     cx = mesh.dy / mesh.dx
     cy = mesh.dx / mesh.dy
-    for e_y in range(mesh.n_y):
-        for e_x in range(mesh.n_x):
-            iy = (e_y * p + np.arange(p + 1)) % layout.N_y
-            ix = (e_x * p + np.arange(p + 1)) % layout.N_x
-            gidx = (iy[:, None] * layout.N_x + ix[None, :]).ravel()
-            nu_e = nu[np.ix_(iy, ix)].ravel()
-            k = (cx * gx.T @ ((w2 * nu_e)[:, None] * gx)
-                 + cy * gy.T @ ((w2 * nu_e)[:, None] * gy))
-            A[np.ix_(gidx, gidx)] += k
+    k = cx * gx.T @ (wnu * gx) + cy * gy.T @ (wnu * gy)
+    idx = flat.reshape(-1, m2)
+    A = np.zeros((layout.size, layout.size))
+    np.add.at(A, (idx[:, :, None], idx[:, None, :]), k)
     return A

@@ -17,12 +17,13 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis1D, overlap_width
-from .mesh import FieldLayout, all_element_windows, scatter_blocks
+from .mesh import (FieldLayout, _global_1d, all_element_windows,
+                   periodic_windows, scatter_blocks)
 
 __all__ = ["WeightKind", "SubdomainGeometry", "FastDiagSolver",
            "restricted_1d", "weight_value", "build_weight_1d",
            "build_fast_diag", "AdditiveSchwarz", "MultiplicativeSchwarz",
-           "SweepCounter", "jacobi_eigh"]
+           "SweepCounter"]
 
 
 class WeightKind(str, Enum):
@@ -129,72 +130,18 @@ def build_weight_tensor(kind: WeightKind, basis: Basis1D,
 def restricted_1d(basis: Basis1D, d: float, n_o: int):
     """Restricted 1D stiffness and (diagonal) mass for the subdomain solve.
 
-    Assembles the three-element periodic patch and keeps the
-    p + 1 + 2*n_o updated rows/columns; the excluded outer layer acts as a
-    homogeneous Dirichlet boundary. Returns (L_s, m_s) with m_s the mass
-    diagonal.
+    Assembles a three-element periodic ring and keeps the p + 1 + 2*n_o
+    updated rows/columns around the middle element; the excluded outer
+    layer acts as a homogeneous Dirichlet boundary. The kept rows never
+    reach the wrapped node 0, so this equals the open three-element patch.
+    Returns (L_s, m_s) with m_s the mass diagonal.
     """
     p = basis.p
     if not 0 <= n_o <= p - 1:
         raise ValueError(f"overlap layers must be in [0, {p - 1}], got {n_o}")
-    q = 3 * p + 1
-    L = np.zeros((q, q))
-    m = np.zeros(q)
-    l_el = (2.0 / d) * basis.stiff
-    m_el = (d / 2.0) * basis.weights
-    for off in (0, p, 2 * p):
-        L[off:off + p + 1, off:off + p + 1] += l_el
-        m[off:off + p + 1] += m_el
+    m, L = _global_1d(basis, 3, d)
     sel = slice(p - n_o, 2 * p + n_o + 1)
     return np.ascontiguousarray(L[sel, sel]), m[sel].copy()
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50):
-    """Cyclic Jacobi eigensolver for small dense symmetric matrices.
-
-    Returns eigenvalues (ascending) and the orthogonal eigenvector matrix.
-    The off-diagonal norm threshold is relative to the Frobenius norm of
-    the input.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        # Off-diagonal Frobenius norm, computed directly (subtracting the
-        # diagonal from the total suffers cancellation near convergence).
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < tol * scale:
-            break
-        for p_ in range(n - 1):
-            for q_ in range(p_ + 1, n):
-                apq = a[p_, q_]
-                if abs(apq) < 1e-20 * scale:
-                    a[p_, q_] = a[q_, p_] = 0.0
-                    continue
-                theta = (a[q_, q_] - a[p_, p_]) / (2.0 * apq)
-                # hypot avoids overflow for extreme diagonal ratios
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t**2 + 1.0)
-                s = t * c
-                rot_p = c * a[:, p_] - s * a[:, q_]
-                rot_q = s * a[:, p_] + c * a[:, q_]
-                a[:, p_], a[:, q_] = rot_p, rot_q
-                rot_p = c * a[p_, :] - s * a[q_, :]
-                rot_q = s * a[p_, :] + c * a[q_, :]
-                a[p_, :], a[q_, :] = rot_p, rot_q
-                rot_p = c * v[:, p_] - s * v[:, q_]
-                rot_q = s * v[:, p_] + c * v[:, q_]
-                v[:, p_], v[:, q_] = rot_p, rot_q
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge "
-                           f"within {max_sweeps} sweeps")
-    lam = np.diag(a).copy()
-    order = np.argsort(lam)
-    return lam[order], v[:, order]
 
 
 @dataclass(eq=False)
@@ -226,7 +173,7 @@ def _direction_factors(basis: Basis1D, d: float, n_o: int):
     L_s, m_s = restricted_1d(basis, d, n_o)
     inv_sqrt = 1.0 / np.sqrt(m_s)
     sym = inv_sqrt[:, None] * L_s * inv_sqrt[None, :]
-    lam, q = jacobi_eigh(sym)
+    lam, q = np.linalg.eigh(sym)
     if lam[0] <= 0.0:
         raise RuntimeError("restricted subdomain problem is not definite")
     return inv_sqrt[:, None] * q, lam
@@ -310,13 +257,11 @@ class MultiplicativeSchwarz:
         self.n_o = n_o
         self.solver = build_fast_diag(basis, dx, dy, n_o, kind=None)
         self.layout = layout
-        p = layout.p
-        offs = np.arange(-n_o, p + n_o + 1)
-        self._wy = [(e * p + offs) % layout.N_y for e in range(layout.n_y)]
-        self._wx = [(e * p + offs) % layout.N_x for e in range(layout.n_x)]
-        eoffs = np.arange(p + 1)
-        self._ey = [(e * p + eoffs) % layout.N_y for e in range(layout.n_y)]
-        self._ex = [(e * p + eoffs) % layout.N_x for e in range(layout.n_x)]
+        # Row e: subdomain (_w*) and element (_e*) node windows of element e.
+        self._wy = periodic_windows(layout.p, layout.n_y, n_o)
+        self._wx = periodic_windows(layout.p, layout.n_x, n_o)
+        self._ey = periodic_windows(layout.p, layout.n_y)
+        self._ex = periodic_windows(layout.p, layout.n_x)
         self._nu_bar = nu_bar
         self._scratch = layout.zeros()
 

@@ -129,6 +129,25 @@ def test_cli_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_cli_bad_order_is_one_line_error(capsys):
+    rc = cli.main(["solve", "--p", "3", "--nel", "4"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert "power of two" in err
+
+
+@pytest.mark.parametrize("args", [["--overlap", "bogus"], ["--tol", "1"],
+                                  ["--p", "4", "--nel", "2",
+                                   "--overlap", "fixed:2"]])
+def test_cli_bad_values_are_one_line_errors(capsys, args):
+    rc = cli.main(["solve", "--p", "2", "--nel", "4", *args])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("schwarzmg: error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_solve_deterministic_records(capsys):
     args = ["solve", "--p", "4", "--nel", "4", "--tol", "1e4",
             "--max-cycles", "30", "--seed", "3"]

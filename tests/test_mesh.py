@@ -1,12 +1,17 @@
-"""Tests for the periodic mesh, layouts and gather/scatter index machinery."""
+"""Tests for the periodic mesh, layouts, window indices and scatter-add."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from schwarzmg.mesh import (Field, FieldLayout, MeshConfig, all_element_windows,
-                            element_indices, gather_element, layout_for,
-                            scatter_add_element, scatter_blocks)
+from schwarzmg.basis import gll_basis, interp_matrix
+from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d,
+                            all_element_windows, layout_for, periodic_windows,
+                            scatter_blocks)
+from schwarzmg.multigrid import _global_prolongation
+from schwarzmg.operators import _global_quadrature
 
 
 def test_mesh_config_properties():
@@ -32,37 +37,11 @@ def test_layout_counts():
     assert layout.zeros().shape == (8, 12)
 
 
-def test_field_shape_check():
-    layout = FieldLayout(p=2, n_x=3, n_y=2)
-    Field(layout, np.zeros((4, 6)))
-    with pytest.raises(ValueError):
-        Field(layout, np.zeros((6, 4)))
-
-
 def test_element_indices_wrap_periodically():
-    layout = FieldLayout(p=2, n_x=3, n_y=2)
-    iy, ix = element_indices(layout, 2, 1)
-    npt.assert_array_equal(ix, [4, 5, 0])
-    npt.assert_array_equal(iy, [2, 3, 0])
-    iy, ix = element_indices(layout, 0, 0, n_o=1)
-    npt.assert_array_equal(ix, [5, 0, 1, 2, 3])
-    with pytest.raises(IndexError):
-        element_indices(layout, 3, 0)
-
-
-def test_gather_scatter_are_adjoint():
-    # <scatter(B), v> == <B, gather(v)> for random B and v.
-    rng = np.random.default_rng(3)
-    layout = FieldLayout(p=3, n_x=3, n_y=2)
-    v = Field(layout, rng.standard_normal((layout.N_y, layout.N_x)))
-    for e_x in range(3):
-        for e_y in range(2):
-            B = rng.standard_normal((4, 4))
-            out = Field.zeros(layout)
-            scatter_add_element(out, e_x, e_y, B)
-            lhs = np.vdot(out.values, v.values)
-            rhs = np.vdot(B, gather_element(v, e_x, e_y))
-            npt.assert_allclose(lhs, rhs, rtol=1e-14)
+    # p=2 on a 3x2 mesh: 6 nodes in x, 4 in y.
+    npt.assert_array_equal(periodic_windows(2, 3)[2], [4, 5, 0])
+    npt.assert_array_equal(periodic_windows(2, 2)[1], [2, 3, 0])
+    npt.assert_array_equal(periodic_windows(2, 3, n_o=1)[0], [5, 0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("n_o", [0, 1, 2])
@@ -74,9 +53,10 @@ def test_all_element_windows_match_per_element_indices(n_o):
     blocks = v[gy, gx]
     m = layout.p + 1 + 2 * n_o
     assert blocks.shape == (2, 3, m, m)
-    for e_y in range(2):
-        for e_x in range(3):
-            iy, ix = element_indices(layout, e_x, e_y, n_o)
+    wy = periodic_windows(layout.p, layout.n_y, n_o)
+    wx = periodic_windows(layout.p, layout.n_x, n_o)
+    for e_y, iy in enumerate(wy):
+        for e_x, ix in enumerate(wx):
             npt.assert_array_equal(blocks[e_y, e_x], v[np.ix_(iy, ix)])
             npt.assert_array_equal(
                 flat[e_y, e_x], iy[:, None] * layout.N_x + ix[None, :])
@@ -91,9 +71,8 @@ def test_scatter_blocks_equals_add_at_loop():
     blocks = rng.standard_normal((3, 4, m, m))
     got = scatter_blocks(flat, blocks, layout)
     want = np.zeros((layout.N_y, layout.N_x))
-    for e_y in range(3):
-        for e_x in range(4):
-            iy, ix = element_indices(layout, e_x, e_y, n_o)
+    for e_y, iy in enumerate(periodic_windows(layout.p, layout.n_y, n_o)):
+        for e_x, ix in enumerate(periodic_windows(layout.p, layout.n_x, n_o)):
             np.add.at(want, np.ix_(iy, ix), blocks[e_y, e_x])
     npt.assert_allclose(got, want, atol=1e-14)
 
@@ -107,3 +86,58 @@ def test_scatter_blocks_accumulates_into_out():
     assert out is base
     # Every interior node is shared by several element corners/edges.
     assert out.min() > 5.0
+
+
+# ----------------------------------------------------------------------
+# Folded periodic assemblies on random sizes
+
+ORDERS = st.sampled_from([1, 2, 3, 4, 8])
+COUNTS = st.integers(2, 6)
+
+
+@st.composite
+def _windows_case(draw):
+    """(p, n, n_o) with 0 <= n_o <= p - 1 and a window that does not wrap."""
+    p, n = draw(ORDERS), draw(COUNTS)
+    n_o = draw(st.integers(0, p - 1))
+    assume(p + 1 + 2 * n_o <= p * n)
+    return p, n, n_o
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windows_case())
+def test_periodic_windows_rows_are_consecutive(case):
+    p, n, n_o = case
+    N = p * n
+    rows = periodic_windows(p, n, n_o)
+    assert rows.shape == (n, p + 1 + 2 * n_o)
+    npt.assert_array_equal(rows[:, 0], (np.arange(n) * p - n_o) % N)
+    npt.assert_array_equal(np.diff(rows, axis=1) % N, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, COUNTS, COUNTS, st.floats(0.5, 4.0), st.floats(0.5, 4.0))
+def test_global_quadrature_sums_to_area(p, n_x, n_y, l_x, l_y):
+    mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=l_y)
+    w = _global_quadrature(mesh, gll_basis(p))
+    assert w.shape == (p * n_y, p * n_x)
+    npt.assert_allclose(w.sum(), l_x * l_y, rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, COUNTS, st.floats(0.1, 4.0))
+def test_global_1d_stiffness_symmetric_with_zero_row_sums(p, n, d):
+    mass, stiff = _global_1d(gll_basis(p), n, d)
+    scale = np.abs(stiff).max()
+    npt.assert_array_equal(stiff, stiff.T)
+    npt.assert_allclose(stiff.sum(axis=1), 0.0, atol=1e-13 * scale)
+    npt.assert_allclose(mass.sum(), n * d, rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, COUNTS)
+def test_global_prolongation_rows_sum_to_one(p, n):
+    j = interp_matrix(gll_basis(p), gll_basis(2 * p))
+    P = _global_prolongation(j, p, 2 * p, n)
+    assert P.shape == (2 * p * n, p * n)
+    npt.assert_allclose(P.sum(axis=1), 1.0, atol=1e-13)

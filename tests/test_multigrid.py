@@ -149,3 +149,18 @@ def test_diffusion_hierarchy_v_cycle():
     r0 = np.linalg.norm(f - h.top.op.apply(u))
     u = v_cycle(h, u, f)
     assert np.linalg.norm(f - h.top.op.apply(u)) < 0.5 * r0
+
+
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+def test_v_cycle_updates_u_in_place_and_keeps_no_state(smoother):
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), smoother=smoother)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    u = np.random.default_rng(63).random(f.shape)
+    u_copy, f_copy = u.copy(), f.copy()
+    assert v_cycle(h, u, f) is u
+    assert all(v is not u and v is not f
+               for lv in h.levels for v in vars(lv).values())
+    h.reset_smoothers()
+    assert np.array_equal(v_cycle(h, u_copy, f), u)
+    assert np.array_equal(f, f_copy)

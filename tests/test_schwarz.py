@@ -5,12 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from schwarzmg.basis import gll_basis, overlap_width
-from schwarzmg.mesh import MeshConfig, element_indices, layout_for
+from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
 from schwarzmg.operators import PoissonOperator, poisson_benchmark
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
                                SweepCounter, WeightKind, build_fast_diag,
                                build_weight_1d, build_weight_tensor,
-                               jacobi_eigh, restricted_1d, subdomain_geometry,
+                               restricted_1d, subdomain_geometry,
                                weight_value)
 
 ALL_KINDS = list(WeightKind)
@@ -118,24 +118,6 @@ def test_restricted_1d_against_patch_assembly():
         restricted_1d(basis, d, 4)
 
 
-@pytest.mark.parametrize("n", [3, 6, 15])
-def test_jacobi_eigh_against_lapack(n):
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((n, n))
-    a = a + a.T
-    lam, v = jacobi_eigh(a)
-    lam_ref = np.linalg.eigvalsh(a)
-    npt.assert_allclose(lam, lam_ref, atol=1e-12 * np.abs(lam_ref).max())
-    npt.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
-    npt.assert_allclose(a @ v, v * lam[None, :], atol=1e-11)
-
-
-def test_jacobi_eigh_zero_matrix():
-    lam, v = jacobi_eigh(np.zeros((4, 4)))
-    npt.assert_allclose(lam, 0.0)
-    npt.assert_allclose(v, np.eye(4))
-
-
 @pytest.mark.parametrize("p,n_o", [(2, 0), (4, 1), (8, 2)])
 @pytest.mark.parametrize("dx,dy", [(0.25, 0.25), (1.0, 0.25)])
 def test_fast_diag_inverts_subdomain_operator(p, n_o, dx, dy):
@@ -174,6 +156,13 @@ def _setup(p=4, n=4, n_o=1):
     return mesh, basis, layout, op, f, u0
 
 
+def _subdomain_windows(layout, n_o):
+    """(iy, ix) node windows of every subdomain, lexicographic by (e_y, e_x)."""
+    wy = periodic_windows(layout.p, layout.n_y, n_o)
+    wx = periodic_windows(layout.p, layout.n_x, n_o)
+    return [(iy, ix) for iy in wy for ix in wx]
+
+
 def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o):
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
     W = build_weight_tensor(kind, basis, subdomain_geometry(basis, n_o))
@@ -181,11 +170,9 @@ def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o):
     for _ in range(n_it):
         r = f - op.apply(u)
         cors = []
-        for e_y in range(layout.n_y):
-            for e_x in range(layout.n_x):
-                iy, ix = element_indices(layout, e_x, e_y, n_o)
-                cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
-                cors.append((iy, ix, cor.reshape(m, m) * W))
+        for iy, ix in _subdomain_windows(layout, n_o):
+            cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
+            cors.append((iy, ix, cor.reshape(m, m) * W))
         for iy, ix, cor in cors:
             np.add.at(u, np.ix_(iy, ix), cor)
     return u
@@ -195,14 +182,12 @@ def _naive_multiplicative(basis, layout, mesh, op, u, f, n_it, n_o,
                           first_sweep=1):
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
     m = layout.p + 1 + 2 * n_o
-    order = [(e_x, e_y) for e_y in range(layout.n_y)
-             for e_x in range(layout.n_x)]
+    order = _subdomain_windows(layout, n_o)
     for i in range(first_sweep, first_sweep + n_it):
         seq = order if i % 2 == 1 else order[::-1]
-        for e_x, e_y in seq:
+        for iy, ix in seq:
             # Reference implementation: full residual before every solve.
             r = f - op.apply(u)
-            iy, ix = element_indices(layout, e_x, e_y, n_o)
             cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
             u[np.ix_(iy, ix)] += cor.reshape(m, m)
     return u

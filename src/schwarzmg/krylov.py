@@ -50,6 +50,7 @@ def solve_mg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
              u0: np.ndarray | None = None):
     """Repeated V-cycle iteration with per-cycle residual recording."""
     t0 = time.perf_counter()
+    exhausted = h.coarse_cg_exhausted
     h.reset_smoothers()
     op = h.top.op
     u = random_initial_guess(h, cfg.seed) if u0 is None else u0.copy()
@@ -63,8 +64,9 @@ def solve_mg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
         cycles += 1
         res.append(float(np.linalg.norm(f - op.apply(u))))
         converged = res[-1] <= r_max
-    return u, ConvergenceReport(res, converged, cycles,
-                                time.perf_counter() - t0)
+    return u, ConvergenceReport(
+        res, converged, cycles, time.perf_counter() - t0,
+        coarse_cg_exhausted=h.coarse_cg_exhausted - exhausted)
 
 
 def solve_mgcg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
@@ -77,6 +79,7 @@ def solve_mgcg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     Schwarz-smoothed preconditioner.
     """
     t0 = time.perf_counter()
+    exhausted = h.coarse_cg_exhausted
     h.reset_smoothers()
     op = h.top.op
     u = random_initial_guess(h, cfg.seed) if u0 is None else u0.copy()
@@ -109,7 +112,7 @@ def solve_mgcg(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
             p = z + beta * p
             delta = np.vdot(z, r)
             r_old = r
-    report = ConvergenceReport(res, converged, cycles,
-                               time.perf_counter() - t0)
-    report.breakdown = breakdown
-    return u, report
+    return u, ConvergenceReport(
+        res, converged, cycles, time.perf_counter() - t0,
+        breakdown=breakdown,
+        coarse_cg_exhausted=h.coarse_cg_exhausted - exhausted)

@@ -36,6 +36,8 @@ class ConvergenceReport:
     n10: int = field(init=False)
     omega1: float | None = None
     breakdown: bool = False
+    # Coarse solves of this solve that stopped short of the coarse tolerance.
+    coarse_cg_exhausted: int = 0
 
     def __post_init__(self):
         if self.cycles == 0 or self.residuals[-1] == 0.0:

@@ -1,10 +1,15 @@
 """Polynomial multigrid: level hierarchy, transfers, V-cycle, coarse solve.
 
 Levels carry orders p_l = 2^l from 1 up to the target order p (which must
-be a power of two). Transfers use the embedded interpolation operator per
-direction; restriction is its exact algebraic transpose. The coarse
-(p = 1) problem is singular on the periodic mesh and is solved by CG with
-the right side projected onto the complement of constants.
+be a power of two). Transfers apply the embedded interpolation matrix
+element by element, one direction at a time (sum factorization);
+restriction is their exact algebraic transpose. The coarse (p = 1) problem
+is singular on the periodic mesh and is solved by preconditioned CG with
+the right side projected onto the complement of constants. On the uniform
+periodic mesh the p = 1 Poisson operator is diagonalized by the 2D FFT
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its pseudoinverse is the
+preconditioner: exact for Poisson, scaled by the mean diffusivity for the
+diffusion problem.
 """
 
 import logging
@@ -63,7 +68,8 @@ class Level:
     n_pre: int
     n_post: int
     n_o: int
-    # Global per-direction prolongation matrices from level l-1 to l.
+    # Per-direction element interpolation block J[:-1] from level l-1 to l,
+    # shape (p_l, p_{l-1} + 1); the last fine node belongs to the next element.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
 
@@ -81,10 +87,13 @@ class LevelConfig:
 
 class MultigridHierarchy:
     def __init__(self, mesh: MeshConfig, levels: list[Level],
-                 coarse_tol: float = 1e-12,
+                 coarse_symbol: np.ndarray, coarse_tol: float = 1e-12,
                  sweep_counter: SweepCounter | None = None):
         self.mesh = mesh
         self.levels = levels
+        # rfft2 eigenvalues of the coarse preconditioner's operator; the
+        # constant mode is inf, so the preconditioner is mean-free.
+        self.coarse_symbol = coarse_symbol
         self.coarse_tol = coarse_tol
         self.coarse_cg_exhausted = 0
         self.sweep_counter = sweep_counter
@@ -107,17 +116,17 @@ class MultigridHierarchy:
                 for lv in self.levels]
 
 
-def _global_prolongation(j: np.ndarray, p_c: int, p_f: int, n: int) -> np.ndarray:
-    """Periodic global 1D interpolation matrix from n*p_c to n*p_f nodes.
+def _fft_symbol(op: PoissonOperator) -> np.ndarray:
+    """Real rfft2 eigenvalues of a translation-invariant periodic operator.
 
-    Rows of fine nodes shared between elements are written consistently
-    (interpolation of a continuous field is single-valued there).
+    Such an operator is a circular convolution with its response to a unit
+    impulse, so it acts as a pointwise product in Fourier space.
     """
-    P = np.zeros((p_f * n, p_c * n))
-    rows = periodic_windows(p_f, n)[:, :, None]
-    cols = periodic_windows(p_c, n)[:, None, :]
-    P[rows, cols] = j
-    return P
+    delta = op.layout.zeros()
+    delta[0, 0] = 1.0
+    symbol = np.fft.rfft2(op.apply(delta)).real
+    symbol[0, 0] = np.inf
+    return symbol
 
 
 def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
@@ -162,11 +171,14 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
                                            n_o, nu_bar=nu_bar, counter=counter)
             lv = Level(l, basis, op, sm, n_pre * factor, n_post * factor, n_o)
         if l > 0:
-            j = interp_matrix(levels[l - 1].basis, basis)
-            lv.px = _global_prolongation(j, 1 << (l - 1), p_l, mesh.n_x)
-            lv.py = _global_prolongation(j, 1 << (l - 1), p_l, mesh.n_y)
+            lv.px = lv.py = interp_matrix(levels[l - 1].basis, basis)[:-1]
         levels.append(lv)
-    return MultigridHierarchy(mesh, levels, coarse_tol=coarse_tol,
+    lv0 = levels[0]
+    if nu_hat is None:
+        symbol = _fft_symbol(lv0.op)
+    else:
+        symbol = lv0.op.nu.mean() * _fft_symbol(PoissonOperator(lv0.basis, mesh))
+    return MultigridHierarchy(mesh, levels, symbol, coarse_tol=coarse_tol,
                               sweep_counter=counter)
 
 
@@ -174,51 +186,80 @@ def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
     """Interpolate a level l-1 field to level l."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
-    lv = h.levels[l]
-    return lv.py @ coarse @ lv.px.T
+    lv, mesh = h.levels[l], h.mesh
+    p_c = lv.px.shape[1] - 1
+    # x: every coarse element row window times J[:-1]^T, laid out as fine
+    # rows (np.take returns the windows contiguous, unlike coarse[:, idx]).
+    wx = np.take(coarse, periodic_windows(p_c, mesh.n_x), axis=1)
+    t = (wx @ lv.px.T).reshape(coarse.shape[0], -1)
+    # y: the same on the element column windows.
+    wy = np.take(t, periodic_windows(p_c, mesh.n_y), axis=0)
+    return (lv.py @ wy).reshape(-1, t.shape[1])
+
+
+def _fold(w: np.ndarray, axis: int) -> np.ndarray:
+    """Sum periodic element windows into unique nodes.
+
+    ``w`` holds n windows of p + 1 nodes on axes (axis - 1, axis); the last
+    node of each window is the first node of the next element's window.
+    Those two axes become one axis of n*p nodes.
+    """
+    at = (slice(None),) * axis
+    out = w[at + (slice(None, -1),)].copy()
+    out[at + (0,)] += np.roll(w[at + (-1,)], 1, axis=axis - 1)
+    return out.reshape(w.shape[:axis - 1] + (-1,) + w.shape[axis + 1:])
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.ndarray:
     """Transpose of prolongation: restrict a level l field to level l-1."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
-    lv = h.levels[l]
-    return lv.py.T @ fine @ lv.px
+    lv, mesh = h.levels[l], h.mesh
+    p_f = lv.px.shape[0]
+    # x: each fine element row block times J[:-1], folded into coarse rows.
+    t = _fold(fine.reshape(fine.shape[0], mesh.n_x, p_f) @ lv.px, 2)
+    # y: the same on the element column blocks.
+    return _fold(lv.py.T @ t.reshape(mesh.n_y, p_f, -1), 1)
 
 
-def _cg(apply_op, b: np.ndarray, tol_rel: float, max_iter: int):
-    """Plain CG on fields; returns (x, iterations, converged)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return x, 0, True
-    p = r.copy()
-    rho = np.vdot(r, r)
-    for it in range(1, max_iter + 1):
-        q = apply_op(p)
-        alpha = rho / np.vdot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= tol_rel * b_norm:
-            return x, it, True
-        rho_new = np.vdot(r, r)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    return x, max_iter, False
+def _fft_inverse(symbol: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Apply the mean-free pseudoinverse of the operator with this symbol."""
+    return np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape)
 
 
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
-    """Null-space-projected CG solve of the singular p = 1 problem."""
+    """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem."""
     lv0 = h.levels[0]
     b = project_mean(f0)
     cap = 10 * b.size
-    u0, _, converged = _cg(lv0.op.apply, b, h.coarse_tol, cap)
+    x = np.zeros_like(b)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return x
+    r = b.copy()
+    z = p = _fft_inverse(h.coarse_symbol, r)
+    rho = np.vdot(r, z)
+    converged = False
+    for _ in range(cap):
+        q = lv0.op.apply(p)
+        pq = np.vdot(p, q)
+        if not (rho > 0.0 and pq > 0.0):
+            break  # no descent direction is left: the residual is roundoff
+        alpha = rho / pq
+        x += alpha * p
+        r -= alpha * q
+        converged = np.linalg.norm(r) <= h.coarse_tol * b_norm
+        if converged:
+            break
+        z = _fft_inverse(h.coarse_symbol, r)
+        rho_new = np.vdot(r, z)
+        p = z + (rho_new / rho) * p
+        rho = rho_new
     if not converged:
         h.coarse_cg_exhausted += 1
-        log.warning("coarse CG hit its iteration cap (%d); "
-                    "possible ill-conditioning", cap)
-    return project_mean(u0)
+        log.warning("coarse CG hit its iteration cap (%d) or broke down "
+                    "short of its tolerance; possible ill-conditioning", cap)
+    return project_mean(x)
 
 
 def v_cycle(h: MultigridHierarchy, u: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -88,9 +88,10 @@ def build_problem(spec: RunSpec):
 
 
 def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
-    mesh, h, f, _ = build_problem(spec)
+    # Validate the solve settings before the (possibly costly) set-up.
     cfg = SolveConfig(solver=spec.solver, tol_reduction=spec.tol,
                       max_cycles=spec.max_cycles, seed=seed)
+    mesh, h, f, _ = build_problem(spec)
     _, rep = solve(h, f, cfg)
     rule = OverlapRule.parse(spec.overlap_rule)
     _, _, ratio = cycle_cost(spec.p, mesh.n_el, rule.layers(spec.p),
@@ -323,5 +324,13 @@ def read_csv(stream) -> list[RunRecord]:
     return out
 
 
+def _finite_or_none(value):
+    # Strict JSON has no Infinity or NaN; an unbounded rate becomes null.
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def records_to_json(records: list[RunRecord]) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2)
+    return json.dumps([{k: _finite_or_none(v) for k, v in asdict(r).items()}
+                       for r in records], indent=2)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,17 @@ def test_json_emission_parses():
     rec = run_single(FAST_SPEC, seed=1)
     data = json.loads(records_to_json([rec]))
     assert data[0]["p"] == 4 and data[0]["seed"] == 1
+
+
+def test_json_emits_nonfinite_rates_as_null():
+    rec = dataclasses.replace(run_single(FAST_SPEC, seed=1), rbar=math.inf)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(records_to_json([rec]), parse_constant=reject)
+    assert data[0]["rbar"] is None
+    assert data[0]["p"] == 4
 
 
 def test_preset_grid_shapes():
@@ -146,6 +158,18 @@ def test_cli_bad_values_are_one_line_errors(capsys, args):
     assert rc == 1
     assert err.startswith("schwarzmg: error: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [["--tol", "1"], ["--max-cycles", "0"]])
+def test_cli_bad_solve_settings_fail_before_setup(capsys, monkeypatch, args):
+    def no_setup(spec):
+        raise AssertionError("set-up ran before the solve settings were checked")
+
+    monkeypatch.setattr(presets, "build_problem", no_setup)
+    rc = cli.main(["solve", "--p", "32", "--nel", "64", *args])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("schwarzmg: error: ")
 
 
 def test_cli_solve_deterministic_records(capsys):

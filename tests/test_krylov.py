@@ -97,3 +97,22 @@ def test_initial_guess_override():
     # discretization error remains in the initial residual.
     assert rep.residuals[0] < 1e-8
     assert rep.converged
+
+
+@pytest.mark.parametrize("solver", ["mg", "mgcg"])
+def test_report_counts_coarse_cap_hits_of_its_own_solve(solver):
+    cfg = SolveConfig(solver=solver, tol_reduction=1e4, max_cycles=20, seed=1)
+    h, f, _ = _problem(p=4, n=4)
+    _, rep = solve(h, f, cfg)
+    assert rep.coarse_cg_exhausted == 0
+
+    # A zero coarse tolerance can never be met, so every coarse solve
+    # ends short of it.
+    mesh = MeshConfig(3, 3)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 0), coarse_tol=0.0)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    _, first = solve(h, f, cfg)
+    assert first.coarse_cg_exhausted > 0
+    _, second = solve(h, f, cfg)
+    assert second.coarse_cg_exhausted == first.coarse_cg_exhausted
+    assert h.coarse_cg_exhausted == 2 * first.coarse_cg_exhausted

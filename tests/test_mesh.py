@@ -10,8 +10,23 @@ from schwarzmg.basis import gll_basis, interp_matrix
 from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d,
                             all_element_windows, layout_for, periodic_windows,
                             scatter_blocks)
-from schwarzmg.multigrid import _global_prolongation
+from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
+                                 restrict_residual)
 from schwarzmg.operators import _global_quadrature
+
+
+def _global_prolongation(j: np.ndarray, p_c: int, p_f: int, n: int) -> np.ndarray:
+    """Dense periodic global 1D interpolation matrix from n*p_c to n*p_f
+    nodes (test oracle for the element-wise transfers).
+
+    Rows of fine nodes shared between elements are written consistently
+    (interpolation of a continuous field is single-valued there).
+    """
+    P = np.zeros((p_f * n, p_c * n))
+    rows = periodic_windows(p_f, n)[:, :, None]
+    cols = periodic_windows(p_c, n)[:, None, :]
+    P[rows, cols] = j
+    return P
 
 
 def test_mesh_config_properties():
@@ -141,3 +156,20 @@ def test_global_prolongation_rows_sum_to_one(p, n):
     P = _global_prolongation(j, p, 2 * p, n)
     assert P.shape == (2 * p * n, p * n)
     npt.assert_allclose(P.sum(axis=1), 1.0, atol=1e-13)
+
+
+def test_transfers_match_dense_prolongation_oracle():
+    n_x, n_y = 5, 3
+    h = build_hierarchy(MeshConfig(n_x, n_y), 8, OverlapRule("fixed", 1))
+    rng = np.random.default_rng(11)
+    for l in range(1, h.depth + 1):
+        p_c, p_f = 1 << (l - 1), 1 << l
+        j = interp_matrix(gll_basis(p_c), gll_basis(p_f))
+        px = _global_prolongation(j, p_c, p_f, n_x)
+        py = _global_prolongation(j, p_c, p_f, n_y)
+        uc = rng.standard_normal((p_c * n_y, p_c * n_x))
+        vf = rng.standard_normal((p_f * n_y, p_f * n_x))
+        npt.assert_allclose(prolongate(h, l, uc), py @ uc @ px.T,
+                            rtol=0, atol=1e-13)
+        npt.assert_allclose(restrict_residual(h, l, vf), py.T @ vf @ px,
+                            rtol=0, atol=1e-13)

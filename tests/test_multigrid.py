@@ -9,8 +9,8 @@ from schwarzmg.mesh import MeshConfig, layout_for
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
                                  build_hierarchy, coarse_solve, prolongate,
                                  restrict_residual, v_cycle)
-from schwarzmg.operators import (dense_poisson_matrix, poisson_benchmark,
-                                 project_mean)
+from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
+                                 poisson_benchmark, project_mean)
 
 
 def test_overlap_rule_layers():
@@ -99,18 +99,46 @@ def test_transfers_are_adjoint():
         restrict_residual(h, h.depth + 1, np.zeros((1, 1)))
 
 
-def test_coarse_solve_matches_pseudoinverse():
-    mesh = MeshConfig(4, 4)
-    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1))
+def _check_coarse_solve_against_pinv(mesh, nu_hat=None):
+    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), nu_hat=nu_hat)
     lv0 = h.levels[0]
-    A = dense_poisson_matrix(lv0.basis, mesh)
+    if nu_hat is None:
+        A = dense_poisson_matrix(lv0.basis, mesh)
+    else:
+        A = dense_diffusion_matrix(lv0.basis, mesh, lv0.op.nu)
     rng = np.random.default_rng(53)
     f0 = rng.standard_normal((lv0.op.layout.N_y, lv0.op.layout.N_x))
     u0 = coarse_solve(h, f0)
     want = np.linalg.pinv(A) @ project_mean(f0).ravel()
-    npt.assert_allclose(u0.ravel(), want, atol=1e-11)
+    npt.assert_allclose(u0.ravel(), want, rtol=0, atol=1e-11)
     npt.assert_allclose(u0.mean(), 0.0, atol=1e-13)
     assert h.coarse_cg_exhausted == 0
+
+
+def test_coarse_solve_matches_pseudoinverse():
+    _check_coarse_solve_against_pinv(MeshConfig(4, 4))
+
+
+@pytest.mark.parametrize("mesh, nu_hat", [
+    (MeshConfig(6, 5, l_x=8.0), None),               # non-square, anisotropic
+    (MeshConfig(6, 5, l_x=1.0, l_y=1.0), 0.9),       # variable diffusion
+], ids=["aniso-6x5", "diffusion"])
+def test_coarse_solve_matches_pseudoinverse_beyond_square_poisson(mesh, nu_hat):
+    _check_coarse_solve_against_pinv(mesh, nu_hat)
+
+
+def test_fft_preconditioner_solves_poisson_coarse_problem_in_one_iteration():
+    mesh = MeshConfig(12, 5, l_x=16.0)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1))
+    lv0 = h.levels[0]
+    calls = []
+    apply = lv0.op.apply
+    lv0.op.apply = lambda u: calls.append(1) or apply(u)
+    f0 = project_mean(np.random.default_rng(61).standard_normal(
+        (lv0.op.layout.N_y, lv0.op.layout.N_x)))
+    u0 = coarse_solve(h, f0)
+    assert len(calls) == 1
+    assert np.linalg.norm(f0 - apply(u0)) <= 1e-12 * np.linalg.norm(f0)
 
 
 @pytest.mark.parametrize("smoother", ["add", "mult"])

@@ -42,7 +42,7 @@ class PoissonOperator:
         self._gy, self._gx, self._flat = all_element_windows(self.layout)
 
     def element_kernel(self, block: np.ndarray, e_x: int = 0, e_y: int = 0):
-        """Apply the single-element operator to a local (y, x) block."""
+        """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
         return (self.mass_y[:, None] * (block @ self.stiff_x)
                 + (self.stiff_y @ block) * self.mass_x[None, :])
 

@@ -6,9 +6,10 @@ All subdomains of a uniform periodic mesh are congruent, so a single
 fast-diagonalization factorization per level suffices.  The weighted
 additive sweep combines all local solves at once with a diagonal weight
 tensor W = W_y (x) W_x; the multiplicative sweep processes subdomains
-sequentially with a locally updated residual, reversing the traversal
-order on every other sweep so that an even number of consecutive sweeps
-is symmetric.
+sequentially, recomputing the residual on each subdomain's window alone
+from the 3x3 elements around it, and reverses the traversal order on
+every other sweep so that an even number of consecutive sweeps is
+symmetric.
 """
 
 from dataclasses import dataclass
@@ -238,15 +239,16 @@ class SweepCounter:
 
 
 class MultiplicativeSchwarz:
-    """Sequential Schwarz sweep with local residual refresh.
+    """Sequential Schwarz sweep with a window-only residual.
 
     Subdomains are traversed lexicographically by (e_y, e_x), in reversed
     order on every even-numbered sweep, so an even number of consecutive
     sweeps yields a symmetric linear operator.  The sweep count persists
     in ``counter`` (pass a common instance to share it between smoothers).
-    The residual is refreshed after each local solve by applying the
-    element kernels of the elements touched by the correction, which is
-    algebraically identical to recomputing the full residual.
+    Before each local solve the residual is recomputed on the subdomain
+    window alone, from the current iterate on the 3x3 elements around the
+    owner: one batched element-kernel call over the nine elements, folded
+    onto the window, so no global residual is ever formed.
     """
 
     def __init__(self, basis: Basis1D, layout: FieldLayout, dx: float, dy: float,
@@ -254,45 +256,40 @@ class MultiplicativeSchwarz:
                  counter: SweepCounter | None = None):
         self.counter = SweepCounter() if counter is None else counter
         _check_no_alias(layout, n_o)
-        self.n_o = n_o
         self.solver = build_fast_diag(basis, dx, dy, n_o, kind=None)
         self.layout = layout
-        # Row e: subdomain (_w*) and element (_e*) node windows of element e.
-        self._wy = periodic_windows(layout.p, layout.n_y, n_o)
-        self._wx = periodic_windows(layout.p, layout.n_x, n_o)
-        self._ey = periodic_windows(layout.p, layout.n_y)
-        self._ex = periodic_windows(layout.p, layout.n_x)
+        p = layout.p
+        # Row e: subdomain window nodes, and the node blocks (3, p+1) of
+        # the elements e-1, e, e+1, cut from the width-p window around e.
+        self._wy = periodic_windows(p, layout.n_y, n_o)[:, :, None]
+        self._wx = periodic_windows(p, layout.n_x, n_o)
+        local = np.arange(3)[:, None] * p + np.arange(p + 1)
+        by = periodic_windows(p, layout.n_y, p)[:, local]
+        bx = periodic_windows(p, layout.n_x, p)[:, local]
+        self._by, self._bx = by[:, :, None, :, None], bx[:, None, :, None, :]
+        # Element index of each block: its first node over p.
+        self._ny, self._nx = by[:, :, :1] // p, bx[:, None, :, 0] // p
+        # 0/1 fold of the three blocks of a patch line onto the window.
+        window = np.arange(p - n_o, 2 * p + n_o + 1)
+        self._fold = (local.ravel() == window[:, None]).astype(float)
         self._nu_bar = nu_bar
-        self._scratch = layout.zeros()
 
-    def _local_update(self, op, r, du_win, e_x, e_y):
-        """r -= A(du) for a correction supported on subdomain (e_x, e_y)."""
-        lay = self.layout
-        du = self._scratch
-        win = np.ix_(self._wy[e_y], self._wx[e_x])
-        du[win] = du_win
-        touched = {((e_x + dx_) % lay.n_x, (e_y + dy_) % lay.n_y)
-                   for dx_ in (-1, 0, 1) for dy_ in (-1, 0, 1)}
-        for tx, ty in touched:
-            ewin = np.ix_(self._ey[ty], self._ex[tx])
-            block = du[ewin]
-            if not block.any():
-                continue
-            r[ewin] -= op.element_kernel(block, tx, ty)
-        du[win] = 0.0
+    def _window_residual(self, op, u, f, e_x, e_y):
+        """f - A u on the window of subdomain (e_x, e_y)."""
+        blocks = u[self._by[e_y], self._bx[e_x]]
+        k = op.element_kernel(blocks, self._nx[e_x], self._ny[e_y])
+        k = k.transpose(0, 2, 1, 3).reshape(self._fold.shape[1], -1)
+        return f[self._wy[e_y], self._wx[e_x]] - self._fold @ k @ self._fold.T
 
     def smooth(self, op, u: np.ndarray, f: np.ndarray, n_it: int) -> np.ndarray:
         lay = self.layout
         order = [(e_x, e_y) for e_y in range(lay.n_y) for e_x in range(lay.n_x)]
         for _ in range(n_it):
             self.counter.i += 1
-            r = f - op.apply(u)
             seq = order if self.counter.i % 2 == 1 else order[::-1]
             for e_x, e_y in seq:
-                win = np.ix_(self._wy[e_y], self._wx[e_x])
-                du_win = self.solver.solve(r[win])
+                du = self.solver.solve(self._window_residual(op, u, f, e_x, e_y))
                 if self._nu_bar is not None:
-                    du_win /= self._nu_bar[e_y, e_x]
-                u[win] += du_win
-                self._local_update(op, r, du_win, e_x, e_y)
+                    du /= self._nu_bar[e_y, e_x]
+                u[self._wy[e_y], self._wx[e_x]] += du
         return u

@@ -50,6 +50,15 @@ def test_csv_round_trip_is_stable():
     assert "\r" not in text
 
 
+def test_records_carry_coarse_cap_hits():
+    rec = run_single(FAST_SPEC, seed=1)
+    assert rec.coarse_cg_exhausted == 0
+    hit = dataclasses.replace(rec, coarse_cg_exhausted=7)
+    [back] = read_csv(io.StringIO(records_to_csv([hit])))
+    assert back.coarse_cg_exhausted == 7
+    assert json.loads(records_to_json([hit]))[0]["coarse_cg_exhausted"] == 7
+
+
 def test_json_emission_parses():
     rec = run_single(FAST_SPEC, seed=1)
     data = json.loads(records_to_json([rec]))
@@ -128,6 +137,7 @@ def test_cli_solve_json_format(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert json.loads(out)[0]["converged"] is True
+    assert json.loads(out)[0]["coarse_cg_exhausted"] == 0
 
 
 def test_cli_usage_errors_exit_one(capsys):
@@ -202,3 +212,4 @@ def test_cli_table_with_tiny_preset(tmp_path, capsys, monkeypatch):
     assert "rbar=" in text
     parsed = read_csv(io.StringIO(out.read_text()))
     assert [r.seed for r in parsed] == [1, 2]
+    assert [r.coarse_cg_exhausted for r in parsed] == [0, 0]

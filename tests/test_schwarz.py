@@ -6,7 +6,9 @@ import pytest
 
 from schwarzmg.basis import gll_basis, overlap_width
 from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
-from schwarzmg.operators import PoissonOperator, poisson_benchmark
+from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
+                                 dense_diffusion_matrix, diffusivity_field,
+                                 poisson_benchmark)
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
                                SweepCounter, WeightKind, build_fast_diag,
                                build_weight_1d, build_weight_tensor,
@@ -179,18 +181,29 @@ def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o):
 
 
 def _naive_multiplicative(basis, layout, mesh, op, u, f, n_it, n_o,
-                          first_sweep=1):
+                          first_sweep=1, nu_bar=None):
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
     m = layout.p + 1 + 2 * n_o
-    order = _subdomain_windows(layout, n_o)
+    order = [(divmod(k, layout.n_x), w)
+             for k, w in enumerate(_subdomain_windows(layout, n_o))]
     for i in range(first_sweep, first_sweep + n_it):
         seq = order if i % 2 == 1 else order[::-1]
-        for iy, ix in seq:
+        for (e_y, e_x), (iy, ix) in seq:
             # Reference implementation: full residual before every solve.
             r = f - op.apply(u)
             cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
+            if nu_bar is not None:
+                cor /= nu_bar[e_y, e_x]
             u[np.ix_(iy, ix)] += cor.reshape(m, m)
     return u
+
+
+def _diffusion_setup(p, n_x, n_y, l_x=1.0, nu_hat=0.9):
+    mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=1.0)
+    basis = gll_basis(p)
+    nu = diffusivity_field(mesh, basis, nu_hat)
+    op = DiffusionOperator(basis, mesh, nu)
+    return mesh, basis, layout_for(mesh, p), op, nu
 
 
 @pytest.mark.parametrize("kind", [WeightKind.QUINTIC, WeightKind.ARITHMETIC])
@@ -208,6 +221,55 @@ def test_multiplicative_smoother_matches_naive():
     got = sm.smooth(op, u0.copy(), f, 2)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1)
     npt.assert_allclose(got, want, atol=1e-11)
+
+
+# (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where the 3x3 element patch
+# wraps onto itself, unequal extents, and n_o up to the alias limit
+# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1).
+WINDOW_CASES = [(2, 2, 2, 2.0, 0), (2, 3, 3, 3.0, 1), (4, 2, 2, 2.0, 1),
+                (4, 3, 2, 3.0, 0), (4, 3, 2, 1.5, 1), (4, 3, 3, 2.0, 3),
+                (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0)]
+
+
+@pytest.mark.parametrize("problem", ["poisson", "diffusion"])
+@pytest.mark.parametrize("p,n_x,n_y,l_x,n_o", WINDOW_CASES)
+def test_multiplicative_window_residual_matches_full_residual(
+        p, n_x, n_y, l_x, n_o, problem):
+    if problem == "poisson":
+        mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=2.0)
+        basis = gll_basis(p)
+        layout = layout_for(mesh, p)
+        op, nu_bar = PoissonOperator(basis, mesh), None
+    else:
+        mesh, basis, layout, op, _ = _diffusion_setup(p, n_x, n_y, l_x)
+        nu_bar = op.element_mean_nu()
+    rng = np.random.default_rng(53)
+    u0 = rng.standard_normal((layout.N_y, layout.N_x))
+    f = rng.standard_normal(u0.shape)
+    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, n_o,
+                               nu_bar=nu_bar)
+    got = sm.smooth(op, u0.copy(), f, 2)
+    want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
+                                 n_o, nu_bar=nu_bar)
+    npt.assert_allclose(got, want, atol=1e-11, rtol=0)
+
+
+def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
+    # Two consecutive sweeps (forward then reversed) on the error equation
+    # give M with A M symmetric, with the 1 / mean(nu) local scaling too.
+    mesh, basis, layout, op, nu = _diffusion_setup(4, 3, 3)
+    A = dense_diffusion_matrix(basis, mesh, nu)
+    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1,
+                               nu_bar=op.element_mean_nu())
+    f = layout.zeros()
+    M = np.zeros((layout.size, layout.size))
+    for i in range(layout.size):
+        sm.counter.reset()
+        e = np.zeros(layout.size)
+        e[i] = 1.0
+        M[:, i] = sm.smooth(op, e.reshape(f.shape), f, 2).ravel()
+    AM = A @ M
+    assert np.abs(AM - AM.T).max() / np.abs(AM).max() < 1e-11
 
 
 def test_multiplicative_parity_persists_across_calls():

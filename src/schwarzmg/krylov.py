@@ -25,7 +25,7 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_reduction <= 1.0:
+        if not self.tol_reduction > 1.0:
             raise ValueError("tol_reduction must exceed 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")

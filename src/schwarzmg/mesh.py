@@ -28,8 +28,8 @@ class MeshConfig:
     def __post_init__(self):
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("need at least 2 elements per direction")
-        if self.l_x <= 0 or self.l_y <= 0:
-            raise ValueError("domain extents must be positive")
+        if not (0.0 < self.l_x < np.inf and 0.0 < self.l_y < np.inf):
+            raise ValueError("domain extents must be finite and positive")
 
     @property
     def dx(self) -> float:

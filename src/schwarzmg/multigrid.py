@@ -25,7 +25,7 @@ from .schwarz import (AdditiveSchwarz, MultiplicativeSchwarz, SweepCounter,
 
 log = logging.getLogger(__name__)
 
-__all__ = ["OverlapRule", "LevelConfig", "MultigridHierarchy",
+__all__ = ["OverlapRule", "MultigridHierarchy",
            "build_hierarchy", "prolongate", "restrict_residual",
            "coarse_solve", "v_cycle"]
 
@@ -67,22 +67,10 @@ class Level:
     smoother: AdditiveSchwarz | MultiplicativeSchwarz | None
     n_pre: int
     n_post: int
-    n_o: int
     # Per-direction element interpolation block J[:-1] from level l-1 to l,
     # shape (p_l, p_{l-1} + 1); the last fine node belongs to the next element.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
-
-
-@dataclass(eq=False)
-class LevelConfig:
-    """Resolved smoothing parameters of one level (introspection helper)."""
-
-    l: int
-    p_l: int
-    n_pre: int
-    n_post: int
-    n_o: int
 
 
 class MultigridHierarchy:
@@ -110,10 +98,6 @@ class MultigridHierarchy:
     @property
     def top(self) -> Level:
         return self.levels[-1]
-
-    def level_configs(self) -> list[LevelConfig]:
-        return [LevelConfig(lv.l, lv.basis.p, lv.n_pre, lv.n_post, lv.n_o)
-                for lv in self.levels]
 
 
 def _fft_symbol(op: PoissonOperator) -> np.ndarray:
@@ -145,6 +129,8 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         raise ValueError(f"top-level order must be a power of two >= 2, got {p}")
     if smoother not in ("add", "mult"):
         raise ValueError(f"smoother must be 'add' or 'mult', got {smoother!r}")
+    if n_pre < 0 or n_post < 0:
+        raise ValueError(f"smoothing counts must be >= 0, got {n_pre}, {n_post}")
     depth = p.bit_length() - 1
     counter = SweepCounter() if smoother == "mult" else None
     levels: list[Level] = []
@@ -153,26 +139,21 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         basis = gll_basis(p_l)
         if nu_hat is None:
             op = PoissonOperator(basis, mesh)
-            nu_bar = None
         else:
             nu = diffusivity_field(mesh, basis, nu_hat, nu_shift)
             op = DiffusionOperator(basis, mesh, nu)
-            nu_bar = op.element_mean_nu()
         if l == 0:
-            lv = Level(l, basis, op, None, 0, 0, 0)
+            levels.append(Level(l, basis, op, None, 0, 0))
+            continue
+        n_o = rule.layers(p_l)
+        if smoother == "add":
+            sm = AdditiveSchwarz(op, n_o, weight)
         else:
-            n_o = rule.layers(p_l)
-            factor = 2 ** (depth - l) if variable else 1
-            if smoother == "add":
-                sm = AdditiveSchwarz(basis, op.layout, mesh.dx, mesh.dy, n_o,
-                                     weight, nu_bar=nu_bar)
-            else:
-                sm = MultiplicativeSchwarz(basis, op.layout, mesh.dx, mesh.dy,
-                                           n_o, nu_bar=nu_bar, counter=counter)
-            lv = Level(l, basis, op, sm, n_pre * factor, n_post * factor, n_o)
-        if l > 0:
-            lv.px = lv.py = interp_matrix(levels[l - 1].basis, basis)[:-1]
-        levels.append(lv)
+            sm = MultiplicativeSchwarz(op, n_o, counter)
+        factor = 2 ** (depth - l) if variable else 1
+        J = interp_matrix(levels[l - 1].basis, basis)[:-1]
+        levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
+                            J, J))
     lv0 = levels[0]
     if nu_hat is None:
         symbol = _fft_symbol(lv0.op)

@@ -41,17 +41,18 @@ class PoissonOperator:
         self.stiff_y = (2.0 / mesh.dy) * basis.stiff
         self._gy, self._gx, self._flat = all_element_windows(self.layout)
 
-    def element_kernel(self, block: np.ndarray, e_x: int = 0, e_y: int = 0):
+    def _kernel(self, blocks: np.ndarray) -> np.ndarray:
+        return (self.mass_y[:, None] * (blocks @ self.stiff_x)
+                + (self.stiff_y @ blocks) * self.mass_x)
+
+    def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
         """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
-        return (self.mass_y[:, None] * (block @ self.stiff_x)
-                + (self.stiff_y @ block) * self.mass_x[None, :])
+        return self._kernel(block)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        blocks = u[self._gy, self._gx]
-        out = (self.mass_y[None, None, :, None] * (blocks @ self.stiff_x)
-               + (self.stiff_y @ blocks) * self.mass_x[None, None, None, :])
-        return scatter_blocks(self._flat, out, self.layout)
+        return scatter_blocks(self._flat, self._kernel(u[self._gy, self._gx]),
+                              self.layout)
 
 
 class DiffusionOperator:
@@ -75,19 +76,21 @@ class DiffusionOperator:
         self._cy = mesh.dx / mesh.dy
         self._d = basis.diff
 
-    def element_kernel(self, block: np.ndarray, e_x: int, e_y: int):
+    def _kernel(self, blocks: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
         d = self._d
-        nw = self._nu_w[e_y, e_x]
-        return (self._cx * ((nw * (block @ d.T)) @ d)
-                + self._cy * (d.T @ (nw * (d @ block))))
+        return (self._cx * ((nu_w * (blocks @ d.T)) @ d)
+                + self._cy * (d.T @ (nu_w * (d @ blocks))))
+
+    def element_kernel(self, block: np.ndarray, e_x, e_y):
+        """Element operator on the block(s) of element(s) (e_y, e_x); the
+        indices may be broadcastable arrays over a batch of blocks."""
+        return self._kernel(block, self._nu_w[e_y, e_x])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        d = self._d
-        blocks = u[self._gy, self._gx]
-        out = (self._cx * ((self._nu_w * (blocks @ d.T)) @ d)
-               + self._cy * np.matmul(d.T, self._nu_w * np.matmul(d, blocks)))
-        return scatter_blocks(self._flat, out, self.layout)
+        return scatter_blocks(self._flat,
+                              self._kernel(u[self._gy, self._gx], self._nu_w),
+                              self.layout)
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""
@@ -153,6 +156,8 @@ def diffusivity_field(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
     """nu = 1 + nu_hat sin(2 pi (x - s)) sin(2 pi (y - s)) at the level nodes."""
     if not 0.0 <= nu_hat < 1.0:
         raise ValueError(f"diffusivity amplitude must be in [0, 1), got {nu_hat}")
+    if not np.isfinite(s):
+        raise ValueError(f"diffusivity shift must be finite, got {s}")
     X, Y = nodal_coordinates(mesh, basis)
     return 1.0 + nu_hat * np.sin(2 * np.pi * (X - s)) * np.sin(2 * np.pi * (Y - s))
 

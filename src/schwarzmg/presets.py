@@ -252,6 +252,8 @@ def run_preset(name: str, seeds: list[int], full: bool = False):
     the seed-mean rate and, where available, the pass/fail comparison
     against the published value.
     """
+    if not seeds:
+        raise ValueError("need at least one seed")
     specs = preset_grid(name, full=full)
     records: list[RunRecord] = []
     summary: list[dict] = []

@@ -3,13 +3,16 @@
 Subdomains are extended element regions adopting ``n_o`` node layers from
 each neighbor (the outer layer on the subdomain boundary is excluded).
 All subdomains of a uniform periodic mesh are congruent, so a single
-fast-diagonalization factorization per level suffices.  The weighted
-additive sweep combines all local solves at once with a diagonal weight
-tensor W = W_y (x) W_x; the multiplicative sweep processes subdomains
-sequentially, recomputing the residual on each subdomain's window alone
-from the 3x3 elements around it, and reverses the traversal order on
-every other sweep so that an even number of consecutive sweeps is
-symmetric.
+fast-diagonalization factorization per level suffices.  A smoother is
+built from its level's operator alone: the operator gives the basis, the
+layout and the element sizes, and for diffusion the per-element mean nu
+that scales each local solve (the local problem has unit diffusivity).
+The weighted additive sweep combines all local solves at once with a
+diagonal weight tensor W = W_y (x) W_x; the multiplicative sweep
+processes subdomains sequentially, recomputing the residual on each
+subdomain's window alone from the 3x3 elements around it, and reverses
+the traversal order on every other sweep so that an even number of
+consecutive sweeps is symmetric.
 """
 
 from dataclasses import dataclass
@@ -18,13 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis1D, overlap_width
-from .mesh import (FieldLayout, _global_1d, all_element_windows,
-                   periodic_windows, scatter_blocks)
+from .mesh import _global_1d, all_element_windows, periodic_windows, scatter_blocks
+from .operators import DiffusionOperator
 
-__all__ = ["WeightKind", "SubdomainGeometry", "FastDiagSolver",
-           "restricted_1d", "weight_value", "build_weight_1d",
-           "build_fast_diag", "AdditiveSchwarz", "MultiplicativeSchwarz",
-           "SweepCounter"]
+__all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
+           "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
+           "MultiplicativeSchwarz", "SweepCounter"]
 
 
 class WeightKind(str, Enum):
@@ -69,29 +71,6 @@ def weight_value(kind: WeightKind, xi, delta: float) -> np.ndarray:
                   - shape_function(kind, (xi - 1.0) / delta))
 
 
-@dataclass(frozen=True)
-class SubdomainGeometry:
-    """Updated node set of one subdomain, relative to the owner element."""
-
-    p: int
-    n_o: int
-    delta: float
-    coords: np.ndarray  # extended standard coordinates of the updated nodes
-
-    @property
-    def n_updated(self) -> int:
-        return self.p + 1 + 2 * self.n_o
-
-
-def subdomain_geometry(basis: Basis1D, n_o: int) -> SubdomainGeometry:
-    delta = overlap_width(basis, n_o)
-    p = basis.p
-    left = basis.nodes[p - n_o:p] - 2.0
-    right = basis.nodes[1:n_o + 1] + 2.0
-    coords = np.concatenate([left, basis.nodes, right])
-    return SubdomainGeometry(p=p, n_o=n_o, delta=delta, coords=coords)
-
-
 def _coverage_count(own: np.ndarray, p: int, n_o: int) -> np.ndarray:
     """Number of subdomains updating the node with own-element index ``own``.
 
@@ -104,28 +83,24 @@ def _coverage_count(own: np.ndarray, p: int, n_o: int) -> np.ndarray:
     return (upper - lower + 1).astype(int)
 
 
-def build_weight_1d(kind: WeightKind, basis: Basis1D, geom: SubdomainGeometry):
-    """Per-direction weights at the updated node coordinates.
+def build_weight_1d(kind: WeightKind, basis: Basis1D, n_o: int) -> np.ndarray:
+    """Per-direction weights at the p + 1 + 2*n_o updated subdomain nodes.
 
     The arithmetic mean is the pseudoinverse of the counting matrix, i.e.
     1 / multiplicity per node; the gradual kinds evaluate the blending
-    profile, with nodes updated by no other subdomain forced to exactly 1.
+    profile at the extended standard coordinates (adopted nodes lie beyond
+    [-1, 1]), with nodes updated by no other subdomain forced to exactly 1.
     """
-    p, n_o = geom.p, geom.n_o
-    own = np.arange(geom.n_updated) - n_o  # own-element local node index
+    p = basis.p
+    delta = overlap_width(basis, n_o)
+    own = np.arange(p + 1 + 2 * n_o) - n_o  # own-element local node index
     if kind is WeightKind.ARITHMETIC:
         return 1.0 / _coverage_count(own, p, n_o)
-    w = weight_value(kind, geom.coords, geom.delta)
-    single = (own > n_o) & (own < p - n_o)
-    w[single] = 1.0
+    xi = np.concatenate([basis.nodes[p - n_o:p] - 2.0, basis.nodes,
+                         basis.nodes[1:n_o + 1] + 2.0])
+    w = weight_value(kind, xi, delta)
+    w[(own > n_o) & (own < p - n_o)] = 1.0
     return w
-
-
-def build_weight_tensor(kind: WeightKind, basis: Basis1D,
-                        geom: SubdomainGeometry) -> np.ndarray:
-    """Diagonal weight tensor W = W_y (x) W_x over the updated nodes."""
-    w = build_weight_1d(kind, basis, geom)
-    return np.outer(w, w)
 
 
 def restricted_1d(basis: Basis1D, d: float, n_o: int):
@@ -150,24 +125,19 @@ class FastDiagSolver:
     """Factored inverse of the tensor-product subdomain operator.
 
     Holds the generalized eigenvector matrices S_* (normalized so that
-    S^T M_s S = I), the eigenvalue diagonals, and optionally the diagonal
-    weight tensor used by the additive method.
+    S^T M_s S = I) and the eigenvalue diagonals.
     """
 
     S_x: np.ndarray
     S_y: np.ndarray
     lam_x: np.ndarray
     lam_y: np.ndarray
-    weight: np.ndarray | None = None  # (m, m) tensor, or None (multiplicative)
 
     def solve(self, blocks: np.ndarray) -> np.ndarray:
         """Apply the factored inverse to one block or a batch of blocks."""
         tmp = self.S_y.T @ blocks @ self.S_x
         tmp /= (self.lam_y[:, None] + self.lam_x[None, :])
-        out = self.S_y @ tmp @ self.S_x.T
-        if self.weight is not None:
-            out = out * self.weight
-        return out
+        return self.S_y @ tmp @ self.S_x.T
 
 
 def _direction_factors(basis: Basis1D, d: float, n_o: int):
@@ -180,43 +150,47 @@ def _direction_factors(basis: Basis1D, d: float, n_o: int):
     return inv_sqrt[:, None] * q, lam
 
 
-def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int,
-                    kind: WeightKind | None = None) -> FastDiagSolver:
-    """Per-direction generalized eigendecompositions plus the weight tensor."""
+def build_fast_diag(basis: Basis1D, dx: float, dy: float,
+                    n_o: int) -> FastDiagSolver:
+    """Per-direction generalized eigendecompositions of the subdomain problem."""
     S_x, lam_x = _direction_factors(basis, dx, n_o)
     S_y, lam_y = _direction_factors(basis, dy, n_o)
-    weight = None
-    if kind is not None:
-        weight = build_weight_tensor(kind, basis, subdomain_geometry(basis, n_o))
-    return FastDiagSolver(S_x=S_x, S_y=S_y, lam_x=lam_x, lam_y=lam_y,
-                          weight=weight)
+    return FastDiagSolver(S_x=S_x, S_y=S_y, lam_x=lam_x, lam_y=lam_y)
 
 
-def _check_no_alias(layout: FieldLayout, n_o: int):
-    m = layout.p + 1 + 2 * n_o
-    if m > layout.N_x or m > layout.N_y:
+def _subdomain_solver(op, n_o: int) -> FastDiagSolver:
+    """Local solver shared by the congruent subdomains of ``op``'s level."""
+    lay = op.layout
+    m = lay.p + 1 + 2 * n_o
+    if m > lay.N_x or m > lay.N_y:
         raise ValueError(
             f"subdomain window ({m} nodes) wraps onto itself on a "
-            f"{layout.n_x}x{layout.n_y} mesh at p={layout.p}; reduce n_o")
+            f"{lay.n_x}x{lay.n_y} mesh at p={lay.p}; reduce n_o")
+    return build_fast_diag(op.basis, op.mesh.dx, op.mesh.dy, n_o)
+
+
+def _mean_nu(op) -> np.ndarray | None:
+    """Per-element mean diffusivity scaling the local solves (None: Poisson)."""
+    return op.element_mean_nu() if isinstance(op, DiffusionOperator) else None
 
 
 class AdditiveSchwarz:
     """Weighted additive Schwarz sweep over all subdomains at once."""
 
-    def __init__(self, basis: Basis1D, layout: FieldLayout, dx: float, dy: float,
-                 n_o: int, kind: WeightKind, nu_bar: np.ndarray | None = None):
-        _check_no_alias(layout, n_o)
-        self.n_o = n_o
-        self.solver = build_fast_diag(basis, dx, dy, n_o, kind)
-        self.layout = layout
-        self._gy, self._gx, self._flat = all_element_windows(layout, n_o)
+    def __init__(self, op, n_o: int, kind: WeightKind):
+        self.solver = _subdomain_solver(op, n_o)
+        w = build_weight_1d(kind, op.basis, n_o)
+        self.weight = np.outer(w, w)
+        self.layout = op.layout
+        self._gy, self._gx, self._flat = all_element_windows(op.layout, n_o)
         # For diffusion: local solves scaled by 1 / mean(nu) per element.
+        nu_bar = _mean_nu(op)
         self._inv_nu = None if nu_bar is None else 1.0 / nu_bar[:, :, None, None]
 
     def smooth(self, op, u: np.ndarray, f: np.ndarray, n_it: int) -> np.ndarray:
         for _ in range(n_it):
             r = f - op.apply(u)
-            cor = self.solver.solve(r[self._gy, self._gx])
+            cor = self.solver.solve(r[self._gy, self._gx]) * self.weight
             if self._inv_nu is not None:
                 cor = cor * self._inv_nu
             u = scatter_blocks(self._flat, cor, self.layout, out=u)
@@ -251,13 +225,10 @@ class MultiplicativeSchwarz:
     onto the window, so no global residual is ever formed.
     """
 
-    def __init__(self, basis: Basis1D, layout: FieldLayout, dx: float, dy: float,
-                 n_o: int, nu_bar: np.ndarray | None = None,
-                 counter: SweepCounter | None = None):
+    def __init__(self, op, n_o: int, counter: SweepCounter | None = None):
         self.counter = SweepCounter() if counter is None else counter
-        _check_no_alias(layout, n_o)
-        self.solver = build_fast_diag(basis, dx, dy, n_o, kind=None)
-        self.layout = layout
+        self.solver = _subdomain_solver(op, n_o)
+        self.layout = layout = op.layout
         p = layout.p
         # Row e: subdomain window nodes, and the node blocks (3, p+1) of
         # the elements e-1, e, e+1, cut from the width-p window around e.
@@ -272,7 +243,7 @@ class MultiplicativeSchwarz:
         # 0/1 fold of the three blocks of a patch line onto the window.
         window = np.arange(p - n_o, 2 * p + n_o + 1)
         self._fold = (local.ravel() == window[:, None]).astype(float)
-        self._nu_bar = nu_bar
+        self._nu_bar = _mean_nu(op)
 
     def _window_residual(self, op, u, f, e_x, e_y):
         """f - A u on the window of subdomain (e_x, e_y)."""

@@ -24,7 +24,7 @@ from schwarzmg.presets import (RunSpec, build_problem, rbar_tolerance,
                                run_single)
 from schwarzmg.schwarz import (MultiplicativeSchwarz, WeightKind,
                                build_fast_diag, build_weight_1d,
-                               restricted_1d, subdomain_geometry)
+                               restricted_1d)
 
 SEEDS = (1, 2, 3)
 
@@ -183,8 +183,7 @@ def test_criterion_09_partition_of_unity():
     for kind in WeightKind:
         for p in (4, 8, 16):
             for n_o in (1, 2):
-                geom = subdomain_geometry(gll_basis(p), n_o)
-                w = build_weight_1d(kind, gll_basis(p), geom)
+                w = build_weight_1d(kind, gll_basis(p), n_o)
                 total = np.zeros(p * n)
                 offs = np.arange(-n_o, p + n_o + 1)
                 for e in range(n):
@@ -203,7 +202,7 @@ def test_criterion_10_fast_diagonalization():
                 continue
             for dx, dy in ((0.5, 0.5), (2.0, 0.5)):
                 basis = gll_basis(p)
-                solver = build_fast_diag(basis, dx, dy, n_o, kind=None)
+                solver = build_fast_diag(basis, dx, dy, n_o)
                 L_x, m_x = restricted_1d(basis, dx, n_o)
                 L_y, m_y = restricted_1d(basis, dy, n_o)
                 A_ss = (np.kron(np.diag(m_y), L_x)
@@ -258,7 +257,7 @@ def test_criterion_12_multiplicative_symmetrization():
     M = np.zeros((N, N))
     f = layout.zeros()
     for i in range(N):
-        sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 0)
+        sm = MultiplicativeSchwarz(op, 0)
         e = np.zeros(N)
         e[i] = 1.0
         M[:, i] = sm.smooth(op, e.reshape(f.shape), f, 2).ravel()

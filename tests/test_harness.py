@@ -161,7 +161,11 @@ def test_cli_bad_order_is_one_line_error(capsys):
 
 @pytest.mark.parametrize("args", [["--overlap", "bogus"], ["--tol", "1"],
                                   ["--p", "4", "--nel", "2",
-                                   "--overlap", "fixed:2"]])
+                                   "--overlap", "fixed:2"],
+                                  ["--tol", "nan"], ["--ar", "inf"],
+                                  ["--ar", "nan"],
+                                  ["--nu-hat", "0.5", "--nu-shift", "nan"],
+                                  ["--pre", "-1"], ["--post", "-1"]])
 def test_cli_bad_values_are_one_line_errors(capsys, args):
     rc = cli.main(["solve", "--p", "2", "--nel", "4", *args])
     err = capsys.readouterr().err
@@ -170,7 +174,8 @@ def test_cli_bad_values_are_one_line_errors(capsys, args):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("args", [["--tol", "1"], ["--max-cycles", "0"]])
+@pytest.mark.parametrize("args", [["--tol", "1"], ["--max-cycles", "0"],
+                                  ["--tol", "nan"]])
 def test_cli_bad_solve_settings_fail_before_setup(capsys, monkeypatch, args):
     def no_setup(spec):
         raise AssertionError("set-up ran before the solve settings were checked")
@@ -180,6 +185,22 @@ def test_cli_bad_solve_settings_fail_before_setup(capsys, monkeypatch, args):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("schwarzmg: error: ")
+
+
+def test_cli_table_without_seeds_is_one_line_error(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran with an empty seed list")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    out = tmp_path / "none.csv"
+    rc = cli.main(["table", "--name", "table2", "--seeds", ",",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("schwarzmg: error: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_solve_deterministic_records(capsys):

@@ -23,6 +23,8 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(tol_reduction=1.0)
     with pytest.raises(ValueError):
+        SolveConfig(tol_reduction=float("nan"))
+    with pytest.raises(ValueError):
         SolveConfig(max_cycles=0)
     with pytest.raises(ValueError):
         SolveConfig(solver="jacobi")

@@ -44,6 +44,11 @@ def test_mesh_config_validation():
         MeshConfig(4, 1)
     with pytest.raises(ValueError):
         MeshConfig(2, 2, l_x=0.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            MeshConfig(2, 2, l_x=bad)
+        with pytest.raises(ValueError):
+            MeshConfig(2, 2, l_y=bad)
 
 
 def test_layout_counts():

@@ -50,13 +50,17 @@ def test_build_hierarchy_rejects_bad_inputs():
         build_hierarchy(mesh, 6, OverlapRule("fixed", 1))
     with pytest.raises(ValueError):
         build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother="jacobi")
+    with pytest.raises(ValueError):
+        build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_pre=-1)
+    with pytest.raises(ValueError):
+        build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_post=-1)
 
 
 def test_variable_cycle_doubles_smoothing_downward():
     mesh = MeshConfig(4, 4)
     h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_pre=1, n_post=1,
                         variable=True)
-    cfg = {c.p_l: (c.n_pre, c.n_post) for c in h.level_configs()}
+    cfg = {lv.basis.p: (lv.n_pre, lv.n_post) for lv in h.levels}
     assert cfg[8] == (1, 1)
     assert cfg[4] == (2, 2)
     assert cfg[2] == (4, 4)

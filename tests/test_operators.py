@@ -157,3 +157,6 @@ def test_diffusivity_field_bounds():
     assert nu.min() > 0.0 and nu.max() < 2.0
     with pytest.raises(ValueError):
         diffusivity_field(mesh, basis, nu_hat=1.0)
+    for bad_shift in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            diffusivity_field(mesh, basis, nu_hat=0.5, s=bad_shift)

@@ -1,19 +1,17 @@
-"""Tests for subdomain geometry, weights, fast diagonalization and smoothers."""
+"""Tests for subdomain weights, fast diagonalization and smoothers."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from schwarzmg.basis import gll_basis, overlap_width
+from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, diffusivity_field,
                                  poisson_benchmark)
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
                                SweepCounter, WeightKind, build_fast_diag,
-                               build_weight_1d, build_weight_tensor,
-                               restricted_1d, subdomain_geometry,
-                               weight_value)
+                               build_weight_1d, restricted_1d, weight_value)
 
 ALL_KINDS = list(WeightKind)
 
@@ -62,8 +60,7 @@ def test_partition_of_unity_on_periodic_line(p, n_o, kind):
     # Accumulating each subdomain's 1D weights onto the global periodic
     # line must give exactly 1 at every node.
     basis = gll_basis(p)
-    geom = subdomain_geometry(basis, n_o)
-    w = build_weight_1d(kind, basis, geom)
+    w = build_weight_1d(kind, basis, n_o)
     n = 8
     total = np.zeros(p * n)
     offs = np.arange(-n_o, p + n_o + 1)
@@ -72,22 +69,14 @@ def test_partition_of_unity_on_periodic_line(p, n_o, kind):
     npt.assert_allclose(total, 1.0, atol=1e-13)
 
 
-def test_weight_tensor_is_outer_product():
-    basis = gll_basis(6)
-    geom = subdomain_geometry(basis, 1)
-    w = build_weight_1d(WeightKind.CUBIC, basis, geom)
-    W = build_weight_tensor(WeightKind.CUBIC, basis, geom)
-    npt.assert_allclose(W, np.outer(w, w), atol=1e-15)
-
-
-def test_subdomain_geometry_coordinates():
-    basis = gll_basis(4)
-    geom = subdomain_geometry(basis, 1)
-    assert geom.n_updated == 7
-    npt.assert_allclose(geom.delta, overlap_width(basis, 1))
-    # Adopted nodes sit beyond the owner element's interval.
-    assert geom.coords[0] < -1.0 and geom.coords[-1] > 1.0
-    npt.assert_allclose(geom.coords, -geom.coords[::-1], atol=1e-14)
+def test_weight_1d_is_symmetric_over_updated_nodes():
+    # One weight per updated node (the owner's p + 1 plus n_o adopted on
+    # each side), mirrored about the owner element's center.
+    for kind in ALL_KINDS:
+        for p, n_o in ((4, 1), (6, 2), (8, 3)):
+            w = build_weight_1d(kind, gll_basis(p), n_o)
+            assert w.shape == (p + 1 + 2 * n_o,)
+            npt.assert_allclose(w, w[::-1], atol=1e-14, rtol=0)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +113,7 @@ def test_restricted_1d_against_patch_assembly():
 @pytest.mark.parametrize("dx,dy", [(0.25, 0.25), (1.0, 0.25)])
 def test_fast_diag_inverts_subdomain_operator(p, n_o, dx, dy):
     basis = gll_basis(p)
-    solver = build_fast_diag(basis, dx, dy, n_o, kind=None)
+    solver = build_fast_diag(basis, dx, dy, n_o)
     A_ss = _dense_subdomain_matrix(basis, dx, dy, n_o)
     m = p + 1 + 2 * n_o
     rng = np.random.default_rng(37)
@@ -132,16 +121,6 @@ def test_fast_diag_inverts_subdomain_operator(p, n_o, dx, dy):
     x = solver.solve(r)
     npt.assert_allclose(A_ss @ x.ravel(), r.ravel(),
                         atol=1e-10 * np.abs(r).max())
-
-
-def test_fast_diag_weighted_solve_applies_weight_tensor():
-    basis = gll_basis(4)
-    plain = build_fast_diag(basis, 0.5, 0.5, 1, kind=None)
-    weighted = build_fast_diag(basis, 0.5, 0.5, 1, kind=WeightKind.QUINTIC)
-    W = build_weight_tensor(WeightKind.QUINTIC, basis,
-                            subdomain_geometry(basis, 1))
-    r = np.random.default_rng(41).standard_normal((7, 7))
-    npt.assert_allclose(weighted.solve(r), plain.solve(r) * W, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -165,15 +144,19 @@ def _subdomain_windows(layout, n_o):
     return [(iy, ix) for iy in wy for ix in wx]
 
 
-def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o):
+def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o,
+                    nu_bar=None):
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
-    W = build_weight_tensor(kind, basis, subdomain_geometry(basis, n_o))
+    w = build_weight_1d(kind, basis, n_o)
+    W = np.outer(w, w)
     m = layout.p + 1 + 2 * n_o
     for _ in range(n_it):
         r = f - op.apply(u)
         cors = []
-        for iy, ix in _subdomain_windows(layout, n_o):
+        for k, (iy, ix) in enumerate(_subdomain_windows(layout, n_o)):
             cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
+            if nu_bar is not None:
+                cor /= nu_bar[divmod(k, layout.n_x)]
             cors.append((iy, ix, cor.reshape(m, m) * W))
         for iy, ix, cor in cors:
             np.add.at(u, np.ix_(iy, ix), cor)
@@ -206,18 +189,28 @@ def _diffusion_setup(p, n_x, n_y, l_x=1.0, nu_hat=0.9):
     return mesh, basis, layout_for(mesh, p), op, nu
 
 
-@pytest.mark.parametrize("kind", [WeightKind.QUINTIC, WeightKind.ARITHMETIC])
-def test_additive_smoother_matches_naive(kind):
+@pytest.mark.parametrize("kind,problem", [
+    pytest.param(WeightKind.QUINTIC, "poisson", id="w5"),
+    pytest.param(WeightKind.ARITHMETIC, "poisson", id="wa"),
+    pytest.param(WeightKind.QUINTIC, "diffusion", id="w5-diffusion"),
+    pytest.param(WeightKind.ARITHMETIC, "diffusion", id="wa-diffusion")])
+def test_additive_smoother_matches_naive(kind, problem):
     mesh, basis, layout, op, f, u0 = _setup()
-    sm = AdditiveSchwarz(basis, layout, mesh.dx, mesh.dy, 1, kind)
+    nu_bar = None
+    if problem == "diffusion":
+        # Same p and element grid, so f and u0 keep their shapes.
+        mesh, basis, layout, op, _ = _diffusion_setup(4, 4, 4)
+        nu_bar = op.element_mean_nu()
+    sm = AdditiveSchwarz(op, 1, kind)
     got = sm.smooth(op, u0.copy(), f, 2)
-    want = _naive_additive(basis, layout, mesh, op, u0.copy(), f, 2, kind, 1)
-    npt.assert_allclose(got, want, atol=1e-11)
+    want = _naive_additive(basis, layout, mesh, op, u0.copy(), f, 2, kind, 1,
+                           nu_bar=nu_bar)
+    npt.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
 def test_multiplicative_smoother_matches_naive():
     mesh, basis, layout, op, f, u0 = _setup()
-    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1)
+    sm = MultiplicativeSchwarz(op, 1)
     got = sm.smooth(op, u0.copy(), f, 2)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1)
     npt.assert_allclose(got, want, atol=1e-11)
@@ -246,8 +239,7 @@ def test_multiplicative_window_residual_matches_full_residual(
     rng = np.random.default_rng(53)
     u0 = rng.standard_normal((layout.N_y, layout.N_x))
     f = rng.standard_normal(u0.shape)
-    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, n_o,
-                               nu_bar=nu_bar)
+    sm = MultiplicativeSchwarz(op, n_o)
     got = sm.smooth(op, u0.copy(), f, 2)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
                                  n_o, nu_bar=nu_bar)
@@ -259,8 +251,7 @@ def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
     # give M with A M symmetric, with the 1 / mean(nu) local scaling too.
     mesh, basis, layout, op, nu = _diffusion_setup(4, 3, 3)
     A = dense_diffusion_matrix(basis, mesh, nu)
-    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1,
-                               nu_bar=op.element_mean_nu())
+    sm = MultiplicativeSchwarz(op, 1)
     f = layout.zeros()
     M = np.zeros((layout.size, layout.size))
     for i in range(layout.size):
@@ -276,7 +267,7 @@ def test_multiplicative_parity_persists_across_calls():
     # The third sweep overall traverses forward again; a second smooth()
     # call must continue the count rather than restart it.
     mesh, basis, layout, op, f, u0 = _setup()
-    sm = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1)
+    sm = MultiplicativeSchwarz(op, 1)
     u = sm.smooth(op, u0.copy(), f, 1)
     u = sm.smooth(op, u, f, 1)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1)
@@ -289,10 +280,8 @@ def test_multiplicative_parity_persists_across_calls():
 def test_multiplicative_shared_counter():
     mesh, basis, layout, op, f, u0 = _setup()
     shared = SweepCounter()
-    sm1 = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1,
-                                counter=shared)
-    sm2 = MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1,
-                                counter=shared)
+    sm1 = MultiplicativeSchwarz(op, 1, counter=shared)
+    sm2 = MultiplicativeSchwarz(op, 1, counter=shared)
     sm1.smooth(op, u0.copy(), f, 1)
     # The second smoother sees an even sweep count and traverses reversed.
     got = sm2.smooth(op, u0.copy(), f, 1)
@@ -305,10 +294,9 @@ def test_multiplicative_shared_counter():
 def test_smoothers_reduce_residual(smoother_cls):
     mesh, basis, layout, op, f, u0 = _setup()
     if smoother_cls is AdditiveSchwarz:
-        sm = smoother_cls(basis, layout, mesh.dx, mesh.dy, 1,
-                          WeightKind.QUINTIC)
+        sm = smoother_cls(op, 1, WeightKind.QUINTIC)
     else:
-        sm = smoother_cls(basis, layout, mesh.dx, mesh.dy, 1)
+        sm = smoother_cls(op, 1)
     r0 = np.linalg.norm(f - op.apply(u0))
     u = sm.smooth(op, u0.copy(), f, 3)
     assert np.linalg.norm(f - op.apply(u)) < r0
@@ -317,10 +305,8 @@ def test_smoothers_reduce_residual(smoother_cls):
 def test_subdomain_window_alias_guard():
     # p=2 with one adopted layer needs 5 nodes per direction but a 2x2
     # mesh only has 4 unique ones.
-    mesh = MeshConfig(2, 2)
-    basis = gll_basis(2)
-    layout = layout_for(mesh, 2)
+    op = PoissonOperator(gll_basis(2), MeshConfig(2, 2))
     with pytest.raises(ValueError):
-        AdditiveSchwarz(basis, layout, mesh.dx, mesh.dy, 1, WeightKind.QUINTIC)
+        AdditiveSchwarz(op, 1, WeightKind.QUINTIC)
     with pytest.raises(ValueError):
-        MultiplicativeSchwarz(basis, layout, mesh.dx, mesh.dy, 1)
+        MultiplicativeSchwarz(op, 1)

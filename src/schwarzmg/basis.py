@@ -55,7 +55,6 @@ class Basis1D:
     nodes : p+1 GLL points in [-1, 1], ascending
     weights : p+1 positive quadrature weights, summing to 2
     diff : derivative matrix, diff[i, j] = dphi_j/dxi at nodes[i]
-    mass : diagonal of the lumped 1D mass matrix (equals the weights)
     stiff : 1D stiffness matrix diff^T @ diag(weights) @ diff
     bary : barycentric weights for Lagrange evaluation
     """
@@ -64,7 +63,6 @@ class Basis1D:
     nodes: np.ndarray
     weights: np.ndarray
     diff: np.ndarray
-    mass: np.ndarray
     stiff: np.ndarray
     bary: np.ndarray = field(repr=False, default=None)
 
@@ -107,7 +105,7 @@ def gll_basis(p: int) -> Basis1D:
     stiff = diff.T @ (weights[:, None] * diff)
     stiff = 0.5 * (stiff + stiff.T)
     return Basis1D(p=p, nodes=nodes, weights=weights, diff=diff,
-                   mass=weights.copy(), stiff=stiff, bary=bary)
+                   stiff=stiff, bary=bary)
 
 
 def lagrange_eval_matrix(basis: Basis1D, x) -> np.ndarray:

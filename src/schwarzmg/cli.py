@@ -101,7 +101,8 @@ def _cmd_table(args) -> int:
             verdict = "pass" if row["passed"] else "FAIL"
             line += f" (published {row['reference_rbar']:.4g}, {verdict})"
         print(line)
-    return 0
+    # Cells without a published rate have passed=None and fail nothing.
+    return 2 if any(row["passed"] is False for row in summary) else 0
 
 
 def main(argv=None) -> int:

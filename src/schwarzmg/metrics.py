@@ -13,8 +13,9 @@ def convergence_rate(residuals) -> float:
         raise ValueError("need at least one cycle of residual history")
     if any(r <= 0.0 for r in residuals[:1] + residuals[-1:]):
         raise ValueError("residual norms must be positive")
-    n = len(residuals) - 1
-    return math.log10(residuals[0] / residuals[-1]) / n
+    if math.isinf(residuals[-1]):  # the norm overflowed: the solve diverged
+        return -math.inf
+    return math.log10(residuals[0] / residuals[-1]) / (len(residuals) - 1)
 
 
 def cycles_per_decade10(rbar: float) -> int:
@@ -34,7 +35,6 @@ class ConvergenceReport:
     wallclock: float
     rbar: float = field(init=False)
     n10: int = field(init=False)
-    omega1: float | None = None
     breakdown: bool = False
     # Coarse solves of this solve that stopped short of the coarse tolerance.
     coarse_cg_exhausted: int = 0

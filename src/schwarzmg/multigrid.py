@@ -243,26 +243,28 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     return project_mean(x)
 
 
-def v_cycle(h: MultigridHierarchy, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """One multigrid V-cycle: descend smoothing/restricting, coarse solve,
-    ascend correcting/smoothing.
+def v_cycle(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
+    """One multigrid V-cycle on the residual equation A e = r.
 
-    Updates the caller's top-level ``u`` in place and returns it; ``f`` is
-    left unchanged, and the hierarchy keeps no field between calls.
+    Returns a new correction e ~ A^{-1} r: descend smoothing and
+    restricting, solve the coarse problem, ascend correcting and smoothing.
+    Every level starts from e = 0, so its first sweep takes the level's
+    right side as its residual. ``r`` is left unchanged, and the hierarchy
+    keeps no field between calls.
     """
     L = h.depth
-    us, fs = [None] * L + [u], [None] * L + [f]
+    es, rs = [None] * (L + 1), [None] * L + [r]
     for l in range(L, 0, -1):
         lv = h.levels[l]
-        if l < L:
-            us[l] = np.zeros_like(fs[l])
         if lv.n_pre:
-            us[l] = lv.smoother.smooth(lv.op, us[l], fs[l], lv.n_pre)
-        fs[l - 1] = restrict_residual(h, l, fs[l] - lv.op.apply(us[l]))
-    us[0] = coarse_solve(h, fs[0])
+            es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre)
+        r_l = rs[l] if es[l] is None else rs[l] - lv.op.apply(es[l])
+        rs[l - 1] = restrict_residual(h, l, r_l)
+    es[0] = coarse_solve(h, rs[0])
     for l in range(1, L + 1):
         lv = h.levels[l]
-        us[l] += prolongate(h, l, us[l - 1])
+        e = prolongate(h, l, es[l - 1])
+        es[l] = e if es[l] is None else es[l] + e
         if lv.n_post:
-            us[l] = lv.smoother.smooth(lv.op, us[l], fs[l], lv.n_post)
-    return us[L]
+            es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post)
+    return es[L]

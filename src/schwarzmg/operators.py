@@ -15,10 +15,9 @@ from .basis import Basis1D
 from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
                    all_element_windows, layout_for, scatter_blocks)
 
-__all__ = ["PoissonOperator", "DiffusionOperator", "residual",
-           "manufactured_rhs_poisson", "manufactured_rhs_diffusion",
-           "nodal_coordinates", "project_mean", "load_vector",
-           "dense_poisson_matrix", "dense_diffusion_matrix"]
+__all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
+           "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
+           "load_vector", "dense_poisson_matrix", "dense_diffusion_matrix"]
 
 
 def _check_layout(layout: FieldLayout, u: np.ndarray):
@@ -97,11 +96,6 @@ class DiffusionOperator:
         w2 = np.outer(self.basis.weights, self.basis.weights)
         nu_blocks = self.nu[self._gy, self._gx]
         return np.einsum("yxij,ij->yx", nu_blocks, w2) / 4.0
-
-
-def residual(op, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """r = f - op(u)."""
-    return f - op.apply(u)
 
 
 # ----------------------------------------------------------------------

@@ -187,9 +187,12 @@ class AdditiveSchwarz:
         nu_bar = _mean_nu(op)
         self._inv_nu = None if nu_bar is None else 1.0 / nu_bar[:, :, None, None]
 
-    def smooth(self, op, u: np.ndarray, f: np.ndarray, n_it: int) -> np.ndarray:
+    def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
+               n_it: int) -> np.ndarray | None:
+        """``n_it`` sweeps on A u = f; ``u=None`` starts from zero, so the
+        first sweep's residual is ``f`` itself."""
         for _ in range(n_it):
-            r = f - op.apply(u)
+            r = f if u is None else f - op.apply(u)
             cor = self.solver.solve(r[self._gy, self._gx]) * self.weight
             if self._inv_nu is not None:
                 cor = cor * self._inv_nu
@@ -252,8 +255,13 @@ class MultiplicativeSchwarz:
         k = k.transpose(0, 2, 1, 3).reshape(self._fold.shape[1], -1)
         return f[self._wy[e_y], self._wx[e_x]] - self._fold @ k @ self._fold.T
 
-    def smooth(self, op, u: np.ndarray, f: np.ndarray, n_it: int) -> np.ndarray:
+    def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
+               n_it: int) -> np.ndarray | None:
+        """``n_it`` sweeps on A u = f, updating ``u`` in place; ``u=None``
+        starts from zero."""
         lay = self.layout
+        if u is None and n_it:
+            u = lay.zeros()
         order = [(e_x, e_y) for e_y in range(lay.n_y) for e_x in range(lay.n_x)]
         for _ in range(n_it):
             self.counter.i += 1

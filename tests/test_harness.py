@@ -234,3 +234,18 @@ def test_cli_table_with_tiny_preset(tmp_path, capsys, monkeypatch):
     parsed = read_csv(io.StringIO(out.read_text()))
     assert [r.seed for r in parsed] == [1, 2]
     assert [r.coarse_cg_exhausted for r in parsed] == [0, 0]
+
+
+def test_cli_table_exits_two_when_a_cell_misses_its_published_rate(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(presets, "preset_grid",
+                        lambda name, full=False: [FAST_SPEC, FAST_SPEC])
+    monkeypatch.setattr(presets, "reference_rbar", lambda name, spec: 9.0)
+    out = tmp_path / "tiny.csv"
+    rc = cli.main(["table", "--name", "table2", "--seeds", "1",
+                   "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 2
+    # The CSV is written and every cell is reported before the exit.
+    assert len(read_csv(io.StringIO(out.read_text()))) == 2
+    assert text.count("FAIL") == 2

@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from schwarzmg.krylov import (SolveConfig, random_initial_guess, solve,
-                              solve_mg, solve_mgcg)
+from schwarzmg import krylov
+from schwarzmg.krylov import SolveConfig, random_initial_guess, solve
 from schwarzmg.mesh import MeshConfig
-from schwarzmg.multigrid import OverlapRule, build_hierarchy
+from schwarzmg.multigrid import OverlapRule, build_hierarchy, v_cycle
 from schwarzmg.operators import poisson_benchmark
 
 
@@ -57,8 +57,8 @@ def test_mg_and_mgcg_agree_up_to_a_constant():
     # by a constant shift only.
     h, f, _ = _problem()
     cfg = dict(tol_reduction=1e10, max_cycles=50, seed=2)
-    u1, _ = solve_mg(h, f, SolveConfig(solver="mg", **cfg))
-    u2, _ = solve_mgcg(h, f, SolveConfig(solver="mgcg", **cfg))
+    u1, _ = solve(h, f, SolveConfig(solver="mg", **cfg))
+    u2, _ = solve(h, f, SolveConfig(solver="mgcg", **cfg))
     d = u1 - u2
     assert np.abs(d - d.mean()).max() < 1e-8 * np.abs(u1).max()
 
@@ -66,7 +66,7 @@ def test_mg_and_mgcg_agree_up_to_a_constant():
 def test_solutions_match_manufactured_field():
     h, f, u_exact = _problem()
     cfg = SolveConfig(solver="mg", tol_reduction=1e12, max_cycles=60, seed=3)
-    u, rep = solve_mg(h, f, cfg)
+    u, rep = solve(h, f, cfg)
     assert rep.converged
     err = (u - u.mean()) - (u_exact - u_exact.mean())
     assert np.abs(err).max() < 1e-8
@@ -86,7 +86,7 @@ def test_same_seed_reproduces_residual_history(solver, smoother):
 def test_cycle_cap_is_respected():
     h, f, _ = _problem()
     cfg = SolveConfig(solver="mg", tol_reduction=1e10, max_cycles=2, seed=1)
-    _, rep = solve_mg(h, f, cfg)
+    _, rep = solve(h, f, cfg)
     assert not rep.converged
     assert rep.cycles == 2
 
@@ -94,7 +94,7 @@ def test_cycle_cap_is_respected():
 def test_initial_guess_override():
     h, f, u_exact = _problem()
     cfg = SolveConfig(solver="mg", tol_reduction=1e4, max_cycles=30, seed=1)
-    u, rep = solve_mg(h, f, cfg, u0=u_exact.copy())
+    u, rep = solve(h, f, cfg, u0=u_exact.copy())
     # Starting at the exact nodal samples, only the spectral
     # discretization error remains in the initial residual.
     assert rep.residuals[0] < 1e-8
@@ -118,3 +118,55 @@ def test_report_counts_coarse_cap_hits_of_its_own_solve(solver):
     _, second = solve(h, f, cfg)
     assert second.coarse_cg_exhausted == first.coarse_cg_exhausted
     assert h.coarse_cg_exhausted == 2 * first.coarse_cg_exhausted
+
+
+def test_mgcg_is_textbook_flexible_cg():
+    # Flexible CG with the Polak-Ribiere coefficient (Notay 2000), written
+    # out: beta_k = z_k . (r_k - r_{k-1}) / (z_{k-1} . r_{k-1}) from the
+    # first direction update on. The additive smoother with no
+    # post-smoothing makes the V-cycle a non-symmetric preconditioner.
+    h, f, _ = _problem(p=4, n=4)
+    cfg = SolveConfig(solver="mgcg", tol_reduction=1e10, max_cycles=30,
+                      seed=4)
+    u, rep = solve(h, f, cfg)
+
+    A = h.top.op.apply
+    x = random_initial_guess(h, cfg.seed)
+    r = f - A(x)
+    z = v_cycle(h, r)
+    p = z
+    res = [np.linalg.norm(r)]
+    for _ in range(rep.cycles):
+        q = A(p)
+        alpha = np.vdot(z, r) / np.vdot(p, q)
+        x = x + alpha * p
+        r_new = r - alpha * q
+        res.append(np.linalg.norm(r_new))
+        z_new = v_cycle(h, r_new)
+        beta = np.vdot(z_new, r_new - r) / np.vdot(z, r)
+        p = z_new + beta * p
+        r, z = r_new, z_new
+    assert rep.converged
+    npt.assert_allclose(rep.residuals, res, rtol=1e-9)
+    npt.assert_allclose(u, x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("solver, scale", [("mg", np.nan),
+                                           ("mgcg", np.nan),
+                                           ("mg", 1e200)])
+def test_solve_stops_at_the_first_non_finite_residual(solver, scale,
+                                                      monkeypatch):
+    # A correction of 1e200 leaves every entry finite, but the residual
+    # norm overflows to inf.
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(krylov, "v_cycle",
+                        lambda h, r: scale * rng.standard_normal(r.shape))
+    h, f, _ = _problem(p=4, n=4)
+    _, rep = solve(h, f, SolveConfig(solver=solver, max_cycles=50, seed=1))
+    assert not rep.converged
+    assert rep.cycles == 1
+    assert np.isfinite(rep.residuals[0])
+    assert not np.isfinite(rep.residuals[1])
+    assert rep.rbar == -np.inf if scale == 1e200 else np.isnan(rep.rbar)
+    assert rep.n10 == -1

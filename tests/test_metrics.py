@@ -14,6 +14,8 @@ def test_convergence_rate_simple_histories():
     assert convergence_rate([1.0, 0.1, 0.01]) == pytest.approx(1.0)
     # Only the endpoints enter the average rate.
     assert convergence_rate([10.0, 123.0, 1.0]) == pytest.approx(0.5)
+    # An overflowed final norm is a divergence, not a domain error.
+    assert convergence_rate([1.0, 2.0, math.inf]) == -math.inf
 
 
 def test_convergence_rate_validation():

@@ -152,10 +152,10 @@ def test_v_cycle_reduces_residual(smoother):
     f, _ = poisson_benchmark(mesh, h.top.basis)
     rng = np.random.default_rng(59)
     u = rng.random(f.shape)
-    r0 = np.linalg.norm(f - h.top.op.apply(u))
-    u = v_cycle(h, u, f)
+    r = f - h.top.op.apply(u)
+    u = u + v_cycle(h, r)
     r1 = np.linalg.norm(f - h.top.op.apply(u))
-    assert r1 < 0.2 * r0
+    assert r1 < 0.2 * np.linalg.norm(r)
 
 
 def test_mult_hierarchy_shares_one_sweep_counter():
@@ -164,7 +164,7 @@ def test_mult_hierarchy_shares_one_sweep_counter():
     counters = {id(lv.smoother.counter) for lv in h.levels[1:]}
     assert counters == {id(h.sweep_counter)}
     f, _ = poisson_benchmark(mesh, h.top.basis)
-    v_cycle(h, np.zeros_like(f), f)
+    v_cycle(h, f)
     # One pre-smoothing sweep per non-coarse level.
     assert h.sweep_counter.i == h.depth
     h.reset_smoothers()
@@ -178,21 +178,45 @@ def test_diffusion_hierarchy_v_cycle():
     f, _, _ = manufactured_rhs_diffusion(mesh, h.top.basis, 0.5)
     rng = np.random.default_rng(61)
     u = rng.random(f.shape)
-    r0 = np.linalg.norm(f - h.top.op.apply(u))
-    u = v_cycle(h, u, f)
-    assert np.linalg.norm(f - h.top.op.apply(u)) < 0.5 * r0
+    r = f - h.top.op.apply(u)
+    u = u + v_cycle(h, r)
+    assert np.linalg.norm(f - h.top.op.apply(u)) < 0.5 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("smoother", ["add", "mult"])
-def test_v_cycle_updates_u_in_place_and_keeps_no_state(smoother):
+def test_v_cycle_changes_no_argument_and_keeps_no_state(smoother):
     mesh = MeshConfig(4, 4)
-    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), smoother=smoother)
+    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), smoother=smoother,
+                        n_post=1)
     f, _ = poisson_benchmark(mesh, h.top.basis)
-    u = np.random.default_rng(63).random(f.shape)
-    u_copy, f_copy = u.copy(), f.copy()
-    assert v_cycle(h, u, f) is u
-    assert all(v is not u and v is not f
+    r = f - h.top.op.apply(np.random.default_rng(63).random(f.shape))
+    r_copy = r.copy()
+    e = v_cycle(h, r)
+    assert e is not r
+    assert np.array_equal(r, r_copy)
+    assert all(v is not e and v is not r
                for lv in h.levels for v in vars(lv).values())
     h.reset_smoothers()
-    assert np.array_equal(v_cycle(h, u_copy, f), u)
-    assert np.array_equal(f, f_copy)
+    assert np.array_equal(v_cycle(h, r), e)
+
+
+@pytest.mark.parametrize("smoother, n_pre, n_post",
+                         [("add", 1, 0), ("add", 0, 1), ("add", 2, 1),
+                          ("mult", 1, 1)])
+def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother=smoother,
+                        n_pre=n_pre, n_post=n_post)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    calls = {lv.l: [] for lv in h.levels}
+    for lv in h.levels:
+        apply = lv.op.apply
+        lv.op.apply = (lambda u, apply=apply, seen=calls[lv.l]:
+                       seen.append(bool(np.any(u))) or apply(u))
+    v_cycle(h, f)
+    assert all(all(seen) for seen in calls.values())
+    # Each level above the coarse one starts from zero: it needs A only for
+    # the residual it restricts and for the additive sweeps after the first.
+    sweeps = max(n_pre - 1, 0) + n_post if smoother == "add" else 0
+    assert all(len(calls[l]) == (n_pre > 0) + sweeps
+               for l in range(1, h.depth + 1))

@@ -302,6 +302,26 @@ def test_smoothers_reduce_residual(smoother_cls):
     assert np.linalg.norm(f - op.apply(u)) < r0
 
 
+@pytest.mark.parametrize("smoother_cls", [AdditiveSchwarz, MultiplicativeSchwarz])
+def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
+    mesh, basis, layout, op, f, _ = _setup()
+    if smoother_cls is AdditiveSchwarz:
+        sm = smoother_cls(op, 1, WeightKind.QUINTIC)
+    else:
+        sm = smoother_cls(op, 1)
+    want = sm.smooth(op, layout.zeros(), f, 2)
+    if smoother_cls is MultiplicativeSchwarz:
+        sm.counter.reset()
+    apply, calls = op.apply, []
+    op.apply = lambda u: calls.append(1) or apply(u)
+    f_copy = f.copy()
+    npt.assert_array_equal(sm.smooth(op, None, f, 2), want)
+    assert np.array_equal(f, f_copy)
+    # Only the second additive sweep needs A; the first takes f as residual.
+    assert len(calls) == (1 if smoother_cls is AdditiveSchwarz else 0)
+    assert sm.smooth(op, None, f, 0) is None
+
+
 def test_subdomain_window_alias_guard():
     # p=2 with one adopted layer needs 5 nodes per direction but a 2x2
     # mesh only has 4 unique ones.

@@ -25,8 +25,8 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol_reduction > 1.0:
-            raise ValueError("tol_reduction must exceed 1")
+        if not 1.0 < self.tol_reduction < np.inf:
+            raise ValueError("tol_reduction must be finite and exceed 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if self.solver not in ("mg", "mgcg"):
@@ -49,7 +49,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     Polak-Ribiere coefficient beta = z^T (r - r_old) / delta, which
     tolerates the non-symmetric Schwarz-smoothed preconditioner. The loop
     stops at the first non-finite residual norm, unconverged: no later
-    cycle can make it finite again.
+    cycle can make it finite again. ``mgcg`` stops with a breakdown when
+    p^T A p <= 0, or when delta = z^T r, the next divisor, is 0 or not finite.
     """
     t0 = time.perf_counter()
     exhausted = h.coarse_cg_exhausted
@@ -77,9 +78,10 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
             alpha = delta / pq
             u += alpha * p
             r = r - alpha * q
+            breakdown = not (np.isfinite(delta) and delta != 0.0)
         cycles += 1
         res.append(float(np.linalg.norm(r)))
-        if not np.isfinite(res[-1]):
+        if breakdown or not np.isfinite(res[-1]):
             break
         converged = res[-1] <= r_max
     return u, ConvergenceReport(

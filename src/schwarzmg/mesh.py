@@ -4,7 +4,8 @@ The mesh is fully periodic and uniform, so element-local views are plain
 index windows with modular wrap; no DOF indirection tables are needed.
 Global coefficients live in a single dense (N_y, N_x) array, row-major by
 y then x, with N_x = p * n_x unique nodes per direction. Every periodic
-node index comes from ``periodic_windows``.
+node index comes from ``periodic_windows``, and ``fold_windows`` sums
+window values back onto the nodes, one direction at a time.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from .basis import Basis1D
 
-__all__ = ["MeshConfig", "FieldLayout", "periodic_windows"]
+__all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "fold_windows"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,24 @@ def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
     periodic node index is computed.
     """
     return (np.arange(n)[:, None] * p + np.arange(-n_o, p + n_o + 1)) % (p * n)
+
+
+def fold_windows(w: np.ndarray, axis: int, p: int, n_o: int = 0) -> np.ndarray:
+    """Adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``.
+
+    The n windows of p + 1 + 2*n_o nodes (0 <= n_o < p) on axes
+    (axis - 1, axis) become one axis of n*p nodes: window e gives its
+    middle p nodes to element e, its last n_o + 1 to the first nodes of
+    element e + 1 and its first n_o to the last nodes of element e - 1.
+    """
+    n = w.shape[axis - 1]
+    at = (slice(None),) * (axis - 1)
+    out = w[at + (slice(None), slice(n_o, n_o + p))].copy()
+    for s, src, dst in ((1, slice(n_o + p, None), slice(0, n_o + 1)),
+                        (n - 1, slice(0, n_o), slice(p - n_o, p))):
+        out[at + (slice(s, None), dst)] += w[at + (slice(0, n - s), src)]
+        out[at + (slice(0, s), dst)] += w[at + (slice(n - s, None), src)]
+    return out.reshape(w.shape[:axis - 1] + (n * p,) + w.shape[axis + 1:])
 
 
 def all_element_windows(layout: FieldLayout, n_o: int = 0):

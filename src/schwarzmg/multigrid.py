@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import MeshConfig, periodic_windows
+from .mesh import MeshConfig, fold_windows, periodic_windows
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
 from .schwarz import (AdditiveSchwarz, MultiplicativeSchwarz, SweepCounter,
                       WeightKind)
@@ -178,29 +178,16 @@ def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
     return (lv.py @ wy).reshape(-1, t.shape[1])
 
 
-def _fold(w: np.ndarray, axis: int) -> np.ndarray:
-    """Sum periodic element windows into unique nodes.
-
-    ``w`` holds n windows of p + 1 nodes on axes (axis - 1, axis); the last
-    node of each window is the first node of the next element's window.
-    Those two axes become one axis of n*p nodes.
-    """
-    at = (slice(None),) * axis
-    out = w[at + (slice(None, -1),)].copy()
-    out[at + (0,)] += np.roll(w[at + (-1,)], 1, axis=axis - 1)
-    return out.reshape(w.shape[:axis - 1] + (-1,) + w.shape[axis + 1:])
-
-
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.ndarray:
     """Transpose of prolongation: restrict a level l field to level l-1."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     lv, mesh = h.levels[l], h.mesh
-    p_f = lv.px.shape[0]
+    p_f, p_c = lv.px.shape[0], lv.px.shape[1] - 1
     # x: each fine element row block times J[:-1], folded into coarse rows.
-    t = _fold(fine.reshape(fine.shape[0], mesh.n_x, p_f) @ lv.px, 2)
+    t = fold_windows(fine.reshape(fine.shape[0], mesh.n_x, p_f) @ lv.px, 2, p_c)
     # y: the same on the element column blocks.
-    return _fold(lv.py.T @ t.reshape(mesh.n_y, p_f, -1), 1)
+    return fold_windows(lv.py.T @ t.reshape(mesh.n_y, p_f, -1), 1, p_c)
 
 
 def _fft_inverse(symbol: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Matrix-free global operators for the Poisson and variable-diffusion problems.
 
 The Poisson operator realizes A = M_y (x) L_x + L_y (x) M_x assembled over
-the periodic element grid; the diffusion operator realizes the weak-form
-Galerkin discretization of -div(nu grad u) with GLL-collocated quadrature.
-Both apply element kernels by sum factorization (contract along x first,
-then y) and scatter-add in row-major element order.
+the periodic element grid, applied as one 1D pass per direction (element
+stiffness on the gathered windows, folded onto the nodes, times the
+assembled mass). The diffusion operator realizes the weak-form Galerkin
+discretization of -div(nu grad u) with GLL-collocated quadrature; it
+applies element kernels by sum factorization and scatter-adds the blocks.
 
 Dense assembly routines are included as independent test oracles.
 """
@@ -13,7 +14,8 @@ import numpy as np
 
 from .basis import Basis1D
 from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
-                   all_element_windows, layout_for, scatter_blocks)
+                   all_element_windows, fold_windows, layout_for,
+                   periodic_windows, scatter_blocks)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
@@ -38,7 +40,10 @@ class PoissonOperator:
         self.mass_y = (mesh.dy / 2.0) * basis.weights
         self.stiff_x = (2.0 / mesh.dx) * basis.stiff
         self.stiff_y = (2.0 / mesh.dy) * basis.stiff
-        self._gy, self._gx, self._flat = all_element_windows(self.layout)
+        self._wx = periodic_windows(basis.p, mesh.n_x)
+        self._wy = periodic_windows(basis.p, mesh.n_y)
+        self._global_mass_x = _global_mass(basis, mesh.n_x, mesh.dx)
+        self._global_mass_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
 
     def _kernel(self, blocks: np.ndarray) -> np.ndarray:
         return (self.mass_y[:, None] * (blocks @ self.stiff_x)
@@ -50,8 +55,13 @@ class PoissonOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        return scatter_blocks(self._flat, self._kernel(u[self._gy, self._gx]),
-                              self.layout)
+        p = self.basis.p
+        out = fold_windows(np.take(u, self._wx, 1) @ self.stiff_x.T, 2, p)
+        out *= self._global_mass_y
+        ly = fold_windows(self.stiff_y @ np.take(u, self._wy, 0), 1, p)
+        ly *= self._global_mass_x
+        out += ly
+        return out
 
 
 class DiffusionOperator:

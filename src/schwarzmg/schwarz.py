@@ -8,7 +8,9 @@ built from its level's operator alone: the operator gives the basis, the
 layout and the element sizes, and for diffusion the per-element mean nu
 that scales each local solve (the local problem has unit diffusivity).
 The weighted additive sweep combines all local solves at once with a
-diagonal weight tensor W = W_y (x) W_x; the multiplicative sweep
+diagonal weight tensor W = W_y (x) W_x, folded into the back transform
+of the fast diagonalization (diag(w) S_y and S_x^T diag(w)) and applied
+one direction at a time; the multiplicative sweep
 processes subdomains sequentially, recomputing the residual on each
 subdomain's window alone from the 3x3 elements around it, and reverses
 the traversal order on every other sweep so that an even number of
@@ -21,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis1D, overlap_width
-from .mesh import _global_1d, all_element_windows, periodic_windows, scatter_blocks
+from .mesh import _global_1d, fold_windows, periodic_windows
 from .operators import DiffusionOperator
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
@@ -175,28 +177,40 @@ def _mean_nu(op) -> np.ndarray | None:
 
 
 class AdditiveSchwarz:
-    """Weighted additive Schwarz sweep over all subdomains at once."""
+    """Weighted additive Schwarz sweep over all subdomains at once, one
+    direction at a time: transform the x windows, then the y windows,
+    scale, and transform back through diag(w) S_y and S_x^T diag(w),
+    folding each direction's windows onto the nodes."""
 
     def __init__(self, op, n_o: int, kind: WeightKind):
-        self.solver = _subdomain_solver(op, n_o)
-        w = build_weight_1d(kind, op.basis, n_o)
-        self.weight = np.outer(w, w)
-        self.layout = op.layout
-        self._gy, self._gx, self._flat = all_element_windows(op.layout, n_o)
-        # For diffusion: local solves scaled by 1 / mean(nu) per element.
+        solver = _subdomain_solver(op, n_o)
+        w = build_weight_1d(kind, op.basis, n_o)[:, None]
+        lay = op.layout
+        self.p, self.n_o = lay.p, n_o
+        self._wx = periodic_windows(lay.p, lay.n_x, n_o)
+        self._wy = periodic_windows(lay.p, lay.n_y, n_o)
+        self._S_x, self._S_yT = solver.S_x, solver.S_y.T
+        self._WS_y, self._S_xTW = w * solver.S_y, (w * solver.S_x).T
+        # Inverse eigenvalues on axes (e_y, y, e_x, x), for diffusion over
+        # the element's mean nu.
         nu_bar = _mean_nu(op)
-        self._inv_nu = None if nu_bar is None else 1.0 / nu_bar[:, :, None, None]
+        nu = 1.0 if nu_bar is None else nu_bar[:, None, :, None]
+        self._scale = 1.0 / (nu * (solver.lam_y[:, None, None] + solver.lam_x))
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
                n_it: int) -> np.ndarray | None:
         """``n_it`` sweeps on A u = f; ``u=None`` starts from zero, so the
         first sweep's residual is ``f`` itself."""
+        p, n_o = self.p, self.n_o
         for _ in range(n_it):
             r = f if u is None else f - op.apply(u)
-            cor = self.solver.solve(r[self._gy, self._gx]) * self.weight
-            if self._inv_nu is not None:
-                cor = cor * self._inv_nu
-            u = scatter_blocks(self._flat, cor, self.layout, out=u)
+            t = np.take(np.take(r, self._wx, 1) @ self._S_x, self._wy, 0)
+            n_y, m, n_x, _ = t.shape
+            t = (self._S_yT @ t.reshape(n_y, m, -1)).reshape(t.shape)
+            t *= self._scale
+            t = fold_windows(self._WS_y @ t.reshape(n_y, m, -1), 1, p, n_o)
+            cor = fold_windows(t.reshape(-1, n_x, m) @ self._S_xTW, 2, p, n_o)
+            u = cor if u is None else np.add(u, cor, out=u)
         return u
 
 

@@ -165,7 +165,8 @@ def test_cli_bad_order_is_one_line_error(capsys):
                                   ["--tol", "nan"], ["--ar", "inf"],
                                   ["--ar", "nan"],
                                   ["--nu-hat", "0.5", "--nu-shift", "nan"],
-                                  ["--pre", "-1"], ["--post", "-1"]])
+                                  ["--pre", "-1"], ["--post", "-1"],
+                                  ["--tol", "inf"]])
 def test_cli_bad_values_are_one_line_errors(capsys, args):
     rc = cli.main(["solve", "--p", "2", "--nel", "4", *args])
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the outer solvers (stand-alone multigrid and preconditioned CG)."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,6 +26,8 @@ def test_solve_config_validation():
         SolveConfig(tol_reduction=1.0)
     with pytest.raises(ValueError):
         SolveConfig(tol_reduction=float("nan"))
+    with pytest.raises(ValueError):
+        SolveConfig(tol_reduction=float("inf"))
     with pytest.raises(ValueError):
         SolveConfig(max_cycles=0)
     with pytest.raises(ValueError):
@@ -50,6 +54,24 @@ def test_solvers_converge_and_report_consistently(solver):
     assert rep.rbar > 0.5
     assert rep.n10 == int(np.ceil(10.0 / rep.rbar))
     assert not rep.breakdown
+
+
+def test_mgcg_stops_with_breakdown_when_z_is_orthogonal_to_r(monkeypatch):
+    # r = f vanishes on every other column and z lives only there, so each
+    # term of delta = z . r is an exact zero; the next beta would be 0/0.
+    h, _, _ = _problem(p=4, n=4)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((16, 16))
+    f[:, ::2] = 0.0
+    z = np.zeros_like(f)
+    z[:, ::2] = rng.standard_normal((16, 8))
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r: z.copy())
+    cfg = SolveConfig(solver="mgcg", tol_reduction=1e10, max_cycles=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, rep = solve(h, f, cfg, u0=np.zeros_like(f))
+    assert rep.breakdown and not rep.converged
+    assert np.all(np.isfinite(rep.residuals))
 
 
 def test_mg_and_mgcg_agree_up_to_a_constant():

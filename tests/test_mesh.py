@@ -1,4 +1,5 @@
-"""Tests for the periodic mesh, layouts, window indices and scatter-add."""
+"""Tests for the periodic mesh, layouts, window indices, window folds and
+scatter-add."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis, interp_matrix
 from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d,
-                            all_element_windows, layout_for, periodic_windows,
-                            scatter_blocks)
+                            all_element_windows, fold_windows, layout_for,
+                            periodic_windows, scatter_blocks)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
 from schwarzmg.operators import _global_quadrature
@@ -108,6 +109,29 @@ def test_scatter_blocks_accumulates_into_out():
     assert out.min() > 5.0
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fold_windows_equals_add_at_loop(p, n):
+    # Every overlap 0 <= n_o < p whose window does not wrap onto itself
+    # (up to 3p - 1 nodes, reaching into both neighbouring elements), with
+    # the window axes leading or not.
+    rng = np.random.default_rng(29)
+    for n_o in range(p):
+        m = p + 1 + 2 * n_o
+        if m > p * n:
+            continue
+        idx = periodic_windows(p, n, n_o)
+        for lead in ((), (3,)):
+            w = rng.standard_normal(lead + (n, m, 2))
+            want = np.zeros(lead + (p * n, 2))
+            for e in range(n):
+                for j in range(m):
+                    np.add.at(want, (Ellipsis, idx[e, j], slice(None)),
+                              w[..., e, j, :])
+            got = fold_windows(w, len(lead) + 1, p, n_o)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 # ----------------------------------------------------------------------
 # Folded periodic assemblies on random sizes
 
@@ -133,6 +157,23 @@ def test_periodic_windows_rows_are_consecutive(case):
     assert rows.shape == (n, p + 1 + 2 * n_o)
     npt.assert_array_equal(rows[:, 0], (np.arange(n) * p - n_o) % N)
     npt.assert_array_equal(np.diff(rows, axis=1) % N, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windows_case(), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1))
+def test_fold_windows_is_adjoint_of_take(case, axis, seed):
+    # <take(x), w> = <x, fold(w)> on a 2D field, along either axis.
+    p, n, n_o = case
+    rng = np.random.default_rng(seed)
+    shape = [3, 3]
+    shape[axis] = p * n
+    x = rng.standard_normal(shape)
+    tx = np.take(x, periodic_windows(p, n, n_o), axis)
+    w = rng.standard_normal(tx.shape)
+    lhs = np.vdot(tx, w)
+    rhs = np.vdot(x, fold_windows(w, axis + 1, p, n_o))
+    scale = np.abs(tx).ravel() @ np.abs(w).ravel()
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ def _random_nu(layout, rng):
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=["2x2", "3x2"])
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
 def test_poisson_apply_matches_dense(mesh, p):
     rng = np.random.default_rng(11)
     basis = gll_basis(p)

@@ -189,22 +189,53 @@ def _diffusion_setup(p, n_x, n_y, l_x=1.0, nu_hat=0.9):
     return mesh, basis, layout_for(mesh, p), op, nu
 
 
-@pytest.mark.parametrize("kind,problem", [
-    pytest.param(WeightKind.QUINTIC, "poisson", id="w5"),
-    pytest.param(WeightKind.ARITHMETIC, "poisson", id="wa"),
-    pytest.param(WeightKind.QUINTIC, "diffusion", id="w5-diffusion"),
-    pytest.param(WeightKind.ARITHMETIC, "diffusion", id="wa-diffusion")])
-def test_additive_smoother_matches_naive(kind, problem):
-    mesh, basis, layout, op, f, u0 = _setup()
-    nu_bar = None
-    if problem == "diffusion":
-        # Same p and element grid, so f and u0 keep their shapes.
-        mesh, basis, layout, op, _ = _diffusion_setup(4, 4, 4)
-        nu_bar = op.element_mean_nu()
-    sm = AdditiveSchwarz(op, 1, kind)
+# (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where the 3x3 element patch
+# wraps onto itself, unequal extents, and n_o up to the alias limit
+# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1).
+WINDOW_CASES = [(2, 2, 2, 2.0, 0), (2, 3, 3, 3.0, 1), (4, 2, 2, 2.0, 1),
+                (4, 3, 2, 3.0, 0), (4, 3, 2, 1.5, 1), (4, 3, 3, 2.0, 3),
+                (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0)]
+
+
+def _window_case(problem, p, n_x, n_y, l_x):
+    """(mesh, basis, layout, op, nu_bar) of one window case."""
+    if problem == "poisson":
+        mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=2.0)
+        basis = gll_basis(p)
+        return mesh, basis, layout_for(mesh, p), PoissonOperator(basis, mesh), None
+    mesh, basis, layout, op, _ = _diffusion_setup(p, n_x, n_y, l_x)
+    return mesh, basis, layout, op, op.element_mean_nu()
+
+
+def _random_fields(layout):
+    rng = np.random.default_rng(53)
+    u0 = rng.standard_normal((layout.N_y, layout.N_x))
+    return u0, rng.standard_normal(u0.shape)
+
+
+KINDS = {"w5": WeightKind.QUINTIC, "wa": WeightKind.ARITHMETIC}
+# The p=4 4x4 n_o=1 case of each problem under its historical id, then
+# every window case.
+ADDITIVE_CASES = (
+    [pytest.param(kind, problem, (4, 4, 4, l_x, 1),
+                  id=k if problem == "poisson" else f"{k}-{problem}")
+     for problem, l_x in (("poisson", 2.0), ("diffusion", 1.0))
+     for k, kind in KINDS.items()]
+    + [pytest.param(kind, problem, case,
+                    id=f"{k}-{problem}-" + "-".join(map(str, case)))
+       for case in WINDOW_CASES for problem in ("poisson", "diffusion")
+       for k, kind in KINDS.items()])
+
+
+@pytest.mark.parametrize("kind,problem,case", ADDITIVE_CASES)
+def test_additive_smoother_matches_naive(kind, problem, case):
+    p, n_x, n_y, l_x, n_o = case
+    mesh, basis, layout, op, nu_bar = _window_case(problem, p, n_x, n_y, l_x)
+    u0, f = _random_fields(layout)
+    sm = AdditiveSchwarz(op, n_o, kind)
     got = sm.smooth(op, u0.copy(), f, 2)
-    want = _naive_additive(basis, layout, mesh, op, u0.copy(), f, 2, kind, 1,
-                           nu_bar=nu_bar)
+    want = _naive_additive(basis, layout, mesh, op, u0.copy(), f, 2, kind,
+                           n_o, nu_bar=nu_bar)
     npt.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
@@ -216,29 +247,12 @@ def test_multiplicative_smoother_matches_naive():
     npt.assert_allclose(got, want, atol=1e-11)
 
 
-# (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where the 3x3 element patch
-# wraps onto itself, unequal extents, and n_o up to the alias limit
-# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1).
-WINDOW_CASES = [(2, 2, 2, 2.0, 0), (2, 3, 3, 3.0, 1), (4, 2, 2, 2.0, 1),
-                (4, 3, 2, 3.0, 0), (4, 3, 2, 1.5, 1), (4, 3, 3, 2.0, 3),
-                (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0)]
-
-
 @pytest.mark.parametrize("problem", ["poisson", "diffusion"])
 @pytest.mark.parametrize("p,n_x,n_y,l_x,n_o", WINDOW_CASES)
 def test_multiplicative_window_residual_matches_full_residual(
         p, n_x, n_y, l_x, n_o, problem):
-    if problem == "poisson":
-        mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=2.0)
-        basis = gll_basis(p)
-        layout = layout_for(mesh, p)
-        op, nu_bar = PoissonOperator(basis, mesh), None
-    else:
-        mesh, basis, layout, op, _ = _diffusion_setup(p, n_x, n_y, l_x)
-        nu_bar = op.element_mean_nu()
-    rng = np.random.default_rng(53)
-    u0 = rng.standard_normal((layout.N_y, layout.N_x))
-    f = rng.standard_normal(u0.shape)
+    mesh, basis, layout, op, nu_bar = _window_case(problem, p, n_x, n_y, l_x)
+    u0, f = _random_fields(layout)
     sm = MultiplicativeSchwarz(op, n_o)
     got = sm.smooth(op, u0.copy(), f, 2)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,

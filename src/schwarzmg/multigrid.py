@@ -32,7 +32,19 @@ __all__ = ["OverlapRule", "MultigridHierarchy",
 
 @dataclass(frozen=True)
 class OverlapRule:
-    """Per-level overlap-layer count: fixed, floor(p/8), ceil(p/8) or ceil(p/2)."""
+    """Per-level overlap-layer count: fixed, floor(p/8), ceil(p/8) or ceil(p/2).
+
+    ``floorp8`` (the Table 3 rule) gives n_o = max(1, floor(p_l/8)) for
+    p_l >= 4 and n_o = 0 at p_l = 2.  Below p_l = 8 this is an
+    interpretation inferred from the published Table 3 rates, not a rule
+    stated in the available text: with floor(p_l/8) = 0 at p_l = 4 every
+    additive weight gives the same p=4 rate (0.31), while the published
+    p=4 row ranges from 0.31 to 0.98 by weight; with one layer at p_l = 4
+    all 28 Table 3 cells reproduce.  The p_l = 2 exception rests on the
+    same rates: one layer there too (plain max(1, floor(p_l/8))) leaves
+    5 of the 28 cells outside tolerance at seed 1 (w5, w7, wt and mult
+    at p=4, mult at p=16).
+    """
 
     name: str          # "fixed" | "floorp8" | "ceilp8" | "ceilp2"
     k: int = 0         # layer count for the fixed rule
@@ -41,7 +53,7 @@ class OverlapRule:
         if self.name == "fixed":
             n_o = self.k
         elif self.name == "floorp8":
-            n_o = p_l // 8
+            n_o = max(1, p_l // 8) if p_l >= 4 else 0
         elif self.name == "ceilp8":
             n_o = -(-p_l // 8)
         elif self.name == "ceilp2":

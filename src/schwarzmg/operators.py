@@ -6,9 +6,13 @@ stiffness on the gathered windows, folded onto the nodes, times the
 assembled mass). The diffusion operator realizes the weak-form Galerkin
 discretization of -div(nu grad u) with GLL-collocated quadrature; it
 applies element kernels by sum factorization and scatter-adds the blocks.
+Both operators expose their element operator as one ``WeakForm`` (for
+Poisson, nu = 1), which the multiplicative Schwarz sweep works from.
 
 Dense assembly routines are included as independent test oracles.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
                    all_element_windows, fold_windows, layout_for,
                    periodic_windows, scatter_blocks)
 
-__all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
+__all__ = ["WeakForm", "PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
            "load_vector", "dense_poisson_matrix", "dense_diffusion_matrix"]
 
@@ -26,6 +30,42 @@ def _check_layout(layout: FieldLayout, u: np.ndarray):
     if u.shape != (layout.N_y, layout.N_x):
         raise ValueError(f"field shape {u.shape} does not match layout "
                          f"({layout.N_y}, {layout.N_x})")
+
+
+@dataclass(frozen=True, eq=False)
+class WeakForm:
+    """Element operator of -div(nu grad u) in weak form, GLL-collocated.
+
+    On a (y, x) element block u, A_e u = c_x (nu_w * (u D^T)) D
+    + c_y D^T (nu_w * (D u)), with D the 1D derivative matrix, nu_w the
+    element's nu times the quadrature weights w (x) w, shape
+    (n_y, n_x, p+1, p+1) over all elements, c_x = dy/dx and c_y = dx/dy
+    (the (2/d) derivative, (dx/2)(dy/2) quadrature and (2/d) test-gradient
+    scalings combined).
+    """
+
+    nu_w: np.ndarray
+    c_x: float
+    c_y: float
+    diff: np.ndarray
+
+    @classmethod
+    def build(cls, basis: Basis1D, mesh: MeshConfig,
+              nu_blocks: np.ndarray | None = None) -> "WeakForm":
+        """Factors for the per-element nodal diffusivity blocks
+        ``nu_blocks``; None is nu = 1 (Poisson)."""
+        w2 = np.outer(basis.weights, basis.weights)
+        if nu_blocks is None:
+            nu_w = np.broadcast_to(w2, (mesh.n_y, mesh.n_x) + w2.shape)
+        else:
+            nu_w = nu_blocks * w2
+        return cls(nu_w, mesh.dy / mesh.dx, mesh.dx / mesh.dy, basis.diff)
+
+    def kernel(self, blocks: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
+        """A_e on a batch of element blocks with their ``nu_w`` factors."""
+        d = self.diff
+        return (self.c_x * ((nu_w * (blocks @ d.T)) @ d)
+                + self.c_y * (d.T @ (nu_w * (d @ blocks))))
 
 
 class PoissonOperator:
@@ -44,14 +84,11 @@ class PoissonOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
         self._global_mass_x = _global_mass(basis, mesh.n_x, mesh.dx)
         self._global_mass_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
-
-    def _kernel(self, blocks: np.ndarray) -> np.ndarray:
-        return (self.mass_y[:, None] * (blocks @ self.stiff_x)
-                + (self.stiff_y @ blocks) * self.mass_x)
+        self.weak_form = WeakForm.build(basis, mesh)
 
     def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
         """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
-        return self._kernel(block)
+        return self.weak_form.kernel(block, self.weak_form.nu_w[e_y, e_x])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
@@ -76,36 +113,23 @@ class DiffusionOperator:
             raise ValueError("diffusivity must be positive at every node")
         self.nu = nu
         self._gy, self._gx, self._flat = all_element_windows(self.layout)
-        # Quadrature weight tensor times nu, per element.
-        w2 = np.outer(basis.weights, basis.weights)
-        self._nu_w = nu[self._gy, self._gx] * w2
-        # Poisson scaling convention:
-        #   (2/dx) d/dxi, quadrature (dx/2)(dy/2), test gradient (2/dx).
-        self._cx = mesh.dy / mesh.dx
-        self._cy = mesh.dx / mesh.dy
-        self._d = basis.diff
-
-    def _kernel(self, blocks: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
-        d = self._d
-        return (self._cx * ((nu_w * (blocks @ d.T)) @ d)
-                + self._cy * (d.T @ (nu_w * (d @ blocks))))
+        self.weak_form = WeakForm.build(basis, mesh, nu[self._gy, self._gx])
 
     def element_kernel(self, block: np.ndarray, e_x, e_y):
         """Element operator on the block(s) of element(s) (e_y, e_x); the
         indices may be broadcastable arrays over a batch of blocks."""
-        return self._kernel(block, self._nu_w[e_y, e_x])
+        return self.weak_form.kernel(block, self.weak_form.nu_w[e_y, e_x])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
+        wf = self.weak_form
         return scatter_blocks(self._flat,
-                              self._kernel(u[self._gy, self._gx], self._nu_w),
+                              wf.kernel(u[self._gy, self._gx], wf.nu_w),
                               self.layout)
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""
-        w2 = np.outer(self.basis.weights, self.basis.weights)
-        nu_blocks = self.nu[self._gy, self._gx]
-        return np.einsum("yxij,ij->yx", nu_blocks, w2) / 4.0
+        return self.weak_form.nu_w.sum(axis=(2, 3)) / 4.0
 
 
 # ----------------------------------------------------------------------

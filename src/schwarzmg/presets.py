@@ -62,6 +62,7 @@ class RunRecord:
     n10: int
     omega1: float
     converged: bool
+    breakdown: bool               # MGCG stopped at delta = z . r = 0
     wallclock: float
     coarse_cg_exhausted: int
 
@@ -110,7 +111,8 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
         n_pre=spec.n_pre, n_post=spec.n_post, cycle_type=spec.cycle,
         nu_hat=spec.nu_hat, shift_s=spec.nu_shift if spec.nu_hat is not None else None,
         seed=seed, cycles=rep.cycles, rbar=rep.rbar, n10=rep.n10,
-        omega1=omega1, converged=rep.converged, wallclock=rep.wallclock,
+        omega1=omega1, converged=rep.converged, breakdown=rep.breakdown,
+        wallclock=rep.wallclock,
         coarse_cg_exhausted=rep.coarse_cg_exhausted)
 
 
@@ -324,6 +326,7 @@ def read_csv(stream) -> list[RunRecord]:
             rbar=float(row["rbar"]), n10=int(row["n10"]),
             omega1=float(row["omega1"]),
             converged=(row["converged"] == "true"),
+            breakdown=(row["breakdown"] == "true"),
             wallclock=float(row["wallclock"]),
             coarse_cg_exhausted=int(row["coarse_cg_exhausted"])))
     return out

@@ -10,11 +10,13 @@ that scales each local solve (the local problem has unit diffusivity).
 The weighted additive sweep combines all local solves at once with a
 diagonal weight tensor W = W_y (x) W_x, folded into the back transform
 of the fast diagonalization (diag(w) S_y and S_x^T diag(w)) and applied
-one direction at a time; the multiplicative sweep
-processes subdomains sequentially, recomputing the residual on each
-subdomain's window alone from the 3x3 elements around it, and reverses
-the traversal order on every other sweep so that an even number of
-consecutive sweeps is symmetric.
+one direction at a time.  The multiplicative sweep processes subdomains
+sequentially and reverses the traversal order on every other sweep, so
+that an even number of consecutive sweeps is symmetric.  It forms each
+subdomain's residual directly in the local eigenbasis, from f transformed
+once per call and the element-block derivatives of the iterate on the
+3x3 elements around the subdomain, through level-constant factors that
+absorb the fold onto the window; it never forms a node-space residual.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 
 from .basis import Basis1D, overlap_width
 from .mesh import _global_1d, fold_windows, periodic_windows
-from .operators import DiffusionOperator
+from .operators import DiffusionOperator, _check_layout
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
@@ -176,6 +178,15 @@ def _mean_nu(op) -> np.ndarray | None:
     return op.element_mean_nu() if isinstance(op, DiffusionOperator) else None
 
 
+def _window_transform(r, wx, wy, S_x, S_yT) -> np.ndarray:
+    """S_y^T r_w S_x on every subdomain window r_w of ``r``, with axes
+    (e_y, y, e_x, x): the x windows are transformed before the y windows
+    are gathered."""
+    t = np.take(np.take(r, wx, 1) @ S_x, wy, 0)
+    n_y, m, n_x, _ = t.shape
+    return (S_yT @ t.reshape(n_y, m, -1)).reshape(t.shape)
+
+
 class AdditiveSchwarz:
     """Weighted additive Schwarz sweep over all subdomains at once, one
     direction at a time: transform the x windows, then the y windows,
@@ -204,9 +215,9 @@ class AdditiveSchwarz:
         p, n_o = self.p, self.n_o
         for _ in range(n_it):
             r = f if u is None else f - op.apply(u)
-            t = np.take(np.take(r, self._wx, 1) @ self._S_x, self._wy, 0)
+            t = _window_transform(r, self._wx, self._wy, self._S_x,
+                                  self._S_yT)
             n_y, m, n_x, _ = t.shape
-            t = (self._S_yT @ t.reshape(n_y, m, -1)).reshape(t.shape)
             t *= self._scale
             t = fold_windows(self._WS_y @ t.reshape(n_y, m, -1), 1, p, n_o)
             cor = fold_windows(t.reshape(-1, n_x, m) @ self._S_xTW, 2, p, n_o)
@@ -229,60 +240,123 @@ class SweepCounter:
         self.i = 0
 
 
+def _patch_index(y, x, rows, out):
+    """Flat indices of the window rows of 3x3-element patches, each the sum
+    of the y offsets ``y`` and one row of the x offsets ``x`` per patch:
+    out[:, 0] holds the rows ``rows`` of the patch, out[:, 1] those of its
+    transpose (the window columns)."""
+    np.add(y[rows, None], x[:, None, :], out=out[:, 0])
+    np.add(y, x[:, rows, None], out=out[:, 1])
+    return out
+
+
 class MultiplicativeSchwarz:
-    """Sequential Schwarz sweep with a window-only residual.
+    """Sequential Schwarz sweep with each residual formed in the local
+    eigenbasis.
 
     Subdomains are traversed lexicographically by (e_y, e_x), in reversed
     order on every even-numbered sweep, so an even number of consecutive
     sweeps yields a symmetric linear operator.  The sweep count persists
     in ``counter`` (pass a common instance to share it between smoothers).
-    Before each local solve the residual is recomputed on the subdomain
-    window alone, from the current iterate on the 3x3 elements around the
-    owner: one batched element-kernel call over the nine elements, folded
-    onto the window, so no global residual is ever formed.
+
+    Each call transforms every window of f once, f_hat = S_y^T f_w S_x.
+    With U the iterate on the 3x3 elements around the owner in
+    element-block layout and NW their ``WeakForm.nu_w``, subdomain s takes
+
+        z = f_hat_s - A_y (NW * U D^T) B_x - B_y (NW * D U) A_x,
+        du = S_y (z / (nu_bar_s (lam_y + lam_x))) S_x^T,
+
+    with D per element block and the level-constant A_y = S_y^T F,
+    B_y = c_y S_y^T F D^T, A_x = F^T S_x and B_x = c_x D F^T S_x, F the
+    0/1 fold of the patch onto the window.  F reaches only the patch rows
+    (and columns) in the window, so only those rows of U D^T and, for the
+    y term taken transposed, of U^T D^T are formed.
     """
 
     def __init__(self, op, n_o: int, counter: SweepCounter | None = None):
         self.counter = SweepCounter() if counter is None else counter
-        self.solver = _subdomain_solver(op, n_o)
-        self.layout = layout = op.layout
-        p = layout.p
-        # Row e: subdomain window nodes, and the node blocks (3, p+1) of
-        # the elements e-1, e, e+1, cut from the width-p window around e.
-        self._wy = periodic_windows(p, layout.n_y, n_o)[:, :, None]
-        self._wx = periodic_windows(p, layout.n_x, n_o)
-        local = np.arange(3)[:, None] * p + np.arange(p + 1)
-        by = periodic_windows(p, layout.n_y, p)[:, local]
-        bx = periodic_windows(p, layout.n_x, p)[:, local]
-        self._by, self._bx = by[:, :, None, :, None], bx[:, None, :, None, :]
-        # Element index of each block: its first node over p.
-        self._ny, self._nx = by[:, :, :1] // p, bx[:, None, :, 0] // p
-        # 0/1 fold of the three blocks of a patch line onto the window.
-        window = np.arange(p - n_o, 2 * p + n_o + 1)
-        self._fold = (local.ravel() == window[:, None]).astype(float)
-        self._nu_bar = _mean_nu(op)
-
-    def _window_residual(self, op, u, f, e_x, e_y):
-        """f - A u on the window of subdomain (e_x, e_y)."""
-        blocks = u[self._by[e_y], self._bx[e_x]]
-        k = op.element_kernel(blocks, self._nx[e_x], self._ny[e_y])
-        k = k.transpose(0, 2, 1, 3).reshape(self._fold.shape[1], -1)
-        return f[self._wy[e_y], self._wx[e_x]] - self._fold @ k @ self._fold.T
+        solver = _subdomain_solver(op, n_o)
+        self.layout = lay = op.layout
+        wf = op.weak_form
+        p, p1 = lay.p, lay.p + 1
+        self._wy = periodic_windows(p, lay.n_y, n_o)
+        self._wx = periodic_windows(p, lay.n_x, n_o)
+        # Row e: nodes of the blocks (3, p+1) of the elements e-1, e, e+1,
+        # cut from the width-p window around e, as flat offsets into u.
+        local = (np.arange(3)[:, None] * p + np.arange(p1)).ravel()
+        self._py = periodic_windows(p, lay.n_y, p)[:, local] * lay.N_x
+        self._px = periodic_windows(p, lay.n_x, p)[:, local]
+        # The same patches in nu_w: the element rows e-1, e, e+1 (taken
+        # once per row of subdomains) and flat offsets into those three
+        # rows, a y part by block node and an x part per column e_x.
+        blk, node = np.divmod(np.arange(3 * p1), p1)
+        self._ny = (np.arange(lay.n_y)[:, None] + np.arange(-1, 2)) % lay.n_y
+        self._nwy = blk * (lay.n_x * p1 * p1) + node * p1
+        self._nwx = ((np.arange(lay.n_x)[:, None] + blk - 1) % lay.n_x
+                     * (p1 * p1) + node)
+        self._nu_w = wf.nu_w
+        # The patch rows in the window: the last n_o + 1 of block e-1,
+        # block e and the first n_o + 1 of block e+1.
+        self._rows = rows = slice(p - n_o, 2 * p + n_o + 3)
+        self._dT = wf.diff.T
+        fold = (local == np.arange(p - n_o, 2 * p + n_o + 1)[:, None]) * 1.0
+        m = len(fold)
+        F_Sx, F_Sy = fold.T @ solver.S_x, fold.T @ solver.S_y
+        # A_y and A_x^T on the window rows; B_x and B_y^T = c_y D F^T S_y.
+        self._left = np.stack([F_Sy[rows].T, F_Sx[rows].T])
+        self._right = np.stack(
+            [c * (wf.diff @ FS.reshape(3, p1, m)).reshape(-1, m)
+             for c, FS in ((wf.c_x, F_Sx), (wf.c_y, F_Sy))])
+        self._S_x, self._S_yT = solver.S_x, solver.S_y.T
+        self._S_y, self._S_xT = solver.S_y, solver.S_x.T
+        # Inverse eigenvalues, and per subdomain the inverse of the owner's
+        # mean nu (1 for Poisson); their product is taken per row.
+        self._inv_lam = 1.0 / (solver.lam_y[:, None] + solver.lam_x)
+        nu_bar = _mean_nu(op)
+        self._inv_nu = (np.ones((lay.n_y, lay.n_x)) if nu_bar is None
+                        else 1.0 / nu_bar)
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
                n_it: int) -> np.ndarray | None:
-        """``n_it`` sweeps on A u = f, updating ``u`` in place; ``u=None``
-        starts from zero."""
+        """``n_it`` sweeps on A u = f, updating ``u`` (C-contiguous) in
+        place; ``u=None`` starts from zero."""
+        if not n_it:
+            return u
         lay = self.layout
-        if u is None and n_it:
-            u = lay.zeros()
-        order = [(e_x, e_y) for e_y in range(lay.n_y) for e_x in range(lay.n_x)]
+        u = lay.zeros() if u is None else u
+        _check_layout(lay, u)
+        _check_layout(lay, f)
+        if not u.flags.c_contiguous:
+            raise ValueError("the iterate must be C-contiguous: the sweep "
+                             "updates it through flat indices")
+        p1, N_x, rows = lay.p + 1, lay.N_x, self._rows
+        fh = _window_transform(f, self._wx, self._wy, self._S_x, self._S_yT)
+        fh = fh.transpose(0, 2, 1, 3)
+        flat = u.reshape(-1)
+        left, right, dT = self._left, self._right, self._dT
+        S_y, S_xT = self._S_y, self._S_xT
+        shape = (lay.n_x, 2, rows.stop - rows.start, 3 * p1)
+        patch = np.empty(shape, dtype=np.intp)
+        nwi = _patch_index(self._nwy, self._nwx, rows, np.empty_like(patch))
+        # The x-term rows of NW * U D^T and the y-term rows of
+        # NW^T * U^T D^T (element-block derivatives in one product).
+        g = np.empty(shape[1:])
+        g_all = g.reshape(-1, p1)
         for _ in range(n_it):
             self.counter.i += 1
-            seq = order if self.counter.i % 2 == 1 else order[::-1]
-            for e_x, e_y in seq:
-                du = self.solver.solve(self._window_residual(op, u, f, e_x, e_y))
-                if self._nu_bar is not None:
-                    du /= self._nu_bar[e_y, e_x]
-                u[self._wy[e_y], self._wx[e_x]] += du
+            step = 1 if self.counter.i % 2 == 1 else -1
+            for e_y in range(lay.n_y)[::step]:
+                _patch_index(self._py[e_y], self._px, rows, patch)
+                window = (self._wy[e_y, :, None] * N_x) + self._wx[:, None, :]
+                nw = self._nu_w.take(self._ny[e_y], 0).take(nwi)
+                inv_lam = self._inv_nu[e_y, :, None, None] * self._inv_lam
+                for e_x in range(lay.n_x)[::step]:
+                    np.matmul(flat.take(patch[e_x]).reshape(-1, p1), dT,
+                              out=g_all)
+                    g *= nw[e_x]
+                    k = left @ (g @ right)
+                    z = np.subtract(fh[e_y, e_x], k[0], out=k[0])
+                    z -= k[1].T
+                    z *= inv_lam[e_x]
+                    flat[window[e_x]] += S_y @ z @ S_xT
         return u

@@ -21,7 +21,7 @@ from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  project_mean)
 from schwarzmg.presets import (RunSpec, build_problem, rbar_tolerance,
-                               run_single)
+                               run_preset, run_single)
 from schwarzmg.schwarz import (MultiplicativeSchwarz, WeightKind,
                                build_fast_diag, build_weight_1d,
                                restricted_1d)
@@ -74,6 +74,19 @@ def test_criterion_02_level_dependent_overlap():
         ok &= abs(got - ref) <= rbar_tolerance(ref)
         parts.append(f"(p={p},{smoother})={got:.2f}/{ref:.2f}")
     _report(2, ok, "rbar measured/published: " + " ".join(parts))
+
+
+def test_table3_every_cell_reproduces_at_one_seed():
+    # All 28 Table 3 cells (floorp8 overlap, 8x8 elements), seed 1.
+    _, summary = run_preset("table3", [1])
+    misses = [f"{row['weight'] if row['smoother'] == 'add' else 'mult'}"
+              f" p={row['p']}: {row['mean_rbar']:.2f}/{row['reference_rbar']}"
+              for row in summary if not row["passed"]]
+    ok = len(summary) == 28 and not misses
+    print(f"table3: {'PASS' if ok else 'FAIL'} - "
+          f"{len(summary) - len(misses)}/{len(summary)} cells within "
+          f"tolerance" + (", missing: " + "; ".join(misses) if misses else ""))
+    assert ok, misses
 
 
 def test_criterion_03_mesh_robustness_p8():

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from schwarzmg import cli, presets
+from schwarzmg import cli, krylov, presets
 from schwarzmg.presets import (RunSpec, preset_grid, read_csv, records_to_csv,
                                records_to_json, reference_rbar,
                                rbar_tolerance, run_single)
@@ -57,6 +57,23 @@ def test_records_carry_coarse_cap_hits():
     [back] = read_csv(io.StringIO(records_to_csv([hit])))
     assert back.coarse_cg_exhausted == 7
     assert json.loads(records_to_json([hit]))[0]["coarse_cg_exhausted"] == 7
+
+
+def test_records_carry_breakdown():
+    rec = run_single(FAST_SPEC, seed=1)
+    assert rec.breakdown is False
+    hit = dataclasses.replace(rec, breakdown=True, converged=False)
+    [back] = read_csv(io.StringIO(records_to_csv([hit])))
+    assert back.breakdown is True and back.converged is False
+    assert records_to_csv([back]) == records_to_csv([hit])
+    assert json.loads(records_to_json([hit]))[0]["breakdown"] is True
+
+
+def test_run_single_records_an_mgcg_breakdown(monkeypatch):
+    # A zero correction gives p^T A p = 0: MGCG stops with a breakdown.
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r: 0.0 * r)
+    rec = run_single(dataclasses.replace(FAST_SPEC, solver="mgcg"), seed=1)
+    assert rec.breakdown and not rec.converged
 
 
 def test_json_emission_parses():

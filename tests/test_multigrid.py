@@ -16,7 +16,7 @@ from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
 def test_overlap_rule_layers():
     assert OverlapRule("fixed", 2).layers(8) == 2
     assert OverlapRule("floorp8").layers(8) == 1
-    assert OverlapRule("floorp8").layers(4) == 0
+    assert OverlapRule("floorp8").layers(4) == 1
     assert OverlapRule("ceilp8").layers(4) == 1
     assert OverlapRule("ceilp8").layers(16) == 2
     assert OverlapRule("ceilp2").layers(8) == 4

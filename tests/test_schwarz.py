@@ -190,11 +190,13 @@ def _diffusion_setup(p, n_x, n_y, l_x=1.0, nu_hat=0.9):
 
 
 # (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where the 3x3 element patch
-# wraps onto itself, unequal extents, and n_o up to the alias limit
-# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1).
+# wraps onto itself, unequal extents, n_o up to the alias limit
+# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1), and p=16, where the
+# window rows of the multiplicative patch are far from all of it.
 WINDOW_CASES = [(2, 2, 2, 2.0, 0), (2, 3, 3, 3.0, 1), (4, 2, 2, 2.0, 1),
                 (4, 3, 2, 3.0, 0), (4, 3, 2, 1.5, 1), (4, 3, 3, 2.0, 3),
-                (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0)]
+                (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0),
+                (16, 3, 3, 3.0, 2)]
 
 
 def _window_case(problem, p, n_x, n_y, l_x):
@@ -258,6 +260,24 @@ def test_multiplicative_window_residual_matches_full_residual(
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
                                  n_o, nu_bar=nu_bar)
     npt.assert_allclose(got, want, atol=1e-11, rtol=0)
+
+
+@pytest.mark.parametrize("problem", ["poisson", "diffusion"])
+def test_multiplicative_smoother_from_none_equals_from_zeros(problem):
+    mesh, basis, layout, op, _ = _window_case(problem, 16, 3, 3, 3.0)
+    _, f = _random_fields(layout)
+    sm = MultiplicativeSchwarz(op, 2)
+    want = sm.smooth(op, layout.zeros(), f, 3)
+    sm.counter.reset()
+    npt.assert_array_equal(sm.smooth(op, None, f, 3), want)
+
+
+def test_multiplicative_smoother_rejects_a_non_contiguous_iterate():
+    mesh, basis, layout, op, f, u0 = _setup()
+    u = np.asfortranarray(u0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        MultiplicativeSchwarz(op, 1).smooth(op, u, f, 2)
+    npt.assert_array_equal(u, u0)
 
 
 def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():

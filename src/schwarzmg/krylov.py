@@ -43,18 +43,18 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
           u0: np.ndarray | None = None):
     """Solve A u = f, recording the residual norm once per cycle.
 
-    Every cycle computes one correction z = v_cycle(h, r) of the current
-    residual r. ``mg`` adds it to u; ``mgcg`` uses it as the preconditioned
-    residual of flexible CG, whose direction update takes the
-    Polak-Ribiere coefficient beta = z^T (r - r_old) / delta, which
-    tolerates the non-symmetric Schwarz-smoothed preconditioner. The loop
+    Cycle c computes one correction z = v_cycle(h, r, c) of the current
+    residual r, so every solve numbers its smoothing sweeps from 0. ``mg``
+    adds z to u; ``mgcg`` uses it as the preconditioned residual of
+    flexible CG, whose direction update takes the Polak-Ribiere
+    coefficient beta = z^T (r - r_old) / delta, which tolerates the
+    non-symmetric Schwarz-smoothed preconditioner. The loop
     stops at the first non-finite residual norm, unconverged: no later
     cycle can make it finite again. ``mgcg`` stops with a breakdown when
     p^T A p <= 0, or when delta = z^T r, the next divisor, is 0 or not finite.
     """
     t0 = time.perf_counter()
     exhausted = h.coarse_cg_exhausted
-    h.reset_smoothers()
     op = h.top.op
     u = random_initial_guess(h, cfg.seed) if u0 is None else u0.copy()
     r = f - op.apply(u)
@@ -63,7 +63,7 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     converged, breakdown = res[0] <= r_max, False
     cycles, p = 0, None
     while not converged and cycles < cfg.max_cycles:
-        z = v_cycle(h, r)
+        z = v_cycle(h, r, cycles)
         if cfg.solver == "mg":
             u += z
             r = f - op.apply(u)

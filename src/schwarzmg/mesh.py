@@ -41,10 +41,6 @@ class MeshConfig:
         return self.l_y / self.n_y
 
     @property
-    def aspect_ratio(self) -> float:
-        return self.dx / self.dy
-
-    @property
     def n_el(self) -> int:
         return self.n_x * self.n_y
 
@@ -117,15 +113,11 @@ def all_element_windows(layout: FieldLayout, n_o: int = 0):
     return gy, gx, np.ascontiguousarray(gy * layout.N_x + gx)
 
 
-def scatter_blocks(flat: np.ndarray, blocks: np.ndarray, layout: FieldLayout,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def scatter_blocks(flat: np.ndarray, blocks: np.ndarray,
+                   layout: FieldLayout) -> np.ndarray:
     """Scatter-add per-element blocks into a global array via bincount."""
-    acc = np.bincount(flat.ravel(), weights=blocks.ravel(),
-                      minlength=layout.size).reshape(layout.N_y, layout.N_x)
-    if out is None:
-        return acc
-    out += acc
-    return out
+    return np.bincount(flat.ravel(), weights=blocks.ravel(),
+                       minlength=layout.size).reshape(layout.N_y, layout.N_x)
 
 
 def _global_mass(basis: Basis1D, n: int, d: float) -> np.ndarray:

@@ -9,7 +9,10 @@ the right side projected onto the complement of constants. On the uniform
 periodic mesh the p = 1 Poisson operator is diagonalized by the 2D FFT
 (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its pseudoinverse is the
 preconditioner: exact for Poisson, scaled by the mean diffusivity for the
-diffusion problem.
+diffusion problem. V-cycle c numbers its smoothing sweeps consecutively
+from c times the sweeps per cycle, through all levels in the order they
+run, so the multiplicative traversal direction follows from the cycle
+index alone and the hierarchy holds no solve state.
 """
 
 import logging
@@ -20,8 +23,7 @@ import numpy as np
 from .basis import Basis1D, gll_basis, interp_matrix
 from .mesh import MeshConfig, fold_windows, periodic_windows
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
-from .schwarz import (AdditiveSchwarz, MultiplicativeSchwarz, SweepCounter,
-                      WeightKind)
+from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, WeightKind
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +51,10 @@ class OverlapRule:
     name: str          # "fixed" | "floorp8" | "ceilp8" | "ceilp2"
     k: int = 0         # layer count for the fixed rule
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"overlap layer count must be >= 0, got {self.k}")
+
     def layers(self, p_l: int) -> int:
         if self.name == "fixed":
             n_o = self.k
@@ -60,7 +66,7 @@ class OverlapRule:
             n_o = -(-p_l // 2)
         else:
             raise ValueError(f"unknown overlap rule {self.name!r}")
-        return int(np.clip(n_o, 0, p_l - 1))
+        return min(n_o, p_l - 1)
 
     @classmethod
     def parse(cls, text: str) -> "OverlapRule":
@@ -87,8 +93,7 @@ class Level:
 
 class MultigridHierarchy:
     def __init__(self, mesh: MeshConfig, levels: list[Level],
-                 coarse_symbol: np.ndarray, coarse_tol: float = 1e-12,
-                 sweep_counter: SweepCounter | None = None):
+                 coarse_symbol: np.ndarray, coarse_tol: float = 1e-12):
         self.mesh = mesh
         self.levels = levels
         # rfft2 eigenvalues of the coarse preconditioner's operator; the
@@ -96,12 +101,6 @@ class MultigridHierarchy:
         self.coarse_symbol = coarse_symbol
         self.coarse_tol = coarse_tol
         self.coarse_cg_exhausted = 0
-        self.sweep_counter = sweep_counter
-
-    def reset_smoothers(self):
-        """Restart the multiplicative sweep parity (for reproducible solves)."""
-        if self.sweep_counter is not None:
-            self.sweep_counter.reset()
 
     @property
     def depth(self) -> int:
@@ -144,7 +143,6 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
     if n_pre < 0 or n_post < 0:
         raise ValueError(f"smoothing counts must be >= 0, got {n_pre}, {n_post}")
     depth = p.bit_length() - 1
-    counter = SweepCounter() if smoother == "mult" else None
     levels: list[Level] = []
     for l in range(depth + 1):
         p_l = 1 << l
@@ -161,7 +159,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         if smoother == "add":
             sm = AdditiveSchwarz(op, n_o, weight)
         else:
-            sm = MultiplicativeSchwarz(op, n_o, counter)
+            sm = MultiplicativeSchwarz(op, n_o)
         factor = 2 ** (depth - l) if variable else 1
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
@@ -171,8 +169,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         symbol = _fft_symbol(lv0.op)
     else:
         symbol = lv0.op.nu.mean() * _fft_symbol(PoissonOperator(lv0.basis, mesh))
-    return MultigridHierarchy(mesh, levels, symbol, coarse_tol=coarse_tol,
-                              sweep_counter=counter)
+    return MultigridHierarchy(mesh, levels, symbol, coarse_tol=coarse_tol)
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
@@ -242,21 +239,25 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     return project_mean(x)
 
 
-def v_cycle(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
-    """One multigrid V-cycle on the residual equation A e = r.
+def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
+    """V-cycle number ``cycle`` on the residual equation A e = r.
 
     Returns a new correction e ~ A^{-1} r: descend smoothing and
     restricting, solve the coarse problem, ascend correcting and smoothing.
     Every level starts from e = 0, so its first sweep takes the level's
-    right side as its residual. ``r`` is left unchanged, and the hierarchy
-    keeps no field between calls.
+    right side as its residual. The sweeps are numbered in the order they
+    run, from ``cycle`` times the sweeps per cycle, which sets the
+    multiplicative traversal direction. ``r`` is left unchanged, and the
+    hierarchy keeps no field between calls.
     """
     L = h.depth
+    k = cycle * sum(lv.n_pre + lv.n_post for lv in h.levels)
     es, rs = [None] * (L + 1), [None] * L + [r]
     for l in range(L, 0, -1):
         lv = h.levels[l]
         if lv.n_pre:
-            es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre)
+            es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre, k)
+            k += lv.n_pre
         r_l = rs[l] if es[l] is None else rs[l] - lv.op.apply(es[l])
         rs[l - 1] = restrict_residual(h, l, r_l)
     es[0] = coarse_solve(h, rs[0])
@@ -265,5 +266,6 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
         e = prolongate(h, l, es[l - 1])
         es[l] = e if es[l] is None else es[l] + e
         if lv.n_post:
-            es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post)
+            es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post, k)
+            k += lv.n_post
     return es[L]

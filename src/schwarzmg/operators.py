@@ -75,9 +75,6 @@ class PoissonOperator:
         self.basis = basis
         self.mesh = mesh
         self.layout = layout_for(mesh, basis.p)
-        # Scaled 1D element matrices: masses stay diagonal.
-        self.mass_x = (mesh.dx / 2.0) * basis.weights
-        self.mass_y = (mesh.dy / 2.0) * basis.weights
         self.stiff_x = (2.0 / mesh.dx) * basis.stiff
         self.stiff_y = (2.0 / mesh.dy) * basis.stiff
         self._wx = periodic_windows(basis.p, mesh.n_x)

@@ -1,9 +1,9 @@
 """Benchmark experiment presets, single-run execution and CSV/JSON records."""
 
 import csv
-import io
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, fields
 
 from .krylov import SolveConfig, solve
@@ -304,32 +304,21 @@ def write_csv(records: list[RunRecord], stream) -> None:
         writer.writerow([_fmt(name, d[name]) for name in CSV_FIELDS])
 
 
-def records_to_csv(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
+def _parse(kind, text: str):
+    """One CSV cell as a value of the field type ``kind``; an empty cell of
+    an optional (``X | None``) field is None."""
+    if kind is bool:
+        return text == "true"
+    args = typing.get_args(kind)
+    if args:
+        return None if text == "" else _parse(args[0], text)
+    return kind(text)
 
 
 def read_csv(stream) -> list[RunRecord]:
-    reader = csv.DictReader(stream)
-    out = []
-    for row in reader:
-        out.append(RunRecord(
-            solver=row["solver"], smoother=row["smoother"], weight=row["weight"],
-            p=int(row["p"]), n_x=int(row["n_x"]), n_y=int(row["n_y"]),
-            ar=float(row["ar"]), overlap_rule=row["overlap_rule"],
-            n_pre=int(row["n_pre"]), n_post=int(row["n_post"]),
-            cycle_type=row["cycle_type"],
-            nu_hat=float(row["nu_hat"]) if row["nu_hat"] else None,
-            shift_s=float(row["shift_s"]) if row["shift_s"] else None,
-            seed=int(row["seed"]), cycles=int(row["cycles"]),
-            rbar=float(row["rbar"]), n10=int(row["n10"]),
-            omega1=float(row["omega1"]),
-            converged=(row["converged"] == "true"),
-            breakdown=(row["breakdown"] == "true"),
-            wallclock=float(row["wallclock"]),
-            coarse_cg_exhausted=int(row["coarse_cg_exhausted"])))
-    return out
+    return [RunRecord(**{f.name: _parse(f.type, row[f.name])
+                         for f in fields(RunRecord)})
+            for row in csv.DictReader(stream)]
 
 
 def _finite_or_none(value):

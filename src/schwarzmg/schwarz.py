@@ -11,8 +11,9 @@ The weighted additive sweep combines all local solves at once with a
 diagonal weight tensor W = W_y (x) W_x, folded into the back transform
 of the fast diagonalization (diag(w) S_y and S_x^T diag(w)) and applied
 one direction at a time.  The multiplicative sweep processes subdomains
-sequentially and reverses the traversal order on every other sweep, so
-that an even number of consecutive sweeps is symmetric.  It forms each
+sequentially and reverses the traversal order on every odd-numbered sweep,
+so that an even number of consecutive sweeps is symmetric.  The caller
+numbers the sweeps; no smoother keeps state between calls.  It forms each
 subdomain's residual directly in the local eigenbasis, from f transformed
 once per call and the element-block derivatives of the iterate on the
 3x3 elements around the subdomain, through level-constant factors that
@@ -30,7 +31,7 @@ from .operators import DiffusionOperator, _check_layout
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
-           "MultiplicativeSchwarz", "SweepCounter"]
+           "MultiplicativeSchwarz"]
 
 
 class WeightKind(str, Enum):
@@ -209,9 +210,10 @@ class AdditiveSchwarz:
         self._scale = 1.0 / (nu * (solver.lam_y[:, None, None] + solver.lam_x))
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
-               n_it: int) -> np.ndarray | None:
+               n_it: int, first: int = 0) -> np.ndarray | None:
         """``n_it`` sweeps on A u = f; ``u=None`` starts from zero, so the
-        first sweep's residual is ``f`` itself."""
+        first sweep's residual is ``f`` itself.  Every additive sweep is
+        the same, so the sweep number ``first`` is ignored."""
         p, n_o = self.p, self.n_o
         for _ in range(n_it):
             r = f if u is None else f - op.apply(u)
@@ -223,21 +225,6 @@ class AdditiveSchwarz:
             cor = fold_windows(t.reshape(-1, n_x, m) @ self._S_xTW, 2, p, n_o)
             u = cor if u is None else np.add(u, cor, out=u)
         return u
-
-
-@dataclass(eq=False)
-class SweepCounter:
-    """Running count of multiplicative sweeps, shared across a hierarchy.
-
-    Traversal direction alternates with this counter, so consecutive
-    sweeps -- within one smoother call, across calls, and across the
-    levels of a multigrid cycle -- keep symmetrizing each other.
-    """
-
-    i: int = 0
-
-    def reset(self):
-        self.i = 0
 
 
 def _patch_index(y, x, rows, out):
@@ -254,10 +241,10 @@ class MultiplicativeSchwarz:
     """Sequential Schwarz sweep with each residual formed in the local
     eigenbasis.
 
-    Subdomains are traversed lexicographically by (e_y, e_x), in reversed
-    order on every even-numbered sweep, so an even number of consecutive
-    sweeps yields a symmetric linear operator.  The sweep count persists
-    in ``counter`` (pass a common instance to share it between smoothers).
+    Subdomains are traversed lexicographically by (e_y, e_x), forward on
+    even-numbered sweeps and reversed on odd-numbered ones, so an even
+    number of consecutive sweeps yields a symmetric linear operator.  The
+    caller numbers the sweeps (``smooth``'s ``first``).
 
     Each call transforms every window of f once, f_hat = S_y^T f_w S_x.
     With U the iterate on the 3x3 elements around the owner in
@@ -273,8 +260,7 @@ class MultiplicativeSchwarz:
     y term taken transposed, of U^T D^T are formed.
     """
 
-    def __init__(self, op, n_o: int, counter: SweepCounter | None = None):
-        self.counter = SweepCounter() if counter is None else counter
+    def __init__(self, op, n_o: int):
         solver = _subdomain_solver(op, n_o)
         self.layout = lay = op.layout
         wf = op.weak_form
@@ -286,15 +272,9 @@ class MultiplicativeSchwarz:
         local = (np.arange(3)[:, None] * p + np.arange(p1)).ravel()
         self._py = periodic_windows(p, lay.n_y, p)[:, local] * lay.N_x
         self._px = periodic_windows(p, lay.n_x, p)[:, local]
-        # The same patches in nu_w: the element rows e-1, e, e+1 (taken
-        # once per row of subdomains) and flat offsets into those three
-        # rows, a y part by block node and an x part per column e_x.
-        blk, node = np.divmod(np.arange(3 * p1), p1)
-        self._ny = (np.arange(lay.n_y)[:, None] + np.arange(-1, 2)) % lay.n_y
-        self._nwy = blk * (lay.n_x * p1 * p1) + node * p1
-        self._nwx = ((np.arange(lay.n_x)[:, None] + blk - 1) % lay.n_x
-                     * (p1 * p1) + node)
-        self._nu_w = wf.nu_w
+        # nu_w in node layout, gathered with the iterate's patch indices:
+        # an element's weight at local node i is w[i mod p] (w_0 = w_p).
+        self._nu_w = wf.nu_w[:, :, :p, :p].transpose(0, 2, 1, 3).reshape(-1)
         # The patch rows in the window: the last n_o + 1 of block e-1,
         # block e and the first n_o + 1 of block e+1.
         self._rows = rows = slice(p - n_o, 2 * p + n_o + 3)
@@ -317,9 +297,9 @@ class MultiplicativeSchwarz:
                         else 1.0 / nu_bar)
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
-               n_it: int) -> np.ndarray | None:
-        """``n_it`` sweeps on A u = f, updating ``u`` (C-contiguous) in
-        place; ``u=None`` starts from zero."""
+               n_it: int, first: int = 0) -> np.ndarray | None:
+        """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
+        ``u`` (C-contiguous) in place; ``u=None`` starts from zero."""
         if not n_it:
             return u
         lay = self.layout
@@ -337,18 +317,16 @@ class MultiplicativeSchwarz:
         S_y, S_xT = self._S_y, self._S_xT
         shape = (lay.n_x, 2, rows.stop - rows.start, 3 * p1)
         patch = np.empty(shape, dtype=np.intp)
-        nwi = _patch_index(self._nwy, self._nwx, rows, np.empty_like(patch))
         # The x-term rows of NW * U D^T and the y-term rows of
         # NW^T * U^T D^T (element-block derivatives in one product).
         g = np.empty(shape[1:])
         g_all = g.reshape(-1, p1)
-        for _ in range(n_it):
-            self.counter.i += 1
-            step = 1 if self.counter.i % 2 == 1 else -1
+        for k in range(first, first + n_it):
+            step = -1 if k % 2 else 1
             for e_y in range(lay.n_y)[::step]:
                 _patch_index(self._py[e_y], self._px, rows, patch)
                 window = (self._wy[e_y, :, None] * N_x) + self._wx[:, None, :]
-                nw = self._nu_w.take(self._ny[e_y], 0).take(nwi)
+                nw = self._nu_w.take(patch)
                 inv_lam = self._inv_nu[e_y, :, None, None] * self._inv_lam
                 for e_x in range(lay.n_x)[::step]:
                     np.matmul(flat.take(patch[e_x]).reshape(-1, p1), dT,

@@ -20,8 +20,8 @@ from schwarzmg.multigrid import (OverlapRule, build_hierarchy, coarse_solve,
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  project_mean)
-from schwarzmg.presets import (RunSpec, build_problem, rbar_tolerance,
-                               run_preset, run_single)
+from schwarzmg.presets import (RunSpec, build_problem, preset_grid,
+                               rbar_tolerance, run_preset, run_single)
 from schwarzmg.schwarz import (MultiplicativeSchwarz, WeightKind,
                                build_fast_diag, build_weight_1d,
                                restricted_1d)
@@ -87,6 +87,22 @@ def test_table3_every_cell_reproduces_at_one_seed():
           f"{len(summary) - len(misses)}/{len(summary)} cells within "
           f"tolerance" + (", missing: " + "; ".join(misses) if misses else ""))
     assert ok, misses
+
+
+# Seed-1 rates of the multiplicative column at p = 4, 8, 16, 32. They guard
+# the sweep parity (any change to the traversal order moves them); they
+# are not the published values, and table2 still deviates from those at
+# p = 4, 16 and 32.
+MULT_SEED1_RBAR = {"table2": [1.4802, 1.3204, 1.4722, 0.4463],
+                   "table3": [1.0148, 1.2562, 1.5280, 1.6032]}
+
+
+@pytest.mark.parametrize("table", sorted(MULT_SEED1_RBAR))
+def test_multiplicative_column_rates_are_pinned_at_seed_1(table):
+    specs = [s for s in preset_grid(table) if s.smoother == "mult"]
+    got = [round(run_single(s, 1).rbar, 4) for s in specs]
+    assert [s.p for s in specs] == [4, 8, 16, 32]
+    assert got == MULT_SEED1_RBAR[table]
 
 
 def test_criterion_03_mesh_robustness_p8():
@@ -269,8 +285,8 @@ def test_criterion_12_multiplicative_symmetrization():
     N = layout.size
     M = np.zeros((N, N))
     f = layout.zeros()
+    sm = MultiplicativeSchwarz(op, 0)
     for i in range(N):
-        sm = MultiplicativeSchwarz(op, 0)
         e = np.zeros(N)
         e[i] = 1.0
         M[:, i] = sm.smooth(op, e.reshape(f.shape), f, 2).ravel()

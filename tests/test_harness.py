@@ -8,13 +8,19 @@ import math
 import pytest
 
 from schwarzmg import cli, krylov, presets
-from schwarzmg.presets import (RunSpec, preset_grid, read_csv, records_to_csv,
+from schwarzmg.presets import (RunSpec, preset_grid, read_csv,
                                records_to_json, reference_rbar,
-                               rbar_tolerance, run_single)
+                               rbar_tolerance, run_single, write_csv)
 
 FAST_SPEC = RunSpec(solver="mg", smoother="add", weight="w5", p=4,
                     n_x=4, n_y=4, overlap_rule="fixed:1",
                     tol=1e4, max_cycles=30)
+
+
+def records_to_csv(records):
+    buf = io.StringIO()
+    write_csv(records, buf)
+    return buf.getvalue()
 
 
 def test_run_single_record_fields():
@@ -71,7 +77,7 @@ def test_records_carry_breakdown():
 
 def test_run_single_records_an_mgcg_breakdown(monkeypatch):
     # A zero correction gives p^T A p = 0: MGCG stops with a breakdown.
-    monkeypatch.setattr(krylov, "v_cycle", lambda h, r: 0.0 * r)
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle: 0.0 * r)
     rec = run_single(dataclasses.replace(FAST_SPEC, solver="mgcg"), seed=1)
     assert rec.breakdown and not rec.converged
 
@@ -183,7 +189,8 @@ def test_cli_bad_order_is_one_line_error(capsys):
                                   ["--ar", "nan"],
                                   ["--nu-hat", "0.5", "--nu-shift", "nan"],
                                   ["--pre", "-1"], ["--post", "-1"],
-                                  ["--tol", "inf"]])
+                                  ["--tol", "inf"],
+                                  ["--p", "4", "--overlap", "fixed:-2"]])
 def test_cli_bad_values_are_one_line_errors(capsys, args):
     rc = cli.main(["solve", "--p", "2", "--nel", "4", *args])
     err = capsys.readouterr().err

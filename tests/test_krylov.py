@@ -65,7 +65,7 @@ def test_mgcg_stops_with_breakdown_when_z_is_orthogonal_to_r(monkeypatch):
     f[:, ::2] = 0.0
     z = np.zeros_like(f)
     z[:, ::2] = rng.standard_normal((16, 8))
-    monkeypatch.setattr(krylov, "v_cycle", lambda h, r: z.copy())
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle: z.copy())
     cfg = SolveConfig(solver="mgcg", tol_reduction=1e10, max_cycles=10)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -97,12 +97,48 @@ def test_solutions_match_manufactured_field():
 @pytest.mark.parametrize("solver", ["mg", "mgcg"])
 @pytest.mark.parametrize("smoother", ["add", "mult"])
 def test_same_seed_reproduces_residual_history(solver, smoother):
+    # Two solves on one hierarchy, nothing reset in between. At p=8 with
+    # one pre-sweep per level a cycle has 3 sweeps, so a sweep count kept
+    # across solves would start the second one on the other parity.
     h, f, _ = _problem(smoother=smoother)
     cfg = SolveConfig(solver=solver, tol_reduction=1e8, max_cycles=40, seed=5)
-    _, rep1 = solve(h, f, cfg)
-    _, rep2 = solve(h, f, cfg)
+    u1, rep1 = solve(h, f, cfg)
+    u2, rep2 = solve(h, f, cfg)
     npt.assert_array_equal(rep1.residuals, rep2.residuals)
+    npt.assert_array_equal(u1, u2)
     assert rep1.cycles == rep2.cycles
+
+
+def test_every_solve_numbers_its_cycles_from_zero(monkeypatch):
+    seen, v_cycle = [], krylov.v_cycle
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle:
+                        seen.append(cycle) or v_cycle(h, r, cycle))
+    h, f, _ = _problem(p=4, smoother="mult")
+    cfg = SolveConfig(max_cycles=3, seed=1)
+    _, rep = solve(h, f, cfg)
+    solve(h, f, cfg)
+    assert seen == 2 * list(range(rep.cycles)) and rep.cycles == 3
+
+
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+def test_a_solve_rebinds_no_hierarchy_attribute(smoother):
+    # The hierarchy, its levels, operators and smoothers hold no solve
+    # state: a solve rebinds none of their attributes and changes none of
+    # their arrays. Only the hierarchy's coarse-cap tally counts on.
+    h, f, _ = _problem(p=4, smoother=smoother)
+    owners = [h] + [o for lv in h.levels for o in (lv, lv.op, lv.smoother)
+                    if o is not None]
+    before = [(o, dict(vars(o))) for o in owners]
+    copies = [{k: v.copy() for k, v in attrs.items()
+               if isinstance(v, np.ndarray)} for _, attrs in before]
+    solve(h, f, SolveConfig(solver="mgcg", max_cycles=3, seed=1))
+    for (o, attrs), arrays in zip(before, copies):
+        now = dict(vars(o))
+        if o is h:
+            del now["coarse_cg_exhausted"], attrs["coarse_cg_exhausted"]
+        assert now.keys() == attrs.keys()
+        assert all(now[k] is v for k, v in attrs.items()), type(o).__name__
+        assert all(np.array_equal(now[k], v) for k, v in arrays.items())
 
 
 def test_cycle_cap_is_respected():
@@ -155,16 +191,16 @@ def test_mgcg_is_textbook_flexible_cg():
     A = h.top.op.apply
     x = random_initial_guess(h, cfg.seed)
     r = f - A(x)
-    z = v_cycle(h, r)
+    z = v_cycle(h, r, 0)
     p = z
     res = [np.linalg.norm(r)]
-    for _ in range(rep.cycles):
+    for c in range(1, rep.cycles + 1):
         q = A(p)
         alpha = np.vdot(z, r) / np.vdot(p, q)
         x = x + alpha * p
         r_new = r - alpha * q
         res.append(np.linalg.norm(r_new))
-        z_new = v_cycle(h, r_new)
+        z_new = v_cycle(h, r_new, c)
         beta = np.vdot(z_new, r_new - r) / np.vdot(z, r)
         p = z_new + beta * p
         r, z = r_new, z_new
@@ -183,7 +219,7 @@ def test_solve_stops_at_the_first_non_finite_residual(solver, scale,
     # norm overflows to inf.
     rng = np.random.default_rng(5)
     monkeypatch.setattr(krylov, "v_cycle",
-                        lambda h, r: scale * rng.standard_normal(r.shape))
+                        lambda h, r, cycle: scale * rng.standard_normal(r.shape))
     h, f, _ = _problem(p=4, n=4)
     _, rep = solve(h, f, SolveConfig(solver=solver, max_cycles=50, seed=1))
     assert not rep.converged

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for
@@ -30,8 +32,12 @@ def test_overlap_rule_layers():
 def test_overlap_rule_parse():
     assert OverlapRule.parse("fixed:3") == OverlapRule("fixed", 3)
     assert OverlapRule.parse("ceilp8") == OverlapRule("ceilp8")
+    assert OverlapRule.parse("fixed:0").layers(4) == 0
     with pytest.raises(ValueError):
         OverlapRule.parse("fixed")
+    for bad in ("fixed:-1", "fixed:-2"):
+        with pytest.raises(ValueError, match="overlap layer count"):
+            OverlapRule.parse(bad)
 
 
 def test_build_hierarchy_levels_and_orders():
@@ -158,17 +164,69 @@ def test_v_cycle_reduces_residual(smoother):
     assert r1 < 0.2 * np.linalg.norm(r)
 
 
-def test_mult_hierarchy_shares_one_sweep_counter():
+def test_v_cycle_numbers_its_sweeps_in_the_order_they_run():
+    # p=8 with two pre- and one post-sweep per level: 9 sweeps per cycle,
+    # so cycle 1 numbers its sweeps 9 ... 17, top level down and back up.
     mesh = MeshConfig(4, 4)
-    h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother="mult")
-    counters = {id(lv.smoother.counter) for lv in h.levels[1:]}
-    assert counters == {id(h.sweep_counter)}
+    h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother="mult",
+                        n_pre=2, n_post=1)
     f, _ = poisson_benchmark(mesh, h.top.basis)
-    v_cycle(h, f)
-    # One pre-smoothing sweep per non-coarse level.
-    assert h.sweep_counter.i == h.depth
-    h.reset_smoothers()
-    assert h.sweep_counter.i == 0
+    seen = []
+    for lv in h.levels[1:]:
+        lv.smoother.smooth = (
+            lambda op, u, f, n_it, first, smooth=lv.smoother.smooth:
+            seen.append((op.basis.p, n_it, first)) or smooth(op, u, f, n_it,
+                                                             first))
+    v_cycle(h, f, 1)
+    assert seen == [(8, 2, 9), (4, 2, 11), (2, 2, 13),
+                    (2, 1, 15), (4, 1, 16), (8, 1, 17)]
+
+
+@pytest.mark.parametrize("n_post, odd", [(0, True), (1, False)])
+def test_v_cycle_depends_on_the_cycle_through_the_sweep_parity(n_post, odd):
+    # p=8 with one pre-sweep per level has 3 sweeps per cycle: cycles of
+    # equal parity start on the same sweep direction, neighbours do not.
+    # With one post-sweep as well (6 sweeps) every cycle starts forward.
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother="mult",
+                        n_post=n_post)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    e = v_cycle(h, f, 1)
+    assert np.array_equal(v_cycle(h, f, 3), e)
+    assert np.array_equal(v_cycle(h, f, 0), v_cycle(h, f))
+    assert np.array_equal(v_cycle(h, f, 2), e) != odd
+
+
+@st.composite
+def _v_cycle_case(draw):
+    p = draw(st.sampled_from([2, 4, 8]))
+    n_x, n_y = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n_o = draw(st.integers(0, p - 1))
+    # Every level's subdomain window must fit in the mesh.
+    assume(all(p_l + 1 + 2 * min(n_o, p_l - 1) <= p_l * min(n_x, n_y)
+               for p_l in (2, 4, 8) if p_l <= p))
+    return (p, n_x, n_y, n_o, draw(st.sampled_from([0.25, 1.0, 3.0])),
+            draw(st.sampled_from(["add", "mult"])),
+            draw(st.sampled_from([None, 0.5])), draw(st.integers(0, 3)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_v_cycle_case())
+def test_v_cycle_is_linear_in_the_residual(case):
+    p, n_x, n_y, n_o, ar, smoother, nu_hat, cycle, seed = case
+    mesh = MeshConfig(n_x, n_y, l_x=2.0 * ar, l_y=2.0)
+    h = build_hierarchy(mesh, p, OverlapRule("fixed", n_o), smoother=smoother,
+                        n_post=1, nu_hat=nu_hat)
+    rng = np.random.default_rng(seed)
+    lay = h.top.op.layout
+    r1, r2 = rng.standard_normal((2, lay.N_y, lay.N_x))
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    got = v_cycle(h, a * r1 + b * r2, cycle)
+    want = a * v_cycle(h, r1, cycle) + b * v_cycle(h, r2, cycle)
+    # The coarse CG stops at a relative residual of 1e-12, so the cycle is
+    # linear only to about that accuracy.
+    npt.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
 
 def test_diffusion_hierarchy_v_cycle():
@@ -196,7 +254,6 @@ def test_v_cycle_changes_no_argument_and_keeps_no_state(smoother):
     assert np.array_equal(r, r_copy)
     assert all(v is not e and v is not r
                for lv in h.levels for v in vars(lv).values())
-    h.reset_smoothers()
     assert np.array_equal(v_cycle(h, r), e)
 
 

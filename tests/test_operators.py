@@ -88,8 +88,10 @@ def test_element_kernel_matches_dense_single_element_block():
     basis = gll_basis(3)
     op = PoissonOperator(basis, mesh)
     block = np.random.default_rng(23).standard_normal((4, 4))
-    want = (np.diag(op.mass_y) @ block @ op.stiff_x
-            + op.stiff_y @ block @ np.diag(op.mass_x))
+    mass_x = (mesh.dx / 2.0) * basis.weights
+    mass_y = (mesh.dy / 2.0) * basis.weights
+    want = (np.diag(mass_y) @ block @ op.stiff_x
+            + op.stiff_y @ block @ np.diag(mass_x))
     npt.assert_allclose(op.element_kernel(block), want, atol=1e-13)
 
 

@@ -10,8 +10,8 @@ from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, diffusivity_field,
                                  poisson_benchmark)
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
-                               SweepCounter, WeightKind, build_fast_diag,
-                               build_weight_1d, restricted_1d, weight_value)
+                               WeightKind, build_fast_diag, build_weight_1d,
+                               restricted_1d, weight_value)
 
 ALL_KINDS = list(WeightKind)
 
@@ -164,13 +164,13 @@ def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o,
 
 
 def _naive_multiplicative(basis, layout, mesh, op, u, f, n_it, n_o,
-                          first_sweep=1, nu_bar=None):
+                          first_sweep=0, nu_bar=None):
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
     m = layout.p + 1 + 2 * n_o
     order = [(divmod(k, layout.n_x), w)
              for k, w in enumerate(_subdomain_windows(layout, n_o))]
     for i in range(first_sweep, first_sweep + n_it):
-        seq = order if i % 2 == 1 else order[::-1]
+        seq = order if i % 2 == 0 else order[::-1]
         for (e_y, e_x), (iy, ix) in seq:
             # Reference implementation: full residual before every solve.
             r = f - op.apply(u)
@@ -268,7 +268,6 @@ def test_multiplicative_smoother_from_none_equals_from_zeros(problem):
     _, f = _random_fields(layout)
     sm = MultiplicativeSchwarz(op, 2)
     want = sm.smooth(op, layout.zeros(), f, 3)
-    sm.counter.reset()
     npt.assert_array_equal(sm.smooth(op, None, f, 3), want)
 
 
@@ -289,7 +288,6 @@ def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
     f = layout.zeros()
     M = np.zeros((layout.size, layout.size))
     for i in range(layout.size):
-        sm.counter.reset()
         e = np.zeros(layout.size)
         e[i] = 1.0
         M[:, i] = sm.smooth(op, e.reshape(f.shape), f, 2).ravel()
@@ -297,31 +295,37 @@ def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
     assert np.abs(AM - AM.T).max() / np.abs(AM).max() < 1e-11
 
 
-def test_multiplicative_parity_persists_across_calls():
-    # The third sweep overall traverses forward again; a second smooth()
-    # call must continue the count rather than restart it.
+def test_multiplicative_sweeps_numbered_across_calls():
+    # Sweep 0 then sweep 1, in two calls, are the forward and the reversed
+    # sweep of one two-sweep call.
     mesh, basis, layout, op, f, u0 = _setup()
     sm = MultiplicativeSchwarz(op, 1)
-    u = sm.smooth(op, u0.copy(), f, 1)
-    u = sm.smooth(op, u, f, 1)
+    u = sm.smooth(op, u0.copy(), f, 1, 0)
+    u = sm.smooth(op, u, f, 1, 1)
+    npt.assert_array_equal(u, sm.smooth(op, u0.copy(), f, 2))
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1)
     npt.assert_allclose(u, want, atol=1e-11)
-    assert sm.counter.i == 2
-    sm.counter.reset()
-    assert sm.counter.i == 0
 
 
-def test_multiplicative_shared_counter():
+@pytest.mark.parametrize("first", [1, 2, 5])
+def test_multiplicative_first_sweep_sets_the_direction(first):
+    # Odd-numbered sweeps traverse reversed, even-numbered ones forward,
+    # and the smoother keeps nothing between calls.
     mesh, basis, layout, op, f, u0 = _setup()
-    shared = SweepCounter()
-    sm1 = MultiplicativeSchwarz(op, 1, counter=shared)
-    sm2 = MultiplicativeSchwarz(op, 1, counter=shared)
-    sm1.smooth(op, u0.copy(), f, 1)
-    # The second smoother sees an even sweep count and traverses reversed.
-    got = sm2.smooth(op, u0.copy(), f, 1)
-    want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 1, 1,
-                                 first_sweep=2)
+    sm = MultiplicativeSchwarz(op, 1)
+    got = sm.smooth(op, u0.copy(), f, 2, first)
+    want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1,
+                                 first_sweep=first)
     npt.assert_allclose(got, want, atol=1e-11)
+    npt.assert_array_equal(sm.smooth(op, u0.copy(), f, 2, first), got)
+    npt.assert_array_equal(sm.smooth(op, u0.copy(), f, 2, first % 2), got)
+
+
+def test_additive_smoother_ignores_the_sweep_number():
+    mesh, basis, layout, op, f, u0 = _setup()
+    sm = AdditiveSchwarz(op, 1, WeightKind.QUINTIC)
+    npt.assert_array_equal(sm.smooth(op, u0.copy(), f, 2, 1),
+                           sm.smooth(op, u0.copy(), f, 2))
 
 
 @pytest.mark.parametrize("smoother_cls", [AdditiveSchwarz, MultiplicativeSchwarz])
@@ -344,8 +348,6 @@ def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
     else:
         sm = smoother_cls(op, 1)
     want = sm.smooth(op, layout.zeros(), f, 2)
-    if smoother_cls is MultiplicativeSchwarz:
-        sm.counter.reset()
     apply, calls = op.apply, []
     op.apply = lambda u: calls.append(1) or apply(u)
     f_copy = f.copy()

@@ -101,8 +101,9 @@ def _cmd_table(args) -> int:
             verdict = "pass" if row["passed"] else "FAIL"
             line += f" (published {row['reference_rbar']:.4g}, {verdict})"
         print(line)
-    # Cells without a published rate have passed=None and fail nothing.
-    return 2 if any(row["passed"] is False for row in summary) else 0
+    # Any unconverged record fails; so does a missed published rate.
+    failed = any(row["passed"] is False for row in summary)
+    return 2 if failed or not all(r.converged for r in records) else 0
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,8 @@ index windows with modular wrap; no DOF indirection tables are needed.
 Global coefficients live in a single dense (N_y, N_x) array, row-major by
 y then x, with N_x = p * n_x unique nodes per direction. Every periodic
 node index comes from ``periodic_windows``, and ``fold_windows`` sums
-window values back onto the nodes, one direction at a time.
+window values back onto the nodes, one direction at a time; the two are
+the one gather/fold of every operator apply, smoother sweep and transfer.
 """
 
 from dataclasses import dataclass
@@ -101,30 +102,18 @@ def fold_windows(w: np.ndarray, axis: int, p: int, n_o: int = 0) -> np.ndarray:
     return out.reshape(w.shape[:axis - 1] + (n * p,) + w.shape[axis + 1:])
 
 
-def all_element_windows(layout: FieldLayout, n_o: int = 0):
-    """Broadcastable gather indices and flat scatter indices for every element.
-
-    Returns (gy, gx, flat) where values[gy, gx] yields an array of shape
-    (n_y, n_x, m, m) with m = p + 1 + 2*n_o, and ``flat`` are the raveled
-    global indices for bincount-style scatter-add.
-    """
-    gy = periodic_windows(layout.p, layout.n_y, n_o)[:, None, :, None]
-    gx = periodic_windows(layout.p, layout.n_x, n_o)[None, :, None, :]
-    return gy, gx, np.ascontiguousarray(gy * layout.N_x + gx)
-
-
 def scatter_blocks(flat: np.ndarray, blocks: np.ndarray,
                    layout: FieldLayout) -> np.ndarray:
-    """Scatter-add per-element blocks into a global array via bincount."""
-    return np.bincount(flat.ravel(), weights=blocks.ravel(),
-                       minlength=layout.size).reshape(layout.N_y, layout.N_x)
+    """Scatter-add blocks onto the nodes at raveled indices ``flat``; no
+    solver path calls it (bench/layers.py wraps it by name)."""
+    out = np.zeros(layout.size)
+    np.add.at(out, flat.ravel(), blocks.ravel())
+    return out.reshape(layout.N_y, layout.N_x)
 
 
 def _global_mass(basis: Basis1D, n: int, d: float) -> np.ndarray:
     """Assembled periodic global 1D mass diagonal (the quadrature weights)."""
-    idx = periodic_windows(basis.p, n)
-    return np.bincount(idx.ravel(), weights=np.tile((d / 2.0) * basis.weights, n),
-                       minlength=basis.p * n)
+    return fold_windows(np.tile((d / 2.0) * basis.weights, (n, 1)), 1, basis.p)
 
 
 def _global_1d(basis: Basis1D, n: int, d: float):

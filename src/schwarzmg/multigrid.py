@@ -93,13 +93,13 @@ class Level:
 
 class MultigridHierarchy:
     def __init__(self, mesh: MeshConfig, levels: list[Level],
-                 coarse_symbol: np.ndarray, coarse_tol: float = 1e-12):
+                 coarse_symbol: np.ndarray):
         self.mesh = mesh
         self.levels = levels
         # rfft2 eigenvalues of the coarse preconditioner's operator; the
         # constant mode is inf, so the preconditioner is mean-free.
         self.coarse_symbol = coarse_symbol
-        self.coarse_tol = coarse_tol
+        self.coarse_tol = 1e-12  # relative residual at which coarse CG stops
         self.coarse_cg_exhausted = 0
 
     @property
@@ -128,8 +128,8 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
                     smoother: str = "add",
                     weight: WeightKind = WeightKind.QUINTIC,
                     n_pre: int = 1, n_post: int = 0, variable: bool = False,
-                    nu_hat: float | None = None, nu_shift: float = 0.2,
-                    coarse_tol: float = 1e-12) -> MultigridHierarchy:
+                    nu_hat: float | None = None,
+                    nu_shift: float = 0.2) -> MultigridHierarchy:
     """Construct all levels, smoothers and transfer operators.
 
     ``nu_hat = None`` builds the Poisson hierarchy; otherwise every level
@@ -169,7 +169,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         symbol = _fft_symbol(lv0.op)
     else:
         symbol = lv0.op.nu.mean() * _fft_symbol(PoissonOperator(lv0.basis, mesh))
-    return MultigridHierarchy(mesh, levels, symbol, coarse_tol=coarse_tol)
+    return MultigridHierarchy(mesh, levels, symbol)
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:

@@ -4,24 +4,22 @@ The Poisson operator realizes A = M_y (x) L_x + L_y (x) M_x assembled over
 the periodic element grid, applied as one 1D pass per direction (element
 stiffness on the gathered windows, folded onto the nodes, times the
 assembled mass). The diffusion operator realizes the weak-form Galerkin
-discretization of -div(nu grad u) with GLL-collocated quadrature; it
-applies element kernels by sum factorization and scatter-adds the blocks.
-Both operators expose their element operator as one ``WeakForm`` (for
-Poisson, nu = 1), which the multiplicative Schwarz sweep works from.
+discretization of -div(nu grad u) with GLL-collocated quadrature, applied
+the same way, with nu w times the assembled weight of the other direction
+between the derivative and the test derivative. The nodal nu (None for
+Poisson) is the only stored diffusivity.
 
 Dense assembly routines are included as independent test oracles.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import Basis1D
+# Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
 from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
-                   all_element_windows, fold_windows, layout_for,
-                   periodic_windows, scatter_blocks)
+                   fold_windows, layout_for, periodic_windows, scatter_blocks)
 
-__all__ = ["WeakForm", "PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
+__all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
            "load_vector", "dense_poisson_matrix", "dense_diffusion_matrix"]
 
@@ -32,44 +30,29 @@ def _check_layout(layout: FieldLayout, u: np.ndarray):
                          f"({layout.N_y}, {layout.N_x})")
 
 
-@dataclass(frozen=True, eq=False)
-class WeakForm:
-    """Element operator of -div(nu grad u) in weak form, GLL-collocated.
+def _nu_w(op, e_x, e_y) -> np.ndarray:
+    """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x), whose
+    indices may be broadcastable arrays; nu = 1 when ``op.nu`` is None."""
+    w2 = np.outer(op.basis.weights, op.basis.weights)
+    if op.nu is None:
+        return w2
+    return op.nu[op._wy[e_y][..., :, None], op._wx[e_x][..., None, :]] * w2
 
-    On a (y, x) element block u, A_e u = c_x (nu_w * (u D^T)) D
-    + c_y D^T (nu_w * (D u)), with D the 1D derivative matrix, nu_w the
-    element's nu times the quadrature weights w (x) w, shape
-    (n_y, n_x, p+1, p+1) over all elements, c_x = dy/dx and c_y = dx/dy
-    (the (2/d) derivative, (dx/2)(dy/2) quadrature and (2/d) test-gradient
-    scalings combined).
-    """
 
-    nu_w: np.ndarray
-    c_x: float
-    c_y: float
-    diff: np.ndarray
-
-    @classmethod
-    def build(cls, basis: Basis1D, mesh: MeshConfig,
-              nu_blocks: np.ndarray | None = None) -> "WeakForm":
-        """Factors for the per-element nodal diffusivity blocks
-        ``nu_blocks``; None is nu = 1 (Poisson)."""
-        w2 = np.outer(basis.weights, basis.weights)
-        if nu_blocks is None:
-            nu_w = np.broadcast_to(w2, (mesh.n_y, mesh.n_x) + w2.shape)
-        else:
-            nu_w = nu_blocks * w2
-        return cls(nu_w, mesh.dy / mesh.dx, mesh.dx / mesh.dy, basis.diff)
-
-    def kernel(self, blocks: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
-        """A_e on a batch of element blocks with their ``nu_w`` factors."""
-        d = self.diff
-        return (self.c_x * ((nu_w * (blocks @ d.T)) @ d)
-                + self.c_y * (d.T @ (nu_w * (d @ blocks))))
+def _element_kernel(op, blocks, e_x, e_y) -> np.ndarray:
+    """Weak-form element operator of -div(nu grad u) on (y, x) blocks u:
+    A_e u = c_x (nu_w * (u D^T)) D + c_y D^T (nu_w * (D u)), with D the 1D
+    derivative matrix, nu_w = nu (w (x) w), c_x = dy/dx and c_y = dx/dy (the
+    2/d derivative and test gradient times the (dx/2)(dy/2) quadrature)."""
+    d, nu_w, mesh = op.basis.diff, _nu_w(op, e_x, e_y), op.mesh
+    return (mesh.dy / mesh.dx * ((nu_w * (blocks @ d.T)) @ d)
+            + mesh.dx / mesh.dy * (d.T @ (nu_w * (d @ blocks))))
 
 
 class PoissonOperator:
     """Global Poisson operator on one polynomial level of a periodic mesh."""
+
+    nu = None  # unit diffusivity
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig):
         self.basis = basis
@@ -81,11 +64,10 @@ class PoissonOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
         self._global_mass_x = _global_mass(basis, mesh.n_x, mesh.dx)
         self._global_mass_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
-        self.weak_form = WeakForm.build(basis, mesh)
 
     def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
         """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
-        return self.weak_form.kernel(block, self.weak_form.nu_w[e_y, e_x])
+        return _element_kernel(self, block, e_x, e_y)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
@@ -109,24 +91,35 @@ class DiffusionOperator:
         if np.any(nu <= 0.0):
             raise ValueError("diffusivity must be positive at every node")
         self.nu = nu
-        self._gy, self._gx, self._flat = all_element_windows(self.layout)
-        self.weak_form = WeakForm.build(basis, mesh, nu[self._gy, self._gx])
+        self._wx = periodic_windows(basis.p, mesh.n_x)
+        self._wy = periodic_windows(basis.p, mesh.n_y)
+        # Per direction, nu w on the windows times the other direction's
+        # assembled mass and (2/d)^2 (d/2) for the derivative, test gradient
+        # and quadrature along it: shapes (N_y, n_x, p+1), (n_y, p+1, N_x).
+        w = basis.weights
+        self._fx = ((2.0 / mesh.dx) * np.take(nu, self._wx, 1) * w
+                    * _global_mass(basis, mesh.n_y, mesh.dy)[:, None, None])
+        self._fy = ((2.0 / mesh.dy) * np.take(nu, self._wy, 0) * w[:, None]
+                    * _global_mass(basis, mesh.n_x, mesh.dx))
 
     def element_kernel(self, block: np.ndarray, e_x, e_y):
         """Element operator on the block(s) of element(s) (e_y, e_x); the
         indices may be broadcastable arrays over a batch of blocks."""
-        return self.weak_form.kernel(block, self.weak_form.nu_w[e_y, e_x])
+        return _element_kernel(self, block, e_x, e_y)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        wf = self.weak_form
-        return scatter_blocks(self._flat,
-                              wf.kernel(u[self._gy, self._gx], wf.nu_w),
-                              self.layout)
+        p, d = self.basis.p, self.basis.diff
+        out = fold_windows(((np.take(u, self._wx, 1) @ d.T) * self._fx) @ d,
+                           2, p)
+        out += fold_windows(d.T @ (self._fy * (d @ np.take(u, self._wy, 0))),
+                            1, p)
+        return out
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""
-        return self.weak_form.nu_w.sum(axis=(2, 3)) / 4.0
+        e_y, e_x = np.ogrid[:self.mesh.n_y, :self.mesh.n_x]
+        return _nu_w(self, e_x, e_y).sum(axis=(2, 3)) / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -134,11 +127,11 @@ class DiffusionOperator:
 
 
 def nodal_coordinates(mesh: MeshConfig, basis: Basis1D):
-    """Global node coordinates (X, Y), each of shape (N_y, N_x)."""
+    """Global node coordinates (X, Y), (1, N_x) and (N_y, 1): a sparse grid."""
     t = (basis.nodes[:-1] + 1) / 2
     x = (np.arange(mesh.n_x)[:, None] + t).ravel() * mesh.dx
     y = (np.arange(mesh.n_y)[:, None] + t).ravel() * mesh.dy
-    return np.meshgrid(x, y)
+    return np.meshgrid(x, y, sparse=True)
 
 
 def _global_quadrature(mesh: MeshConfig, basis: Basis1D):
@@ -229,7 +222,8 @@ def dense_diffusion_matrix(basis: Basis1D, mesh: MeshConfig,
                            nu: np.ndarray) -> np.ndarray:
     """Element-by-element dense assembly of the variable-diffusion operator."""
     layout = layout_for(mesh, basis.p)
-    iy, ix, flat = all_element_windows(layout)
+    iy = periodic_windows(basis.p, mesh.n_y)[:, None, :, None]
+    ix = periodic_windows(basis.p, mesh.n_x)[None, :, None, :]
     m2 = (basis.p + 1) ** 2
     eye = np.eye(basis.p + 1)
     gx = np.kron(eye, basis.diff)   # d/dxi on vec(y slow, x fast)
@@ -240,7 +234,7 @@ def dense_diffusion_matrix(basis: Basis1D, mesh: MeshConfig,
     cx = mesh.dy / mesh.dx
     cy = mesh.dx / mesh.dy
     k = cx * gx.T @ (wnu * gx) + cy * gy.T @ (wnu * gy)
-    idx = flat.reshape(-1, m2)
+    idx = (iy * layout.N_x + ix).reshape(-1, m2)
     A = np.zeros((layout.size, layout.size))
     np.add.at(A, (idx[:, :, None], idx[:, None, :]), k)
     return A

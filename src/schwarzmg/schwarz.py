@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import Basis1D, overlap_width
 from .mesh import _global_1d, fold_windows, periodic_windows
-from .operators import DiffusionOperator, _check_layout
+from .operators import _check_layout
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
@@ -176,7 +176,7 @@ def _subdomain_solver(op, n_o: int) -> FastDiagSolver:
 
 def _mean_nu(op) -> np.ndarray | None:
     """Per-element mean diffusivity scaling the local solves (None: Poisson)."""
-    return op.element_mean_nu() if isinstance(op, DiffusionOperator) else None
+    return None if op.nu is None else op.element_mean_nu()
 
 
 def _window_transform(r, wx, wy, S_x, S_yT) -> np.ndarray:
@@ -248,22 +248,23 @@ class MultiplicativeSchwarz:
 
     Each call transforms every window of f once, f_hat = S_y^T f_w S_x.
     With U the iterate on the 3x3 elements around the owner in
-    element-block layout and NW their ``WeakForm.nu_w``, subdomain s takes
+    element-block layout and NW their nu (w (x) w), subdomain s takes
 
         z = f_hat_s - A_y (NW * U D^T) B_x - B_y (NW * D U) A_x,
         du = S_y (z / (nu_bar_s (lam_y + lam_x))) S_x^T,
 
     with D per element block and the level-constant A_y = S_y^T F,
-    B_y = c_y S_y^T F D^T, A_x = F^T S_x and B_x = c_x D F^T S_x, F the
-    0/1 fold of the patch onto the window.  F reaches only the patch rows
-    (and columns) in the window, so only those rows of U D^T and, for the
-    y term taken transposed, of U^T D^T are formed.
+    B_y = c_y S_y^T F D^T, A_x = F^T S_x and B_x = c_x D F^T S_x (c_x =
+    dy/dx, c_y = dx/dy), F the 0/1 fold of the patch onto the window.  F
+    reaches only the patch rows (and columns) in the window, so only those
+    rows of U D^T and, for the y term taken transposed, of U^T D^T are
+    formed.
     """
 
     def __init__(self, op, n_o: int):
         solver = _subdomain_solver(op, n_o)
         self.layout = lay = op.layout
-        wf = op.weak_form
+        d, dx, dy = op.basis.diff, op.mesh.dx, op.mesh.dy
         p, p1 = lay.p, lay.p + 1
         self._wy = periodic_windows(p, lay.n_y, n_o)
         self._wx = periodic_windows(p, lay.n_x, n_o)
@@ -272,21 +273,23 @@ class MultiplicativeSchwarz:
         local = (np.arange(3)[:, None] * p + np.arange(p1)).ravel()
         self._py = periodic_windows(p, lay.n_y, p)[:, local] * lay.N_x
         self._px = periodic_windows(p, lay.n_x, p)[:, local]
-        # nu_w in node layout, gathered with the iterate's patch indices:
-        # an element's weight at local node i is w[i mod p] (w_0 = w_p).
-        self._nu_w = wf.nu_w[:, :, :p, :p].transpose(0, 2, 1, 3).reshape(-1)
+        # nu (w (x) w) in node layout, gathered with the iterate's patch
+        # indices: an element's weight at local node i is w[i mod p] (w_0 = w_p).
+        w = op.basis.weights[:p]
+        nu_w = np.outer(np.tile(w, lay.n_y), np.tile(w, lay.n_x))
+        self._nu_w = (nu_w if op.nu is None else op.nu * nu_w).reshape(-1)
         # The patch rows in the window: the last n_o + 1 of block e-1,
         # block e and the first n_o + 1 of block e+1.
         self._rows = rows = slice(p - n_o, 2 * p + n_o + 3)
-        self._dT = wf.diff.T
+        self._dT = d.T
         fold = (local == np.arange(p - n_o, 2 * p + n_o + 1)[:, None]) * 1.0
         m = len(fold)
         F_Sx, F_Sy = fold.T @ solver.S_x, fold.T @ solver.S_y
         # A_y and A_x^T on the window rows; B_x and B_y^T = c_y D F^T S_y.
         self._left = np.stack([F_Sy[rows].T, F_Sx[rows].T])
         self._right = np.stack(
-            [c * (wf.diff @ FS.reshape(3, p1, m)).reshape(-1, m)
-             for c, FS in ((wf.c_x, F_Sx), (wf.c_y, F_Sy))])
+            [c * (d @ FS.reshape(3, p1, m)).reshape(-1, m)
+             for c, FS in ((dy / dx, F_Sx), (dx / dy, F_Sy))])
         self._S_x, self._S_yT = solver.S_x, solver.S_y.T
         self._S_y, self._S_xT = solver.S_y, solver.S_x.T
         # Inverse eigenvalues, and per subdomain the inverse of the owner's

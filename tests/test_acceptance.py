@@ -105,6 +105,25 @@ def test_multiplicative_column_rates_are_pinned_at_seed_1(table):
     assert got == MULT_SEED1_RBAR[table]
 
 
+# Seed-1 rates of the diffusion presets, in grid order, to 4 significant
+# digits. The figures have no published values in this repository, so
+# these pins are what guards the diffusion operator and its smoothers.
+DIFFUSION_SEED1_RBAR = {
+    "fig3-diffusion": [2.28, 2.382, 2.233, 2.333, 2.157, 2.263, 2.054, 2.185,
+                       1.844, 2.085, 1.596, 1.899, 1.358, 1.716, 1.126, 1.504,
+                       0.8514, 1.257, 0.5339, 0.9555],
+    "fig4-diffusion-ar": [1.512, 0.8669, 0.3293, 1.895, 1.669, 0.8189, 1.546,
+                          0.8491, 0.1709, 1.873, 1.672, 0.8477]}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFUSION_SEED1_RBAR))
+def test_diffusion_preset_rates_are_pinned_at_seed_1(name):
+    records, _ = run_preset(name, [1])
+    assert all(r.converged for r in records)
+    got = [float(f"{r.rbar:.4g}") for r in records]
+    assert got == DIFFUSION_SEED1_RBAR[name]
+
+
 def test_criterion_03_mesh_robustness_p8():
     refs = {16: 1.30, 32: 1.29, 64: 1.29}
     rates = {}

@@ -274,3 +274,18 @@ def test_cli_table_exits_two_when_a_cell_misses_its_published_rate(
     # The CSV is written and every cell is reported before the exit.
     assert len(read_csv(io.StringIO(out.read_text()))) == 2
     assert text.count("FAIL") == 2
+
+
+def test_cli_table_exits_two_when_a_record_does_not_converge(
+        tmp_path, capsys, monkeypatch):
+    # fig3-diffusion has no published rates, so only convergence can fail it.
+    stuck = dataclasses.replace(FAST_SPEC, tol=1e10, max_cycles=1)
+    monkeypatch.setattr(presets, "preset_grid",
+                        lambda name, full=False: [FAST_SPEC, stuck])
+    out = tmp_path / "tiny.csv"
+    rc = cli.main(["table", "--name", "fig3-diffusion", "--seeds", "1",
+                   "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 2
+    records = read_csv(io.StringIO(out.read_text()))
+    assert [r.converged for r in records] == [True, False]

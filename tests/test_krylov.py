@@ -169,7 +169,8 @@ def test_report_counts_coarse_cap_hits_of_its_own_solve(solver):
     # A zero coarse tolerance can never be met, so every coarse solve
     # ends short of it.
     mesh = MeshConfig(3, 3)
-    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 0), coarse_tol=0.0)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 0))
+    h.coarse_tol = 0.0
     f, _ = poisson_benchmark(mesh, h.top.basis)
     _, first = solve(h, f, cfg)
     assert first.coarse_cg_exhausted > 0

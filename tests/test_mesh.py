@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis, interp_matrix
 from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d,
-                            all_element_windows, fold_windows, layout_for,
-                            periodic_windows, scatter_blocks)
+                            fold_windows, layout_for, periodic_windows,
+                            scatter_blocks)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
 from schwarzmg.operators import _global_quadrature
@@ -64,29 +64,13 @@ def test_element_indices_wrap_periodically():
     npt.assert_array_equal(periodic_windows(2, 3, n_o=1)[0], [5, 0, 1, 2, 3])
 
 
-@pytest.mark.parametrize("n_o", [0, 1, 2])
-def test_all_element_windows_match_per_element_indices(n_o):
-    rng = np.random.default_rng(5)
-    layout = FieldLayout(p=4, n_x=3, n_y=2)
-    v = rng.standard_normal((layout.N_y, layout.N_x))
-    gy, gx, flat = all_element_windows(layout, n_o)
-    blocks = v[gy, gx]
-    m = layout.p + 1 + 2 * n_o
-    assert blocks.shape == (2, 3, m, m)
-    wy = periodic_windows(layout.p, layout.n_y, n_o)
-    wx = periodic_windows(layout.p, layout.n_x, n_o)
-    for e_y, iy in enumerate(wy):
-        for e_x, ix in enumerate(wx):
-            npt.assert_array_equal(blocks[e_y, e_x], v[np.ix_(iy, ix)])
-            npt.assert_array_equal(
-                flat[e_y, e_x], iy[:, None] * layout.N_x + ix[None, :])
-
-
 def test_scatter_blocks_equals_add_at_loop():
     rng = np.random.default_rng(7)
     layout = FieldLayout(p=3, n_x=4, n_y=3)
     n_o = 1
-    gy, gx, flat = all_element_windows(layout, n_o)
+    gy = periodic_windows(layout.p, layout.n_y, n_o)[:, None, :, None]
+    gx = periodic_windows(layout.p, layout.n_x, n_o)[None, :, None, :]
+    flat = gy * layout.N_x + gx
     m = layout.p + 1 + 2 * n_o
     blocks = rng.standard_normal((3, 4, m, m))
     got = scatter_blocks(flat, blocks, layout)

@@ -12,14 +12,17 @@ from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  manufactured_rhs_diffusion, nodal_coordinates,
                                  poisson_benchmark, project_mean)
 
-MESHES = [MeshConfig(2, 2), MeshConfig(3, 2, l_x=3.0, l_y=2.0)]
+# The last mesh has dx != dy, so a swap of the x and y scalings shows.
+MESHES = [MeshConfig(2, 2), MeshConfig(3, 2, l_x=3.0, l_y=2.0),
+          MeshConfig(3, 2, l_x=1.5, l_y=2.0)]
+MESH_IDS = ["2x2", "3x2", "3x2-aniso"]
 
 
 def _random_nu(layout, rng):
     return 1.0 + 0.5 * rng.random((layout.N_y, layout.N_x))
 
 
-@pytest.mark.parametrize("mesh", MESHES, ids=["2x2", "3x2"])
+@pytest.mark.parametrize("mesh", MESHES, ids=MESH_IDS)
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
 def test_poisson_apply_matches_dense(mesh, p):
     rng = np.random.default_rng(11)
@@ -34,7 +37,7 @@ def test_poisson_apply_matches_dense(mesh, p):
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("mesh", MESHES, ids=["2x2", "3x2"])
+@pytest.mark.parametrize("mesh", MESHES, ids=MESH_IDS)
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_diffusion_apply_matches_dense(mesh, p):
     rng = np.random.default_rng(13)
@@ -107,7 +110,7 @@ def test_nodal_coordinates_cover_domain():
     mesh = MeshConfig(4, 2, l_x=2.0, l_y=2.0)
     basis = gll_basis(3)
     X, Y = nodal_coordinates(mesh, basis)
-    assert X.shape == (6, 12)
+    assert np.broadcast_shapes(X.shape, Y.shape) == (6, 12)
     assert X.min() == 0.0 and X.max() < 2.0
     assert Y.min() == 0.0 and Y.max() < 2.0
     npt.assert_allclose(np.diff(np.unique(X[0])).sum(), X[0].max())

@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from . import presets
 from .presets import RunSpec, preset_grid, run_preset, run_single
@@ -82,12 +83,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    records, summary = run_preset(args.name, seeds, full=args.full)
+    if not seeds:
+        raise ValueError("need at least one seed")
     out = args.out or f"{args.name}.csv"
-    with open(out, "w", newline="") as fh:
-        presets.write_csv(records, fh)
-    if args.format == "json":
-        with open(out.rsplit(".", 1)[0] + ".json", "w") as fh:
+    paths = [out] + [out.rsplit(".", 1)[0] + ".json"] * (args.format == "json")
+    with ExitStack() as stack:
+        # Open every output before the first cell runs, so an unwritable
+        # path fails at once instead of after the whole preset.
+        csv_fh, *json_fh = [stack.enter_context(open(path, "w", newline=""))
+                            for path in paths]
+        records, summary = run_preset(args.name, seeds, full=args.full)
+        presets.write_csv(records, csv_fh)
+        for fh in json_fh:
             fh.write(presets.records_to_json(records))
     print(f"wrote {len(records)} records to {out}")
     for row in summary:
@@ -112,8 +119,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_table(args)
-    except ValueError as exc:
-        # Bad input (order, overlap rule, tolerance, mesh too small).
+    except (ValueError, OSError) as exc:
+        # Bad input (order, overlap rule, tolerance, mesh too small) or an
+        # output file that cannot be written.
         print(f"schwarzmg: error: {exc}", file=sys.stderr)
         return 1
 

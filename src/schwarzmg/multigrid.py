@@ -11,7 +11,7 @@ periodic mesh the p = 1 Poisson operator is diagonalized by the 2D FFT
 preconditioner: exact for Poisson, scaled by the mean diffusivity for the
 diffusion problem. V-cycle c numbers its smoothing sweeps consecutively
 from c times the sweeps per cycle, through all levels in the order they
-run, so the multiplicative traversal direction follows from the cycle
+run, so the multiplicative colour order follows from the cycle
 index alone and the hierarchy holds no solve state.
 """
 
@@ -247,7 +247,7 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     Every level starts from e = 0, so its first sweep takes the level's
     right side as its residual. The sweeps are numbered in the order they
     run, from ``cycle`` times the sweeps per cycle, which sets the
-    multiplicative traversal direction. ``r`` is left unchanged, and the
+    multiplicative colour order. ``r`` is left unchanged, and the
     hierarchy keeps no field between calls.
     """
     L = h.depth

@@ -7,17 +7,16 @@ fast-diagonalization factorization per level suffices.  A smoother is
 built from its level's operator alone: the operator gives the basis, the
 layout and the element sizes, and for diffusion the per-element mean nu
 that scales each local solve (the local problem has unit diffusivity).
-The weighted additive sweep combines all local solves at once with a
-diagonal weight tensor W = W_y (x) W_x, folded into the back transform
-of the fast diagonalization (diag(w) S_y and S_x^T diag(w)) and applied
-one direction at a time.  The multiplicative sweep processes subdomains
-sequentially and reverses the traversal order on every odd-numbered sweep,
-so that an even number of consecutive sweeps is symmetric.  The caller
-numbers the sweeps; no smoother keeps state between calls.  It forms each
-subdomain's residual directly in the local eigenbasis, from f transformed
-once per call and the element-block derivatives of the iterate on the
-3x3 elements around the subdomain, through level-constant factors that
-absorb the fold onto the window; it never forms a node-space residual.
+Both sweeps gather the subdomain windows of a residual, transform them
+one direction at a time, scale by the inverse eigenvalues and fold the
+back-transformed windows onto the nodes.  The weighted additive sweep
+does so for all subdomains at once, with a diagonal weight tensor
+W = W_y (x) W_x folded into the back transform (diag(w) S_y and
+S_x^T diag(w)).  The multiplicative sweep does so one colour of
+non-neighbouring subdomains at a time, unweighted, with a fresh residual
+per colour, and reverses the colour order on every odd-numbered sweep so
+that an even number of consecutive sweeps is symmetric.  The caller
+numbers the sweeps; no smoother keeps state between calls.
 """
 
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ import numpy as np
 
 from .basis import Basis1D, overlap_width
 from .mesh import _global_1d, fold_windows, periodic_windows
-from .operators import _check_layout
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
@@ -227,74 +225,34 @@ class AdditiveSchwarz:
         return u
 
 
-def _patch_index(y, x, rows, out):
-    """Flat indices of the window rows of 3x3-element patches, each the sum
-    of the y offsets ``y`` and one row of the x offsets ``x`` per patch:
-    out[:, 0] holds the rows ``rows`` of the patch, out[:, 1] those of its
-    transpose (the window columns)."""
-    np.add(y[rows, None], x[:, None, :], out=out[:, 0])
-    np.add(y, x[:, rows, None], out=out[:, 1])
-    return out
+def _colour_classes(n: int) -> list[np.ndarray]:
+    """Classes of non-neighbours on a periodic ring of ``n`` elements: the
+    even indices, the odd ones and, on an odd ring, the last alone."""
+    classes = [np.arange(0, n - n % 2, 2), np.arange(1, n - n % 2, 2)]
+    return classes + [np.array([n - 1])] * (n % 2)
 
 
 class MultiplicativeSchwarz:
-    """Sequential Schwarz sweep with each residual formed in the local
-    eigenbasis.
-
-    Subdomains are traversed lexicographically by (e_y, e_x), forward on
-    even-numbered sweeps and reversed on odd-numbered ones, so an even
-    number of consecutive sweeps yields a symmetric linear operator.  The
-    caller numbers the sweeps (``smooth``'s ``first``).
-
-    Each call transforms every window of f once, f_hat = S_y^T f_w S_x.
-    With U the iterate on the 3x3 elements around the owner in
-    element-block layout and NW their nu (w (x) w), subdomain s takes
-
-        z = f_hat_s - A_y (NW * U D^T) B_x - B_y (NW * D U) A_x,
-        du = S_y (z / (nu_bar_s (lam_y + lam_x))) S_x^T,
-
-    with D per element block and the level-constant A_y = S_y^T F,
-    B_y = c_y S_y^T F D^T, A_x = F^T S_x and B_x = c_x D F^T S_x (c_x =
-    dy/dx, c_y = dx/dy), F the 0/1 fold of the patch onto the window.  F
-    reaches only the patch rows (and columns) in the window, so only those
-    rows of U D^T and, for the y term taken transposed, of U^T D^T are
-    formed.
-    """
+    """Multicolour multiplicative Schwarz sweep (Smith, Bjorstad & Gropp,
+    Domain Decomposition, 1996) over the products of the two directions'
+    ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on an odd one,
+    lexicographic by (y class, x class) on even-numbered sweeps and
+    reversed on odd-numbered ones.  The caller numbers the sweeps
+    (``smooth``'s ``first``)."""
 
     def __init__(self, op, n_o: int):
         solver = _subdomain_solver(op, n_o)
-        self.layout = lay = op.layout
-        d, dx, dy = op.basis.diff, op.mesh.dx, op.mesh.dy
-        p, p1 = lay.p, lay.p + 1
-        self._wy = periodic_windows(p, lay.n_y, n_o)
-        self._wx = periodic_windows(p, lay.n_x, n_o)
-        # Row e: nodes of the blocks (3, p+1) of the elements e-1, e, e+1,
-        # cut from the width-p window around e, as flat offsets into u.
-        local = (np.arange(3)[:, None] * p + np.arange(p1)).ravel()
-        self._py = periodic_windows(p, lay.n_y, p)[:, local] * lay.N_x
-        self._px = periodic_windows(p, lay.n_x, p)[:, local]
-        # nu (w (x) w) in node layout, gathered with the iterate's patch
-        # indices: an element's weight at local node i is w[i mod p] (w_0 = w_p).
-        w = op.basis.weights[:p]
-        nu_w = np.outer(np.tile(w, lay.n_y), np.tile(w, lay.n_x))
-        self._nu_w = (nu_w if op.nu is None else op.nu * nu_w).reshape(-1)
-        # The patch rows in the window: the last n_o + 1 of block e-1,
-        # block e and the first n_o + 1 of block e+1.
-        self._rows = rows = slice(p - n_o, 2 * p + n_o + 3)
-        self._dT = d.T
-        fold = (local == np.arange(p - n_o, 2 * p + n_o + 1)[:, None]) * 1.0
-        m = len(fold)
-        F_Sx, F_Sy = fold.T @ solver.S_x, fold.T @ solver.S_y
-        # A_y and A_x^T on the window rows; B_x and B_y^T = c_y D F^T S_y.
-        self._left = np.stack([F_Sy[rows].T, F_Sx[rows].T])
-        self._right = np.stack(
-            [c * (d @ FS.reshape(3, p1, m)).reshape(-1, m)
-             for c, FS in ((dy / dx, F_Sx), (dx / dy, F_Sy))])
+        lay = op.layout
+        self.p, self.n_o = lay.p, n_o
+        self._wx = periodic_windows(lay.p, lay.n_x, n_o)
+        self._wy = periodic_windows(lay.p, lay.n_y, n_o)
+        self._colours = [(c_y, c_x) for c_y in _colour_classes(lay.n_y)
+                         for c_x in _colour_classes(lay.n_x)]
         self._S_x, self._S_yT = solver.S_x, solver.S_y.T
         self._S_y, self._S_xT = solver.S_y, solver.S_x.T
-        # Inverse eigenvalues, and per subdomain the inverse of the owner's
-        # mean nu (1 for Poisson); their product is taken per row.
-        self._inv_lam = 1.0 / (solver.lam_y[:, None] + solver.lam_x)
+        # Inverse eigenvalues on axes (y, e_x, x), and per element the
+        # inverse of its mean nu (1 for Poisson).
+        self._inv_lam = 1.0 / (solver.lam_y[:, None, None] + solver.lam_x)
         nu_bar = _mean_nu(op)
         self._inv_nu = (np.ones((lay.n_y, lay.n_x)) if nu_bar is None
                         else 1.0 / nu_bar)
@@ -302,42 +260,25 @@ class MultiplicativeSchwarz:
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
                n_it: int, first: int = 0) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
-        ``u`` (C-contiguous) in place; ``u=None`` starts from zero."""
-        if not n_it:
-            return u
-        lay = self.layout
-        u = lay.zeros() if u is None else u
-        _check_layout(lay, u)
-        _check_layout(lay, f)
-        if not u.flags.c_contiguous:
-            raise ValueError("the iterate must be C-contiguous: the sweep "
-                             "updates it through flat indices")
-        p1, N_x, rows = lay.p + 1, lay.N_x, self._rows
-        fh = _window_transform(f, self._wx, self._wy, self._S_x, self._S_yT)
-        fh = fh.transpose(0, 2, 1, 3)
-        flat = u.reshape(-1)
-        left, right, dT = self._left, self._right, self._dT
-        S_y, S_xT = self._S_y, self._S_xT
-        shape = (lay.n_x, 2, rows.stop - rows.start, 3 * p1)
-        patch = np.empty(shape, dtype=np.intp)
-        # The x-term rows of NW * U D^T and the y-term rows of
-        # NW^T * U^T D^T (element-block derivatives in one product).
-        g = np.empty(shape[1:])
-        g_all = g.reshape(-1, p1)
+        ``u`` in place; ``u=None`` starts from zero, so the first colour's
+        residual is ``f`` itself.  A colour step takes one residual, solves
+        on the colour's windows only and folds the corrections, the other
+        colours' windows being zero."""
+        p, n_o = self.p, self.n_o
+        n_y, n_x = len(self._wy), len(self._wx)
         for k in range(first, first + n_it):
-            step = -1 if k % 2 else 1
-            for e_y in range(lay.n_y)[::step]:
-                _patch_index(self._py[e_y], self._px, rows, patch)
-                window = (self._wy[e_y, :, None] * N_x) + self._wx[:, None, :]
-                nw = self._nu_w.take(patch)
-                inv_lam = self._inv_nu[e_y, :, None, None] * self._inv_lam
-                for e_x in range(lay.n_x)[::step]:
-                    np.matmul(flat.take(patch[e_x]).reshape(-1, p1), dT,
-                              out=g_all)
-                    g *= nw[e_x]
-                    k = left @ (g @ right)
-                    z = np.subtract(fh[e_y, e_x], k[0], out=k[0])
-                    z -= k[1].T
-                    z *= inv_lam[e_x]
-                    flat[window[e_x]] += S_y @ z @ S_xT
+            for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
+                r = f if u is None else f - op.apply(u)
+                t = _window_transform(r, self._wx[c_x], self._wy[c_y],
+                                      self._S_x, self._S_yT)
+                ny_c, m, nx_c, _ = t.shape
+                t *= self._inv_nu[np.ix_(c_y, c_x)][:, None, :, None]
+                t *= self._inv_lam
+                w = np.zeros((n_y, m, nx_c * m))
+                w[c_y] = self._S_y @ t.reshape(ny_c, m, -1)
+                t = fold_windows(w, 1, p, n_o).reshape(-1, nx_c, m)
+                w = np.zeros((len(t), n_x, m))
+                w[:, c_x] = t @ self._S_xT
+                cor = fold_windows(w, 2, p, n_o)
+                u = cor if u is None else np.add(u, cor, out=u)
         return u

@@ -21,7 +21,8 @@ from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  project_mean)
 from schwarzmg.presets import (RunSpec, build_problem, preset_grid,
-                               rbar_tolerance, run_preset, run_single)
+                               rbar_tolerance, reference_rbar, run_preset,
+                               run_single)
 from schwarzmg.schwarz import (MultiplicativeSchwarz, WeightKind,
                                build_fast_diag, build_weight_1d,
                                restricted_1d)
@@ -89,20 +90,34 @@ def test_table3_every_cell_reproduces_at_one_seed():
     assert ok, misses
 
 
-# Seed-1 rates of the multiplicative column at p = 4, 8, 16, 32. They guard
-# the sweep parity (any change to the traversal order moves them); they
-# are not the published values, and table2 still deviates from those at
-# p = 4, 16 and 32.
-MULT_SEED1_RBAR = {"table2": [1.4802, 1.3204, 1.4722, 0.4463],
-                   "table3": [1.0148, 1.2562, 1.5280, 1.6032]}
+# Seed-1 rates of the whole published multiplicative column, in grid
+# order (table4 with its --full meshes). They guard the colour sweep (any
+# change to the colour order moves them); they are not the published
+# values.
+MULT_SEED1_RBAR = {
+    "table2": [1.9455, 1.3226, 1.4880, 0.4443],
+    "table3": [1.0180, 1.2366, 1.4361, 1.5819],
+    "table4": [1.8470, 1.8596, 1.8515, 1.8493, 1.3196, 1.3216, 1.3215, 1.3218,
+               1.9500, 1.8979, 2.0283, 2.0429, 1.7721, 1.7548, 1.7769, 1.7883,
+               1.7876]}
+# The 11 published mult cells outside the tolerance, as (table, p, mesh
+# root); each has n_o >= 1 at p_l = 2 (README, "Known deviations"). The
+# other 14 of the 25 must pass, and a deviation that starts to pass means
+# this list is stale.
+MULT_DEVIATIONS = ({("table2", p, 8) for p in (4, 16, 32)}
+                   | {("table4", 4, root) for root in (32, 64, 128, 256)}
+                   | {("table4", 16, root) for root in (8, 16, 32, 64)})
 
 
 @pytest.mark.parametrize("table", sorted(MULT_SEED1_RBAR))
 def test_multiplicative_column_rates_are_pinned_at_seed_1(table):
-    specs = [s for s in preset_grid(table) if s.smoother == "mult"]
-    got = [round(run_single(s, 1).rbar, 4) for s in specs]
-    assert [s.p for s in specs] == [4, 8, 16, 32]
-    assert got == MULT_SEED1_RBAR[table]
+    specs = [s for s in preset_grid(table, full=True) if s.smoother == "mult"]
+    got = [run_single(s, 1).rbar for s in specs]
+    assert [round(rbar, 4) for rbar in got] == MULT_SEED1_RBAR[table]
+    refs = [reference_rbar(table, s) for s in specs]
+    failing = {(table, s.p, s.n_x) for s, rbar, ref in zip(specs, got, refs)
+               if abs(rbar - ref) > rbar_tolerance(ref)}
+    assert failing == {cell for cell in MULT_DEVIATIONS if cell[0] == table}
 
 
 # Seed-1 rates of the diffusion presets, in grid order, to 4 significant

@@ -228,6 +228,24 @@ def test_cli_table_without_seeds_is_one_line_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_table_unwritable_out_is_one_line_error_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran before the output was opened")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    # A missing directory for the CSV; a directory in the JSON's place.
+    (tmp_path / "x.json").mkdir()
+    for fmt, out in (("csv", tmp_path / "missing" / "x.csv"),
+                     ("json", tmp_path / "x.csv")):
+        rc = cli.main(["table", "--name", "table2", "--seeds", "1",
+                       "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("schwarzmg: error: ")
+        assert len(err.splitlines()) == 1
+
+
 def test_cli_solve_deterministic_records(capsys):
     args = ["solve", "--p", "4", "--nel", "4", "--tol", "1e4",
             "--max-cycles", "30", "--seed", "3"]

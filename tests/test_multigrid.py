@@ -272,8 +272,11 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
                        seen.append(bool(np.any(u))) or apply(u))
     v_cycle(h, f)
     assert all(all(seen) for seen in calls.values())
-    # Each level above the coarse one starts from zero: it needs A only for
-    # the residual it restricts and for the additive sweeps after the first.
-    sweeps = max(n_pre - 1, 0) + n_post if smoother == "add" else 0
+    # Each level above the coarse one starts from zero: it needs A for the
+    # residual it restricts and for every sweep step but the first of the
+    # pre-smoother.  An additive sweep is one step, a multiplicative sweep
+    # one step per colour (4 on the 4x4 mesh).
+    steps = 1 if smoother == "add" else 4
+    sweeps = steps * (n_pre + n_post) - (n_pre > 0)
     assert all(len(calls[l]) == (n_pre > 0) + sweeps
                for l in range(1, h.depth + 1))

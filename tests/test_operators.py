@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for
@@ -64,6 +66,34 @@ def test_operators_symmetric_with_constant_null_space(p):
     B = dense_diffusion_matrix(basis, mesh, nu)
     npt.assert_allclose(B, B.T, atol=1e-12)
     npt.assert_allclose(B @ np.ones(B.shape[0]), 0.0, atol=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(2, 5), st.integers(2, 5),
+       st.floats(0.25, 4.0), st.sampled_from([None, 0.9]),
+       st.integers(0, 2**32 - 1))
+def test_operator_is_semidefinite_with_the_constant_as_null_vector(
+        p, n_x, n_y, ar, nu_hat, seed):
+    mesh = MeshConfig(n_x, n_y, l_x=2.0 * ar, l_y=2.0)
+    basis = gll_basis(p)
+    if nu_hat is None:
+        op, A = PoissonOperator(basis, mesh), dense_poisson_matrix(basis, mesh)
+    else:
+        nu = diffusivity_field(mesh, basis, nu_hat)
+        op = DiffusionOperator(basis, mesh, nu)
+        A = dense_diffusion_matrix(basis, mesh, nu)
+    u = np.random.default_rng(seed).standard_normal((p * n_y, p * n_x))
+    want = A @ u.ravel()
+    npt.assert_allclose(op.apply(u).ravel(), want, rtol=0,
+                        atol=1e-12 * np.abs(want).max())
+    scale = np.abs(A).max()
+    npt.assert_allclose(A, A.T, rtol=0, atol=1e-13 * scale)
+    npt.assert_allclose(A.sum(axis=1), 0.0, rtol=0, atol=1e-13 * scale)
+    # Ascending: no negative eigenvalue, and only the constant in the
+    # null space.
+    lam = np.linalg.eigvalsh(A)
+    assert lam[0] >= -1e-12 * lam[-1]
+    assert lam[1] > 1e-8 * lam[-1]
 
 
 def test_diffusion_with_unit_nu_equals_poisson():

@@ -3,12 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
-                                 dense_diffusion_matrix, diffusivity_field,
-                                 poisson_benchmark)
+                                 dense_diffusion_matrix, dense_poisson_matrix,
+                                 diffusivity_field, poisson_benchmark)
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
                                WeightKind, build_fast_diag, build_weight_1d,
                                restricted_1d, weight_value)
@@ -163,21 +165,35 @@ def _naive_additive(basis, layout, mesh, op, u, f, n_it, kind, n_o,
     return u
 
 
+def _ring_colours(n):
+    """Non-neighbouring elements of a ring of n: even, odd, and on an odd
+    ring the last element (a neighbour of element 0) alone."""
+    last = [n - 1] if n % 2 else []
+    return [c for c in ([e for e in range(n) if e % 2 == 0 and e not in last],
+                        [e for e in range(n) if e % 2 == 1], last) if c]
+
+
 def _naive_multiplicative(basis, layout, mesh, op, u, f, n_it, n_o,
                           first_sweep=0, nu_bar=None):
+    # Reference implementation: colour by colour, lexicographic by
+    # (y class, x class) and reversed on odd-numbered sweeps, with a full
+    # residual per colour and a dense solve per subdomain of the colour.
     A_ss = _dense_subdomain_matrix(basis, mesh.dx, mesh.dy, n_o)
     m = layout.p + 1 + 2 * n_o
-    order = [(divmod(k, layout.n_x), w)
-             for k, w in enumerate(_subdomain_windows(layout, n_o))]
+    wy = periodic_windows(layout.p, layout.n_y, n_o)
+    wx = periodic_windows(layout.p, layout.n_x, n_o)
+    colours = [[(e_y, e_x) for e_y in c_y for e_x in c_x]
+               for c_y in _ring_colours(layout.n_y)
+               for c_x in _ring_colours(layout.n_x)]
     for i in range(first_sweep, first_sweep + n_it):
-        seq = order if i % 2 == 0 else order[::-1]
-        for (e_y, e_x), (iy, ix) in seq:
-            # Reference implementation: full residual before every solve.
+        for colour in (colours if i % 2 == 0 else colours[::-1]):
             r = f - op.apply(u)
-            cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
-            if nu_bar is not None:
-                cor /= nu_bar[e_y, e_x]
-            u[np.ix_(iy, ix)] += cor.reshape(m, m)
+            for e_y, e_x in colour:
+                iy, ix = wy[e_y], wx[e_x]
+                cor = np.linalg.solve(A_ss, r[np.ix_(iy, ix)].ravel())
+                if nu_bar is not None:
+                    cor /= nu_bar[e_y, e_x]
+                u[np.ix_(iy, ix)] += cor.reshape(m, m)
     return u
 
 
@@ -189,10 +205,9 @@ def _diffusion_setup(p, n_x, n_y, l_x=1.0, nu_hat=0.9):
     return mesh, basis, layout_for(mesh, p), op, nu
 
 
-# (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where the 3x3 element patch
-# wraps onto itself, unequal extents, n_o up to the alias limit
-# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1), and p=16, where the
-# window rows of the multiplicative patch are far from all of it.
+# (p, n_x, n_y, l_x, n_o): 2x2 and 3x2 rings, where every multiplicative
+# colour is one subdomain, unequal extents, n_o up to the alias limit
+# p + 1 + 2 n_o <= p min(n_x, n_y) (and to p - 1), and p=16.
 WINDOW_CASES = [(2, 2, 2, 2.0, 0), (2, 3, 3, 3.0, 1), (4, 2, 2, 2.0, 1),
                 (4, 3, 2, 3.0, 0), (4, 3, 2, 1.5, 1), (4, 3, 3, 2.0, 3),
                 (8, 2, 2, 2.0, 3), (8, 3, 2, 5.0, 2), (8, 2, 3, 0.5, 0),
@@ -262,6 +277,27 @@ def test_multiplicative_window_residual_matches_full_residual(
     npt.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
+# (p, n_x, n_y, l_x, n_o) beyond WINDOW_CASES: odd rings of 5 and 3
+# elements (9 colours, one of them a lone element), and windows of one
+# colour that overlap (2 n_o >= p, as ceilp8 gives at p_l = 2).
+COLOUR_CASES = [(4, 5, 3, 3.0, 1), (2, 4, 4, 2.0, 1), (2, 5, 4, 3.0, 1),
+                (4, 4, 6, 1.0, 2)]
+
+
+@pytest.mark.parametrize("problem", ["poisson", "diffusion"])
+@pytest.mark.parametrize("p,n_x,n_y,l_x,n_o", COLOUR_CASES)
+def test_multiplicative_colour_sweep_matches_naive(p, n_x, n_y, l_x, n_o,
+                                                   problem):
+    mesh, basis, layout, op, nu_bar = _window_case(problem, p, n_x, n_y, l_x)
+    u0, f = _random_fields(layout)
+    sm = MultiplicativeSchwarz(op, n_o)
+    for first in (0, 1):
+        got = sm.smooth(op, u0.copy(), f, 2, first)
+        want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
+                                     n_o, first_sweep=first, nu_bar=nu_bar)
+        npt.assert_allclose(got, want, atol=1e-11, rtol=0)
+
+
 @pytest.mark.parametrize("problem", ["poisson", "diffusion"])
 def test_multiplicative_smoother_from_none_equals_from_zeros(problem):
     mesh, basis, layout, op, _ = _window_case(problem, 16, 3, 3, 3.0)
@@ -271,17 +307,10 @@ def test_multiplicative_smoother_from_none_equals_from_zeros(problem):
     npt.assert_array_equal(sm.smooth(op, None, f, 3), want)
 
 
-def test_multiplicative_smoother_rejects_a_non_contiguous_iterate():
-    mesh, basis, layout, op, f, u0 = _setup()
-    u = np.asfortranarray(u0)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        MultiplicativeSchwarz(op, 1).smooth(op, u, f, 2)
-    npt.assert_array_equal(u, u0)
-
-
 def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
-    # Two consecutive sweeps (forward then reversed) on the error equation
-    # give M with A M symmetric, with the 1 / mean(nu) local scaling too.
+    # Two consecutive sweeps (colours forward then reversed) on the error
+    # equation give M with A M symmetric, with the 1 / mean(nu) local
+    # scaling too.
     mesh, basis, layout, op, nu = _diffusion_setup(4, 3, 3)
     A = dense_diffusion_matrix(basis, mesh, nu)
     sm = MultiplicativeSchwarz(op, 1)
@@ -295,9 +324,75 @@ def test_two_multiplicative_sweeps_are_symmetric_for_diffusion():
     assert np.abs(AM - AM.T).max() / np.abs(AM).max() < 1e-11
 
 
+# ----------------------------------------------------------------------
+# Symmetry on random problems, against the dense operator oracles
+
+@st.composite
+def _smoother_case(draw):
+    """(p, n_x, n_y, n_o, aspect ratio, nu_hat) with windows that fit."""
+    p = draw(st.sampled_from([2, 4]))
+    n_x, n_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    n_o = draw(st.integers(0, p - 1))
+    assume(p + 1 + 2 * n_o <= p * min(n_x, n_y))
+    return (p, n_x, n_y, n_o, draw(st.floats(0.25, 4.0)),
+            draw(st.sampled_from([None, 0.9])))
+
+
+def _random_problem(p, n_x, n_y, ar, nu_hat):
+    """(op, dense A) of Poisson or of the nu_hat diffusion problem."""
+    mesh = MeshConfig(n_x, n_y, l_x=2.0 * ar, l_y=2.0)
+    basis = gll_basis(p)
+    if nu_hat is None:
+        return PoissonOperator(basis, mesh), dense_poisson_matrix(basis, mesh)
+    nu = diffusivity_field(mesh, basis, nu_hat)
+    return (DiffusionOperator(basis, mesh, nu),
+            dense_diffusion_matrix(basis, mesh, nu))
+
+
+def _assert_symmetric(apply, x, y):
+    """x . apply(y) == y . apply(x) to roundoff, for fields x and y."""
+    ax, ay = apply(x), apply(y)
+    gap = abs(np.vdot(x, ay) - np.vdot(y, ax))
+    assert gap <= 1e-11 * np.linalg.norm(x) * np.linalg.norm(ay)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_smoother_case(), st.integers(0, 2**32 - 1))
+def test_additive_smoother_is_symmetric_but_for_its_weights(case, seed):
+    # The weights multiply only the back transform, so no weighted sweep
+    # is symmetric.  The arithmetic weight is 1 / multiplicity at every
+    # node whichever subdomain updates it, so multiplicity times that
+    # sweep is the unweighted sum of the local solves, which is.
+    p, n_x, n_y, n_o, ar, nu_hat = case
+    op, _ = _random_problem(p, n_x, n_y, ar, nu_hat)
+    sm = AdditiveSchwarz(op, n_o, WeightKind.ARITHMETIC)
+    count = [np.bincount(periodic_windows(p, n, n_o).ravel())
+             for n in (n_y, n_x)]
+    x, y = np.random.default_rng(seed).standard_normal((2, p * n_y, p * n_x))
+    _assert_symmetric(
+        lambda r: np.outer(*count) * sm.smooth(op, None, r, 1), x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_smoother_case(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example((4, 4, 4, 1, 1.5, None), 0, 1)
+@example((4, 5, 3, 1, 0.75, 0.9), 1, 2)
+def test_two_multiplicative_sweeps_are_symmetric(case, first, seed):
+    # Two consecutive sweeps on the error equation give the error
+    # propagation E with A E symmetric, whichever sweep comes first.
+    p, n_x, n_y, n_o, ar, nu_hat = case
+    op, A = _random_problem(p, n_x, n_y, ar, nu_hat)
+    sm = MultiplicativeSchwarz(op, n_o)
+    zero = op.layout.zeros()
+    x, y = np.random.default_rng(seed).standard_normal((2, p * n_y, p * n_x))
+    _assert_symmetric(
+        lambda e: A @ sm.smooth(op, e.copy(), zero, 2, first).ravel(),
+        x, y)
+
+
 def test_multiplicative_sweeps_numbered_across_calls():
     # Sweep 0 then sweep 1, in two calls, are the forward and the reversed
-    # sweep of one two-sweep call.
+    # colour sweep of one two-sweep call.
     mesh, basis, layout, op, f, u0 = _setup()
     sm = MultiplicativeSchwarz(op, 1)
     u = sm.smooth(op, u0.copy(), f, 1, 0)
@@ -309,8 +404,8 @@ def test_multiplicative_sweeps_numbered_across_calls():
 
 @pytest.mark.parametrize("first", [1, 2, 5])
 def test_multiplicative_first_sweep_sets_the_direction(first):
-    # Odd-numbered sweeps traverse reversed, even-numbered ones forward,
-    # and the smoother keeps nothing between calls.
+    # Odd-numbered sweeps visit the colours reversed, even-numbered ones
+    # forward, and the smoother keeps nothing between calls.
     mesh, basis, layout, op, f, u0 = _setup()
     sm = MultiplicativeSchwarz(op, 1)
     got = sm.smooth(op, u0.copy(), f, 2, first)
@@ -353,8 +448,11 @@ def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
     f_copy = f.copy()
     npt.assert_array_equal(sm.smooth(op, None, f, 2), want)
     assert np.array_equal(f, f_copy)
-    # Only the second additive sweep needs A; the first takes f as residual.
-    assert len(calls) == (1 if smoother_cls is AdditiveSchwarz else 0)
+    # Every sweep step but the first needs A; the first takes f as its
+    # residual.  An additive sweep is one step, a multiplicative sweep one
+    # step per colour (4 on the 4x4 mesh).
+    steps = 1 if smoother_cls is AdditiveSchwarz else 4
+    assert len(calls) == 2 * steps - 1
     assert sm.smooth(op, None, f, 0) is None
 
 

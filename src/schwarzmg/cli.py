@@ -3,6 +3,7 @@
 import argparse
 import sys
 from contextlib import ExitStack
+from pathlib import Path
 
 from . import presets
 from .presets import RunSpec, preset_grid, run_preset, run_single
@@ -86,7 +87,7 @@ def _cmd_table(args) -> int:
     if not seeds:
         raise ValueError("need at least one seed")
     out = args.out or f"{args.name}.csv"
-    paths = [out] + [out.rsplit(".", 1)[0] + ".json"] * (args.format == "json")
+    paths = [out] + [str(Path(out).with_suffix(".json"))] * (args.format == "json")
     with ExitStack() as stack:
         # Open every output before the first cell runs, so an unwritable
         # path fails at once instead of after the whole preset.

@@ -57,7 +57,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     exhausted = h.coarse_cg_exhausted
     op = h.top.op
     u = random_initial_guess(h, cfg.seed) if u0 is None else u0.copy()
-    r = f - op.apply(u)
+    r = op.apply(u)
+    np.subtract(f, r, out=r)  # f - A u without a second full-field array
     res = [float(np.linalg.norm(r))]
     r_max = res[0] / cfg.tol_reduction
     converged, breakdown = res[0] <= r_max, False
@@ -66,7 +67,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
         z = v_cycle(h, r, cycles)
         if cfg.solver == "mg":
             u += z
-            r = f - op.apply(u)
+            r = op.apply(u)
+            np.subtract(f, r, out=r)
         else:
             p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
             delta, r_old = np.vdot(z, r), r

@@ -6,13 +6,17 @@ element by element, one direction at a time (sum factorization);
 restriction is their exact algebraic transpose. The coarse (p = 1) problem
 is singular on the periodic mesh and is solved by preconditioned CG with
 the right side projected onto the complement of constants. On the uniform
-periodic mesh the p = 1 Poisson operator is diagonalized by the 2D FFT
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its pseudoinverse is the
-preconditioner: exact for Poisson, scaled by the mean diffusivity for the
-diffusion problem. V-cycle c numbers its smoothing sweeps consecutively
-from c times the sweeps per cycle, through all levels in the order they
-run, so the multiplicative colour order follows from the cycle
-index alone and the hierarchy holds no solve state.
+periodic mesh the p = 1 Poisson operator L is diagonalized by the 2D FFT
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its mean-free
+pseudoinverse L+ is cheap. The preconditioner is s * L+(s * r) with
+s = 1/sqrt(nu) at the p = 1 nodes, the diagonal scaling of the
+variable-coefficient operator around a constant-coefficient fast solver
+(Concus & Golub, SIAM J. Numer. Anal. 10, 1973): exact for Poisson
+(s = 1), and close to the inverse where nu varies slowly. V-cycle c
+numbers its smoothing sweeps consecutively from c times the sweeps per
+cycle, through all levels in the order they run, so the multiplicative
+colour order follows from the cycle index alone and the hierarchy holds
+no solve state.
 """
 
 import logging
@@ -93,12 +97,15 @@ class Level:
 
 class MultigridHierarchy:
     def __init__(self, mesh: MeshConfig, levels: list[Level],
-                 coarse_symbol: np.ndarray):
+                 coarse_symbol: np.ndarray, coarse_scale: float | np.ndarray):
         self.mesh = mesh
         self.levels = levels
-        # rfft2 eigenvalues of the coarse preconditioner's operator; the
-        # constant mode is inf, so the preconditioner is mean-free.
+        # rfft2 eigenvalues of the p = 1 Poisson operator, the constant mode
+        # inf, and the nodal scale s = 1/sqrt(nu) (1.0 for Poisson) of the
+        # coarse preconditioner s * L+(s * r). Where s is not constant the
+        # preconditioner is not mean-free; coarse_solve projects its result.
         self.coarse_symbol = coarse_symbol
+        self.coarse_scale = coarse_scale
         self.coarse_tol = 1e-12  # relative residual at which coarse CG stops
         self.coarse_cg_exhausted = 0
 
@@ -166,10 +173,10 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
                             J, J))
     lv0 = levels[0]
     if nu_hat is None:
-        symbol = _fft_symbol(lv0.op)
+        poisson, scale = lv0.op, 1.0
     else:
-        symbol = lv0.op.nu.mean() * _fft_symbol(PoissonOperator(lv0.basis, mesh))
-    return MultigridHierarchy(mesh, levels, symbol)
+        poisson, scale = PoissonOperator(lv0.basis, mesh), 1.0 / np.sqrt(lv0.op.nu)
+    return MultigridHierarchy(mesh, levels, _fft_symbol(poisson), scale)
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
@@ -199,13 +206,18 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.nda
     return fold_windows(lv.py.T @ t.reshape(mesh.n_y, p_f, -1), 1, p_c)
 
 
-def _fft_inverse(symbol: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Apply the mean-free pseudoinverse of the operator with this symbol."""
-    return np.fft.irfft2(np.fft.rfft2(r) / symbol, s=r.shape)
+def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
+    """Apply the coarse preconditioner s * L+(s * r)."""
+    s = h.coarse_scale
+    return s * np.fft.irfft2(np.fft.rfft2(s * r) / h.coarse_symbol, s=r.shape)
 
 
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
-    """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem."""
+    """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem.
+
+    The final projection also removes the constant that a preconditioner
+    scaled by a non-constant s lets into the iterate.
+    """
     lv0 = h.levels[0]
     b = project_mean(f0)
     cap = 10 * b.size
@@ -214,7 +226,7 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     if b_norm == 0.0:
         return x
     r = b.copy()
-    z = p = _fft_inverse(h.coarse_symbol, r)
+    z = p = _fft_inverse(h, r)
     rho = np.vdot(r, z)
     converged = False
     for _ in range(cap):
@@ -228,7 +240,7 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
         converged = np.linalg.norm(r) <= h.coarse_tol * b_norm
         if converged:
             break
-        z = _fft_inverse(h.coarse_symbol, r)
+        z = _fft_inverse(h, r)
         rho_new = np.vdot(r, z)
         p = z + (rho_new / rho) * p
         rho = rho_new
@@ -258,13 +270,16 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
         if lv.n_pre:
             es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre, k)
             k += lv.n_pre
-        r_l = rs[l] if es[l] is None else rs[l] - lv.op.apply(es[l])
+        r_l = rs[l]
+        if es[l] is not None:
+            r_l = lv.op.apply(es[l])
+            np.subtract(rs[l], r_l, out=r_l)
         rs[l - 1] = restrict_residual(h, l, r_l)
     es[0] = coarse_solve(h, rs[0])
     for l in range(1, L + 1):
         lv = h.levels[l]
         e = prolongate(h, l, es[l - 1])
-        es[l] = e if es[l] is None else es[l] + e
+        es[l] = e if es[l] is None else np.add(es[l], e, out=e)
         if lv.n_post:
             es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post, k)
             k += lv.n_post

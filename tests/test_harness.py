@@ -279,6 +279,21 @@ def test_cli_table_with_tiny_preset(tmp_path, capsys, monkeypatch):
     assert [r.coarse_cg_exhausted for r in parsed] == [0, 0]
 
 
+def test_cli_table_json_lands_next_to_csv_in_dotted_directory(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(presets, "preset_grid",
+                        lambda name, full=False: [FAST_SPEC])
+    out_dir = tmp_path / "runs.v2"
+    out_dir.mkdir()
+    rc = cli.main(["table", "--name", "table2", "--seeds", "1",
+                   "--format", "json", "--out", str(out_dir / "table3")])
+    capsys.readouterr()
+    assert rc == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["table3", "table3.json"]
+    assert not (tmp_path / "runs.json").exists()
+    assert json.loads((out_dir / "table3.json").read_text())[0]["seed"] == 1
+
+
 def test_cli_table_exits_two_when_a_cell_misses_its_published_rate(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(presets, "preset_grid",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
-                                 build_hierarchy, coarse_solve, prolongate,
-                                 restrict_residual, v_cycle)
+                                 _fft_inverse, build_hierarchy, coarse_solve,
+                                 prolongate, restrict_residual, v_cycle)
 from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
                                  poisson_benchmark, project_mean)
 
@@ -132,7 +132,9 @@ def test_coarse_solve_matches_pseudoinverse():
 @pytest.mark.parametrize("mesh, nu_hat", [
     (MeshConfig(6, 5, l_x=8.0), None),               # non-square, anisotropic
     (MeshConfig(6, 5, l_x=1.0, l_y=1.0), 0.9),       # variable diffusion
-], ids=["aniso-6x5", "diffusion"])
+    (MeshConfig(6, 5, l_x=1.5), 0.5),                # diffusion, dx != dy
+    (MeshConfig(6, 5, l_x=1.5), 0.9),
+], ids=["aniso-6x5", "diffusion", "diffusion-rect-0.5", "diffusion-rect-0.9"])
 def test_coarse_solve_matches_pseudoinverse_beyond_square_poisson(mesh, nu_hat):
     _check_coarse_solve_against_pinv(mesh, nu_hat)
 
@@ -149,6 +151,33 @@ def test_fft_preconditioner_solves_poisson_coarse_problem_in_one_iteration():
     u0 = coarse_solve(h, f0)
     assert len(calls) == 1
     assert np.linalg.norm(f0 - apply(u0)) <= 1e-12 * np.linalg.norm(f0)
+
+
+def test_scaled_coarse_preconditioner_is_symmetric_for_diffusion():
+    h = build_hierarchy(MeshConfig(6, 5, l_x=1.5), 2, OverlapRule("fixed", 1),
+                        nu_hat=0.9)
+    layout = h.levels[0].op.layout
+    x, y = np.random.default_rng(67).standard_normal(
+        (2, layout.N_y, layout.N_x))
+    xMy, yMx = np.vdot(x, _fft_inverse(h, y)), np.vdot(y, _fft_inverse(h, x))
+    assert abs(xMy - yMx) <= 1e-14 * abs(xMy)
+
+
+def test_scaled_coarse_preconditioner_caps_diffusion_coarse_iterations():
+    # The p = 1 problem of the mult-diffusion benchmark (16x16, nu_hat=0.9):
+    # 43-45 iterations per coarse solve with the mean-nu-scaled Poisson
+    # pseudoinverse, 15 with the 1/sqrt(nu) scaling.
+    h = build_hierarchy(MeshConfig(16, 16, l_x=1.0, l_y=1.0), 2,
+                        OverlapRule("ceilp8"), smoother="mult", nu_hat=0.9)
+    lv0 = h.levels[0]
+    calls = []
+    apply = lv0.op.apply
+    lv0.op.apply = lambda u: calls.append(1) or apply(u)  # once per iteration
+    layout = lv0.op.layout
+    f0 = np.random.default_rng(71).standard_normal((layout.N_y, layout.N_x))
+    coarse_solve(h, f0)
+    assert h.coarse_cg_exhausted == 0
+    assert len(calls) <= 16
 
 
 @pytest.mark.parametrize("smoother", ["add", "mult"])

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import Basis1D, gll_basis, interp_matrix
 from .mesh import MeshConfig, fold_windows, periodic_windows
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
-from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, WeightKind
+from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +56,8 @@ class OverlapRule:
     k: int = 0         # layer count for the fixed rule
 
     def __post_init__(self):
+        if self.name not in ("fixed", "floorp8", "ceilp8", "ceilp2"):
+            raise ValueError(f"unknown overlap rule {self.name!r}")
         if self.k < 0:
             raise ValueError(f"overlap layer count must be >= 0, got {self.k}")
 
@@ -66,16 +68,15 @@ class OverlapRule:
             n_o = max(1, p_l // 8) if p_l >= 4 else 0
         elif self.name == "ceilp8":
             n_o = -(-p_l // 8)
-        elif self.name == "ceilp2":
+        else:  # ceilp2
             n_o = -(-p_l // 2)
-        else:
-            raise ValueError(f"unknown overlap rule {self.name!r}")
         return min(n_o, p_l - 1)
 
     @classmethod
     def parse(cls, text: str) -> "OverlapRule":
-        if text.startswith("fixed:"):
-            return cls("fixed", int(text.split(":", 1)[1]))
+        name, _, count = text.partition(":")
+        if name == "fixed" and count.removeprefix("-").isdecimal():
+            return cls("fixed", int(count))
         if text in ("floorp8", "ceilp8", "ceilp2"):
             return cls(text)
         raise ValueError(f"unknown overlap rule {text!r}")
@@ -86,7 +87,7 @@ class Level:
     l: int
     basis: Basis1D
     op: PoissonOperator | DiffusionOperator
-    smoother: AdditiveSchwarz | MultiplicativeSchwarz | None
+    smoother: SchwarzSmoother | None
     n_pre: int
     n_post: int
     # Per-direction element interpolation block J[:-1] from level l-1 to l,

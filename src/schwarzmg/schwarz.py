@@ -7,16 +7,17 @@ fast-diagonalization factorization per level suffices.  A smoother is
 built from its level's operator alone: the operator gives the basis, the
 layout and the element sizes, and for diffusion the per-element mean nu
 that scales each local solve (the local problem has unit diffusivity).
-Both sweeps gather the subdomain windows of a residual, transform them
-one direction at a time, scale by the inverse eigenvalues and fold the
-back-transformed windows onto the nodes.  The weighted additive sweep
-does so for all subdomains at once, with a diagonal weight tensor
-W = W_y (x) W_x folded into the back transform (diag(w) S_y and
-S_x^T diag(w)).  The multiplicative sweep does so one colour of
-non-neighbouring subdomains at a time, unweighted, with a fresh residual
-per colour, and reverses the colour order on every odd-numbered sweep so
-that an even number of consecutive sweeps is symmetric.  The caller
-numbers the sweeps; no smoother keeps state between calls.
+There is one sweep: colour by colour, take a fresh residual, gather the
+colour's subdomain windows, transform them one direction at a time,
+scale by the inverse eigenvalues and fold the back-transformed windows
+onto the nodes, the other colours' windows being zero.  The weight
+tensor W = W_y (x) W_x is folded into the back transform (diag(w) S_y
+and S_x^T diag(w)).  The weighted additive smoother is the one-colour
+case, every subdomain at once; the multiplicative smoother is unweighted
+(w = 1) over colours of non-neighbouring subdomains.  Odd-numbered sweeps
+visit the colours in reverse order, so that an even number of
+consecutive multiplicative sweeps is symmetric.  The caller numbers the
+sweeps; no smoother keeps state between calls.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ from .basis import Basis1D, overlap_width
 from .mesh import _global_1d, fold_windows, periodic_windows
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
-           "build_weight_1d", "build_fast_diag", "AdditiveSchwarz",
-           "MultiplicativeSchwarz"]
+           "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
+           "AdditiveSchwarz", "MultiplicativeSchwarz"]
 
 
 class WeightKind(str, Enum):
@@ -172,113 +173,79 @@ def _subdomain_solver(op, n_o: int) -> FastDiagSolver:
     return build_fast_diag(op.basis, op.mesh.dx, op.mesh.dy, n_o)
 
 
-def _mean_nu(op) -> np.ndarray | None:
-    """Per-element mean diffusivity scaling the local solves (None: Poisson)."""
-    return None if op.nu is None else op.element_mean_nu()
+class SchwarzSmoother:
+    """The one Schwarz sweep of the module docstring over ``colours``, a
+    list of (y, x) slices of the elements, with the weights ``w`` at one
+    direction's subdomain nodes (a scalar weighs them all alike)."""
 
-
-def _window_transform(r, wx, wy, S_x, S_yT) -> np.ndarray:
-    """S_y^T r_w S_x on every subdomain window r_w of ``r``, with axes
-    (e_y, y, e_x, x): the x windows are transformed before the y windows
-    are gathered."""
-    t = np.take(np.take(r, wx, 1) @ S_x, wy, 0)
-    n_y, m, n_x, _ = t.shape
-    return (S_yT @ t.reshape(n_y, m, -1)).reshape(t.shape)
-
-
-class AdditiveSchwarz:
-    """Weighted additive Schwarz sweep over all subdomains at once, one
-    direction at a time: transform the x windows, then the y windows,
-    scale, and transform back through diag(w) S_y and S_x^T diag(w),
-    folding each direction's windows onto the nodes."""
-
-    def __init__(self, op, n_o: int, kind: WeightKind):
+    def __init__(self, op, n_o: int, w, colours: list[tuple[slice, slice]]):
         solver = _subdomain_solver(op, n_o)
-        w = build_weight_1d(kind, op.basis, n_o)[:, None]
+        w = np.reshape(w, (-1, 1))
         lay = op.layout
         self.p, self.n_o = lay.p, n_o
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
+        self._colours = colours
         self._S_x, self._S_yT = solver.S_x, solver.S_y.T
         self._WS_y, self._S_xTW = w * solver.S_y, (w * solver.S_x).T
-        # Inverse eigenvalues on axes (e_y, y, e_x, x), for diffusion over
-        # the element's mean nu.
-        nu_bar = _mean_nu(op)
-        nu = 1.0 if nu_bar is None else nu_bar[:, None, :, None]
-        self._scale = 1.0 / (nu * (solver.lam_y[:, None, None] + solver.lam_x))
-
-    def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
-               n_it: int, first: int = 0) -> np.ndarray | None:
-        """``n_it`` sweeps on A u = f; ``u=None`` starts from zero, so the
-        first sweep's residual is ``f`` itself.  Every additive sweep is
-        the same, so the sweep number ``first`` is ignored."""
-        p, n_o = self.p, self.n_o
-        for _ in range(n_it):
-            r = f if u is None else f - op.apply(u)
-            t = _window_transform(r, self._wx, self._wy, self._S_x,
-                                  self._S_yT)
-            n_y, m, n_x, _ = t.shape
-            t *= self._scale
-            t = fold_windows(self._WS_y @ t.reshape(n_y, m, -1), 1, p, n_o)
-            cor = fold_windows(t.reshape(-1, n_x, m) @ self._S_xTW, 2, p, n_o)
-            u = cor if u is None else np.add(u, cor, out=u)
-        return u
-
-
-def _colour_classes(n: int) -> list[np.ndarray]:
-    """Classes of non-neighbours on a periodic ring of ``n`` elements: the
-    even indices, the odd ones and, on an odd ring, the last alone."""
-    classes = [np.arange(0, n - n % 2, 2), np.arange(1, n - n % 2, 2)]
-    return classes + [np.array([n - 1])] * (n % 2)
-
-
-class MultiplicativeSchwarz:
-    """Multicolour multiplicative Schwarz sweep (Smith, Bjorstad & Gropp,
-    Domain Decomposition, 1996) over the products of the two directions'
-    ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on an odd one,
-    lexicographic by (y class, x class) on even-numbered sweeps and
-    reversed on odd-numbered ones.  The caller numbers the sweeps
-    (``smooth``'s ``first``)."""
-
-    def __init__(self, op, n_o: int):
-        solver = _subdomain_solver(op, n_o)
-        lay = op.layout
-        self.p, self.n_o = lay.p, n_o
-        self._wx = periodic_windows(lay.p, lay.n_x, n_o)
-        self._wy = periodic_windows(lay.p, lay.n_y, n_o)
-        self._colours = [(c_y, c_x) for c_y in _colour_classes(lay.n_y)
-                         for c_x in _colour_classes(lay.n_x)]
-        self._S_x, self._S_yT = solver.S_x, solver.S_y.T
-        self._S_y, self._S_xT = solver.S_y, solver.S_x.T
         # Inverse eigenvalues on axes (y, e_x, x), and per element the
-        # inverse of its mean nu (1 for Poisson).
+        # inverse of its mean nu (None for Poisson).
         self._inv_lam = 1.0 / (solver.lam_y[:, None, None] + solver.lam_x)
-        nu_bar = _mean_nu(op)
-        self._inv_nu = (np.ones((lay.n_y, lay.n_x)) if nu_bar is None
-                        else 1.0 / nu_bar)
+        self._inv_nu = None if op.nu is None else 1.0 / op.element_mean_nu()
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
                n_it: int, first: int = 0) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
-        residual is ``f`` itself.  A colour step takes one residual, solves
-        on the colour's windows only and folds the corrections, the other
-        colours' windows being zero."""
+        residual is ``f`` itself.  Odd-numbered sweeps visit the colours
+        in reverse order."""
         p, n_o = self.p, self.n_o
         n_y, n_x = len(self._wy), len(self._wx)
         for k in range(first, first + n_it):
             for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
                 r = f if u is None else f - op.apply(u)
-                t = _window_transform(r, self._wx[c_x], self._wy[c_y],
-                                      self._S_x, self._S_yT)
+                t = np.take(np.take(r, self._wx[c_x], 1) @ self._S_x,
+                            self._wy[c_y], 0)
                 ny_c, m, nx_c, _ = t.shape
-                t *= self._inv_nu[np.ix_(c_y, c_x)][:, None, :, None]
+                t = (self._S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
+                if self._inv_nu is not None:
+                    t *= self._inv_nu[c_y, c_x][:, None, :, None]
                 t *= self._inv_lam
                 w = np.zeros((n_y, m, nx_c * m))
-                w[c_y] = self._S_y @ t.reshape(ny_c, m, -1)
+                np.matmul(self._WS_y, t.reshape(ny_c, m, -1), out=w[c_y])
                 t = fold_windows(w, 1, p, n_o).reshape(-1, nx_c, m)
                 w = np.zeros((len(t), n_x, m))
-                w[:, c_x] = t @ self._S_xT
+                np.matmul(t, self._S_xTW, out=w[:, c_x])
                 cor = fold_windows(w, 2, p, n_o)
                 u = cor if u is None else np.add(u, cor, out=u)
         return u
+
+
+class AdditiveSchwarz(SchwarzSmoother):
+    """Weighted additive Schwarz: one colour holding every subdomain, with
+    the weights W = W_y (x) W_x of ``kind``.  Every sweep is the same, so
+    the sweep number is immaterial."""
+
+    def __init__(self, op, n_o: int, kind: WeightKind):
+        super().__init__(op, n_o, build_weight_1d(kind, op.basis, n_o),
+                         [(slice(None), slice(None))])
+
+
+def _colour_classes(n: int) -> list[slice]:
+    """Classes of non-neighbours on a periodic ring of ``n`` elements: the
+    even indices, the odd ones and, on an odd ring, the last alone."""
+    classes = [slice(0, n - n % 2, 2), slice(1, n - n % 2, 2)]
+    return classes + [slice(n - 1, n)] * (n % 2)
+
+
+class MultiplicativeSchwarz(SchwarzSmoother):
+    """Multicolour multiplicative Schwarz (Smith, Bjorstad & Gropp,
+    Domain Decomposition, 1996), unweighted, over the products of the two
+    directions' ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on
+    an odd one, lexicographic by (y class, x class)."""
+
+    def __init__(self, op, n_o: int):
+        lay = op.layout
+        super().__init__(op, n_o, 1.0,
+                         [(c_y, c_x) for c_y in _colour_classes(lay.n_y)
+                          for c_x in _colour_classes(lay.n_x)])

@@ -38,6 +38,11 @@ def test_overlap_rule_parse():
     for bad in ("fixed:-1", "fixed:-2"):
         with pytest.raises(ValueError, match="overlap layer count"):
             OverlapRule.parse(bad)
+    for bad in ("fixed:x", "fixed:", "fixed:1.5"):
+        with pytest.raises(ValueError, match=f"unknown overlap rule '{bad}'"):
+            OverlapRule.parse(bad)
+    with pytest.raises(ValueError, match="unknown overlap rule 'bogus'"):
+        OverlapRule("bogus")
 
 
 def test_build_hierarchy_levels_and_orders():

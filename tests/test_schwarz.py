@@ -230,18 +230,27 @@ def _random_fields(layout):
     return u0, rng.standard_normal(u0.shape)
 
 
+# (p, n_x, n_y, l_x, n_o) beyond WINDOW_CASES: odd rings of 5 and 3
+# elements (9 colours, one of them a lone element), and windows of one
+# colour that overlap (2 n_o >= p, as ceilp8 gives at p_l = 2).
+COLOUR_CASES = [(4, 5, 3, 3.0, 1), (2, 4, 4, 2.0, 1), (2, 5, 4, 3.0, 1),
+                (4, 4, 6, 1.0, 2)]
+
+
+# (id, problem, (p, n_x, n_y, l_x, n_o)) of both smoothers' oracle tests:
+# the p=4 4x4 n_o=1 case of each problem, then every window and colour case.
+SMOOTHER_CASES = (
+    [("poisson", "poisson", (4, 4, 4, 2.0, 1)),
+     ("diffusion", "diffusion", (4, 4, 4, 1.0, 1))]
+    + [(f"{problem}-" + "-".join(map(str, case)), problem, case)
+       for case in WINDOW_CASES + COLOUR_CASES
+       for problem in ("poisson", "diffusion")])
 KINDS = {"w5": WeightKind.QUINTIC, "wa": WeightKind.ARITHMETIC}
-# The p=4 4x4 n_o=1 case of each problem under its historical id, then
-# every window case.
-ADDITIVE_CASES = (
-    [pytest.param(kind, problem, (4, 4, 4, l_x, 1),
-                  id=k if problem == "poisson" else f"{k}-{problem}")
-     for problem, l_x in (("poisson", 2.0), ("diffusion", 1.0))
-     for k, kind in KINDS.items()]
-    + [pytest.param(kind, problem, case,
-                    id=f"{k}-{problem}-" + "-".join(map(str, case)))
-       for case in WINDOW_CASES for problem in ("poisson", "diffusion")
-       for k, kind in KINDS.items()])
+# The 4x4 Poisson case under its historical id, the bare weight kind.
+ADDITIVE_CASES = [
+    pytest.param(kind, problem, case,
+                 id=k if cid == "poisson" else f"{k}-{cid}")
+    for cid, problem, case in SMOOTHER_CASES for k, kind in KINDS.items()]
 
 
 @pytest.mark.parametrize("kind,problem,case", ADDITIVE_CASES)
@@ -256,46 +265,19 @@ def test_additive_smoother_matches_naive(kind, problem, case):
     npt.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
-def test_multiplicative_smoother_matches_naive():
-    mesh, basis, layout, op, f, u0 = _setup()
-    sm = MultiplicativeSchwarz(op, 1)
-    got = sm.smooth(op, u0.copy(), f, 2)
-    want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2, 1)
-    npt.assert_allclose(got, want, atol=1e-11)
-
-
-@pytest.mark.parametrize("problem", ["poisson", "diffusion"])
-@pytest.mark.parametrize("p,n_x,n_y,l_x,n_o", WINDOW_CASES)
-def test_multiplicative_window_residual_matches_full_residual(
-        p, n_x, n_y, l_x, n_o, problem):
+@pytest.mark.parametrize("first", [0, 1], ids=["first0", "first1"])
+@pytest.mark.parametrize(
+    "problem,case", [pytest.param(problem, case, id=cid)
+                     for cid, problem, case in SMOOTHER_CASES])
+def test_multiplicative_smoother_matches_naive(problem, case, first):
+    p, n_x, n_y, l_x, n_o = case
     mesh, basis, layout, op, nu_bar = _window_case(problem, p, n_x, n_y, l_x)
     u0, f = _random_fields(layout)
     sm = MultiplicativeSchwarz(op, n_o)
-    got = sm.smooth(op, u0.copy(), f, 2)
+    got = sm.smooth(op, u0.copy(), f, 2, first)
     want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
-                                 n_o, nu_bar=nu_bar)
+                                 n_o, first_sweep=first, nu_bar=nu_bar)
     npt.assert_allclose(got, want, atol=1e-11, rtol=0)
-
-
-# (p, n_x, n_y, l_x, n_o) beyond WINDOW_CASES: odd rings of 5 and 3
-# elements (9 colours, one of them a lone element), and windows of one
-# colour that overlap (2 n_o >= p, as ceilp8 gives at p_l = 2).
-COLOUR_CASES = [(4, 5, 3, 3.0, 1), (2, 4, 4, 2.0, 1), (2, 5, 4, 3.0, 1),
-                (4, 4, 6, 1.0, 2)]
-
-
-@pytest.mark.parametrize("problem", ["poisson", "diffusion"])
-@pytest.mark.parametrize("p,n_x,n_y,l_x,n_o", COLOUR_CASES)
-def test_multiplicative_colour_sweep_matches_naive(p, n_x, n_y, l_x, n_o,
-                                                   problem):
-    mesh, basis, layout, op, nu_bar = _window_case(problem, p, n_x, n_y, l_x)
-    u0, f = _random_fields(layout)
-    sm = MultiplicativeSchwarz(op, n_o)
-    for first in (0, 1):
-        got = sm.smooth(op, u0.copy(), f, 2, first)
-        want = _naive_multiplicative(basis, layout, mesh, op, u0.copy(), f, 2,
-                                     n_o, first_sweep=first, nu_bar=nu_bar)
-        npt.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
 @pytest.mark.parametrize("problem", ["poisson", "diffusion"])

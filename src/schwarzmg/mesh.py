@@ -4,9 +4,11 @@ The mesh is fully periodic and uniform, so element-local views are plain
 index windows with modular wrap; no DOF indirection tables are needed.
 Global coefficients live in a single dense (N_y, N_x) array, row-major by
 y then x, with N_x = p * n_x unique nodes per direction. Every periodic
-node index comes from ``periodic_windows``, and ``fold_windows`` sums
-window values back onto the nodes, one direction at a time; the two are
-the one gather/fold of every operator apply, smoother sweep and transfer.
+node index comes from ``periodic_windows``. Every operator apply,
+smoother sweep and restriction ends in a window product, a factor times
+gathered values, summed back onto the nodes one direction at a time;
+``fold_product`` does that sum without forming the windows, from the
+factor as split once by ``split_factor``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,8 @@ import numpy as np
 
 from .basis import Basis1D
 
-__all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "fold_windows"]
+__all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "split_factor",
+           "fold_product"]
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,54 @@ def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
     return (np.arange(n)[:, None] * p + np.arange(-n_o, p + n_o + 1)) % (p * n)
 
 
-def fold_windows(w: np.ndarray, axis: int, p: int, n_o: int = 0) -> np.ndarray:
-    """Adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``.
+def split_factor(F: np.ndarray, axis: int, p: int,
+                 n_o: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Split a window factor for ``fold_product``, once per factor.
 
-    The n windows of p + 1 + 2*n_o nodes (0 <= n_o < p) on axes
-    (axis - 1, axis) become one axis of n*p nodes: window e gives its
-    middle p nodes to element e, its last n_o + 1 to the first nodes of
-    element e + 1 and its first n_o to the last nodes of element e - 1.
+    F's window nodes are its columns for ``axis=2`` (products t @ F) and
+    its rows for ``axis=1`` (products F @ t). Returns two contiguous
+    blocks: the own nodes n_o ... n_o + p - 1, and the edge nodes, the
+    last n_o + 1 then the first n_o.
     """
-    n = w.shape[axis - 1]
-    at = (slice(None),) * (axis - 1)
-    out = w[at + (slice(None), slice(n_o, n_o + p))].copy()
-    for s, src, dst in ((1, slice(n_o + p, None), slice(0, n_o + 1)),
-                        (n - 1, slice(0, n_o), slice(p - n_o, p))):
-        out[at + (slice(s, None), dst)] += w[at + (slice(0, n - s), src)]
-        out[at + (slice(0, s), dst)] += w[at + (slice(n - s, None), src)]
-    return out.reshape(w.shape[:axis - 1] + (n * p,) + w.shape[axis + 1:])
+    if axis == 2:
+        return tuple(b.T.copy() for b in split_factor(F.T, 1, p, n_o))
+    return F[n_o:n_o + p].copy(), np.concatenate([F[n_o + p:], F[:n_o]]).copy()
+
+
+def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
+                 n: int, sel: slice = slice(None)) -> np.ndarray:
+    """Fold of the n windows whose ``sel`` entries are the products of t
+    with the factor split by ``split_factor`` and whose others are zero.
+
+    ``axis=2``: t is (..., n_sel, k), the windows t @ F (..., n, m) and the
+    result (..., n*p). ``axis=1``: t is (..., n_sel, k, r), the windows
+    F @ t (..., n, m, r) and the result (..., n*p, r). A window of
+    m = p + 1 + 2*n_o nodes (0 <= n_o < p) gives its middle p nodes to
+    its element e, its last n_o + 1 to the first nodes of element e + 1
+    and its first n_o to the last nodes of element e - 1; this is the
+    adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
+    own-node product is written straight into the result, and only the
+    edge-node product is added onto the neighbours, first onto e + 1 and
+    then onto e - 1.
+    """
+    blocks = []
+    for f in F:
+        if axis == 2:
+            w = np.zeros(t.shape[:-2] + (n, f.shape[1]))
+            np.matmul(t, f, out=w[..., sel, :])
+            w = w[..., None]
+        else:
+            w = np.zeros(t.shape[:-3] + (n, len(f), t.shape[-1]))
+            np.matmul(f, t, out=w[..., sel, :, :])
+        blocks.append(w)
+    own, edge = blocks  # (..., n, p, r) and (..., n, 2 n_o + 1, r)
+    p, n_o = own.shape[-2], edge.shape[-2] // 2
+    for s, src, dst in ((1, slice(0, n_o + 1), slice(0, n_o + 1)),
+                        (n - 1, slice(n_o + 1, None), slice(p - n_o, p))):
+        own[..., s:, dst, :] += edge[..., :n - s, src, :]
+        own[..., :s, dst, :] += edge[..., n - s:, src, :]
+    out = own.reshape(own.shape[:-3] + (n * p, own.shape[-1]))
+    return out[..., 0] if axis == 2 else out
 
 
 def scatter_blocks(flat: np.ndarray, blocks: np.ndarray,
@@ -112,8 +147,12 @@ def scatter_blocks(flat: np.ndarray, blocks: np.ndarray,
 
 
 def _global_mass(basis: Basis1D, n: int, d: float) -> np.ndarray:
-    """Assembled periodic global 1D mass diagonal (the quadrature weights)."""
-    return fold_windows(np.tile((d / 2.0) * basis.weights, (n, 1)), 1, basis.p)
+    """Assembled periodic global 1D mass diagonal (the quadrature weights):
+    per element its first p weights, the shared node 0 adding the last."""
+    w = (d / 2.0) * basis.weights
+    own = w[:-1].copy()
+    own[0] += w[-1]
+    return np.tile(own, n)
 
 
 def _global_1d(basis: Basis1D, n: int, d: float):

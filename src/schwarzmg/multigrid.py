@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import MeshConfig, fold_windows, periodic_windows
+from .mesh import MeshConfig, fold_product, periodic_windows, split_factor
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
 
@@ -94,6 +94,10 @@ class Level:
     # shape (p_l, p_{l-1} + 1); the last fine node belongs to the next element.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
+    # The restriction's folded factors: J[:-1] split per direction by
+    # ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t).
+    rx: tuple[np.ndarray, np.ndarray] | None = None
+    ry: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class MultigridHierarchy:
@@ -170,8 +174,10 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
             sm = MultiplicativeSchwarz(op, n_o)
         factor = 2 ** (depth - l) if variable else 1
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
+        p_c = levels[l - 1].basis.p
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
-                            J, J))
+                            J, J, split_factor(J, 2, p_c),
+                            split_factor(J.T, 1, p_c)))
     lv0 = levels[0]
     if nu_hat is None:
         poisson, scale = lv0.op, 1.0
@@ -200,11 +206,12 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.nda
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     lv, mesh = h.levels[l], h.mesh
-    p_f, p_c = lv.px.shape[0], lv.px.shape[1] - 1
+    p_f = lv.px.shape[0]
     # x: each fine element row block times J[:-1], folded into coarse rows.
-    t = fold_windows(fine.reshape(fine.shape[0], mesh.n_x, p_f) @ lv.px, 2, p_c)
+    t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), lv.rx, 2,
+                     mesh.n_x)
     # y: the same on the element column blocks.
-    return fold_windows(lv.py.T @ t.reshape(mesh.n_y, p_f, -1), 1, p_c)
+    return fold_product(t.reshape(mesh.n_y, p_f, -1), lv.ry, 1, mesh.n_y)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Matrix-free global operators for the Poisson and variable-diffusion problems.
 
 The Poisson operator realizes A = M_y (x) L_x + L_y (x) M_x assembled over
-the periodic element grid, applied as one 1D pass per direction (element
-stiffness on the gathered windows, folded onto the nodes, times the
-assembled mass). The diffusion operator realizes the weak-form Galerkin
-discretization of -div(nu grad u) with GLL-collocated quadrature, applied
-the same way, with nu w times the assembled weight of the other direction
-between the derivative and the test derivative. The nodal nu (None for
-Poisson) is the only stored diffusivity.
+the periodic element grid, applied as one 1D pass per direction (the
+gathered windows times the element stiffness, folded onto the nodes by
+``fold_product``, times the assembled mass). The diffusion operator
+realizes the weak-form Galerkin discretization of -div(nu grad u) with
+GLL-collocated quadrature, applied the same way, with nu w times the
+assembled weight of the other direction between the derivative and the
+test derivative, the test derivative being the folded factor. Each
+folded factor is split by ``split_factor`` when the operator is built.
+The nodal nu (None for Poisson) is the only stored diffusivity.
 
 Dense assembly routines are included as independent test oracles.
 """
@@ -17,7 +19,8 @@ import numpy as np
 from .basis import Basis1D
 # Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
 from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
-                   fold_windows, layout_for, periodic_windows, scatter_blocks)
+                   fold_product, layout_for, periodic_windows, scatter_blocks,
+                   split_factor)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
@@ -64,6 +67,8 @@ class PoissonOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
         self._global_mass_x = _global_mass(basis, mesh.n_x, mesh.dx)
         self._global_mass_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
+        self._fold_x = split_factor(self.stiff_x.T, 2, basis.p)
+        self._fold_y = split_factor(self.stiff_y, 1, basis.p)
 
     def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
         """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
@@ -71,10 +76,10 @@ class PoissonOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        p = self.basis.p
-        out = fold_windows(np.take(u, self._wx, 1) @ self.stiff_x.T, 2, p)
+        mesh = self.mesh
+        out = fold_product(np.take(u, self._wx, 1), self._fold_x, 2, mesh.n_x)
         out *= self._global_mass_y
-        ly = fold_windows(self.stiff_y @ np.take(u, self._wy, 0), 1, p)
+        ly = fold_product(np.take(u, self._wy, 0), self._fold_y, 1, mesh.n_y)
         ly *= self._global_mass_x
         out += ly
         return out
@@ -101,6 +106,8 @@ class DiffusionOperator:
                     * _global_mass(basis, mesh.n_y, mesh.dy)[:, None, None])
         self._fy = ((2.0 / mesh.dy) * np.take(nu, self._wy, 0) * w[:, None]
                     * _global_mass(basis, mesh.n_x, mesh.dx))
+        self._fold_x = split_factor(basis.diff, 2, basis.p)
+        self._fold_y = split_factor(basis.diff.T, 1, basis.p)
 
     def element_kernel(self, block: np.ndarray, e_x, e_y):
         """Element operator on the block(s) of element(s) (e_y, e_x); the
@@ -109,11 +116,11 @@ class DiffusionOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        p, d = self.basis.p, self.basis.diff
-        out = fold_windows(((np.take(u, self._wx, 1) @ d.T) * self._fx) @ d,
-                           2, p)
-        out += fold_windows(d.T @ (self._fy * (d @ np.take(u, self._wy, 0))),
-                            1, p)
+        d = self.basis.diff
+        out = fold_product((np.take(u, self._wx, 1) @ d.T) * self._fx,
+                           self._fold_x, 2, self.mesh.n_x)
+        out += fold_product(self._fy * (d @ np.take(u, self._wy, 0)),
+                            self._fold_y, 1, self.mesh.n_y)
         return out
 
     def element_mean_nu(self) -> np.ndarray:

@@ -8,15 +8,19 @@ built from its level's operator alone: the operator gives the basis, the
 layout and the element sizes, and for diffusion the per-element mean nu
 that scales each local solve (the local problem has unit diffusivity).
 There is one sweep: colour by colour, take a fresh residual, gather the
-colour's subdomain windows, transform them one direction at a time,
-scale by the inverse eigenvalues and fold the back-transformed windows
-onto the nodes, the other colours' windows being zero.  The weight
-tensor W = W_y (x) W_x is folded into the back transform (diag(w) S_y
-and S_x^T diag(w)).  The weighted additive smoother is the one-colour
-case, every subdomain at once; the multiplicative smoother is unweighted
-(w = 1) over colours of non-neighbouring subdomains.  Odd-numbered sweeps
-visit the colours in reverse order, so that an even number of
-consecutive multiplicative sweeps is symmetric.  The caller numbers the
+colour's subdomain windows, transform them one direction at a time and
+scale by the inverse eigenvalues.  Each back transform is then folded
+onto the nodes by ``mesh.fold_product`` without forming the windows: the
+product with the factor's own-node rows or columns goes straight into
+the colour's entries of the result, the other colours' entries staying
+zero, and only the edge-node product is added onto the neighbours.  The
+weight tensor W = W_y (x) W_x is folded into the back-transform factors
+(diag(w) S_y and S_x^T diag(w)), split once when the smoother is built.
+The weighted additive smoother is the one-colour case, every subdomain
+at once; the multiplicative smoother is unweighted (w = 1) over colours
+of non-neighbouring subdomains.  Odd-numbered sweeps visit the colours
+in reverse order, so that an even number of consecutive multiplicative
+sweeps is symmetric.  The caller numbers the
 sweeps; no smoother keeps state between calls.
 """
 
@@ -26,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis1D, overlap_width
-from .mesh import _global_1d, fold_windows, periodic_windows
+from .mesh import _global_1d, fold_product, periodic_windows, split_factor
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
@@ -182,12 +186,14 @@ class SchwarzSmoother:
         solver = _subdomain_solver(op, n_o)
         w = np.reshape(w, (-1, 1))
         lay = op.layout
-        self.p, self.n_o = lay.p, n_o
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
         self._colours = colours
         self._S_x, self._S_yT = solver.S_x, solver.S_y.T
-        self._WS_y, self._S_xTW = w * solver.S_y, (w * solver.S_x).T
+        # The back-transform factors diag(w) S_y and S_x^T diag(w), split
+        # for ``fold_product``.
+        self._WS_y = split_factor(w * solver.S_y, 1, lay.p, n_o)
+        self._S_xTW = split_factor((w * solver.S_x).T, 2, lay.p, n_o)
         # Inverse eigenvalues on axes (y, e_x, x), and per element the
         # inverse of its mean nu (None for Poisson).
         self._inv_lam = 1.0 / (solver.lam_y[:, None, None] + solver.lam_x)
@@ -199,7 +205,6 @@ class SchwarzSmoother:
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
         residual is ``f`` itself.  Odd-numbered sweeps visit the colours
         in reverse order."""
-        p, n_o = self.p, self.n_o
         n_y, n_x = len(self._wy), len(self._wx)
         for k in range(first, first + n_it):
             for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
@@ -211,12 +216,9 @@ class SchwarzSmoother:
                 if self._inv_nu is not None:
                     t *= self._inv_nu[c_y, c_x][:, None, :, None]
                 t *= self._inv_lam
-                w = np.zeros((n_y, m, nx_c * m))
-                np.matmul(self._WS_y, t.reshape(ny_c, m, -1), out=w[c_y])
-                t = fold_windows(w, 1, p, n_o).reshape(-1, nx_c, m)
-                w = np.zeros((len(t), n_x, m))
-                np.matmul(t, self._S_xTW, out=w[:, c_x])
-                cor = fold_windows(w, 2, p, n_o)
+                t = fold_product(t.reshape(ny_c, m, -1), self._WS_y, 1, n_y,
+                                 c_y).reshape(-1, nx_c, m)
+                cor = fold_product(t, self._S_xTW, 2, n_x, c_x)
                 u = cor if u is None else np.add(u, cor, out=u)
         return u
 

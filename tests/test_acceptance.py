@@ -120,6 +120,21 @@ def test_multiplicative_column_rates_are_pinned_at_seed_1(table):
     assert failing == {cell for cell in MULT_DEVIATIONS if cell[0] == table}
 
 
+@pytest.mark.parametrize("table", ["table2", "table4"])
+def test_additive_column_reproduces_at_seed_1(table):
+    # Every published additive cell of table2 (all six weights, 24 cells)
+    # and of table4 with its --full meshes (w5, 17 cells) at seed 1.
+    specs = [s for s in preset_grid(table, full=True) if s.smoother == "add"]
+    assert len(specs) == {"table2": 24, "table4": 17}[table]
+    misses = []
+    for s in specs:
+        rbar, ref = run_single(s, 1).rbar, reference_rbar(table, s)
+        if not abs(rbar - ref) <= rbar_tolerance(ref):
+            misses.append(f"{s.weight} p={s.p} {s.n_x}x{s.n_y}: "
+                          f"{rbar:.3f}/{ref}")
+    assert not misses, misses
+
+
 # Seed-1 rates of the diffusion presets, in grid order, to 4 significant
 # digits. The figures have no published values in this repository, so
 # these pins are what guards the diffusion operator and its smoothers.

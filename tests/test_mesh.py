@@ -1,5 +1,7 @@
-"""Tests for the periodic mesh, layouts, window indices, window folds and
-scatter-add."""
+"""Tests for the periodic mesh, layouts, window indices, folds of window
+products (``fold_product``) and scatter-add."""
+
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -8,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis, interp_matrix
-from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d,
-                            fold_windows, layout_for, periodic_windows,
-                            scatter_blocks)
+from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
+                            fold_product, layout_for, periodic_windows,
+                            scatter_blocks, split_factor)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
 from schwarzmg.operators import _global_quadrature
+from schwarzmg.schwarz import _colour_classes
 
 
 def _global_prolongation(j: np.ndarray, p_c: int, p_f: int, n: int) -> np.ndarray:
@@ -81,27 +84,74 @@ def test_scatter_blocks_equals_add_at_loop():
     npt.assert_allclose(got, want, atol=1e-14)
 
 
+def _window_product(rng, axis, lead, n_sel, m, k=2):
+    """Random (t, F, windows t @ F or F @ t) for ``fold_product``."""
+    if axis == 2:
+        t, F = rng.standard_normal(lead + (n_sel, k)), rng.standard_normal((k, m))
+        return t, F, t @ F
+    t, F = rng.standard_normal(lead + (n_sel, k, 3)), rng.standard_normal((m, k))
+    return t, F, F @ t
+
+
+def _selections(n):
+    """Every window selection of a sweep: all windows and each colour
+    class, on an odd ring the last element alone among them."""
+    return [slice(None)] + _colour_classes(n)
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_fold_windows_equals_add_at_loop(p, n):
-    # Every overlap 0 <= n_o < p whose window does not wrap onto itself
-    # (up to 3p - 1 nodes, reaching into both neighbouring elements), with
-    # the window axes leading or not.
+    # ``fold_product`` against np.add.at of the full window product, the
+    # unselected windows zero: every overlap 0 <= n_o < p whose window
+    # does not wrap onto itself (up to 3p - 1 nodes, reaching into both
+    # neighbouring elements), both product sides, with and without
+    # leading axes.
     rng = np.random.default_rng(29)
     for n_o in range(p):
         m = p + 1 + 2 * n_o
         if m > p * n:
             continue
         idx = periodic_windows(p, n, n_o)
-        for lead in ((), (3,)):
-            w = rng.standard_normal(lead + (n, m, 2))
-            want = np.zeros(lead + (p * n, 2))
+        for axis, lead, sel in itertools.product((1, 2), ((), (3,)),
+                                                 _selections(n)):
+            n_sel = len(range(n)[sel])
+            t, F, prod = _window_product(rng, axis, lead, n_sel, m)
+            trail = prod.shape[len(lead) + 2:]
+            w = np.zeros(lead + (n, m) + trail)
+            w[(Ellipsis, sel, slice(None)) + (slice(None),) * len(trail)] = prod
+            want = np.zeros(lead + (p * n,) + trail)
             for e in range(n):
-                for j in range(m):
-                    np.add.at(want, (Ellipsis, idx[e, j], slice(None)),
-                              w[..., e, j, :])
-            got = fold_windows(w, len(lead) + 1, p, n_o)
-            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+                np.add.at(want, (Ellipsis, idx[e]) + (slice(None),) * len(trail),
+                          w[(Ellipsis, e) + (slice(None),) * (1 + len(trail))])
+            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_split_factor_blocks_are_contiguous():
+    # The own nodes n_o ... n_o + p - 1 and the edge nodes (last n_o + 1,
+    # then first n_o), both C-contiguous for the GEMMs.
+    p, n_o = 4, 2
+    F = np.arange(3 * (p + 1 + 2 * n_o), dtype=float).reshape(3, -1)
+    own, edge = split_factor(F, 2, p, n_o)
+    npt.assert_array_equal(own, F[:, 2:6])
+    npt.assert_array_equal(edge, F[:, [6, 7, 8, 0, 1]])
+    own_t, edge_t = split_factor(F.T, 1, p, n_o)
+    npt.assert_array_equal(own_t, own.T)
+    npt.assert_array_equal(edge_t, edge.T)
+    for b in (own, edge, own_t, edge_t):
+        assert b.flags.c_contiguous
+
+
+def test_global_mass_is_the_folded_element_weights():
+    # Per element its first p weights, the shared node adding the last.
+    for p in (1, 2, 5):
+        basis = gll_basis(p)
+        w = np.tile(0.35 * basis.weights, (4, 1))
+        idx = periodic_windows(p, 4)
+        want = np.zeros(4 * p)
+        np.add.at(want, idx, w)
+        npt.assert_allclose(_global_mass(basis, 4, 0.7), want, rtol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -132,18 +182,26 @@ def test_periodic_windows_rows_are_consecutive(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_windows_case(), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1))
-def test_fold_windows_is_adjoint_of_take(case, axis, seed):
-    # <take(x), w> = <x, fold(w)> on a 2D field, along either axis.
+@given(_windows_case(), st.sampled_from([1, 2]), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_fold_windows_is_adjoint_of_take(case, axis, pick, seed):
+    # <take(x), w> = <x, fold_product(t, F)> on a 2D field, along either
+    # axis, for w the windows t @ F (axis 2) or F @ t (axis 1) of one
+    # selection and zero elsewhere.
     p, n, n_o = case
+    sels = _selections(n)
+    sel = sels[pick % len(sels)]
     rng = np.random.default_rng(seed)
-    shape = [3, 3]
-    shape[axis] = p * n
-    x = rng.standard_normal(shape)
-    tx = np.take(x, periodic_windows(p, n, n_o), axis)
-    w = rng.standard_normal(tx.shape)
+    m = p + 1 + 2 * n_o
+    lead = (3,) if axis == 2 else ()
+    t, F, prod = _window_product(rng, axis, lead, len(range(n)[sel]), m)
+    x = rng.standard_normal((3, p * n) if axis == 2 else (p * n, 3))
+    tx = np.take(x, periodic_windows(p, n, n_o), axis - 1)
+    w = np.zeros(tx.shape)
+    w[(slice(None),) * (axis - 1) + (sel,)] = prod
     lhs = np.vdot(tx, w)
-    rhs = np.vdot(x, fold_windows(w, axis + 1, p, n_o))
+    rhs = np.vdot(x, fold_product(t, split_factor(F, axis, p, n_o), axis, n,
+                                  sel))
     scale = np.abs(tx).ravel() @ np.abs(w).ravel()
     assert abs(lhs - rhs) <= 1e-12 * scale
 

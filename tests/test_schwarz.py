@@ -1,5 +1,7 @@
 """Tests for subdomain weights, fast diagonalization and smoothers."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -436,6 +438,24 @@ def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
     steps = 1 if smoother_cls is AdditiveSchwarz else 4
     assert len(calls) == 2 * steps - 1
     assert sm.smooth(op, None, f, 0) is None
+
+
+def test_additive_sweep_temporaries_stay_below_five_fields():
+    # The back transforms fold their products without forming the
+    # (n_y, m, n_x, m) windows, so one sweep from zero holds at most
+    # 4.5 fields of temporaries (p=16 16x16 w5 ceilp8, m = 21); forming
+    # the windows and copying their middle nodes out took 5.13.
+    mesh, basis = MeshConfig(16, 16), gll_basis(16)
+    op = PoissonOperator(basis, mesh)
+    f, _ = poisson_benchmark(mesh, basis)
+    sm = AdditiveSchwarz(op, 2, WeightKind.QUINTIC)
+    tracemalloc.start()
+    try:
+        sm.smooth(op, None, f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * f.nbytes
 
 
 def test_subdomain_window_alias_guard():

@@ -4,6 +4,15 @@ J. Sci. Comput. 22, 2000).
 
 Both start from the same seeded random initial guess in [0, 1] and
 iterate until the Euclidean residual norm drops by ``tol_reduction``.
+
+Precision: the iterate, the residual, the CG recurrences and the recorded
+history are float64. Each V-cycle runs in float32 on a float32 copy of the
+residual, and its correction is promoted to float64: mixed-precision
+iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
+Distrib. Syst. 22, 2007). A cycle need only cut the residual by about
+1e2, far above float32 resolution, while the float64 outer residual keeps
+the attainable accuracy of float64; the V-cycle's fields take half the
+bytes. Its coarse CG still runs in float64 (``multigrid.coarse_solve``).
 """
 
 import time
@@ -44,7 +53,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     """Solve A u = f, recording the residual norm once per cycle.
 
     Cycle c computes one correction z = v_cycle(h, r, c) of the current
-    residual r, so every solve numbers its smoothing sweeps from 0. ``mg``
+    residual r, in float32 and promoted to float64 (see the module
+    docstring), so every solve numbers its smoothing sweeps from 0. ``mg``
     adds z to u; ``mgcg`` uses it as the preconditioned residual of
     flexible CG, whose direction update takes the Polak-Ribiere
     coefficient beta = z^T (r - r_old) / delta, which tolerates the
@@ -56,7 +66,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     t0 = time.perf_counter()
     exhausted = h.coarse_cg_exhausted
     op = h.top.op
-    u = random_initial_guess(h, cfg.seed) if u0 is None else u0.copy()
+    u = (random_initial_guess(h, cfg.seed) if u0 is None
+         else u0.astype(np.float64))  # a copy, in the outer precision
     r = op.apply(u)
     np.subtract(f, r, out=r)  # f - A u without a second full-field array
     res = [float(np.linalg.norm(r))]
@@ -64,12 +75,14 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     converged, breakdown = res[0] <= r_max, False
     cycles, p = 0, None
     while not converged and cycles < cfg.max_cycles:
-        z = v_cycle(h, r, cycles)
+        z = v_cycle(h, r.astype(np.float32), cycles)
         if cfg.solver == "mg":
-            u += z
+            u += z  # promoted inside the add, without a float64 copy
+            del z, r  # freed before the apply's temporaries are allocated
             r = op.apply(u)
             np.subtract(f, r, out=r)
         else:
+            z = z.astype(np.float64)
             p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
             delta, r_old = np.vdot(z, r), r
             q = op.apply(p)

@@ -8,7 +8,11 @@ node index comes from ``periodic_windows``. Every operator apply,
 smoother sweep and restriction ends in a window product, a factor times
 gathered values, summed back onto the nodes one direction at a time;
 ``fold_product`` does that sum without forming the windows, from the
-factor as split once by ``split_factor``.
+factor as split once by ``split_factor``. Each kernel computes in the
+dtype of the field it is given: ``fold_product`` allocates in its
+operands' result type, and every object that holds factors keeps them in
+``Precisions``, float64 as built and float32 cast once on first use, so a
+float32 field moves half the bytes and is never upcast.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import numpy as np
 from .basis import Basis1D
 
 __all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "split_factor",
-           "fold_product"]
+           "fold_product", "Precisions"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,28 @@ def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
     return (np.arange(n)[:, None] * p + np.arange(-n_o, p + n_o + 1)) % (p * n)
 
 
+class Precisions(dict):
+    """Factors (arrays, tuples of them or None) keyed by dtype: float64 as
+    given, and float32 cast once, when a float32 field first asks for
+    them, so factors no float32 field uses (those of the coarse operator)
+    are never cast. A kernel picks them by its field's dtype; any dtype but
+    float32 gets the float64 factors."""
+
+    def __init__(self, *factors):
+        super().__init__({np.dtype(np.float64): factors})
+
+    def __missing__(self, dtype):
+        if dtype != np.float32:
+            return self[np.dtype(np.float64)]
+
+        def f32(a):
+            if isinstance(a, tuple):
+                return tuple(map(f32, a))
+            return None if a is None else a.astype(np.float32)
+        self[dtype] = f32(self[np.dtype(np.float64)])
+        return self[dtype]
+
+
 def split_factor(F: np.ndarray, axis: int, p: int,
                  n_o: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Split a window factor for ``fold_product``, once per factor.
@@ -115,16 +141,18 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
     own-node product is written straight into the result, and only the
     edge-node product is added onto the neighbours, first onto e + 1 and
-    then onto e - 1.
+    then onto e - 1. The result has the dtype ``np.result_type`` of t and
+    the factor, so float32 operands give a float32 fold.
     """
     blocks = []
     for f in F:
+        dtype = np.result_type(t, f)
         if axis == 2:
-            w = np.zeros(t.shape[:-2] + (n, f.shape[1]))
+            w = np.zeros(t.shape[:-2] + (n, f.shape[1]), dtype)
             np.matmul(t, f, out=w[..., sel, :])
             w = w[..., None]
         else:
-            w = np.zeros(t.shape[:-3] + (n, len(f), t.shape[-1]))
+            w = np.zeros(t.shape[:-3] + (n, len(f), t.shape[-1]), dtype)
             np.matmul(f, t, out=w[..., sel, :, :])
         blocks.append(w)
     own, edge = blocks  # (..., n, p, r) and (..., n, 2 n_o + 1, r)

@@ -17,6 +17,14 @@ numbers its smoothing sweeps consecutively from c times the sweeps per
 cycle, through all levels in the order they run, so the multiplicative
 colour order follows from the cycle index alone and the hierarchy holds
 no solve state.
+
+Precision: the V-cycle computes in the dtype of the residual it is given.
+Every level holds its transfer factors, and its operator and smoother
+theirs, in float64 and float32 (``mesh.Precisions``), so one hierarchy
+serves both. ``krylov.solve`` runs its outer loop in float64 and passes a
+float32 residual; ``coarse_solve`` runs its CG in float64 whatever the
+dtype of its right side, because its 1e-12 tolerance is below float32
+resolution, and returns the right side's dtype.
 """
 
 import logging
@@ -25,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import MeshConfig, fold_product, periodic_windows, split_factor
+from .mesh import (MeshConfig, Precisions, fold_product, periodic_windows,
+                   split_factor)
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
 
@@ -94,10 +103,10 @@ class Level:
     # shape (p_l, p_{l-1} + 1); the last fine node belongs to the next element.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
-    # The restriction's folded factors: J[:-1] split per direction by
-    # ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t).
-    rx: tuple[np.ndarray, np.ndarray] | None = None
-    ry: tuple[np.ndarray, np.ndarray] | None = None
+    # px, py and the restriction's folded factors, J[:-1] split per
+    # direction by ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t), in
+    # both precisions for the transfers to pick by their field's dtype.
+    transfers: Precisions | None = None
 
 
 class MultigridHierarchy:
@@ -176,8 +185,8 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
         p_c = levels[l - 1].basis.p
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
-                            J, J, split_factor(J, 2, p_c),
-                            split_factor(J.T, 1, p_c)))
+                            J, J, Precisions(J, J, split_factor(J, 2, p_c),
+                                             split_factor(J.T, 1, p_c))))
     lv0 = levels[0]
     if nu_hat is None:
         poisson, scale = lv0.op, 1.0
@@ -187,31 +196,34 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
-    """Interpolate a level l-1 field to level l."""
+    """Interpolate a level l-1 field to level l, in the field's dtype."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     lv, mesh = h.levels[l], h.mesh
-    p_c = lv.px.shape[1] - 1
+    px, py, _, _ = lv.transfers[coarse.dtype]
+    p_c = px.shape[1] - 1
     # x: every coarse element row window times J[:-1]^T, laid out as fine
     # rows (np.take returns the windows contiguous, unlike coarse[:, idx]).
     wx = np.take(coarse, periodic_windows(p_c, mesh.n_x), axis=1)
-    t = (wx @ lv.px.T).reshape(coarse.shape[0], -1)
+    t = (wx @ px.T).reshape(coarse.shape[0], -1)
     # y: the same on the element column windows.
     wy = np.take(t, periodic_windows(p_c, mesh.n_y), axis=0)
-    return (lv.py @ wy).reshape(-1, t.shape[1])
+    return (py @ wy).reshape(-1, t.shape[1])
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.ndarray:
-    """Transpose of prolongation: restrict a level l field to level l-1."""
+    """Transpose of prolongation: restrict a level l field to level l-1,
+    in the field's dtype."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     lv, mesh = h.levels[l], h.mesh
+    _, _, rx, ry = lv.transfers[fine.dtype]
     p_f = lv.px.shape[0]
     # x: each fine element row block times J[:-1], folded into coarse rows.
-    t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), lv.rx, 2,
+    t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), rx, 2,
                      mesh.n_x)
     # y: the same on the element column blocks.
-    return fold_product(t.reshape(mesh.n_y, p_f, -1), lv.ry, 1, mesh.n_y)
+    return fold_product(t.reshape(mesh.n_y, p_f, -1), ry, 1, mesh.n_y)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
@@ -224,15 +236,17 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem.
 
     The final projection also removes the constant that a preconditioner
-    scaled by a non-constant s lets into the iterate.
+    scaled by a non-constant s lets into the iterate. The CG runs in
+    float64, whose resolution its tolerance needs; the solution is
+    returned in the dtype of ``f0``.
     """
     lv0 = h.levels[0]
-    b = project_mean(f0)
+    b = project_mean(f0.astype(np.float64, copy=False))
     cap = 10 * b.size
     x = np.zeros_like(b)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return x
+        return x.astype(f0.dtype, copy=False)
     r = b.copy()
     z = p = _fft_inverse(h, r)
     rho = np.vdot(r, z)
@@ -256,7 +270,7 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
         h.coarse_cg_exhausted += 1
         log.warning("coarse CG hit its iteration cap (%d) or broke down "
                     "short of its tolerance; possible ill-conditioning", cap)
-    return project_mean(x)
+    return project_mean(x).astype(f0.dtype, copy=False)
 
 
 def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
@@ -268,7 +282,8 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     right side as its residual. The sweeps are numbered in the order they
     run, from ``cycle`` times the sweeps per cycle, which sets the
     multiplicative colour order. ``r`` is left unchanged, and the
-    hierarchy keeps no field between calls.
+    hierarchy keeps no field between calls. Every level computes in the
+    dtype of ``r`` except the coarse CG, which runs in float64.
     """
     L = h.depth
     k = cycle * sum(lv.n_pre + lv.n_post for lv in h.levels)

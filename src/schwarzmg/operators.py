@@ -8,8 +8,10 @@ realizes the weak-form Galerkin discretization of -div(nu grad u) with
 GLL-collocated quadrature, applied the same way, with nu w times the
 assembled weight of the other direction between the derivative and the
 test derivative, the test derivative being the folded factor. Each
-folded factor is split by ``split_factor`` when the operator is built.
-The nodal nu (None for Poisson) is the only stored diffusivity.
+folded factor is split by ``split_factor`` when the operator is built,
+and every factor of the apply is held in both precisions, so ``apply``
+computes in the dtype of its field. The nodal nu (None for Poisson) is
+the only stored diffusivity.
 
 Dense assembly routines are included as independent test oracles.
 """
@@ -18,9 +20,9 @@ import numpy as np
 
 from .basis import Basis1D
 # Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
-from .mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
-                   fold_product, layout_for, periodic_windows, scatter_blocks,
-                   split_factor)
+from .mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
+                   _global_mass, fold_product, layout_for, periodic_windows,
+                   scatter_blocks, split_factor)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
@@ -65,10 +67,12 @@ class PoissonOperator:
         self.stiff_y = (2.0 / mesh.dy) * basis.stiff
         self._wx = periodic_windows(basis.p, mesh.n_x)
         self._wy = periodic_windows(basis.p, mesh.n_y)
-        self._global_mass_x = _global_mass(basis, mesh.n_x, mesh.dx)
-        self._global_mass_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
-        self._fold_x = split_factor(self.stiff_x.T, 2, basis.p)
-        self._fold_y = split_factor(self.stiff_y, 1, basis.p)
+        # The x and y folded stiffness, and the assembled x and y mass.
+        self._factors = Precisions(
+            split_factor(self.stiff_x.T, 2, basis.p),
+            split_factor(self.stiff_y, 1, basis.p),
+            _global_mass(basis, mesh.n_x, mesh.dx),
+            _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
 
     def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
         """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
@@ -77,10 +81,11 @@ class PoissonOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
         mesh = self.mesh
-        out = fold_product(np.take(u, self._wx, 1), self._fold_x, 2, mesh.n_x)
-        out *= self._global_mass_y
-        ly = fold_product(np.take(u, self._wy, 0), self._fold_y, 1, mesh.n_y)
-        ly *= self._global_mass_x
+        fold_x, fold_y, mass_x, mass_y = self._factors[u.dtype]
+        out = fold_product(np.take(u, self._wx, 1), fold_x, 2, mesh.n_x)
+        out *= mass_y
+        ly = fold_product(np.take(u, self._wy, 0), fold_y, 1, mesh.n_y)
+        ly *= mass_x
         out += ly
         return out
 
@@ -101,13 +106,17 @@ class DiffusionOperator:
         # Per direction, nu w on the windows times the other direction's
         # assembled mass and (2/d)^2 (d/2) for the derivative, test gradient
         # and quadrature along it: shapes (N_y, n_x, p+1), (n_y, p+1, N_x).
+        # They are held in both precisions with the derivative matrix and
+        # its x and y folded factors.
         w = basis.weights
-        self._fx = ((2.0 / mesh.dx) * np.take(nu, self._wx, 1) * w
-                    * _global_mass(basis, mesh.n_y, mesh.dy)[:, None, None])
-        self._fy = ((2.0 / mesh.dy) * np.take(nu, self._wy, 0) * w[:, None]
-                    * _global_mass(basis, mesh.n_x, mesh.dx))
-        self._fold_x = split_factor(basis.diff, 2, basis.p)
-        self._fold_y = split_factor(basis.diff.T, 1, basis.p)
+        self._factors = Precisions(
+            basis.diff,
+            (2.0 / mesh.dx) * np.take(nu, self._wx, 1) * w
+            * _global_mass(basis, mesh.n_y, mesh.dy)[:, None, None],
+            (2.0 / mesh.dy) * np.take(nu, self._wy, 0) * w[:, None]
+            * _global_mass(basis, mesh.n_x, mesh.dx),
+            split_factor(basis.diff, 2, basis.p),
+            split_factor(basis.diff.T, 1, basis.p))
 
     def element_kernel(self, block: np.ndarray, e_x, e_y):
         """Element operator on the block(s) of element(s) (e_y, e_x); the
@@ -116,11 +125,11 @@ class DiffusionOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
-        d = self.basis.diff
-        out = fold_product((np.take(u, self._wx, 1) @ d.T) * self._fx,
-                           self._fold_x, 2, self.mesh.n_x)
-        out += fold_product(self._fy * (d @ np.take(u, self._wy, 0)),
-                            self._fold_y, 1, self.mesh.n_y)
+        d, fx, fy, fold_x, fold_y = self._factors[u.dtype]
+        out = fold_product((np.take(u, self._wx, 1) @ d.T) * fx,
+                           fold_x, 2, self.mesh.n_x)
+        out += fold_product(fy * (d @ np.take(u, self._wy, 0)),
+                            fold_y, 1, self.mesh.n_y)
         return out
 
     def element_mean_nu(self) -> np.ndarray:

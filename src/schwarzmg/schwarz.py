@@ -21,7 +21,9 @@ at once; the multiplicative smoother is unweighted (w = 1) over colours
 of non-neighbouring subdomains.  Odd-numbered sweeps visit the colours
 in reverse order, so that an even number of consecutive multiplicative
 sweeps is symmetric.  The caller numbers the
-sweeps; no smoother keeps state between calls.
+sweeps; no smoother keeps state between calls.  A sweep computes in the
+dtype of its right side: the smoother holds its factors in float64 and
+float32 (``mesh.Precisions``).
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .basis import Basis1D, overlap_width
-from .mesh import _global_1d, fold_product, periodic_windows, split_factor
+from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
+                   split_factor)
 
 __all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
@@ -189,36 +192,38 @@ class SchwarzSmoother:
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
         self._colours = colours
-        self._S_x, self._S_yT = solver.S_x, solver.S_y.T
-        # The back-transform factors diag(w) S_y and S_x^T diag(w), split
-        # for ``fold_product``.
-        self._WS_y = split_factor(w * solver.S_y, 1, lay.p, n_o)
-        self._S_xTW = split_factor((w * solver.S_x).T, 2, lay.p, n_o)
-        # Inverse eigenvalues on axes (y, e_x, x), and per element the
+        # The forward factors S_x and S_y^T; the back-transform factors
+        # diag(w) S_y and S_x^T diag(w), split for ``fold_product``; the
+        # inverse eigenvalues on axes (y, e_x, x); and per element the
         # inverse of its mean nu (None for Poisson).
-        self._inv_lam = 1.0 / (solver.lam_y[:, None, None] + solver.lam_x)
-        self._inv_nu = None if op.nu is None else 1.0 / op.element_mean_nu()
+        self._factors = Precisions(
+            solver.S_x, solver.S_y.T,
+            split_factor(w * solver.S_y, 1, lay.p, n_o),
+            split_factor((w * solver.S_x).T, 2, lay.p, n_o),
+            1.0 / (solver.lam_y[:, None, None] + solver.lam_x),
+            None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
                n_it: int, first: int = 0) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
         residual is ``f`` itself.  Odd-numbered sweeps visit the colours
-        in reverse order."""
+        in reverse order.  The sweep computes in the dtype of ``f``."""
         n_y, n_x = len(self._wy), len(self._wx)
+        S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = self._factors[f.dtype]
         for k in range(first, first + n_it):
             for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
                 r = f if u is None else f - op.apply(u)
-                t = np.take(np.take(r, self._wx[c_x], 1) @ self._S_x,
+                t = np.take(np.take(r, self._wx[c_x], 1) @ S_x,
                             self._wy[c_y], 0)
                 ny_c, m, nx_c, _ = t.shape
-                t = (self._S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
-                if self._inv_nu is not None:
-                    t *= self._inv_nu[c_y, c_x][:, None, :, None]
-                t *= self._inv_lam
-                t = fold_product(t.reshape(ny_c, m, -1), self._WS_y, 1, n_y,
+                t = (S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
+                if inv_nu is not None:
+                    t *= inv_nu[c_y, c_x][:, None, :, None]
+                t *= inv_lam
+                t = fold_product(t.reshape(ny_c, m, -1), WS_y, 1, n_y,
                                  c_y).reshape(-1, nx_c, m)
-                cor = fold_product(t, self._S_xTW, 2, n_x, c_x)
+                cor = fold_product(t, S_xTW, 2, n_x, c_x)
                 u = cor if u is None else np.add(u, cor, out=u)
         return u
 

@@ -11,6 +11,7 @@ from schwarzmg.krylov import SolveConfig, random_initial_guess, solve
 from schwarzmg.mesh import MeshConfig
 from schwarzmg.multigrid import OverlapRule, build_hierarchy, v_cycle
 from schwarzmg.operators import poisson_benchmark
+from schwarzmg.schwarz import WeightKind
 
 
 def _problem(p=8, n=4, smoother="add"):
@@ -183,16 +184,21 @@ def test_mgcg_is_textbook_flexible_cg():
     # Flexible CG with the Polak-Ribiere coefficient (Notay 2000), written
     # out: beta_k = z_k . (r_k - r_{k-1}) / (z_{k-1} . r_{k-1}) from the
     # first direction update on. The additive smoother with no
-    # post-smoothing makes the V-cycle a non-symmetric preconditioner.
+    # post-smoothing makes the V-cycle a non-symmetric preconditioner,
+    # applied as ``solve`` applies it: to a float32 copy of the residual,
+    # its correction promoted to float64.
     h, f, _ = _problem(p=4, n=4)
     cfg = SolveConfig(solver="mgcg", tol_reduction=1e10, max_cycles=30,
                       seed=4)
     u, rep = solve(h, f, cfg)
 
+    def precondition(r, cycle):
+        return v_cycle(h, r.astype(np.float32), cycle).astype(np.float64)
+
     A = h.top.op.apply
     x = random_initial_guess(h, cfg.seed)
     r = f - A(x)
-    z = v_cycle(h, r, 0)
+    z = precondition(r, 0)
     p = z
     res = [np.linalg.norm(r)]
     for c in range(1, rep.cycles + 1):
@@ -201,13 +207,27 @@ def test_mgcg_is_textbook_flexible_cg():
         x = x + alpha * p
         r_new = r - alpha * q
         res.append(np.linalg.norm(r_new))
-        z_new = v_cycle(h, r_new, c)
+        z_new = precondition(r_new, c)
         beta = np.vdot(z_new, r_new - r) / np.vdot(z, r)
         p = z_new + beta * p
         r, z = r_new, z_new
     assert rep.converged
     npt.assert_allclose(rep.residuals, res, rtol=1e-9)
     npt.assert_allclose(u, x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("p", [4, 32])
+def test_float32_v_cycle_keeps_the_float64_attainable_accuracy(p):
+    # The outer residual is float64, so the solve reaches float64 roundoff
+    # although every V-cycle runs in float32; with a float32 outer loop it
+    # would stall near 1e-7 r0.
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, p, OverlapRule("ceilp8"),
+                        weight=WeightKind.QUINTIC)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    _, rep = solve(h, f, SolveConfig(tol_reduction=1e30, max_cycles=30,
+                                     seed=1))
+    assert min(rep.residuals) <= 1e-15 * rep.residuals[0]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")

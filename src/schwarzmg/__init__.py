@@ -10,7 +10,7 @@ from .multigrid import (MultigridHierarchy, OverlapRule, build_hierarchy,
 from .operators import (DiffusionOperator, PoissonOperator,
                         manufactured_rhs_diffusion, manufactured_rhs_poisson)
 from .presets import RunRecord, RunSpec, preset_grid, run_preset, run_single
-from .schwarz import (AdditiveSchwarz, FastDiagSolver, MultiplicativeSchwarz,
-                      WeightKind, build_fast_diag, restricted_1d, weight_value)
+from .schwarz import (AdditiveSchwarz, MultiplicativeSchwarz, WeightKind,
+                      build_fast_diag, restricted_1d, weight_value)
 
 __version__ = "0.1.0"

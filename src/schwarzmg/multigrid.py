@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import (MeshConfig, Precisions, fold_product, periodic_windows,
-                   split_factor)
+from .mesh import MeshConfig, Precisions, fold_product, split_factor
 from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
 
@@ -99,11 +98,12 @@ class Level:
     smoother: SchwarzSmoother | None
     n_pre: int
     n_post: int
-    # Per-direction element interpolation block J[:-1] from level l-1 to l,
-    # shape (p_l, p_{l-1} + 1); the last fine node belongs to the next element.
+    # The element interpolation block J[:-1] from level l-1 to l in x and
+    # in y (one array), shape (p_l, p_{l-1} + 1); the last fine node
+    # belongs to the next element.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
-    # px, py and the restriction's folded factors, J[:-1] split per
+    # J[:-1] and the restriction's folded factors, J[:-1] split per
     # direction by ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t), in
     # both precisions for the transfers to pick by their field's dtype.
     transfers: Precisions | None = None
@@ -177,16 +177,17 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
             levels.append(Level(l, basis, op, None, 0, 0))
             continue
         n_o = rule.layers(p_l)
-        if smoother == "add":
-            sm = AdditiveSchwarz(op, n_o, weight)
-        else:
-            sm = MultiplicativeSchwarz(op, n_o)
+        try:
+            sm = (AdditiveSchwarz(op, n_o, weight) if smoother == "add"
+                  else MultiplicativeSchwarz(op, n_o))
+        except ValueError as exc:
+            raise ValueError(f"multigrid level {l} of the p={p} hierarchy: "
+                             f"{exc}") from None
         factor = 2 ** (depth - l) if variable else 1
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
-        p_c = levels[l - 1].basis.p
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
-                            J, J, Precisions(J, J, split_factor(J, 2, p_c),
-                                             split_factor(J.T, 1, p_c))))
+                            J, J, Precisions(J, split_factor(J, 2, p_l // 2),
+                                             split_factor(J.T, 1, p_l // 2))))
     lv0 = levels[0]
     if nu_hat is None:
         poisson, scale = lv0.op, 1.0
@@ -199,16 +200,15 @@ def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
     """Interpolate a level l-1 field to level l, in the field's dtype."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
-    lv, mesh = h.levels[l], h.mesh
-    px, py, _, _ = lv.transfers[coarse.dtype]
-    p_c = px.shape[1] - 1
+    J, _, _ = h.levels[l].transfers[coarse.dtype]
+    op_c = h.levels[l - 1].op
     # x: every coarse element row window times J[:-1]^T, laid out as fine
     # rows (np.take returns the windows contiguous, unlike coarse[:, idx]).
-    wx = np.take(coarse, periodic_windows(p_c, mesh.n_x), axis=1)
-    t = (wx @ px.T).reshape(coarse.shape[0], -1)
+    wx = np.take(coarse, op_c._wx, axis=1)
+    t = (wx @ J.T).reshape(coarse.shape[0], -1)
     # y: the same on the element column windows.
-    wy = np.take(t, periodic_windows(p_c, mesh.n_y), axis=0)
-    return (py @ wy).reshape(-1, t.shape[1])
+    wy = np.take(t, op_c._wy, axis=0)
+    return (J @ wy).reshape(-1, t.shape[1])
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.ndarray:
@@ -217,8 +217,8 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.nda
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     lv, mesh = h.levels[l], h.mesh
-    _, _, rx, ry = lv.transfers[fine.dtype]
-    p_f = lv.px.shape[0]
+    _, rx, ry = lv.transfers[fine.dtype]
+    p_f = lv.basis.p
     # x: each fine element row block times J[:-1], folded into coarse rows.
     t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), rx, 2,
                      mesh.n_x)

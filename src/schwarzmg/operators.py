@@ -10,8 +10,10 @@ assembled weight of the other direction between the derivative and the
 test derivative, the test derivative being the folded factor. Each
 folded factor is split by ``split_factor`` when the operator is built,
 and every factor of the apply is held in both precisions, so ``apply``
-computes in the dtype of its field. The nodal nu (None for Poisson) is
-the only stored diffusivity.
+computes in the dtype of its field. Both operators derive from one base
+that holds the basis, the mesh, the layout, the nodal nu (None for
+Poisson; the only stored diffusivity), the element window tables and the
+element kernel; each adds only its factors and ``apply``.
 
 Dense assembly routines are included as independent test oracles.
 """
@@ -35,48 +37,53 @@ def _check_layout(layout: FieldLayout, u: np.ndarray):
                          f"({layout.N_y}, {layout.N_x})")
 
 
-def _nu_w(op, e_x, e_y) -> np.ndarray:
-    """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x), whose
-    indices may be broadcastable arrays; nu = 1 when ``op.nu`` is None."""
-    w2 = np.outer(op.basis.weights, op.basis.weights)
-    if op.nu is None:
-        return w2
-    return op.nu[op._wy[e_y][..., :, None], op._wx[e_x][..., None, :]] * w2
+class _GlobalOperator:
+    """What both operators share on one polynomial level: the basis, the
+    mesh, the field layout, the nodal nu (None for Poisson: unit
+    diffusivity), the element window tables and the element kernel."""
 
-
-def _element_kernel(op, blocks, e_x, e_y) -> np.ndarray:
-    """Weak-form element operator of -div(nu grad u) on (y, x) blocks u:
-    A_e u = c_x (nu_w * (u D^T)) D + c_y D^T (nu_w * (D u)), with D the 1D
-    derivative matrix, nu_w = nu (w (x) w), c_x = dy/dx and c_y = dx/dy (the
-    2/d derivative and test gradient times the (dx/2)(dy/2) quadrature)."""
-    d, nu_w, mesh = op.basis.diff, _nu_w(op, e_x, e_y), op.mesh
-    return (mesh.dy / mesh.dx * ((nu_w * (blocks @ d.T)) @ d)
-            + mesh.dx / mesh.dy * (d.T @ (nu_w * (d @ blocks))))
-
-
-class PoissonOperator:
-    """Global Poisson operator on one polynomial level of a periodic mesh."""
-
-    nu = None  # unit diffusivity
-
-    def __init__(self, basis: Basis1D, mesh: MeshConfig):
+    def __init__(self, basis: Basis1D, mesh: MeshConfig,
+                 nu: np.ndarray | None = None):
         self.basis = basis
         self.mesh = mesh
         self.layout = layout_for(mesh, basis.p)
-        self.stiff_x = (2.0 / mesh.dx) * basis.stiff
-        self.stiff_y = (2.0 / mesh.dy) * basis.stiff
+        self.nu = nu
         self._wx = periodic_windows(basis.p, mesh.n_x)
         self._wy = periodic_windows(basis.p, mesh.n_y)
+
+    def _nu_w(self, e_x, e_y) -> np.ndarray:
+        """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x),
+        whose indices may be broadcastable arrays."""
+        w2 = np.outer(self.basis.weights, self.basis.weights)
+        if self.nu is None:
+            return w2
+        return self.nu[self._wy[e_y][..., :, None],
+                       self._wx[e_x][..., None, :]] * w2
+
+    def element_kernel(self, blocks: np.ndarray, e_x=0, e_y=0) -> np.ndarray:
+        """Weak-form element operator of -div(nu grad u) on the (y, x)
+        block(s) u of element(s) (e_y, e_x), whose indices may be
+        broadcastable arrays over a batch of blocks:
+        A_e u = c_x (nu_w * (u D^T)) D + c_y D^T (nu_w * (D u)), with D the
+        1D derivative matrix, nu_w = nu (w (x) w), c_x = dy/dx and
+        c_y = dx/dy (the 2/d derivative and test gradient times the
+        (dx/2)(dy/2) quadrature)."""
+        d, nu_w, mesh = self.basis.diff, self._nu_w(e_x, e_y), self.mesh
+        return (mesh.dy / mesh.dx * ((nu_w * (blocks @ d.T)) @ d)
+                + mesh.dx / mesh.dy * (d.T @ (nu_w * (d @ blocks))))
+
+
+class PoissonOperator(_GlobalOperator):
+    """Global Poisson operator on one polynomial level of a periodic mesh."""
+
+    def __init__(self, basis: Basis1D, mesh: MeshConfig):
+        super().__init__(basis, mesh)
         # The x and y folded stiffness, and the assembled x and y mass.
         self._factors = Precisions(
-            split_factor(self.stiff_x.T, 2, basis.p),
-            split_factor(self.stiff_y, 1, basis.p),
+            split_factor((2.0 / mesh.dx) * basis.stiff.T, 2, basis.p),
+            split_factor((2.0 / mesh.dy) * basis.stiff, 1, basis.p),
             _global_mass(basis, mesh.n_x, mesh.dx),
             _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
-
-    def element_kernel(self, block: np.ndarray, e_x=0, e_y=0):
-        """Element operator on a (y, x) block or a (..., p+1, p+1) batch."""
-        return _element_kernel(self, block, e_x, e_y)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
@@ -90,19 +97,14 @@ class PoissonOperator:
         return out
 
 
-class DiffusionOperator:
+class DiffusionOperator(_GlobalOperator):
     """Weak-form Galerkin operator for -div(nu grad u), nu sampled nodally."""
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig, nu: np.ndarray):
-        self.basis = basis
-        self.mesh = mesh
-        self.layout = layout_for(mesh, basis.p)
+        super().__init__(basis, mesh, nu)
         _check_layout(self.layout, nu)
         if np.any(nu <= 0.0):
             raise ValueError("diffusivity must be positive at every node")
-        self.nu = nu
-        self._wx = periodic_windows(basis.p, mesh.n_x)
-        self._wy = periodic_windows(basis.p, mesh.n_y)
         # Per direction, nu w on the windows times the other direction's
         # assembled mass and (2/d)^2 (d/2) for the derivative, test gradient
         # and quadrature along it: shapes (N_y, n_x, p+1), (n_y, p+1, N_x).
@@ -118,11 +120,6 @@ class DiffusionOperator:
             split_factor(basis.diff, 2, basis.p),
             split_factor(basis.diff.T, 1, basis.p))
 
-    def element_kernel(self, block: np.ndarray, e_x, e_y):
-        """Element operator on the block(s) of element(s) (e_y, e_x); the
-        indices may be broadcastable arrays over a batch of blocks."""
-        return _element_kernel(self, block, e_x, e_y)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         _check_layout(self.layout, u)
         d, fx, fy, fold_x, fold_y = self._factors[u.dtype]
@@ -135,7 +132,7 @@ class DiffusionOperator:
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""
         e_y, e_x = np.ogrid[:self.mesh.n_y, :self.mesh.n_x]
-        return _nu_w(self, e_x, e_y).sum(axis=(2, 3)) / 4.0
+        return self._nu_w(e_x, e_y).sum(axis=(2, 3)) / 4.0
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ dtype of its right side: the smoother holds its factors in float64 and
 float32 (``mesh.Precisions``).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,7 +34,7 @@ from .basis import Basis1D, overlap_width
 from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
                    split_factor)
 
-__all__ = ["WeightKind", "FastDiagSolver", "restricted_1d", "weight_value",
+__all__ = ["WeightKind", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
            "AdditiveSchwarz", "MultiplicativeSchwarz"]
 
@@ -131,53 +130,20 @@ def restricted_1d(basis: Basis1D, d: float, n_o: int):
     return np.ascontiguousarray(L[sel, sel]), m[sel].copy()
 
 
-@dataclass(eq=False)
-class FastDiagSolver:
-    """Factored inverse of the tensor-product subdomain operator.
-
-    Holds the generalized eigenvector matrices S_* (normalized so that
-    S^T M_s S = I) and the eigenvalue diagonals.
-    """
-
-    S_x: np.ndarray
-    S_y: np.ndarray
-    lam_x: np.ndarray
-    lam_y: np.ndarray
-
-    def solve(self, blocks: np.ndarray) -> np.ndarray:
-        """Apply the factored inverse to one block or a batch of blocks."""
-        tmp = self.S_y.T @ blocks @ self.S_x
-        tmp /= (self.lam_y[:, None] + self.lam_x[None, :])
-        return self.S_y @ tmp @ self.S_x.T
-
-
-def _direction_factors(basis: Basis1D, d: float, n_o: int):
-    L_s, m_s = restricted_1d(basis, d, n_o)
-    inv_sqrt = 1.0 / np.sqrt(m_s)
-    sym = inv_sqrt[:, None] * L_s * inv_sqrt[None, :]
-    lam, q = np.linalg.eigh(sym)
-    if lam[0] <= 0.0:
-        raise RuntimeError("restricted subdomain problem is not definite")
-    return inv_sqrt[:, None] * q, lam
-
-
-def build_fast_diag(basis: Basis1D, dx: float, dy: float,
-                    n_o: int) -> FastDiagSolver:
-    """Per-direction generalized eigendecompositions of the subdomain problem."""
-    S_x, lam_x = _direction_factors(basis, dx, n_o)
-    S_y, lam_y = _direction_factors(basis, dy, n_o)
-    return FastDiagSolver(S_x=S_x, S_y=S_y, lam_x=lam_x, lam_y=lam_y)
-
-
-def _subdomain_solver(op, n_o: int) -> FastDiagSolver:
-    """Local solver shared by the congruent subdomains of ``op``'s level."""
-    lay = op.layout
-    m = lay.p + 1 + 2 * n_o
-    if m > lay.N_x or m > lay.N_y:
-        raise ValueError(
-            f"subdomain window ({m} nodes) wraps onto itself on a "
-            f"{lay.n_x}x{lay.n_y} mesh at p={lay.p}; reduce n_o")
-    return build_fast_diag(op.basis, op.mesh.dx, op.mesh.dy, n_o)
+def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int):
+    """Factored inverse of the tensor-product subdomain operator: the
+    per-direction generalized eigenvector matrices (normalized so that
+    S^T M_s S = I) and eigenvalues, returned as (S_x, lam_x, S_y, lam_y).
+    The inverse is S_y ((S_y^T r S_x) / (lam_y (x) 1 + 1 (x) lam_x)) S_x^T."""
+    factors = ()
+    for d in (dx, dy):
+        L_s, m_s = restricted_1d(basis, d, n_o)
+        inv_sqrt = 1.0 / np.sqrt(m_s)
+        lam, q = np.linalg.eigh(inv_sqrt[:, None] * L_s * inv_sqrt[None, :])
+        if lam[0] <= 0.0:
+            raise RuntimeError("restricted subdomain problem is not definite")
+        factors += (inv_sqrt[:, None] * q, lam)
+    return factors
 
 
 class SchwarzSmoother:
@@ -186,9 +152,15 @@ class SchwarzSmoother:
     direction's subdomain nodes (a scalar weighs them all alike)."""
 
     def __init__(self, op, n_o: int, w, colours: list[tuple[slice, slice]]):
-        solver = _subdomain_solver(op, n_o)
-        w = np.reshape(w, (-1, 1))
         lay = op.layout
+        m = lay.p + 1 + 2 * n_o
+        if m > lay.N_x or m > lay.N_y:
+            raise ValueError(
+                f"subdomain window ({m} nodes) wraps onto itself on a "
+                f"{lay.n_x}x{lay.n_y} mesh at p={lay.p}; reduce n_o")
+        S_x, lam_x, S_y, lam_y = build_fast_diag(op.basis, op.mesh.dx,
+                                                 op.mesh.dy, n_o)
+        w = np.reshape(w, (-1, 1))
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
         self._colours = colours
@@ -197,10 +169,10 @@ class SchwarzSmoother:
         # inverse eigenvalues on axes (y, e_x, x); and per element the
         # inverse of its mean nu (None for Poisson).
         self._factors = Precisions(
-            solver.S_x, solver.S_y.T,
-            split_factor(w * solver.S_y, 1, lay.p, n_o),
-            split_factor((w * solver.S_x).T, 2, lay.p, n_o),
-            1.0 / (solver.lam_y[:, None, None] + solver.lam_x),
+            S_x, S_y.T,
+            split_factor(w * S_y, 1, lay.p, n_o),
+            split_factor((w * S_x).T, 2, lay.p, n_o),
+            1.0 / (lam_y[:, None, None] + lam_x),
             None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,

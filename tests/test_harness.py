@@ -174,6 +174,13 @@ def test_cli_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_cli_nel_with_three_counts_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--p", "2", "--nel", "4,4,4"])
+    assert exc.value.code == 1
+    assert "--nel expects nx or nx,ny" in capsys.readouterr().err
+
+
 def test_cli_bad_order_is_one_line_error(capsys):
     rc = cli.main(["solve", "--p", "3", "--nel", "4"])
     err = capsys.readouterr().err

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis, interp_matrix
-from schwarzmg.mesh import (FieldLayout, MeshConfig, _global_1d, _global_mass,
-                            fold_product, layout_for, periodic_windows,
-                            scatter_blocks, split_factor)
+from schwarzmg.mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
+                            _global_mass, fold_product, layout_for,
+                            periodic_windows, scatter_blocks, split_factor)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
 from schwarzmg.operators import _global_quadrature
@@ -126,6 +126,18 @@ def test_fold_windows_equals_add_at_loop(p, n):
                           w[(Ellipsis, e) + (slice(None),) * (1 + len(trail))])
             got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel)
             npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_precisions_cast_only_for_float32():
+    a, b = np.arange(3.0), np.ones((2, 2))
+    factors = Precisions(a, (b, b), None)
+    for dtype in (np.float16, np.int64, np.complex128):
+        assert factors[np.dtype(dtype)] is factors[np.dtype(np.float64)]
+    assert factors[np.dtype(np.float64)][0] is a
+    assert np.dtype(np.float32) not in factors
+    f32 = factors[np.dtype(np.float32)]
+    assert [x.dtype for x in (f32[0], *f32[1])] == [np.float32] * 3
+    assert f32[2] is None
 
 
 def test_split_factor_blocks_are_contiguous():

@@ -144,6 +144,17 @@ def test_coarse_solve_matches_pseudoinverse_beyond_square_poisson(mesh, nu_hat):
     _check_coarse_solve_against_pinv(mesh, nu_hat)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_coarse_solve_of_a_zero_right_side_is_zero(dtype):
+    h = build_hierarchy(MeshConfig(4, 3), 2, OverlapRule("fixed", 1))
+    lv0 = h.levels[0]
+    u0 = coarse_solve(h, np.zeros((lv0.op.layout.N_y, lv0.op.layout.N_x),
+                                  dtype))
+    assert u0.dtype == dtype
+    assert not u0.any()
+    assert h.coarse_cg_exhausted == 0
+
+
 def test_fft_preconditioner_solves_poisson_coarse_problem_in_one_iteration():
     mesh = MeshConfig(12, 5, l_x=16.0)
     h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1))

@@ -116,6 +116,17 @@ def test_diffusion_rejects_nonpositive_nu():
         DiffusionOperator(basis, mesh, nu)
 
 
+@pytest.mark.parametrize("shape", [(9, 8), (8, 9), (72,)])
+def test_apply_rejects_a_field_of_the_wrong_shape(shape):
+    mesh = MeshConfig(4, 4)
+    basis = gll_basis(2)
+    layout = layout_for(mesh, 2)
+    nu = np.ones((layout.N_y, layout.N_x))
+    for op in (PoissonOperator(basis, mesh), DiffusionOperator(basis, mesh, nu)):
+        with pytest.raises(ValueError, match=r"does not match layout \(8, 8\)"):
+            op.apply(np.zeros(shape))
+
+
 def test_element_kernel_matches_dense_single_element_block():
     mesh = MeshConfig(2, 2, l_x=4.0, l_y=2.0)
     basis = gll_basis(3)
@@ -123,8 +134,10 @@ def test_element_kernel_matches_dense_single_element_block():
     block = np.random.default_rng(23).standard_normal((4, 4))
     mass_x = (mesh.dx / 2.0) * basis.weights
     mass_y = (mesh.dy / 2.0) * basis.weights
-    want = (np.diag(mass_y) @ block @ op.stiff_x
-            + op.stiff_y @ block @ np.diag(mass_x))
+    stiff_x = (2.0 / mesh.dx) * basis.stiff
+    stiff_y = (2.0 / mesh.dy) * basis.stiff
+    want = (np.diag(mass_y) @ block @ stiff_x
+            + stiff_y @ block @ np.diag(mass_x))
     npt.assert_allclose(op.element_kernel(block), want, atol=1e-13)
 
 

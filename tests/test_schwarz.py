@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
+from schwarzmg.multigrid import OverlapRule, build_hierarchy
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  diffusivity_field, poisson_benchmark)
@@ -117,12 +118,12 @@ def test_restricted_1d_against_patch_assembly():
 @pytest.mark.parametrize("dx,dy", [(0.25, 0.25), (1.0, 0.25)])
 def test_fast_diag_inverts_subdomain_operator(p, n_o, dx, dy):
     basis = gll_basis(p)
-    solver = build_fast_diag(basis, dx, dy, n_o)
+    S_x, lam_x, S_y, lam_y = build_fast_diag(basis, dx, dy, n_o)
     A_ss = _dense_subdomain_matrix(basis, dx, dy, n_o)
     m = p + 1 + 2 * n_o
     rng = np.random.default_rng(37)
     r = rng.standard_normal((m, m))
-    x = solver.solve(r)
+    x = S_y @ ((S_y.T @ r @ S_x) / (lam_y[:, None] + lam_x)) @ S_x.T
     npt.assert_allclose(A_ss @ x.ravel(), r.ravel(),
                         atol=1e-10 * np.abs(r).max())
 
@@ -466,3 +467,8 @@ def test_subdomain_window_alias_guard():
         AdditiveSchwarz(op, 1, WeightKind.QUINTIC)
     with pytest.raises(ValueError):
         MultiplicativeSchwarz(op, 1)
+    # A hierarchy names the level it trips on: ceilp2 gives p=2 one layer.
+    with pytest.raises(ValueError, match=r"^multigrid level 1 of the p=32 "
+                       r"hierarchy: subdomain window \(5 nodes\) wraps onto "
+                       r"itself on a 2x2 mesh at p=2"):
+        build_hierarchy(MeshConfig(2, 2), 32, OverlapRule("ceilp2"))

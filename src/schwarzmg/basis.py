@@ -4,45 +4,19 @@ Provides GLL nodes and quadrature weights, the nodal derivative matrix,
 the diagonal (lumped) mass matrix and the stiffness matrix on the
 standard interval [-1, 1], plus inter-order interpolation matrices.
 These are the building blocks for all tensor-product operators.
+
+Legendre series come from ``numpy.polynomial.legendre``. The interior
+nodes, the roots of P'_p, are the Gauss-Jacobi(1, 1) points: the
+eigenvalues of a symmetric tridiagonal Jacobi matrix (Golub & Welsch,
+Math. Comp. 23, 1969), polished by one Newton step on P'_p.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre as leg
 
 __all__ = ["Basis1D", "gll_basis", "interp_matrix", "overlap_width"]
-
-
-def _legendre(p: int, x):
-    """Evaluate the Legendre polynomial P_p and its first two derivatives.
-
-    Uses the three-term recurrence; works on scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    v1 = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    s1 = np.zeros_like(x)
-    v0 = np.ones_like(x)
-    d0 = np.zeros_like(x)
-    s0 = np.zeros_like(x)
-    for k in range(1, p + 1):
-        a = (2 * k - 1) / k
-        b = (k - 1) / k
-        v2, d2, s2 = v1, d1, s1
-        v1, d1, s1 = v0, d0, s0
-        v0 = a * x * v1 - b * v2
-        d0 = a * (v1 + x * d1) - b * d2
-        s0 = a * (2 * d1 + x * s1) - b * s2
-    return v0, d0, s0
-
-
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
-    # Normalization is irrelevant for the barycentric formulas but keeps
-    # the entries in a sane range for large p.
-    return w / np.max(np.abs(w))
 
 
 @dataclass(eq=False)
@@ -56,7 +30,6 @@ class Basis1D:
     weights : p+1 positive quadrature weights, summing to 2
     diff : derivative matrix, diff[i, j] = dphi_j/dxi at nodes[i]
     stiff : 1D stiffness matrix diff^T @ diag(weights) @ diff
-    bary : barycentric weights for Lagrange evaluation
     """
 
     p: int
@@ -64,76 +37,54 @@ class Basis1D:
     weights: np.ndarray
     diff: np.ndarray
     stiff: np.ndarray
-    bary: np.ndarray = field(repr=False, default=None)
 
 
 def gll_basis(p: int) -> Basis1D:
     """Construct the GLL basis of order ``p``.
 
-    Nodes are the roots of (1 - xi^2) P'_p(xi), found by Newton iteration
-    started from the Chebyshev-Gauss-Lobatto points. Weights follow the
-    closed form 2 / (p (p+1) P_p(xi_i)^2).
+    The p-1 interior nodes are the eigenvalues of the Gauss-Jacobi(1, 1)
+    Jacobi matrix, whose off-diagonals are sqrt(k (k+2) / ((2k+1) (2k+3))),
+    k = 1..p-2, polished by one Newton step on P'_p. Weights follow the
+    closed form 2 / (p (p+1) P_p(xi_i)^2); the derivative matrix is
+    D_ij = P_p(xi_i) / (P_p(xi_j) (xi_i - xi_j)) off the diagonal, with the
+    negative row sum on it.
     """
     if p < 1:
         raise ValueError(f"polynomial order must be >= 1, got {p}")
-    nodes = -np.cos(np.pi * np.arange(p + 1) / p)
-    if p > 1:
-        xi = nodes[1:-1].copy()
-        for _ in range(100):
-            _, d, s = _legendre(p, xi)
-            step = d / s
-            xi -= step
-            if np.max(np.abs(step)) < 1e-15:
-                break
-        else:
-            raise RuntimeError(f"GLL Newton iteration did not converge for p={p}")
-        # Enforce exact symmetry of the node set.
-        xi = 0.5 * (xi - xi[::-1])
-        nodes[1:-1] = xi
-    nodes[0], nodes[-1] = -1.0, 1.0
+    k = np.arange(1.0, p - 1)
+    off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    # The matrix is 1x1 for p <= 2; p = 1 keeps none of its eigenvalues.
+    xi = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[:p - 1]
+    P = [0] * p + [1]  # P_p as a Legendre series
+    xi -= leg.legval(xi, leg.legder(P)) / leg.legval(xi, leg.legder(P, 2))
+    # Enforce exact symmetry of the node set.
+    nodes = np.concatenate(([-1.0], 0.5 * (xi - xi[::-1]), [1.0]))
 
-    v, _, _ = _legendre(p, nodes)
+    v = leg.legval(nodes, P)
     weights = 2.0 / (p * (p + 1) * v**2)
 
-    bary = _barycentric_weights(nodes)
     dist = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dist, 1.0)
-    diff = (bary[None, :] / bary[:, None]) / dist
+    diff = v[:, None] / (v[None, :] * dist)
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
 
     stiff = diff.T @ (weights[:, None] * diff)
     stiff = 0.5 * (stiff + stiff.T)
-    return Basis1D(p=p, nodes=nodes, weights=weights, diff=diff,
-                   stiff=stiff, bary=bary)
-
-
-def lagrange_eval_matrix(basis: Basis1D, x) -> np.ndarray:
-    """Evaluate all Lagrange cardinal functions of ``basis`` at points ``x``.
-
-    Returns a matrix E with E[i, j] = phi_j(x[i]), computed with the
-    second (true) barycentric form to avoid cancellation near nodes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x[:, None] - basis.nodes[None, :]
-    exact = np.isclose(d, 0.0, rtol=0.0, atol=1e-14)
-    d = np.where(exact, 1.0, d)
-    terms = basis.bary[None, :] / d
-    out = terms / terms.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    out[hit] = exact[hit].astype(float)
-    return out
+    return Basis1D(p=p, nodes=nodes, weights=weights, diff=diff, stiff=stiff)
 
 
 def interp_matrix(src: Basis1D, dst: Basis1D) -> np.ndarray:
     """Interpolation matrix, shape (dst.p + 1, src.p + 1), from the nodes of
     ``src`` to the nodes of ``dst``.
 
-    Exact for polynomials of degree <= src.p; each row sums to one.
+    Exact for polynomials of degree <= src.p; each row sums to one. It is
+    V_dst V_src^-1 for the Legendre-Vandermonde matrices of degree src.p.
     """
     if src.p > dst.p:
         raise ValueError(f"source order {src.p} exceeds target order {dst.p}")
-    return lagrange_eval_matrix(src, dst.nodes)
+    return np.linalg.solve(leg.legvander(src.nodes, src.p).T,
+                           leg.legvander(dst.nodes, src.p).T).T
 
 
 def overlap_width(basis: Basis1D, n_o: int) -> float:

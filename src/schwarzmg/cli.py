@@ -6,6 +6,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import presets
+from .krylov import SolveConfig
 from .presets import RunSpec, preset_grid, run_preset, run_single
 
 __all__ = ["main", "build_parser"]
@@ -86,6 +87,8 @@ def _cmd_table(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not seeds:
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        SolveConfig(seed=seed)  # a bad seed fails before any output opens
     out = args.out or f"{args.name}.csv"
     paths = [out] + [str(Path(out).with_suffix(".json"))] * (args.format == "json")
     with ExitStack() as stack:

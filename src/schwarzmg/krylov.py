@@ -40,6 +40,8 @@ class SolveConfig:
             raise ValueError("max_cycles must be >= 1")
         if self.solver not in ("mg", "mgcg"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def random_initial_guess(h: MultigridHierarchy, seed: int) -> np.ndarray:

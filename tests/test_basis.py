@@ -4,8 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from schwarzmg.basis import (Basis1D, gll_basis, interp_matrix,
-                             lagrange_eval_matrix, overlap_width)
+from schwarzmg.basis import Basis1D, gll_basis, interp_matrix, overlap_width
 
 ORDERS = [1, 2, 3, 4, 5, 8, 12, 16, 32]
 
@@ -20,6 +19,15 @@ def test_nodes_match_companion_matrix_roots(p):
         dP = np.polynomial.legendre.Legendre.basis(p).deriv()
         roots = np.sort(dP.roots().real)
         npt.assert_allclose(basis.nodes[1:-1], roots, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_interior_nodes_are_roots_of_the_legendre_derivative(p):
+    # |P'_p| grows to p (p+1) / 2 at the ends, so this bound scales with it.
+    # Without the Newton step after the eigenvalue solve, p = 32 misses it.
+    dP = np.polynomial.legendre.Legendre.basis(p).deriv()
+    bound = 1e-14 * p * (p + 1) / 2
+    assert np.all(np.abs(dP(gll_basis(p).nodes[1:-1])) <= bound)
 
 
 @pytest.mark.parametrize("p", ORDERS)
@@ -68,22 +76,22 @@ def test_stiffness_against_quadrature_oracle(p):
     npt.assert_allclose(basis.stiff, oracle, atol=1e-13)
 
 
-def test_lagrange_eval_matrix_cardinality():
-    basis = gll_basis(6)
-    E = lagrange_eval_matrix(basis, basis.nodes)
-    npt.assert_allclose(E, np.eye(7), atol=1e-14)
+@pytest.mark.parametrize("p", ORDERS)
+def test_interp_matrix_to_own_nodes_is_identity(p):
+    basis = gll_basis(p)
+    npt.assert_allclose(interp_matrix(basis, basis), np.eye(p + 1), atol=1e-14)
 
 
-def test_lagrange_eval_matrix_reproduces_polynomials():
-    basis = gll_basis(5)
-    x = np.linspace(-1, 1, 37)
-    E = lagrange_eval_matrix(basis, x)
+def test_interp_matrix_reproduces_polynomials():
+    src, dst = gll_basis(5), gll_basis(12)
+    J = interp_matrix(src, dst)
     for k in range(6):
-        npt.assert_allclose(E @ basis.nodes**k, x**k, atol=1e-12)
-    npt.assert_allclose(E.sum(axis=1), 1.0, atol=1e-13)
+        npt.assert_allclose(J @ src.nodes**k, dst.nodes**k, atol=1e-12)
+    npt.assert_allclose(J.sum(axis=1), 1.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("p_c,p_f", [(1, 2), (2, 4), (4, 8), (8, 16)])
+@pytest.mark.parametrize("p_c,p_f", [(1, 2), (2, 4), (4, 8), (8, 16),
+                                     (16, 32)])
 def test_interp_matrix_exact_on_coarse_polynomials(p_c, p_f):
     src, dst = gll_basis(p_c), gll_basis(p_f)
     J = interp_matrix(src, dst)

@@ -4,8 +4,14 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import schwarzmg
 
 from schwarzmg import cli, krylov, presets
 from schwarzmg.presets import (RunSpec, preset_grid, read_csv,
@@ -21,6 +27,30 @@ def records_to_csv(records):
     buf = io.StringIO()
     write_csv(records, buf)
     return buf.getvalue()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # numpy and the submodules the package may use load first; the solver
+    # and the CLI may then add no top-level module outside the standard
+    # library but their own.
+    script = """
+import sys
+import numpy, numpy.fft, numpy.linalg, numpy.polynomial, numpy.random
+before = {name.partition(".")[0] for name in sys.modules}
+import schwarzmg, schwarzmg.cli
+from schwarzmg.presets import RunSpec, run_single
+rec = run_single(RunSpec(solver="mgcg", smoother="mult", weight="w5", p=4,
+                         n_x=4, n_y=4, overlap_rule="fixed:1", nu_hat=0.9,
+                         tol=1e4, max_cycles=30), seed=1)
+assert rec.converged
+loaded = {name.partition(".")[0] for name in sys.modules} - before
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+    src = str(Path(schwarzmg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["schwarzmg"]
 
 
 def test_run_single_record_fields():
@@ -207,7 +237,7 @@ def test_cli_bad_values_are_one_line_errors(capsys, args):
 
 
 @pytest.mark.parametrize("args", [["--tol", "1"], ["--max-cycles", "0"],
-                                  ["--tol", "nan"]])
+                                  ["--tol", "nan"], ["--seed", "-1"]])
 def test_cli_bad_solve_settings_fail_before_setup(capsys, monkeypatch, args):
     def no_setup(spec):
         raise AssertionError("set-up ran before the solve settings were checked")
@@ -233,6 +263,21 @@ def test_cli_table_without_seeds_is_one_line_error(tmp_path, capsys,
     assert err.startswith("schwarzmg: error: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_cli_table_negative_seed_is_one_line_error_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran before the seeds were checked")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    out = tmp_path / "neg.csv"
+    rc = cli.main(["table", "--name", "table2", "--seeds", "1,-1",
+                   "--format", "json", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "schwarzmg: error: seed must be >= 0, got -1\n"
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_cli_table_unwritable_out_is_one_line_error_before_any_cell(

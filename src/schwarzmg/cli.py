@@ -8,6 +8,7 @@ from pathlib import Path
 from . import presets
 from .krylov import SolveConfig
 from .presets import RunSpec, preset_grid, run_preset, run_single
+from .schwarz import WeightKind
 
 __all__ = ["main", "build_parser"]
 
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ar", type=float, default=1.0)
     s.add_argument("--solver", choices=["mg", "mgcg"], default="mg")
     s.add_argument("--smoother", choices=["add", "mult"], default="add")
-    s.add_argument("--weight", choices=["wa", "w1", "w3", "w5", "w7", "wt"],
+    s.add_argument("--weight", choices=[k.value for k in WeightKind],
                    default="w5")
     s.add_argument("--overlap", default="fixed:1",
                    metavar="fixed:<k>|floorp8|ceilp8|ceilp2")

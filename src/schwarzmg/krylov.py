@@ -64,10 +64,16 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     stops at the first non-finite residual norm, unconverged: no later
     cycle can make it finite again. ``mgcg`` stops with a breakdown when
     p^T A p <= 0, or when delta = z^T r, the next divisor, is 0 or not finite.
+    A right side of any shape but the top level's field shape is rejected
+    before any work, since it would broadcast into a different problem.
     """
     t0 = time.perf_counter()
     exhausted = h.coarse_cg_exhausted
     op = h.top.op
+    shape = (op.layout.N_y, op.layout.N_x)
+    if np.shape(f) != shape:
+        raise ValueError(f"right side has shape {np.shape(f)}, but the "
+                         f"top level's fields have shape {shape}")
     u = (random_initial_guess(h, cfg.seed) if u0 is None
          else u0.astype(np.float64))  # a copy, in the outer precision
     r = op.apply(u)

@@ -58,6 +58,15 @@ class OverlapRule:
     same rates: one layer there too (plain max(1, floor(p_l/8))) leaves
     5 of the 28 cells outside tolerance at seed 1 (w5, w7, wt and mult
     at p=4, mult at p=16).
+
+    The multiplicative smoother takes n_o = 0 at p_l = 2 under every rule
+    (``layers(p_l, "mult")``).  This too is an interpretation inferred from
+    the published rates, not a rule stated in the available text: with
+    the rule's one layer at p_l = 2, 11 of the 25 published
+    multiplicative cells of Tables 2 and 4 fall outside tolerance at seed
+    1 (table2 p=4 reads 1.95 against a published 1.01); with none there,
+    table2 p=4 reads 1.02, table4 p=16 8x8 1.44 (published 1.44) and
+    16x16 1.56 (1.42), and 8 cells remain outside.
     """
 
     name: str          # "fixed" | "floorp8" | "ceilp8" | "ceilp2"
@@ -69,7 +78,10 @@ class OverlapRule:
         if self.k < 0:
             raise ValueError(f"overlap layer count must be >= 0, got {self.k}")
 
-    def layers(self, p_l: int) -> int:
+    def layers(self, p_l: int, smoother: str = "add") -> int:
+        """Overlap layers of the level of order ``p_l`` under ``smoother``."""
+        if p_l == 2 and smoother == "mult":
+            return 0
         if self.name == "fixed":
             n_o = self.k
         elif self.name == "floorp8":
@@ -147,7 +159,7 @@ def _fft_symbol(op: PoissonOperator) -> np.ndarray:
 
 def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
                     smoother: str = "add",
-                    weight: WeightKind = WeightKind.QUINTIC,
+                    weight: WeightKind | str = WeightKind.QUINTIC,
                     n_pre: int = 1, n_post: int = 0, variable: bool = False,
                     nu_hat: float | None = None,
                     nu_shift: float = 0.2) -> MultigridHierarchy:
@@ -163,6 +175,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         raise ValueError(f"smoother must be 'add' or 'mult', got {smoother!r}")
     if n_pre < 0 or n_post < 0:
         raise ValueError(f"smoothing counts must be >= 0, got {n_pre}, {n_post}")
+    weight = WeightKind(weight)
     depth = p.bit_length() - 1
     levels: list[Level] = []
     for l in range(depth + 1):
@@ -176,7 +189,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         if l == 0:
             levels.append(Level(l, basis, op, None, 0, 0))
             continue
-        n_o = rule.layers(p_l)
+        n_o = rule.layers(p_l, smoother)
         try:
             sm = (AdditiveSchwarz(op, n_o, weight) if smoother == "add"
                   else MultiplicativeSchwarz(op, n_o))

@@ -95,9 +95,8 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
                       max_cycles=spec.max_cycles, seed=seed)
     mesh, h, f, _ = build_problem(spec)
     _, rep = solve(h, f, cfg)
-    rule = OverlapRule.parse(spec.overlap_rule)
-    _, _, ratio = cycle_cost(spec.p, mesh.n_el, rule.layers(spec.p),
-                             spec.n_pre + spec.n_post,
+    n_o = OverlapRule.parse(spec.overlap_rule).layers(spec.p, spec.smoother)
+    _, _, ratio = cycle_cost(spec.p, mesh.n_el, n_o, spec.n_pre + spec.n_post,
                              variable=(spec.cycle == "var"),
                              with_cg=(spec.solver == "mgcg"))
     omega1 = (work_per_decades(1.0, rep.rbar, ratio)

@@ -24,11 +24,20 @@ sweeps is symmetric.  The caller numbers the
 sweeps; no smoother keeps state between calls.  A sweep computes in the
 dtype of its right side: the smoother holds its factors in float64 and
 float32 (``mesh.Precisions``).
+
+The additive weights are built from the smoothed sign function
+S_k(x) = c_k * integral from 0 to x of (1 - t^2)^k dt, with c_k such that
+S_k(1) = 1: w1, w3, w5 and w7 take k = 0 ... 3, S_k held at +-1 beyond
+[-1, 1].  A subdomain of overlap width delta weighs the node at extended
+coordinate xi by (S((xi + 1) / delta) - S((xi - 1) / delta)) / 2.  The
+top hat wt takes S = sign; the arithmetic mean wa weighs each node by
+one over the number of subdomains that update it.
 """
 
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .basis import Basis1D, overlap_width
 from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
@@ -48,68 +57,58 @@ class WeightKind(str, Enum):
     TOPHAT = "wt"
 
 
-def _shape_core(kind: WeightKind, x: np.ndarray) -> np.ndarray:
-    """Shape function on [-1, 1] (the polynomial or degenerate cases)."""
-    if kind is WeightKind.ARITHMETIC:
-        return np.zeros_like(x)
-    if kind is WeightKind.LINEAR:
-        return x
-    if kind is WeightKind.CUBIC:
-        return (3 * x - x**3) / 2
-    if kind is WeightKind.QUINTIC:
-        return (15 * x - 10 * x**3 + 3 * x**5) / 8
-    if kind is WeightKind.SEVENTH:
-        return (35 * x - 35 * x**3 + 21 * x**5 - 5 * x**7) / 16
-    if kind is WeightKind.TOPHAT:
+def _smoothed_sign(k: int) -> np.ndarray:
+    """Coefficients of S_k(x), the integral of (1 - t^2)^k from 0 to x
+    scaled so that S_k(1) = 1."""
+    s = P.polyint(P.polypow([1.0, 0.0, -1.0], k))
+    return s / s.sum()
+
+
+# The smoothed sign function of each gradual kind: S_0 ... S_3.
+_SMOOTHED_SIGN = {kind: _smoothed_sign(k) for k, kind in enumerate(
+    (WeightKind.LINEAR, WeightKind.CUBIC, WeightKind.QUINTIC,
+     WeightKind.SEVENTH))}
+
+
+def _shape(kind: WeightKind, x: np.ndarray) -> np.ndarray:
+    """The kind's shape S: the smoothed sign function on [-1, 1] and +-1
+    outside it for w1 ... w7, sign(x) for wt, and for wa 0 on [-1, 1] and
+    sign(x) outside it."""
+    if kind == WeightKind.TOPHAT:
         return np.sign(x)
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def shape_function(kind: WeightKind, x) -> np.ndarray:
-    """Full shape function: the core on [-1, 1], sign(x) outside."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    return np.where(inside, _shape_core(kind, np.clip(x, -1.0, 1.0)), np.sign(x))
+    if kind == WeightKind.ARITHMETIC:
+        return np.where(np.abs(x) <= 1.0, 0.0, np.sign(x))
+    return P.polyval(np.clip(x, -1.0, 1.0), _SMOOTHED_SIGN[kind])
 
 
 def weight_value(kind: WeightKind, xi, delta: float) -> np.ndarray:
-    """Continuous weighting profile at extended standard coordinate ``xi``."""
+    """Continuous weighting profile at extended standard coordinate ``xi``:
+    (S((xi + 1) / delta) - S((xi - 1) / delta)) / 2 with S the kind's
+    ``_shape``."""
     if delta <= 0:
         raise ValueError("overlap width must be positive")
-    xi = np.asarray(xi, dtype=float)
-    return 0.5 * (shape_function(kind, (xi + 1.0) / delta)
-                  - shape_function(kind, (xi - 1.0) / delta))
-
-
-def _coverage_count(own: np.ndarray, p: int, n_o: int) -> np.ndarray:
-    """Number of subdomains updating the node with own-element index ``own``.
-
-    A subdomain anchored at element e updates global offsets
-    [p e - n_o, p e + p + n_o]; counting the integer e in range gives the
-    diagonal of the counting matrix C.
-    """
-    upper = np.floor((own + n_o) / p)
-    lower = np.ceil((own - p - n_o) / p)
-    return (upper - lower + 1).astype(int)
+    s = _shape(kind, np.add.outer([1.0, -1.0], xi) / delta)
+    return 0.5 * (s[0] - s[1])
 
 
 def build_weight_1d(kind: WeightKind, basis: Basis1D, n_o: int) -> np.ndarray:
     """Per-direction weights at the p + 1 + 2*n_o updated subdomain nodes.
 
-    The arithmetic mean is the pseudoinverse of the counting matrix, i.e.
-    1 / multiplicity per node; the gradual kinds evaluate the blending
-    profile at the extended standard coordinates (adopted nodes lie beyond
-    [-1, 1]), with nodes updated by no other subdomain forced to exactly 1.
+    The nodes are the middle window of a three-element periodic ring, and
+    the ring's windows give each node's coverage count. The arithmetic
+    mean is the pseudoinverse of the counting matrix, 1 / count per node;
+    the gradual kinds evaluate the blending profile at the extended
+    standard coordinates (adopted nodes lie beyond [-1, 1]), with nodes
+    of count 1 forced to exactly 1.
     """
-    p = basis.p
     delta = overlap_width(basis, n_o)
-    own = np.arange(p + 1 + 2 * n_o) - n_o  # own-element local node index
-    if kind is WeightKind.ARITHMETIC:
-        return 1.0 / _coverage_count(own, p, n_o)
-    xi = np.concatenate([basis.nodes[p - n_o:p] - 2.0, basis.nodes,
-                         basis.nodes[1:n_o + 1] + 2.0])
+    ring = periodic_windows(basis.p, 3, n_o)
+    count = np.bincount(ring.ravel())[ring[1]]
+    if kind == WeightKind.ARITHMETIC:
+        return 1.0 / count
+    xi = np.add.outer([-2.0, 0.0, 2.0], basis.nodes[:-1]).ravel()[ring[1]]
     w = weight_value(kind, xi, delta)
-    w[(own > n_o) & (own < p - n_o)] = 1.0
+    w[count == 1] = 1.0
     return w
 
 
@@ -117,17 +116,17 @@ def restricted_1d(basis: Basis1D, d: float, n_o: int):
     """Restricted 1D stiffness and (diagonal) mass for the subdomain solve.
 
     Assembles a three-element periodic ring and keeps the p + 1 + 2*n_o
-    updated rows/columns around the middle element; the excluded outer
-    layer acts as a homogeneous Dirichlet boundary. The kept rows never
-    reach the wrapped node 0, so this equals the open three-element patch.
+    updated rows/columns of its middle window; the excluded outer layer
+    acts as a homogeneous Dirichlet boundary. The kept rows never reach
+    the wrapped node 0, so this equals the open three-element patch.
     Returns (L_s, m_s) with m_s the mass diagonal.
     """
     p = basis.p
     if not 0 <= n_o <= p - 1:
         raise ValueError(f"overlap layers must be in [0, {p - 1}], got {n_o}")
     m, L = _global_1d(basis, 3, d)
-    sel = slice(p - n_o, 2 * p + n_o + 1)
-    return np.ascontiguousarray(L[sel, sel]), m[sel].copy()
+    sel = periodic_windows(p, 3, n_o)[1]
+    return L[np.ix_(sel, sel)], m[sel]
 
 
 def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int):

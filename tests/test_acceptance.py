@@ -91,29 +91,31 @@ def test_table3_every_cell_reproduces_at_one_seed():
 
 
 # Seed-1 rates of the whole published multiplicative column, in grid
-# order (table4 with its --full meshes). They guard the colour sweep (any
-# change to the colour order moves them) and the float32 V-cycle inside
-# the float64 outer loop; they are not the published values.
+# order (table4 with its --full meshes), to 6 decimals. They guard the
+# colour sweep (reversing the colour order moves some pin of every table
+# by more than 1e-3) and the float32 V-cycle inside the float64 outer
+# loop; they are not the published values. The 1e-5 tolerance lets
+# roundoff-level changes of the float32 arithmetic, which move them by a
+# few 1e-6, pass.
 MULT_SEED1_RBAR = {
-    "table2": [1.9456, 1.3226, 1.4880, 0.4443],
-    "table3": [1.0180, 1.2366, 1.4360, 1.5815],
-    "table4": [1.8470, 1.8596, 1.8515, 1.8493, 1.3196, 1.3216, 1.3215, 1.3218,
-               1.9499, 1.8980, 2.0283, 2.0429, 1.7720, 1.7548, 1.7769, 1.7883,
-               1.7876]}
-# The 11 published mult cells outside the tolerance, as (table, p, mesh
-# root); each has n_o >= 1 at p_l = 2 (README, "Known deviations"). The
-# other 14 of the 25 must pass, and a deviation that starts to pass means
-# this list is stale.
-MULT_DEVIATIONS = ({("table2", p, 8) for p in (4, 16, 32)}
+    "table2": [1.017966, 1.236592, 1.478945, 0.444304],
+    "table3": [1.017966, 1.236592, 1.436040, 1.581478],
+    "table4": [1.148433, 1.141796, 1.144422, 1.144402, 1.304914, 1.312644,
+               1.313704, 1.314199, 1.436040, 1.562820, 1.710589, 1.708810,
+               1.772025, 1.581478, 1.692690, 1.782093, 1.784431]}
+# The 8 published mult cells outside the tolerance, as (table, p, mesh
+# root) (README, "Known deviations"). The other 17 of the 25 must pass,
+# and a deviation that starts to pass means this list is stale.
+MULT_DEVIATIONS = ({("table2", p, 8) for p in (16, 32)}
                    | {("table4", 4, root) for root in (32, 64, 128, 256)}
-                   | {("table4", 16, root) for root in (8, 16, 32, 64)})
+                   | {("table4", 16, root) for root in (32, 64)})
 
 
 @pytest.mark.parametrize("table", sorted(MULT_SEED1_RBAR))
 def test_multiplicative_column_rates_are_pinned_at_seed_1(table):
     specs = [s for s in preset_grid(table, full=True) if s.smoother == "mult"]
     got = [run_single(s, 1).rbar for s in specs]
-    assert [round(rbar, 4) for rbar in got] == MULT_SEED1_RBAR[table]
+    assert got == pytest.approx(MULT_SEED1_RBAR[table], abs=1e-5)
     refs = [reference_rbar(table, s) for s in specs]
     failing = {(table, s.p, s.n_x) for s, rbar, ref in zip(specs, got, refs)
                if abs(rbar - ref) > rbar_tolerance(ref)}
@@ -135,23 +137,26 @@ def test_additive_column_reproduces_at_seed_1(table):
     assert not misses, misses
 
 
-# Seed-1 rates of the diffusion presets, in grid order, to 4 significant
-# digits. The figures have no published values in this repository, so
-# these pins are what guards the diffusion operator and its smoothers.
+# Seed-1 rates of the diffusion presets, in grid order, to 6 decimals and
+# compared within 1e-5 like the multiplicative pins. The figures have no
+# published values in this repository, so these pins are what guards the
+# diffusion operator and its smoothers.
 DIFFUSION_SEED1_RBAR = {
-    "fig3-diffusion": [2.28, 2.382, 2.233, 2.333, 2.157, 2.263, 2.054, 2.185,
-                       1.844, 2.085, 1.596, 1.899, 1.358, 1.716, 1.126, 1.504,
-                       0.8514, 1.257, 0.5339, 0.9555],
-    "fig4-diffusion-ar": [1.512, 0.8669, 0.3293, 1.895, 1.669, 0.8189, 1.546,
-                          0.8491, 0.1709, 1.873, 1.672, 0.8477]}
+    "fig3-diffusion": [2.280124, 2.381710, 2.233350, 2.332978, 2.156955,
+                       2.263422, 2.053986, 2.184941, 1.843980, 2.085246,
+                       1.595791, 1.898557, 1.357641, 1.715512, 1.125885,
+                       1.504349, 0.851412, 1.257103, 0.533897, 0.955538],
+    "fig4-diffusion-ar": [1.511783, 0.866851, 0.329267, 1.894504, 1.669390,
+                          0.818912, 1.546074, 0.849123, 0.170863, 1.873355,
+                          1.672011, 0.847749]}
 
 
 @pytest.mark.parametrize("name", sorted(DIFFUSION_SEED1_RBAR))
 def test_diffusion_preset_rates_are_pinned_at_seed_1(name):
     records, _ = run_preset(name, [1])
     assert all(r.converged for r in records)
-    got = [float(f"{r.rbar:.4g}") for r in records]
-    assert got == DIFFUSION_SEED1_RBAR[name]
+    got = [r.rbar for r in records]
+    assert got == pytest.approx(DIFFUSION_SEED1_RBAR[name], abs=1e-5)
 
 
 def test_criterion_03_mesh_robustness_p8():

@@ -14,6 +14,7 @@ import pytest
 import schwarzmg
 
 from schwarzmg import cli, krylov, presets
+from schwarzmg.metrics import cycle_cost, work_per_decades
 from schwarzmg.presets import (RunSpec, preset_grid, read_csv,
                                records_to_json, reference_rbar,
                                rbar_tolerance, run_single, write_csv)
@@ -74,6 +75,16 @@ def test_multiplicative_record_blanks_weight_column():
     spec = dataclasses.replace(FAST_SPEC, smoother="mult")
     rec = run_single(spec, seed=1)
     assert rec.weight == ""
+
+
+def test_p2_multiplicative_record_costs_its_cycle_without_overlap():
+    # The p = 2 multiplicative smoother takes n_o = 0 (OverlapRule.layers),
+    # and the recorded omega1 prices the cycle with the same n_o.
+    spec = dataclasses.replace(FAST_SPEC, smoother="mult", p=2)
+    rec = run_single(spec, seed=1)
+    _, _, ratio = cycle_cost(2, 16, 0, 1)
+    assert rec.omega1 == pytest.approx(work_per_decades(1.0, rec.rbar, ratio),
+                                       rel=1e-15)
 
 
 def test_csv_round_trip_is_stable():

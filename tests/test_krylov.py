@@ -150,6 +150,22 @@ def test_cycle_cap_is_respected():
     assert rep.cycles == 2
 
 
+@pytest.mark.parametrize("cut", [np.s_[0], np.s_[:1], np.s_[:, :1]],
+                         ids=["row", "first-row", "first-column"])
+def test_solve_rejects_a_right_side_of_the_wrong_shape(cut):
+    # On the 4x4 p=4 mesh each of these broadcasts against the 16x16
+    # residual and used to be reported converged on another problem.
+    h, f, _ = _problem(p=4)
+    apply, calls = h.top.op.apply, []
+    h.top.op.apply = lambda u: calls.append(1) or apply(u)
+    with pytest.raises(ValueError) as exc:
+        solve(h, f[cut], SolveConfig(seed=1))
+    msg = str(exc.value)
+    assert len(msg.splitlines()) == 1
+    assert str(f[cut].shape) in msg and "(16, 16)" in msg
+    assert not calls
+
+
 def test_initial_guess_override():
     h, f, u_exact = _problem()
     cfg = SolveConfig(solver="mg", tol_reduction=1e4, max_cycles=30, seed=1)

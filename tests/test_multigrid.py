@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schwarzmg import multigrid
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, fold_product, layout_for, split_factor
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
@@ -13,6 +14,7 @@ from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
                                  prolongate, restrict_residual, v_cycle)
 from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
                                  poisson_benchmark, project_mean)
+from schwarzmg.schwarz import WeightKind
 
 
 def test_overlap_rule_layers():
@@ -27,6 +29,22 @@ def test_overlap_rule_layers():
     assert OverlapRule("ceilp2").layers(2) == 1
     with pytest.raises(ValueError):
         OverlapRule("quadratic").layers(8)
+
+
+@pytest.mark.parametrize("rule", ["fixed:1", "fixed:3", "floorp8", "ceilp8",
+                                  "ceilp2"])
+def test_multiplicative_smoother_takes_no_overlap_at_p_2(rule):
+    rule = OverlapRule.parse(rule)
+    assert rule.layers(2, "mult") == 0
+    for p_l in (4, 8, 16):
+        assert rule.layers(p_l, "mult") == rule.layers(p_l, "add")
+    # The hierarchy builds its p = 2 multiplicative smoother on windows of
+    # p + 1 = 3 nodes.
+    h = build_hierarchy(MeshConfig(4, 4), 8, rule, smoother="mult")
+    assert [lv.smoother._wx.shape[1] for lv in h.levels[1:]] == [
+        lv.basis.p + 1 + 2 * rule.layers(lv.basis.p, "mult")
+        for lv in h.levels[1:]]
+    assert h.levels[1].smoother._wx.shape[1] == 3
 
 
 def test_overlap_rule_parse():
@@ -65,6 +83,38 @@ def test_build_hierarchy_rejects_bad_inputs():
         build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_pre=-1)
     with pytest.raises(ValueError):
         build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_post=-1)
+
+
+def _flat_factors(factors):
+    """The arrays of a smoother's float64 factors, nested tuples flattened."""
+    if isinstance(factors, tuple):
+        return [a for f in factors for a in _flat_factors(f)]
+    return [] if factors is None else [factors]
+
+
+def test_build_hierarchy_takes_weight_names():
+    mesh = MeshConfig(4, 4)
+    by_name = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), weight="w5")
+    by_kind = build_hierarchy(mesh, 4, OverlapRule("fixed", 1),
+                              weight=WeightKind.QUINTIC)
+    for a, b in zip(by_name.levels[1:], by_kind.levels[1:]):
+        got = _flat_factors(a.smoother._factors[np.dtype(np.float64)])
+        want = _flat_factors(b.smoother._factors[np.dtype(np.float64)])
+        assert len(got) == len(want) == 7
+        for x, y in zip(got, want):
+            npt.assert_array_equal(x, y)
+
+
+def test_build_hierarchy_rejects_an_unknown_weight_before_any_level(
+        monkeypatch):
+    def no_level(p):
+        raise AssertionError("a level was built before the weight was checked")
+
+    monkeypatch.setattr(multigrid, "gll_basis", no_level)
+    with pytest.raises(ValueError, match="'w9'") as exc:
+        build_hierarchy(MeshConfig(4, 4), 4, OverlapRule("fixed", 1),
+                        weight="w9")
+    assert len(str(exc.value).splitlines()) == 1
 
 
 def test_variable_cycle_doubles_smoothing_downward():

@@ -15,8 +15,8 @@ from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  diffusivity_field, poisson_benchmark)
 from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
-                               WeightKind, build_fast_diag, build_weight_1d,
-                               restricted_1d, weight_value)
+                               WeightKind, _shape, build_fast_diag,
+                               build_weight_1d, restricted_1d, weight_value)
 
 ALL_KINDS = list(WeightKind)
 
@@ -40,6 +40,25 @@ def test_shape_function_endpoint_values():
         # Strictly outside, every profile vanishes.
         npt.assert_allclose(weight_value(kind, 2.0 + delta, delta), 0.0,
                             atol=1e-14)
+
+
+# The published closed forms of each kind's shape on [-1, 1]; outside it
+# every shape is sign(x).
+CLOSED_FORMS = {
+    WeightKind.ARITHMETIC: lambda x: 0.0 * x,
+    WeightKind.LINEAR: lambda x: x,
+    WeightKind.CUBIC: lambda x: (3 * x - x**3) / 2,
+    WeightKind.QUINTIC: lambda x: (15 * x - 10 * x**3 + 3 * x**5) / 8,
+    WeightKind.SEVENTH: lambda x: (35 * x - 35 * x**3 + 21 * x**5
+                                   - 5 * x**7) / 16,
+    WeightKind.TOPHAT: np.sign}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_shape_matches_the_published_closed_form(kind):
+    x = np.linspace(-1.5, 1.5, 601)
+    want = np.where(np.abs(x) <= 1.0, CLOSED_FORMS[kind](x), np.sign(x))
+    npt.assert_allclose(_shape(kind, x), want, atol=1e-15, rtol=0)
 
 
 def test_weight_pairs_sum_to_one_in_overlap():

@@ -7,12 +7,18 @@ iterate until the Euclidean residual norm drops by ``tol_reduction``.
 
 Precision: the iterate, the residual, the CG recurrences and the recorded
 history are float64. Each V-cycle runs in float32 on a float32 copy of the
-residual, and its correction is promoted to float64: mixed-precision
+residual (cast into one array held for the solve), and its correction is
+promoted to float64: mixed-precision
 iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
 Distrib. Syst. 22, 2007). A cycle need only cut the residual by about
 1e2, far above float32 resolution, while the float64 outer residual keeps
 the attainable accuracy of float64; the V-cycle's fields take half the
 bytes. Its coarse CG still runs in float64 (``multigrid.coarse_solve``).
+The float64 residual f - A u comes from the operator's own slab loop
+(``apply(u, f, out=r)``), which ``mg`` writes into the previous residual's
+array. With the float32 copy's array reused too, a cycle of ``mg``
+allocates no outer-loop field but the correction, which it releases
+before the next V-cycle.
 """
 
 import time
@@ -76,19 +82,19 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
                          f"top level's fields have shape {shape}")
     u = (random_initial_guess(h, cfg.seed) if u0 is None
          else u0.astype(np.float64))  # a copy, in the outer precision
-    r = op.apply(u)
-    np.subtract(f, r, out=r)  # f - A u without a second full-field array
+    r = op.apply(u, f)
     res = [float(np.linalg.norm(r))]
     r_max = res[0] / cfg.tol_reduction
     converged, breakdown = res[0] <= r_max, False
     cycles, p = 0, None
+    r32 = np.empty(shape, np.float32)  # every cycle's V-cycle residual
     while not converged and cycles < cfg.max_cycles:
-        z = v_cycle(h, r.astype(np.float32), cycles)
+        np.copyto(r32, r, casting="same_kind")
+        z = v_cycle(h, r32, cycles)
         if cfg.solver == "mg":
             u += z  # promoted inside the add, without a float64 copy
-            del z, r  # freed before the apply's temporaries are allocated
-            r = op.apply(u)
-            np.subtract(f, r, out=r)
+            del z  # freed before the next V-cycle allocates its fields
+            op.apply(u, f, out=r)
         else:
             z = z.astype(np.float64)
             p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p

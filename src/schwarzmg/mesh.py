@@ -13,6 +13,14 @@ dtype of the field it is given: ``fold_product`` allocates in its
 operands' result type, and every object that holds factors keeps them in
 ``Precisions``, float64 as built and float32 cast once on first use, so a
 float32 field moves half the bytes and is never upcast.
+
+A large field is worked on in slabs of element rows (loop tiling for
+locality; Wolf & Lam, PLDI 1991), so that every intermediate of a pass
+stays in a core's cache: ``_slab_elements`` sizes the slab from the
+field's bytes, and ``fold_product`` with ``wrap=False`` folds a slab's
+windows on an open line, leaving the rows that cross the slab's edges to
+its caller. A field of a few slabs or less is one slab, which folds
+periodically: it runs the operations of an unslabbed kernel.
 """
 
 from dataclasses import dataclass
@@ -77,6 +85,22 @@ class FieldLayout:
         return np.zeros((self.N_y, self.N_x))
 
 
+# Bytes of field rows per slab: a quarter of a core's 2 MiB L2, so that
+# the few slab-sized intermediates of a pass stay in it. A field of at
+# most eight slabs (4 MiB) is one slab: at p=8 64x64 (1-2 MiB) slabs are
+# slower than the whole-field passes.
+_SLAB_BYTES = 1 << 19
+
+
+def _slab_elements(field: np.ndarray, n: int) -> int:
+    """Element rows per slab of ``field``, a field of ``n`` element rows:
+    all n when it is at most eight slabs, else as many as fill a slab,
+    at least one."""
+    if field.nbytes <= 8 * _SLAB_BYTES:
+        return n
+    return max(1, _SLAB_BYTES * n // field.nbytes)
+
+
 def layout_for(mesh: MeshConfig, p: int) -> FieldLayout:
     return FieldLayout(p=p, n_x=mesh.n_x, n_y=mesh.n_y)
 
@@ -128,7 +152,8 @@ def split_factor(F: np.ndarray, axis: int, p: int,
 
 
 def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
-                 n: int, sel: slice = slice(None)) -> np.ndarray:
+                 n: int, sel: slice = slice(None),
+                 wrap: bool = True) -> np.ndarray:
     """Fold of the n windows whose ``sel`` entries are the products of t
     with the factor split by ``split_factor`` and whose others are zero.
 
@@ -143,25 +168,42 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     edge-node product is added onto the neighbours, first onto e + 1 and
     then onto e - 1. The result has the dtype ``np.result_type`` of t and
     the factor, so float32 operands give a float32 fold.
+
+    ``wrap=False`` folds the n elements as a stretch of an open line: no
+    edge wraps, and the result holds the n*p + 2*n_o + 1 nodes from n_o
+    before element 0 to the first n_o + 1 of element n, each edge that
+    leaves the stretch on its own rows.
     """
+    # Unselected windows are zero; selected ones are written whole.
+    alloc = np.empty if len(range(n)[sel]) == n else np.zeros
     blocks = []
-    for f in F:
+    for f, pad in zip(F, (0 if wrap else 1, 0)):
         dtype = np.result_type(t, f)
         if axis == 2:
-            w = np.zeros(t.shape[:-2] + (n, f.shape[1]), dtype)
-            np.matmul(t, f, out=w[..., sel, :])
+            w = alloc(t.shape[:-2] + (n + 2 * pad, f.shape[1]), dtype)
+            np.matmul(t, f, out=w[..., pad:pad + n, :][..., sel, :])
             w = w[..., None]
         else:
-            w = np.zeros(t.shape[:-3] + (n, len(f), t.shape[-1]), dtype)
-            np.matmul(f, t, out=w[..., sel, :, :])
+            w = alloc(t.shape[:-3] + (n + 2 * pad, len(f), t.shape[-1]),
+                      dtype)
+            np.matmul(f, t, out=w[..., pad:pad + n, :, :][..., sel, :, :])
         blocks.append(w)
-    own, edge = blocks  # (..., n, p, r) and (..., n, 2 n_o + 1, r)
+    own, edge = blocks  # (..., n [+ 2], p, r) and (..., n, 2 n_o + 1, r)
     p, n_o = own.shape[-2], edge.shape[-2] // 2
-    for s, src, dst in ((1, slice(0, n_o + 1), slice(0, n_o + 1)),
-                        (n - 1, slice(n_o + 1, None), slice(p - n_o, p))):
-        own[..., s:, dst, :] += edge[..., :n - s, src, :]
-        own[..., :s, dst, :] += edge[..., n - s:, src, :]
-    out = own.reshape(own.shape[:-3] + (n * p, own.shape[-1]))
+    onto_next = slice(0, n_o + 1), slice(0, n_o + 1)
+    onto_prev = slice(n_o + 1, None), slice(p - n_o, p)
+    if wrap:
+        for s, (src, dst) in ((1, onto_next), (n - 1, onto_prev)):
+            own[..., s:, dst, :] += edge[..., :n - s, src, :]
+            own[..., :s, dst, :] += edge[..., n - s:, src, :]
+    else:  # own block b holds element b - 1; zero the pad rows kept
+        own[..., 0, p - n_o:, :] = 0
+        own[..., -1, :n_o + 1, :] = 0
+        for b, (src, dst) in ((2, onto_next), (0, onto_prev)):
+            own[..., b:b + n, dst, :] += edge[..., src, :]
+    out = own.reshape(own.shape[:-3] + (-1, own.shape[-1]))
+    if not wrap:
+        out = out[..., p - n_o:(n + 1) * p + n_o + 1, :]
     return out[..., 0] if axis == 2 else out
 
 

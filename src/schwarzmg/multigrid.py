@@ -175,6 +175,9 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         raise ValueError(f"smoother must be 'add' or 'mult', got {smoother!r}")
     if n_pre < 0 or n_post < 0:
         raise ValueError(f"smoothing counts must be >= 0, got {n_pre}, {n_post}")
+    if n_pre + n_post == 0:
+        raise ValueError("a V-cycle needs at least one smoothing sweep "
+                         "(n_pre + n_post >= 1)")
     weight = WeightKind(weight)
     depth = p.bit_length() - 1
     levels: list[Level] = []
@@ -306,10 +309,7 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
         if lv.n_pre:
             es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre, k)
             k += lv.n_pre
-        r_l = rs[l]
-        if es[l] is not None:
-            r_l = lv.op.apply(es[l])
-            np.subtract(rs[l], r_l, out=r_l)
+        r_l = rs[l] if es[l] is None else lv.op.apply(es[l], rs[l])
         rs[l - 1] = restrict_residual(h, l, r_l)
     es[0] = coarse_solve(h, rs[0])
     for l in range(1, L + 1):

@@ -12,8 +12,11 @@ folded factor is split by ``split_factor`` when the operator is built,
 and every factor of the apply is held in both precisions, so ``apply``
 computes in the dtype of its field. Both operators derive from one base
 that holds the basis, the mesh, the layout, the nodal nu (None for
-Poisson; the only stored diffusivity), the element window tables and the
-element kernel; each adds only its factors and ``apply``.
+Poisson; the only stored diffusivity), the element window tables, the
+element kernel and ``apply``, which runs the two passes slab by slab of
+element rows (``mesh._slab_elements``) and, given a right side f, returns
+the residual f - A u from the same loop; each operator adds only its
+factors and its per-slab x and y products.
 
 Dense assembly routines are included as independent test oracles.
 """
@@ -23,8 +26,8 @@ import numpy as np
 from .basis import Basis1D
 # Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
 from .mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
-                   _global_mass, fold_product, layout_for, periodic_windows,
-                   scatter_blocks, split_factor)
+                   _global_mass, _slab_elements, fold_product, layout_for,
+                   periodic_windows, scatter_blocks, split_factor)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
            "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
@@ -40,7 +43,11 @@ def _check_layout(layout: FieldLayout, u: np.ndarray):
 class _GlobalOperator:
     """What both operators share on one polynomial level: the basis, the
     mesh, the field layout, the nodal nu (None for Poisson: unit
-    diffusivity), the element window tables and the element kernel."""
+    diffusivity), the element window tables, the element kernel and the
+    slab loop of ``apply``. Each operator supplies ``_x_rows``, its x pass
+    on a run of node rows, and ``_y_fold``, the fold of its y pass on a
+    run of element rows; ``_y_scale`` finishes the fold (by default as
+    it is)."""
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig,
                  nu: np.ndarray | None = None):
@@ -50,6 +57,53 @@ class _GlobalOperator:
         self.nu = nu
         self._wx = periodic_windows(basis.p, mesh.n_x)
         self._wy = periodic_windows(basis.p, mesh.n_y)
+
+    def apply(self, u: np.ndarray, f: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """A u, or the residual f - A u when ``f`` is given, written into
+        ``out`` when it is given; computed in the dtype of u.
+
+        The loop takes one slab of element rows at a time: the x pass on
+        its node rows, the y pass on its element windows, folded on an
+        open line, and their sum (subtracted from f). The fold's last row,
+        the slab's last edge, is carried onto the next slab's first row;
+        the last slab's goes onto row 0, which is finished last. A field
+        of one slab folds periodically instead. Every node gets the same
+        operations in the same order either way, so the result does not
+        depend on the slab size.
+        """
+        _check_layout(self.layout, u)
+        F = self._factors[u.dtype]
+        p, n = self.basis.p, self.mesh.n_y
+        k = _slab_elements(u, n)
+        wrap = k >= n
+
+        def finish(x, y, rows):
+            o = np.add(x, y, out=out[rows])
+            if f is not None:
+                np.subtract(f[rows], o, out=o)
+
+        for e0 in range(0, n, k):
+            es = slice(e0, min(e0 + k, n))
+            rows = slice(e0 * p, es.stop * p)
+            x = self._x_rows(u, rows, F)
+            y = self._y_fold(u, es, F, wrap)
+            if not wrap:
+                if e0:
+                    y[0] += carry
+                else:
+                    x0, head = x[:1].copy(), y[:1].copy()
+                carry, y = y[-1], y[:-1]
+            if out is None:
+                out = x if wrap else np.empty(u.shape, x.dtype)
+            finish(x, self._y_scale(y, F), rows)
+        if not wrap:
+            head += carry
+            finish(x0, self._y_scale(head, F), slice(0, 1))
+        return out
+
+    def _y_scale(self, y: np.ndarray, F) -> np.ndarray:
+        return y
 
     def _nu_w(self, e_x, e_y) -> np.ndarray:
         """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x),
@@ -85,16 +139,19 @@ class PoissonOperator(_GlobalOperator):
             _global_mass(basis, mesh.n_x, mesh.dx),
             _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        _check_layout(self.layout, u)
-        mesh = self.mesh
-        fold_x, fold_y, mass_x, mass_y = self._factors[u.dtype]
-        out = fold_product(np.take(u, self._wx, 1), fold_x, 2, mesh.n_x)
-        out *= mass_y
-        ly = fold_product(np.take(u, self._wy, 0), fold_y, 1, mesh.n_y)
-        ly *= mass_x
-        out += ly
-        return out
+    def _x_rows(self, u, rows, F):
+        x = fold_product(np.take(u[rows], self._wx, 1), F[0], 2,
+                         self.mesh.n_x)
+        x *= F[3][rows]
+        return x
+
+    def _y_fold(self, u, es, F, wrap):
+        return fold_product(np.take(u, self._wy[es], 0), F[1], 1,
+                            es.stop - es.start, wrap=wrap)
+
+    def _y_scale(self, y, F):
+        y *= F[2]
+        return y
 
 
 class DiffusionOperator(_GlobalOperator):
@@ -120,14 +177,15 @@ class DiffusionOperator(_GlobalOperator):
             split_factor(basis.diff, 2, basis.p),
             split_factor(basis.diff.T, 1, basis.p))
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        _check_layout(self.layout, u)
-        d, fx, fy, fold_x, fold_y = self._factors[u.dtype]
-        out = fold_product((np.take(u, self._wx, 1) @ d.T) * fx,
-                           fold_x, 2, self.mesh.n_x)
-        out += fold_product(fy * (d @ np.take(u, self._wy, 0)),
-                            fold_y, 1, self.mesh.n_y)
-        return out
+    def _x_rows(self, u, rows, F):
+        d, fx, _, fold_x, _ = F
+        return fold_product((np.take(u[rows], self._wx, 1) @ d.T) * fx[rows],
+                            fold_x, 2, self.mesh.n_x)
+
+    def _y_fold(self, u, es, F, wrap):
+        d, _, fy, _, fold_y = F
+        return fold_product(fy[es] * (d @ np.take(u, self._wy[es], 0)),
+                            fold_y, 1, es.stop - es.start, wrap=wrap)
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""

@@ -237,6 +237,7 @@ def test_cli_bad_order_is_one_line_error(capsys):
                                   ["--ar", "nan"],
                                   ["--nu-hat", "0.5", "--nu-shift", "nan"],
                                   ["--pre", "-1"], ["--post", "-1"],
+                                  ["--pre", "0", "--post", "0"],
                                   ["--tol", "inf"],
                                   ["--p", "4", "--overlap", "fixed:-2"]])
 def test_cli_bad_values_are_one_line_errors(capsys, args):

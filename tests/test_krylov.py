@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from schwarzmg import krylov
+from schwarzmg import mesh as mesh_module
 from schwarzmg.krylov import SolveConfig, random_initial_guess, solve
 from schwarzmg.mesh import MeshConfig
 from schwarzmg.multigrid import OverlapRule, build_hierarchy, v_cycle
-from schwarzmg.operators import poisson_benchmark
+from schwarzmg.operators import manufactured_rhs_diffusion, poisson_benchmark
 from schwarzmg.schwarz import WeightKind
 
 
@@ -244,6 +245,31 @@ def test_float32_v_cycle_keeps_the_float64_attainable_accuracy(p):
     _, rep = solve(h, f, SolveConfig(tol_reduction=1e30, max_cycles=30,
                                      seed=1))
     assert min(rep.residuals) <= 1e-15 * rep.residuals[0]
+
+
+@pytest.mark.parametrize("solver, smoother, nu_hat",
+                         [("mg", "add", None), ("mgcg", "mult", 0.9)])
+def test_slabbed_solve_keeps_cycles_and_rate(monkeypatch, solver, smoother,
+                                             nu_hat):
+    # Every field of a 9x17 p=8 hierarchy in slabs of one element row, or
+    # only the float64 top-level fields in slabs of two (the last of one):
+    # the initial residual is bitwise the one-slab one, and the solve takes
+    # the same cycles at the same rate.
+    mesh = MeshConfig(9, 17, l_x=1.0, l_y=2.0)
+    h = build_hierarchy(mesh, 8, OverlapRule("ceilp8"), smoother=smoother,
+                        n_post=int(smoother == "mult"), nu_hat=nu_hat)
+    if nu_hat is None:
+        f, _ = poisson_benchmark(mesh, h.top.basis)
+    else:
+        f, _, _ = manufactured_rhs_diffusion(mesh, h.top.basis, nu_hat)
+    cfg = SolveConfig(solver=solver, seed=1)
+    _, want = solve(h, f, cfg)
+    for slab_bytes in (1, 2 * f.nbytes // 17):
+        monkeypatch.setattr(mesh_module, "_SLAB_BYTES", slab_bytes)
+        _, got = solve(h, f, cfg)
+        assert got.residuals[0] == want.residuals[0]
+        assert got.cycles == want.cycles and got.converged
+        assert abs(got.rbar - want.rbar) <= 1e-5
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")

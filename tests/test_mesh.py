@@ -106,25 +106,28 @@ def test_fold_windows_equals_add_at_loop(p, n):
     # unselected windows zero: every overlap 0 <= n_o < p whose window
     # does not wrap onto itself (up to 3p - 1 nodes, reaching into both
     # neighbouring elements), both product sides, with and without
-    # leading axes.
+    # leading axes; and the same on an open line (``wrap=False``), window
+    # e on the nodes e*p ... e*p + m - 1 of n*p + 2*n_o + 1.
     rng = np.random.default_rng(29)
     for n_o in range(p):
         m = p + 1 + 2 * n_o
         if m > p * n:
             continue
-        idx = periodic_windows(p, n, n_o)
-        for axis, lead, sel in itertools.product((1, 2), ((), (3,)),
-                                                 _selections(n)):
+        for wrap, axis, lead, sel in itertools.product(
+                (True, False), (1, 2), ((), (3,)), _selections(n)):
+            idx = (periodic_windows(p, n, n_o) if wrap
+                   else np.arange(n)[:, None] * p + np.arange(m))
             n_sel = len(range(n)[sel])
             t, F, prod = _window_product(rng, axis, lead, n_sel, m)
             trail = prod.shape[len(lead) + 2:]
             w = np.zeros(lead + (n, m) + trail)
             w[(Ellipsis, sel, slice(None)) + (slice(None),) * len(trail)] = prod
-            want = np.zeros(lead + (p * n,) + trail)
+            want = np.zeros(lead + (idx.max() + 1,) + trail)
             for e in range(n):
                 np.add.at(want, (Ellipsis, idx[e]) + (slice(None),) * len(trail),
                           w[(Ellipsis, e) + (slice(None),) * (1 + len(trail))])
-            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel)
+            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
+                               wrap)
             npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 

@@ -85,6 +85,19 @@ def test_build_hierarchy_rejects_bad_inputs():
         build_hierarchy(mesh, 8, OverlapRule("fixed", 1), n_post=-1)
 
 
+def test_build_hierarchy_rejects_a_cycle_without_smoothing(monkeypatch):
+    # With no sweep a V-cycle only restricts, solves the coarse problem and
+    # prolongates: the solve ran to its cycle cap.
+    def no_level(p):
+        raise AssertionError("a level was built before the counts were checked")
+
+    monkeypatch.setattr(multigrid, "gll_basis", no_level)
+    with pytest.raises(ValueError, match="at least one smoothing sweep") as exc:
+        build_hierarchy(MeshConfig(4, 4), 4, OverlapRule("fixed", 1),
+                        n_pre=0, n_post=0)
+    assert len(str(exc.value).splitlines()) == 1
+
+
 def _flat_factors(factors):
     """The arrays of a smoother's float64 factors, nested tuples flattened."""
     if isinstance(factors, tuple):
@@ -426,8 +439,8 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
     calls = {lv.l: [] for lv in h.levels}
     for lv in h.levels:
         apply = lv.op.apply
-        lv.op.apply = (lambda u, apply=apply, seen=calls[lv.l]:
-                       seen.append(bool(np.any(u))) or apply(u))
+        lv.op.apply = (lambda u, *rest, apply=apply, seen=calls[lv.l]:
+                       seen.append(bool(np.any(u))) or apply(u, *rest))
     v_cycle(h, f)
     assert all(all(seen) for seen in calls.values())
     # Each level above the coarse one starts from zero: it needs A for the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schwarzmg import mesh as mesh_module
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
@@ -104,6 +105,51 @@ def test_diffusion_with_unit_nu_equals_poisson():
     diff = DiffusionOperator(basis, mesh, np.ones((layout.N_y, layout.N_x)))
     u = np.random.default_rng(19).standard_normal((layout.N_y, layout.N_x))
     npt.assert_allclose(diff.apply(u), pois.apply(u), rtol=1e-12, atol=1e-12)
+
+
+def _slab_case(p, dtype):
+    """Both operators on a 3x17 mesh (n_x != n_y) and a random field and
+    right side of ``dtype``."""
+    mesh = MeshConfig(3, 17, l_x=1.5)
+    basis = gll_basis(p)
+    layout = layout_for(mesh, p)
+    rng = np.random.default_rng(p)
+    u, f = rng.standard_normal((2, layout.N_y, layout.N_x)).astype(dtype)
+    nu = diffusivity_field(mesh, basis, 0.7)
+    return (PoissonOperator(basis, mesh),
+            DiffusionOperator(basis, mesh, nu)), u, f
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_slabbed_apply_is_bitwise_the_one_slab_apply(monkeypatch, p, dtype):
+    # Slabs of one and of two element rows (the last slab of the 17 rows
+    # holds one) give the one-slab result bit for bit, in both forms.
+    ops, u, f = _slab_case(p, dtype)
+    for op in ops:
+        whole, residual = op.apply(u), op.apply(u, f)
+        for k in (1, 2):
+            monkeypatch.setattr(mesh_module, "_SLAB_BYTES", k * u.nbytes // 17)
+            assert mesh_module._slab_elements(u, 17) == k
+            npt.assert_array_equal(op.apply(u), whole)
+            npt.assert_array_equal(op.apply(u, f), residual)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("slab_rows", [17, 2], ids=["one-slab", "slabs"])
+def test_apply_with_a_right_side_is_the_residual_in_out(monkeypatch,
+                                                        slab_rows):
+    ops, u, f = _slab_case(4, np.float64)
+    if slab_rows < 17:
+        monkeypatch.setattr(mesh_module, "_SLAB_BYTES",
+                            slab_rows * u.nbytes // 17)
+    assert mesh_module._slab_elements(u, 17) == slab_rows
+    for op in ops:
+        buf = np.empty_like(u)
+        assert op.apply(u, f, out=buf) is buf
+        npt.assert_array_equal(buf, f - op.apply(u))
+        assert op.apply(u, out=buf) is buf
+        npt.assert_array_equal(buf, op.apply(u))
 
 
 def test_diffusion_rejects_nonpositive_nu():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from schwarzmg import mesh as mesh_module
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for, periodic_windows
 from schwarzmg.multigrid import OverlapRule, build_hierarchy
@@ -448,7 +449,7 @@ def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
         sm = smoother_cls(op, 1)
     want = sm.smooth(op, layout.zeros(), f, 2)
     apply, calls = op.apply, []
-    op.apply = lambda u: calls.append(1) or apply(u)
+    op.apply = lambda u, *rest: calls.append(1) or apply(u, *rest)
     f_copy = f.copy()
     npt.assert_array_equal(sm.smooth(op, None, f, 2), want)
     assert np.array_equal(f, f_copy)
@@ -476,6 +477,49 @@ def test_additive_sweep_temporaries_stay_below_five_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * f.nbytes
+
+
+@pytest.mark.parametrize("p, n_o", [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2),
+                                    (8, 0), (8, 1), (8, 2)])
+def test_slabbed_sweeps_agree_with_one_slab(monkeypatch, p, n_o):
+    # Slabs of two element rows on a 5x17 mesh (3 colour classes per
+    # direction; the last slab holds one row): two sweeps of each smoother
+    # and problem, from a field and from zero, agree with the one-slab
+    # sweeps up to the order of the adds where slabs share rows, within
+    # 1e-13 relative in float64 and 1e-6 in float32.  Where the windows of
+    # one colour overlap (2 n_o >= p), the multiplicative sweep's own
+    # float32 rounding reaches 1e-6 (2e-7 to 3e-6 from the float64 sweep
+    # on such cases), so there the slabbed float32 sweep must instead be
+    # within twice the one-slab float32 sweep's distance to the float64
+    # one-slab sweep.
+    mesh, basis = MeshConfig(5, 17, l_x=1.5), gll_basis(p)
+    nu = diffusivity_field(mesh, basis, 0.7)
+    rng = np.random.default_rng(p + n_o)
+    u, f = rng.standard_normal((2, 17 * p, 5 * p))
+    norm = np.linalg.norm
+
+    def sweeps(sm, op, dtype, slab_rows=17):
+        monkeypatch.setattr(mesh_module, "_SLAB_BYTES",
+                            slab_rows * u.astype(dtype).nbytes // 17)
+        f_d = f.astype(dtype)
+        out = [sm.smooth(op, u.astype(dtype), f_d, 2, 1),
+               sm.smooth(op, None, f_d, 2)]
+        monkeypatch.undo()
+        assert all(o.dtype == dtype for o in out)
+        return out
+
+    for op in (PoissonOperator(basis, mesh), DiffusionOperator(basis, mesh, nu)):
+        for sm in (AdditiveSchwarz(op, n_o, WeightKind.QUINTIC),
+                   MultiplicativeSchwarz(op, n_o)):
+            ref = sweeps(sm, op, np.float64)
+            for g, w in zip(sweeps(sm, op, np.float64, 2), ref):
+                assert norm(g - w) <= 1e-13 * norm(w)
+            one = sweeps(sm, op, np.float32)
+            for g, w, r in zip(sweeps(sm, op, np.float32, 2), one, ref):
+                if isinstance(sm, MultiplicativeSchwarz) and 2 * n_o >= p:
+                    assert norm(g - r) <= 2 * norm(w - r)
+                else:
+                    assert norm(g - w) <= 1e-6 * norm(w)
 
 
 def test_subdomain_window_alias_guard():

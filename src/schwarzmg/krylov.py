@@ -7,8 +7,7 @@ iterate until the Euclidean residual norm drops by ``tol_reduction``.
 
 Precision: the iterate, the residual, the CG recurrences and the recorded
 history are float64. Each V-cycle runs in float32 on a float32 copy of the
-residual (cast into one array held for the solve), and its correction is
-promoted to float64: mixed-precision
+residual, and its correction is promoted to float64: mixed-precision
 iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
 Distrib. Syst. 22, 2007). A cycle need only cut the residual by about
 1e2, far above float32 resolution, while the float64 outer residual keeps
@@ -16,9 +15,7 @@ the attainable accuracy of float64; the V-cycle's fields take half the
 bytes. Its coarse CG still runs in float64 (``multigrid.coarse_solve``).
 The float64 residual f - A u comes from the operator's own slab loop
 (``apply(u, f, out=r)``), which ``mg`` writes into the previous residual's
-array. With the float32 copy's array reused too, a cycle of ``mg``
-allocates no outer-loop field but the correction, which it releases
-before the next V-cycle.
+array.
 """
 
 import time
@@ -87,10 +84,8 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     r_max = res[0] / cfg.tol_reduction
     converged, breakdown = res[0] <= r_max, False
     cycles, p = 0, None
-    r32 = np.empty(shape, np.float32)  # every cycle's V-cycle residual
     while not converged and cycles < cfg.max_cycles:
-        np.copyto(r32, r, casting="same_kind")
-        z = v_cycle(h, r32, cycles)
+        z = v_cycle(h, r.astype(np.float32), cycles)
         if cfg.solver == "mg":
             u += z  # promoted inside the add, without a float64 copy
             del z  # freed before the next V-cycle allocates its fields

@@ -14,13 +14,12 @@ operands' result type, and every object that holds factors keeps them in
 ``Precisions``, float64 as built and float32 cast once on first use, so a
 float32 field moves half the bytes and is never upcast.
 
-A large field is worked on in slabs of element rows (loop tiling for
-locality; Wolf & Lam, PLDI 1991), so that every intermediate of a pass
-stays in a core's cache: ``_slab_elements`` sizes the slab from the
-field's bytes, and ``fold_product`` with ``wrap=False`` folds a slab's
-windows on an open line, leaving the rows that cross the slab's edges to
-its caller. A field of a few slabs or less is one slab, which folds
-periodically: it runs the operations of an unslabbed kernel.
+The operator apply works on a large field in slabs of element rows (loop
+tiling for locality; Wolf & Lam, PLDI 1991), so that every intermediate
+of a pass stays in a core's cache: ``_slab_elements`` sizes the slab from
+the field's bytes, and ``fold_product`` with ``wrap=False`` folds a
+slab's windows on an open line, leaving the rows that cross the slab's
+edges to its caller. A field of a few slabs or less is one slab.
 """
 
 from dataclasses import dataclass
@@ -87,8 +86,7 @@ class FieldLayout:
 
 # Bytes of field rows per slab: a quarter of a core's 2 MiB L2, so that
 # the few slab-sized intermediates of a pass stay in it. A field of at
-# most eight slabs (4 MiB) is one slab: at p=8 64x64 (1-2 MiB) slabs are
-# slower than the whole-field passes.
+# most eight slabs (4 MiB) is one slab.
 _SLAB_BYTES = 1 << 19
 
 
@@ -190,16 +188,17 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
         blocks.append(w)
     own, edge = blocks  # (..., n [+ 2], p, r) and (..., n, 2 n_o + 1, r)
     p, n_o = own.shape[-2], edge.shape[-2] // 2
-    onto_next = slice(0, n_o + 1), slice(0, n_o + 1)
-    onto_prev = slice(n_o + 1, None), slice(p - n_o, p)
-    if wrap:
-        for s, (src, dst) in ((1, onto_next), (n - 1, onto_prev)):
+    # Each move of edge rows src onto own rows dst: onto element e + 1
+    # (a shift of 1, from own block 2 on an open line) and, when n_o > 0,
+    # onto element e - 1 (a shift of n - 1, from own block 0).
+    moves = [(1, 2, slice(0, n_o + 1), slice(0, n_o + 1)),
+             (n - 1, 0, slice(n_o + 1, None), slice(p - n_o, p))]
+    for s, b, src, dst in moves[:1 + (n_o > 0)]:
+        if wrap:
             own[..., s:, dst, :] += edge[..., :n - s, src, :]
             own[..., :s, dst, :] += edge[..., n - s:, src, :]
-    else:  # own block b holds element b - 1; zero the pad rows kept
-        own[..., 0, p - n_o:, :] = 0
-        own[..., -1, :n_o + 1, :] = 0
-        for b, (src, dst) in ((2, onto_next), (0, onto_prev)):
+        else:  # own block b holds element b - 1; zero the pad rows kept
+            own[..., n + 1 if b else 0, dst, :] = 0
             own[..., b:b + n, dst, :] += edge[..., src, :]
     out = own.reshape(own.shape[:-3] + (-1, own.shape[-1]))
     if not wrap:

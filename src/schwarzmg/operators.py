@@ -67,19 +67,18 @@ class _GlobalOperator:
         its node rows, the y pass on its element windows, folded on an
         open line, and their sum (subtracted from f). The fold's last row,
         the slab's last edge, is carried onto the next slab's first row;
-        the last slab's goes onto row 0, which is finished last. A field
-        of one slab folds periodically instead. Every node gets the same
-        operations in the same order either way, so the result does not
-        depend on the slab size.
+        the last slab's goes onto row 0, so the first slab is finished
+        last. Every node gets the same operations in the same order for
+        any slab size, so the result does not depend on it; a field of
+        one slab is summed into its x pass's array.
         """
         _check_layout(self.layout, u)
         F = self._factors[u.dtype]
         p, n = self.basis.p, self.mesh.n_y
         k = _slab_elements(u, n)
-        wrap = k >= n
 
         def finish(x, y, rows):
-            o = np.add(x, y, out=out[rows])
+            o = np.add(x, self._y_scale(y, F), out=out[rows])
             if f is not None:
                 np.subtract(f[rows], o, out=o)
 
@@ -87,19 +86,18 @@ class _GlobalOperator:
             es = slice(e0, min(e0 + k, n))
             rows = slice(e0 * p, es.stop * p)
             x = self._x_rows(u, rows, F)
-            y = self._y_fold(u, es, F, wrap)
-            if not wrap:
-                if e0:
-                    y[0] += carry
-                else:
-                    x0, head = x[:1].copy(), y[:1].copy()
-                carry, y = y[-1], y[:-1]
+            y = self._y_fold(u, es, F)
+            if e0:
+                y[0] += carry
+            carry, y = y[-1], y[:-1]
             if out is None:
-                out = x if wrap else np.empty(u.shape, x.dtype)
-            finish(x, self._y_scale(y, F), rows)
-        if not wrap:
-            head += carry
-            finish(x0, self._y_scale(head, F), slice(0, 1))
+                out = x if k >= n else np.empty(u.shape, x.dtype)
+            if e0:
+                finish(x, y, rows)
+            else:
+                first = x, y, rows
+        first[1][0] += carry
+        finish(*first)
         return out
 
     def _y_scale(self, y: np.ndarray, F) -> np.ndarray:
@@ -145,9 +143,9 @@ class PoissonOperator(_GlobalOperator):
         x *= F[3][rows]
         return x
 
-    def _y_fold(self, u, es, F, wrap):
+    def _y_fold(self, u, es, F):
         return fold_product(np.take(u, self._wy[es], 0), F[1], 1,
-                            es.stop - es.start, wrap=wrap)
+                            es.stop - es.start, wrap=False)
 
     def _y_scale(self, y, F):
         y *= F[2]
@@ -182,10 +180,10 @@ class DiffusionOperator(_GlobalOperator):
         return fold_product((np.take(u[rows], self._wx, 1) @ d.T) * fx[rows],
                             fold_x, 2, self.mesh.n_x)
 
-    def _y_fold(self, u, es, F, wrap):
+    def _y_fold(self, u, es, F):
         d, _, fy, _, fold_y = F
         return fold_product(fy[es] * (d @ np.take(u, self._wy[es], 0)),
-                            fold_y, 1, es.stop - es.start, wrap=wrap)
+                            fold_y, 1, es.stop - es.start, wrap=False)
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""

@@ -9,13 +9,9 @@ layout and the element sizes, and for diffusion the per-element mean nu
 that scales each local solve (the local problem has unit diffusivity).
 There is one sweep: colour by colour, take a fresh residual, gather the
 colour's subdomain windows, transform them one direction at a time and
-scale by the inverse eigenvalues.  A large field takes the colour's
-element rows in slabs (``mesh._slab_elements``): each slab gathers its
-node rows with their n_o halo rows, transforms and scales its windows,
-folds them on an open line and adds the rows into u, wrapping
-periodically, so that its intermediates stay in cache; a field of one
-slab is corrected whole.  Each back transform is then folded
-onto the nodes by ``mesh.fold_product`` without forming the windows: the
+scale by the inverse eigenvalues; the residual comes from the operator's
+own loop (``apply(u, f)``).  Each back transform is then folded onto the
+nodes by ``mesh.fold_product`` without forming the windows: the
 product with the factor's own-node rows or columns goes straight into
 the colour's entries of the result, the other colours' entries staying
 zero, and only the edge-node product is added onto the neighbours.  The
@@ -45,8 +41,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .basis import Basis1D, overlap_width
-from .mesh import (Precisions, _global_1d, _slab_elements, fold_product,
-                   periodic_windows, split_factor)
+from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
+                   split_factor)
 
 __all__ = ["WeightKind", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
@@ -165,7 +161,6 @@ class SchwarzSmoother:
         S_x, lam_x, S_y, lam_y = build_fast_diag(op.basis, op.mesh.dx,
                                                  op.mesh.dy, n_o)
         w = np.reshape(w, (-1, 1))
-        self._p, self._n_o = lay.p, n_o
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
         self._colours = colours
@@ -185,69 +180,24 @@ class SchwarzSmoother:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
         residual is ``f`` itself.  Odd-numbered sweeps visit the colours
-        in reverse order.  Each colour takes one residual and then its
-        element rows in slabs (``mesh._slab_elements``); a field of one
-        slab is corrected whole.  The sweep computes in the dtype of
-        ``f``."""
-        n_y = len(self._wy)
-        k = _slab_elements(f, n_y)
-        whole = k >= n_y
-        F = self._factors[f.dtype]
-        for it in range(first, first + n_it):
-            for c_y, c_x in self._colours[::-1 if it % 2 else 1]:
+        in reverse order.  The sweep computes in the dtype of ``f``."""
+        n_y, n_x = len(self._wy), len(self._wx)
+        S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = self._factors[f.dtype]
+        for k in range(first, first + n_it):
+            for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
                 r = f if u is None else op.apply(u, f)
-                if u is None and not whole:
-                    u = np.zeros(f.shape, np.result_type(f, F[0]))
-                e_y = range(n_y)[c_y]
-                for i in range(0, len(e_y), k):
-                    cor, lo = self._correction(r, e_y[i:i + k], c_x, F, whole)
-                    u = cor if u is None else _add_rows(u, cor, lo)
+                t = np.take(np.take(r, self._wx[c_x], 1) @ S_x,
+                            self._wy[c_y], 0)
+                ny_c, m, nx_c, _ = t.shape
+                t = (S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
+                if inv_nu is not None:
+                    t *= inv_nu[c_y, c_x][:, None, :, None]
+                t *= inv_lam
+                t = fold_product(t.reshape(ny_c, m, -1), WS_y, 1, n_y,
+                                 c_y).reshape(-1, nx_c, m)
+                cor = fold_product(t, S_xTW, 2, n_x, c_x)
+                u = cor if u is None else np.add(u, cor, out=u)
         return u
-
-    def _correction(self, r: np.ndarray, e_y: range, c_x: slice, F,
-                    whole: bool) -> tuple[np.ndarray, int]:
-        """The correction of the subdomains of element rows ``e_y`` (a
-        step of one colour class) and columns ``c_x`` on the residual r,
-        as node rows and the index of the first of them.  ``whole`` (e_y
-        all of the colour's rows, on a field of one slab) reads the
-        windows from r and folds them periodically: all N_y rows from 0.
-        Otherwise the slab gathers its node rows with their n_o halo rows,
-        periodically, and folds on an open line: rows from
-        e_y[0] p - n_o, up to 2 n_o + 1 of them shared with other slabs."""
-        S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = F
-        p, n_o = self._p, self._n_o
-        rows = slice(e_y.start, e_y.stop, e_y.step)
-        if whole:
-            src, win, n, sel, lo = r, self._wy[rows], len(self._wy), rows, 0
-        else:
-            n = (len(e_y) - 1) * e_y.step + 1
-            lo, hi = e_y.start * p - n_o, e_y[-1] * p + p + n_o + 1
-            src = (r[lo:hi] if 0 <= lo and hi <= len(r)
-                   else np.take(r, range(lo, hi), 0, mode="wrap"))
-            win = (np.arange(0, n, e_y.step)[:, None] * p
-                   + np.arange(self._wy.shape[1]))
-            sel = slice(None, None, e_y.step)
-        t = np.take(np.take(src, self._wx[c_x], 1) @ S_x, win, 0)
-        ny_c, m, nx_c, _ = t.shape
-        t = (S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
-        if inv_nu is not None:
-            t *= inv_nu[rows, c_x][:, None, :, None]
-        t *= inv_lam
-        t = fold_product(t.reshape(ny_c, m, -1), WS_y, 1, n, sel,
-                         wrap=whole).reshape(-1, nx_c, m)
-        return fold_product(t, S_xTW, 2, len(self._wx), c_x), lo
-
-
-def _add_rows(u: np.ndarray, rows: np.ndarray, lo: int) -> np.ndarray:
-    """u[(lo + i) % N_y] += rows[i] for every row i, in runs of
-    consecutive rows; returns u."""
-    i = 0
-    while i < len(rows):
-        a = (lo + i) % len(u)
-        b = min(len(u), a + len(rows) - i)
-        u[a:b] += rows[i:i + b - a]
-        i += b - a
-    return u
 
 
 class AdditiveSchwarz(SchwarzSmoother):

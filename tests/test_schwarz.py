@@ -481,45 +481,33 @@ def test_additive_sweep_temporaries_stay_below_five_fields():
 
 @pytest.mark.parametrize("p, n_o", [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2),
                                     (8, 0), (8, 1), (8, 2)])
-def test_slabbed_sweeps_agree_with_one_slab(monkeypatch, p, n_o):
-    # Slabs of two element rows on a 5x17 mesh (3 colour classes per
-    # direction; the last slab holds one row): two sweeps of each smoother
-    # and problem, from a field and from zero, agree with the one-slab
-    # sweeps up to the order of the adds where slabs share rows, within
-    # 1e-13 relative in float64 and 1e-6 in float32.  Where the windows of
-    # one colour overlap (2 n_o >= p), the multiplicative sweep's own
-    # float32 rounding reaches 1e-6 (2e-7 to 3e-6 from the float64 sweep
-    # on such cases), so there the slabbed float32 sweep must instead be
-    # within twice the one-slab float32 sweep's distance to the float64
-    # one-slab sweep.
+def test_sweeps_on_slabbed_residuals_are_bitwise_the_one_slab_sweeps(
+        monkeypatch, p, n_o):
+    # A sweep takes its residuals from the operator's slab loop: with
+    # slabs of two element rows on a 5x17 mesh (3 colour classes per
+    # direction; the last slab holds one row), two sweeps of each smoother
+    # and problem, from a field and from zero, are the one-slab sweeps bit
+    # for bit, in float64 and float32.
     mesh, basis = MeshConfig(5, 17, l_x=1.5), gll_basis(p)
     nu = diffusivity_field(mesh, basis, 0.7)
     rng = np.random.default_rng(p + n_o)
     u, f = rng.standard_normal((2, 17 * p, 5 * p))
-    norm = np.linalg.norm
-
-    def sweeps(sm, op, dtype, slab_rows=17):
-        monkeypatch.setattr(mesh_module, "_SLAB_BYTES",
-                            slab_rows * u.astype(dtype).nbytes // 17)
-        f_d = f.astype(dtype)
-        out = [sm.smooth(op, u.astype(dtype), f_d, 2, 1),
-               sm.smooth(op, None, f_d, 2)]
-        monkeypatch.undo()
-        assert all(o.dtype == dtype for o in out)
-        return out
-
     for op in (PoissonOperator(basis, mesh), DiffusionOperator(basis, mesh, nu)):
         for sm in (AdditiveSchwarz(op, n_o, WeightKind.QUINTIC),
                    MultiplicativeSchwarz(op, n_o)):
-            ref = sweeps(sm, op, np.float64)
-            for g, w in zip(sweeps(sm, op, np.float64, 2), ref):
-                assert norm(g - w) <= 1e-13 * norm(w)
-            one = sweeps(sm, op, np.float32)
-            for g, w, r in zip(sweeps(sm, op, np.float32, 2), one, ref):
-                if isinstance(sm, MultiplicativeSchwarz) and 2 * n_o >= p:
-                    assert norm(g - r) <= 2 * norm(w - r)
-                else:
-                    assert norm(g - w) <= 1e-6 * norm(w)
+            for dtype in (np.float64, np.float32):
+                u_d, f_d = u.astype(dtype), f.astype(dtype)
+                want = [sm.smooth(op, u_d.copy(), f_d, 2, 1),
+                        sm.smooth(op, None, f_d, 2)]
+                monkeypatch.setattr(mesh_module, "_SLAB_BYTES",
+                                    2 * u_d.nbytes // 17)
+                assert mesh_module._slab_elements(u_d, 17) == 2
+                got = [sm.smooth(op, u_d.copy(), f_d, 2, 1),
+                       sm.smooth(op, None, f_d, 2)]
+                monkeypatch.undo()
+                for g, w in zip(got, want):
+                    assert g.dtype == dtype
+                    npt.assert_array_equal(g, w)
 
 
 def test_subdomain_window_alias_guard():

@@ -1,6 +1,6 @@
-"""Outer solver: one loop of V-cycle corrections, as the stand-alone
-multigrid iteration or as the preconditioner of flexible CG (Notay, SIAM
-J. Sci. Comput. 22, 2000).
+"""Outer solver: V-cycle corrections in ``multigrid.iterate``'s loop, as
+the stand-alone multigrid iteration (``mg``) or as the preconditioner of
+flexible CG (``mgcg``). The loop's docstring holds every stopping rule.
 
 Both start from the same seeded random initial guess in [0, 1] and
 iterate until the Euclidean residual norm drops by ``tol_reduction``.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ConvergenceReport
-from .multigrid import MultigridHierarchy, v_cycle
+from .multigrid import MultigridHierarchy, iterate, v_cycle
 
 __all__ = ["SolveConfig", "solve", "random_initial_guess"]
 
@@ -59,14 +59,9 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
 
     Cycle c computes one correction z = v_cycle(h, r, c) of the current
     residual r, in float32 and promoted to float64 (see the module
-    docstring), so every solve numbers its smoothing sweeps from 0. ``mg``
-    adds z to u; ``mgcg`` uses it as the preconditioned residual of
-    flexible CG, whose direction update takes the Polak-Ribiere
-    coefficient beta = z^T (r - r_old) / delta, which tolerates the
-    non-symmetric Schwarz-smoothed preconditioner. The loop
-    stops at the first non-finite residual norm, unconverged: no later
-    cycle can make it finite again. ``mgcg`` stops with a breakdown when
-    p^T A p <= 0, or when delta = z^T r, the next divisor, is 0 or not finite.
+    docstring), so every solve numbers its smoothing sweeps from 0.
+    ``multigrid.iterate`` adds z to u (``mg``) or runs flexible CG on it
+    (``mgcg``), to ||r|| <= r0 / tol_reduction in ``max_cycles`` cycles.
     A right side of any shape but the top level's field shape is rejected
     before any work, since it would broadcast into a different problem.
     """
@@ -80,35 +75,11 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     u = (random_initial_guess(h, cfg.seed) if u0 is None
          else u0.astype(np.float64))  # a copy, in the outer precision
     r = op.apply(u, f)
-    res = [float(np.linalg.norm(r))]
-    r_max = res[0] / cfg.tol_reduction
-    converged, breakdown = res[0] <= r_max, False
-    cycles, p = 0, None
-    while not converged and cycles < cfg.max_cycles:
-        z = v_cycle(h, r.astype(np.float32), cycles)
-        if cfg.solver == "mg":
-            u += z  # promoted inside the add, without a float64 copy
-            del z  # freed before the next V-cycle allocates its fields
-            op.apply(u, f, out=r)
-        else:
-            z = z.astype(np.float64)
-            p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
-            delta, r_old = np.vdot(z, r), r
-            q = op.apply(p)
-            pq = np.vdot(p, q)
-            if pq <= 0.0:
-                breakdown = True
-                break
-            alpha = delta / pq
-            u += alpha * p
-            r = r - alpha * q
-            breakdown = not (np.isfinite(delta) and delta != 0.0)
-        cycles += 1
-        res.append(float(np.linalg.norm(r)))
-        if breakdown or not np.isfinite(res[-1]):
-            break
-        converged = res[-1] <= r_max
+    # v_cycle is looked up at call time, so that it can be replaced.
+    res, converged, breakdown = iterate(
+        op.apply, f, lambda r, c: v_cycle(h, r.astype(np.float32), c), u, r,
+        float(np.linalg.norm(r)) / cfg.tol_reduction, cfg.max_cycles,
+        cg=cfg.solver == "mgcg")
     return u, ConvergenceReport(
-        res, converged, cycles, time.perf_counter() - t0,
-        breakdown=breakdown,
+        res, converged, time.perf_counter() - t0, breakdown=breakdown,
         coarse_cg_exhausted=h.coarse_cg_exhausted - exhausted)

@@ -29,9 +29,9 @@ def cycles_per_decade10(rbar: float) -> int:
 
 @dataclass
 class ConvergenceReport:
-    residuals: list[float]
+    residuals: list[float]  # the initial norm, then one per cycle
     converged: bool
-    cycles: int
+    cycles: int = field(init=False)
     wallclock: float
     rbar: float = field(init=False)
     n10: int = field(init=False)
@@ -40,10 +40,13 @@ class ConvergenceReport:
     coarse_cg_exhausted: int = 0
 
     def __post_init__(self):
-        if self.cycles == 0 or self.residuals[-1] == 0.0:
+        self.cycles = len(self.residuals) - 1
+        if self.residuals[-1] == 0.0:
             # Exactly solved (e.g. zero right side): rate is unbounded.
-            self.rbar = math.inf
-            self.n10 = 0
+            self.rbar, self.n10 = math.inf, 0
+        elif self.cycles == 0:
+            # Stopped before its first cycle (e.g. a breakdown): no reduction.
+            self.rbar, self.n10 = 0.0, -1
         else:
             self.rbar = convergence_rate(self.residuals)
             self.n10 = cycles_per_decade10(self.rbar) if self.rbar > 0 else -1

@@ -1,22 +1,22 @@
-"""Polynomial multigrid: level hierarchy, transfers, V-cycle, coarse solve.
+"""Polynomial multigrid: hierarchy, transfers, V-cycle, the iteration loop.
 
 Levels carry orders p_l = 2^l from 1 up to the target order p (which must
 be a power of two). Transfers apply the embedded interpolation matrix
 element by element, one direction at a time (sum factorization);
 restriction is their exact algebraic transpose. The coarse (p = 1) problem
-is singular on the periodic mesh and is solved by preconditioned CG with
-the right side projected onto the complement of constants. On the uniform
-periodic mesh the p = 1 Poisson operator L is diagonalized by the 2D FFT
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its mean-free
-pseudoinverse L+ is cheap. The preconditioner is s * L+(s * r) with
-s = 1/sqrt(nu) at the p = 1 nodes, the diagonal scaling of the
-variable-coefficient operator around a constant-coefficient fast solver
-(Concus & Golub, SIAM J. Numer. Anal. 10, 1973): exact for Poisson
-(s = 1), and close to the inverse where nu varies slowly. V-cycle c
-numbers its smoothing sweeps consecutively from c times the sweeps per
-cycle, through all levels in the order they run, so the multiplicative
-colour order follows from the cycle index alone and the hierarchy holds
-no solve state.
+is singular on the periodic mesh and is solved by preconditioned CG
+(``iterate``, the loop ``krylov.solve`` runs too) with the right side
+projected onto the complement of constants. On the uniform periodic mesh
+the p = 1 Poisson operator L is diagonalized by the 2D FFT (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964), so its mean-free pseudoinverse L+ is cheap.
+The preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the p = 1
+nodes, the diagonal scaling of the variable-coefficient operator around a
+constant-coefficient fast solver (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973): exact for Poisson (s = 1), and close to the inverse where nu varies
+slowly. V-cycle c numbers its smoothing sweeps consecutively from c times
+the sweeps per cycle, through all levels in the order they run, so the
+multiplicative colour order follows from the cycle index alone and the
+hierarchy holds no solve state.
 
 Precision: the V-cycle computes in the dtype of the residual it is given.
 Every level holds its transfer factors, and its operator and smoother
@@ -41,7 +41,7 @@ log = logging.getLogger(__name__)
 
 __all__ = ["OverlapRule", "MultigridHierarchy",
            "build_hierarchy", "prolongate", "restrict_residual",
-           "coarse_solve", "v_cycle"]
+           "iterate", "coarse_solve", "v_cycle"]
 
 
 @dataclass(frozen=True)
@@ -248,44 +248,69 @@ def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
     return s * np.fft.irfft2(np.fft.rfft2(s * r) / h.coarse_symbol, s=r.shape)
 
 
+def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
+            r_max: float, cap: int, cg: bool = False):
+    """Iterate on A u = f from ``u`` (updated in place) and r = f - A u.
+
+    Step k takes z = precondition(r, k). Without ``cg`` it adds z to u and
+    writes the next residual into ``r`` (``apply(u, f, out=r)``). With
+    ``cg`` z, in u's dtype, is the preconditioned residual of flexible CG
+    (Notay, SIAM J. Sci. Comput. 22, 2000), whose Polak-Ribiere
+    beta = z^T (r - r_old) / (z_old^T r_old) tolerates a non-symmetric or
+    varying preconditioner. The loop stops converged once ||r|| <= r_max
+    (also before the first step), after ``cap`` steps, at the first
+    non-finite residual norm, unconverged, or, in CG, at a breakdown:
+    p^T A p <= 0, or delta = z^T r, the next divisor, 0 or not finite.
+    Returns (residual norms, converged, breakdown).
+    """
+    res = [float(np.linalg.norm(r))]
+    converged, breakdown, p = res[0] <= r_max, False, None
+    while not converged and len(res) <= cap:
+        z = precondition(r, len(res) - 1)
+        if not cg:
+            u += z  # promoted inside the add, without a copy
+            del z  # freed before the next correction allocates its fields
+            apply(u, f, out=r)
+        else:
+            z = z.astype(u.dtype, copy=False)
+            p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
+            delta, r_old = np.vdot(z, r), r
+            q = apply(p)
+            pq = np.vdot(p, q)
+            if pq <= 0.0:
+                breakdown = True
+                break
+            alpha = delta / pq
+            u += alpha * p
+            r = r - alpha * q
+            breakdown = not (np.isfinite(delta) and delta != 0.0)
+        res.append(float(np.linalg.norm(r)))
+        if breakdown or not np.isfinite(res[-1]):
+            break
+        converged = res[-1] <= r_max
+    return res, converged, breakdown
+
+
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem.
 
+    ``iterate``'s CG from 0 to h.coarse_tol * ||b||, in at most 10
+    iterations per node, in float64, whose resolution its tolerance needs.
     The final projection also removes the constant that a preconditioner
-    scaled by a non-constant s lets into the iterate. The CG runs in
-    float64, whose resolution its tolerance needs; the solution is
-    returned in the dtype of ``f0``.
+    scaled by a non-constant s lets in; the result has the dtype of ``f0``.
     """
-    lv0 = h.levels[0]
     b = project_mean(f0.astype(np.float64, copy=False))
     cap = 10 * b.size
     x = np.zeros_like(b)
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return x.astype(f0.dtype, copy=False)
-    r = b.copy()
-    z = p = _fft_inverse(h, r)
-    rho = np.vdot(r, z)
-    converged = False
-    for _ in range(cap):
-        q = lv0.op.apply(p)
-        pq = np.vdot(p, q)
-        if not (rho > 0.0 and pq > 0.0):
-            break  # no descent direction is left: the residual is roundoff
-        alpha = rho / pq
-        x += alpha * p
-        r -= alpha * q
-        converged = np.linalg.norm(r) <= h.coarse_tol * b_norm
-        if converged:
-            break
-        z = _fft_inverse(h, r)
-        rho_new = np.vdot(r, z)
-        p = z + (rho_new / rho) * p
-        rho = rho_new
+    res, converged, breakdown = iterate(
+        h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
+        h.coarse_tol * np.linalg.norm(b), cap, cg=True)
     if not converged:
         h.coarse_cg_exhausted += 1
-        log.warning("coarse CG hit its iteration cap (%d) or broke down "
-                    "short of its tolerance; possible ill-conditioning", cap)
+        how = ("broke down" if breakdown else "hit its iteration cap"
+               if len(res) > cap else "reached a non-finite residual")
+        log.warning("coarse CG %s after %d of %d iterations; possible "
+                    "ill-conditioning", how, len(res) - 1, cap)
     return project_mean(x).astype(f0.dtype, copy=False)
 
 

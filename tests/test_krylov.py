@@ -76,6 +76,19 @@ def test_mgcg_stops_with_breakdown_when_z_is_orthogonal_to_r(monkeypatch):
     assert np.all(np.isfinite(rep.residuals))
 
 
+def test_mgcg_breakdown_before_the_first_cycle_reports_no_reduction(
+        monkeypatch):
+    # A zero correction gives p = 0, so p^T A p = 0 before the first step:
+    # the residual was not reduced, not solved exactly.
+    monkeypatch.setattr(krylov, "v_cycle",
+                        lambda h, r, cycle: np.zeros_like(r))
+    h, f, _ = _problem(p=4, n=4)
+    _, rep = solve(h, f, SolveConfig(solver="mgcg", seed=1))
+    assert rep.cycles == 0 and len(rep.residuals) == 1
+    assert rep.breakdown and not rep.converged
+    assert rep.rbar == 0.0 and rep.n10 == -1
+
+
 def test_mg_and_mgcg_agree_up_to_a_constant():
     # Both solve the same singular periodic system; solutions may differ
     # by a constant shift only.

@@ -59,15 +59,26 @@ def test_work_per_decades():
 
 
 def test_convergence_report_rates():
-    rep = ConvergenceReport([1e3, 1e1, 1e-1, 1e-3], True, 3, 0.1)
+    rep = ConvergenceReport([1e3, 1e1, 1e-1, 1e-3], True, 0.1)
+    assert rep.cycles == 3
     assert rep.rbar == pytest.approx(2.0)
     assert rep.n10 == 5
     assert not rep.breakdown
 
 
 def test_convergence_report_exact_solve():
-    rep = ConvergenceReport([1.0, 0.0], True, 1, 0.1)
+    rep = ConvergenceReport([1.0, 0.0], True, 0.1)
     assert math.isinf(rep.rbar)
     assert rep.n10 == 0
-    rep = ConvergenceReport([1.0], False, 0, 0.1)
+    rep = ConvergenceReport([0.0], True, 0.1)
+    assert rep.cycles == 0
     assert math.isinf(rep.rbar)
+    assert rep.n10 == 0
+
+
+def test_convergence_report_of_a_solve_stopped_before_its_first_cycle():
+    # A nonzero residual with no cycle taken was not reduced at all.
+    rep = ConvergenceReport([1.0], False, 0.1, breakdown=True)
+    assert rep.cycles == 0
+    assert rep.rbar == 0.0
+    assert rep.n10 == -1

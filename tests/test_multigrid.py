@@ -1,5 +1,7 @@
 """Tests for the level hierarchy, transfers, coarse solve and V-cycle."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,8 @@ from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, fold_product, layout_for, split_factor
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
                                  _fft_inverse, build_hierarchy, coarse_solve,
-                                 prolongate, restrict_residual, v_cycle)
+                                 iterate, prolongate, restrict_residual,
+                                 v_cycle)
 from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
                                  poisson_benchmark, project_mean)
 from schwarzmg.schwarz import WeightKind
@@ -257,6 +260,153 @@ def test_scaled_coarse_preconditioner_caps_diffusion_coarse_iterations():
     coarse_solve(h, f0)
     assert h.coarse_cg_exhausted == 0
     assert len(calls) <= 16
+
+
+def test_coarse_solve_is_textbook_polak_ribiere_cg():
+    # Preconditioned CG with the Polak-Ribiere coefficient, written out:
+    # beta_k = z_k . (r_k - r_{k-1}) / (z_{k-1} . r_{k-1}), on a diffusion
+    # coarse level, where s * L+(s * r) is not the exact inverse.
+    h = build_hierarchy(MeshConfig(6, 5, l_x=1.5), 2, OverlapRule("fixed", 1),
+                        nu_hat=0.9)
+    lv0 = h.levels[0]
+    calls = []
+    apply = lv0.op.apply
+    lv0.op.apply = lambda u: calls.append(1) or apply(u)
+    b = project_mean(np.random.default_rng(73).standard_normal(
+        (lv0.op.layout.N_y, lv0.op.layout.N_x)))
+    u0 = coarse_solve(h, b)
+
+    x, r = np.zeros_like(b), b
+    z = p = _fft_inverse(h, r)
+    for k in range(1, len(calls) + 1):
+        q = apply(p)
+        alpha = np.vdot(z, r) / np.vdot(p, q)
+        x = x + alpha * p
+        r_new = r - alpha * q
+        if np.linalg.norm(r_new) <= h.coarse_tol * np.linalg.norm(b):
+            break
+        z_new = _fft_inverse(h, r_new)
+        beta = np.vdot(z_new, r_new - r) / np.vdot(z, r)
+        p = z_new + beta * p
+        r, z = r_new, z_new
+    assert k == len(calls) and h.coarse_cg_exhausted == 0
+    npt.assert_allclose(u0, project_mean(x), rtol=0,
+                        atol=1e-13 * np.abs(x).max())
+
+
+def _coarse_problem(mesh):
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 0))
+    layout = h.levels[0].op.layout
+    return h, np.random.default_rng(79).standard_normal((layout.N_y,
+                                                         layout.N_x))
+
+
+def test_coarse_solve_warns_when_it_hits_its_cap(caplog, monkeypatch):
+    # A zero tolerance cannot be met. The preconditioner corrects one node
+    # per iteration in turn, so the residual is still about 1e-8 of its
+    # start at the cap: no roundoff event can end the CG before it.
+    h, f0 = _coarse_problem(MeshConfig(3, 3))
+    h.coarse_tol = 0.0
+    nodes = itertools.count()
+
+    def one_node(h, r):
+        z = np.zeros_like(r)
+        i = next(nodes) % r.size
+        z.flat[i] = r.flat[i]
+        return z
+
+    monkeypatch.setattr(multigrid, "_fft_inverse", one_node)
+    coarse_solve(h, f0)
+    assert next(nodes) == 90
+    assert h.coarse_cg_exhausted == 1
+    assert "coarse CG hit its iteration cap after 90 of 90" in caplog.text
+    assert "broke down" not in caplog.text
+
+
+def test_coarse_solve_warns_when_it_breaks_down(caplog, monkeypatch):
+    # A zero preconditioner gives p = 0, so p^T A p = 0 at the first step.
+    h, f0 = _coarse_problem(MeshConfig(3, 3))
+    monkeypatch.setattr(multigrid, "_fft_inverse",
+                        lambda h, r: np.zeros_like(r))
+    assert not coarse_solve(h, f0).any()
+    assert h.coarse_cg_exhausted == 1
+    assert "coarse CG broke down after 0 of 90 iterations" in caplog.text
+    assert "iteration cap" not in caplog.text
+
+
+def _dense_system(n=12):
+    """A random SPD matrix, its operator apply, a right side and a start."""
+    rng = np.random.default_rng(83)
+    m = rng.standard_normal((n, n))
+    A = m @ m.T + n * np.eye(n)
+
+    def apply(u, f=None, out=None):
+        return A @ u if f is None else np.subtract(f, A @ u, out=out)
+
+    f, u = rng.standard_normal((2, n))
+    return A, apply, f, u
+
+
+def test_iterate_cg_solves_a_dense_spd_system_within_n_steps():
+    A, apply, f, u = _dense_system()
+    jacobi = lambda r, k: r / np.diag(A)
+    r = apply(u, f)
+    res, converged, breakdown = iterate(apply, f, jacobi, u, r,
+                                        1e-10 * np.linalg.norm(r), len(f),
+                                        cg=True)
+    assert converged and not breakdown
+    assert len(res) <= len(f) + 1
+    npt.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-9)
+
+
+def test_iterate_with_the_exact_inverse_converges_in_one_step():
+    A, apply, f, u = _dense_system()
+    r = apply(u, f)
+    res, converged, breakdown = iterate(
+        apply, f, lambda r, k: np.linalg.solve(A, r), u, r,
+        1e-10 * np.linalg.norm(r), 10)
+    assert converged and not breakdown
+    assert len(res) == 2
+    npt.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-12)
+
+
+def test_iterate_stops_at_its_cap():
+    A, apply, f, u = _dense_system()
+    half = lambda r, k: 0.5 * np.linalg.solve(A, r)
+    r = apply(u, f)
+    res, converged, breakdown = iterate(apply, f, half, u, r,
+                                        1e-10 * np.linalg.norm(r), 5)
+    assert not converged and not breakdown
+    assert len(res) == 6
+    npt.assert_allclose(np.diff(res) / res[:-1], -0.5, rtol=1e-9)
+
+
+@pytest.mark.parametrize("cg", [False, True])
+def test_iterate_stops_at_the_first_non_finite_norm(cg):
+    _, apply, f, u = _dense_system()
+    steps = []
+    nan = lambda r, k: steps.append(k) or np.full_like(r, np.nan)
+    res, converged, breakdown = iterate(apply, f, nan, u, apply(u, f), 1e-10,
+                                        10, cg=cg)
+    assert steps == [0] and len(res) == 2
+    assert np.isfinite(res[0]) and np.isnan(res[1])
+    assert not converged
+    assert breakdown == cg  # delta = z . r is NaN, the next divisor
+
+
+def test_iterate_cg_reports_a_breakdown():
+    # r vanishes on every other entry and z lives only there, so
+    # delta = z . r is an exact zero and the next beta would be 0/0.
+    A, apply, f, _ = _dense_system()
+    r = f.copy()
+    r[::2] = 0.0
+    z = np.zeros_like(r)
+    z[::2] = 1.0
+    u = np.linalg.solve(A, f - r)  # so that f - A u = r
+    res, converged, breakdown = iterate(apply, f, lambda r, k: z.copy(), u,
+                                        r, 1e-10, 10, cg=True)
+    assert breakdown and not converged
+    assert len(res) == 2 and np.all(np.isfinite(res))
 
 
 @pytest.mark.parametrize("smoother", ["add", "mult"])

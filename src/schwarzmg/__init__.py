@@ -4,7 +4,7 @@ Schwarz smoothers, polynomial multigrid and multigrid-preconditioned CG."""
 from .basis import Basis1D, gll_basis, interp_matrix, overlap_width
 from .krylov import SolveConfig, solve
 from .mesh import FieldLayout, MeshConfig, periodic_windows
-from .metrics import ConvergenceReport, convergence_rate, cycle_cost, work_per_decades
+from .metrics import ConvergenceReport, cycle_cost, work_per_decades
 from .multigrid import (MultigridHierarchy, OverlapRule, build_hierarchy,
                         coarse_solve, prolongate, restrict_residual, v_cycle)
 from .operators import (DiffusionOperator, PoissonOperator,

@@ -1,6 +1,7 @@
 """Outer solver: V-cycle corrections in ``multigrid.iterate``'s loop, as
 the stand-alone multigrid iteration (``mg``) or as the preconditioner of
-flexible CG (``mgcg``). The loop's docstring holds every stopping rule.
+flexible CG (``mgcg``). The loop's docstring holds every stopping rule,
+and the report carries the one stop reason the loop returns.
 
 Both start from the same seeded random initial guess in [0, 1] and
 iterate until the Euclidean residual norm drops by ``tol_reduction``.
@@ -76,10 +77,10 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
          else u0.astype(np.float64))  # a copy, in the outer precision
     r = op.apply(u, f)
     # v_cycle is looked up at call time, so that it can be replaced.
-    res, converged, breakdown = iterate(
+    res, stop = iterate(
         op.apply, f, lambda r, c: v_cycle(h, r.astype(np.float32), c), u, r,
         float(np.linalg.norm(r)) / cfg.tol_reduction, cfg.max_cycles,
         cg=cfg.solver == "mgcg")
     return u, ConvergenceReport(
-        res, converged, time.perf_counter() - t0, breakdown=breakdown,
+        res, stop, time.perf_counter() - t0,
         coarse_cg_exhausted=h.coarse_cg_exhausted - exhausted)

@@ -3,53 +3,41 @@
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ConvergenceReport", "convergence_rate", "cycles_per_decade10",
-           "cycle_cost", "work_per_decades"]
-
-
-def convergence_rate(residuals) -> float:
-    """Average logarithmic reduction per cycle over the recorded history."""
-    if len(residuals) < 2:
-        raise ValueError("need at least one cycle of residual history")
-    if any(r <= 0.0 for r in residuals[:1] + residuals[-1:]):
-        raise ValueError("residual norms must be positive")
-    if math.isinf(residuals[-1]):  # the norm overflowed: the solve diverged
-        return -math.inf
-    return math.log10(residuals[0] / residuals[-1]) / (len(residuals) - 1)
-
-
-def cycles_per_decade10(rbar: float) -> int:
-    """Cycles needed for a 10^10 residual reduction at rate ``rbar``."""
-    if rbar <= 0.0:
-        raise ValueError("convergence rate must be positive")
-    if math.isinf(rbar):
-        return 0
-    return math.ceil(10.0 / rbar)
+__all__ = ["ConvergenceReport", "cycle_cost", "work_per_decades"]
 
 
 @dataclass
 class ConvergenceReport:
-    residuals: list[float]  # the initial norm, then one per cycle
-    converged: bool
-    cycles: int = field(init=False)
+    """One solve: its residual norms (the initial one, then one per cycle)
+    and ``stop``, why ``multigrid.iterate`` ended it. The mean rate rbar
+    (decades per cycle) is inf for a zero final residual, -inf after a
+    non-finite one, 0.0 with no cycle and log10(r_0 / r) / cycles otherwise;
+    n10 = ceil(10 / rbar) is 0 at rbar = inf and -1 where rbar <= 0."""
+
+    residuals: list[float]
+    stop: str
     wallclock: float
-    rbar: float = field(init=False)
-    n10: int = field(init=False)
-    breakdown: bool = False
     # Coarse solves of this solve that stopped short of the coarse tolerance.
     coarse_cg_exhausted: int = 0
+    converged: bool = field(init=False)
+    cycles: int = field(init=False)
+    rbar: float = field(init=False)
+    n10: int = field(init=False)
 
     def __post_init__(self):
+        self.converged = self.stop == "converged"
         self.cycles = len(self.residuals) - 1
         if self.residuals[-1] == 0.0:
-            # Exactly solved (e.g. zero right side): rate is unbounded.
-            self.rbar, self.n10 = math.inf, 0
+            self.rbar = math.inf
+        elif self.stop == "non-finite":
+            self.rbar = -math.inf
         elif self.cycles == 0:
-            # Stopped before its first cycle (e.g. a breakdown): no reduction.
-            self.rbar, self.n10 = 0.0, -1
+            self.rbar = 0.0
         else:
-            self.rbar = convergence_rate(self.residuals)
-            self.n10 = cycles_per_decade10(self.rbar) if self.rbar > 0 else -1
+            self.rbar = (math.log10(self.residuals[0] / self.residuals[-1])
+                         / self.cycles)
+        self.n10 = (0 if self.rbar == math.inf else
+                    math.ceil(10.0 / self.rbar) if self.rbar > 0 else -1)
 
 
 def cycle_cost(p: int, n_el: int, n_o_top: int, n_s: int,

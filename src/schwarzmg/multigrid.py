@@ -6,9 +6,11 @@ element by element, one direction at a time (sum factorization);
 restriction is their exact algebraic transpose. The coarse (p = 1) problem
 is singular on the periodic mesh and is solved by preconditioned CG
 (``iterate``, the loop ``krylov.solve`` runs too) with the right side
-projected onto the complement of constants. On the uniform periodic mesh
-the p = 1 Poisson operator L is diagonalized by the 2D FFT (Lynch, Rice &
-Thomas, Numer. Math. 6, 1964), so its mean-free pseudoinverse L+ is cheap.
+projected onto the complement of constants; a coarse CG that stops short
+logs ``iterate``'s stop reason and counts in ``coarse_cg_exhausted``. On
+the uniform periodic mesh the p = 1 Poisson operator L is diagonalized by
+the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its mean-free
+pseudoinverse L+ is cheap.
 The preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the p = 1
 nodes, the diagonal scaling of the variable-coefficient operator around a
 constant-coefficient fast solver (Concus & Golub, SIAM J. Numer. Anal. 10,
@@ -257,15 +259,23 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
     ``cg`` z, in u's dtype, is the preconditioned residual of flexible CG
     (Notay, SIAM J. Sci. Comput. 22, 2000), whose Polak-Ribiere
     beta = z^T (r - r_old) / (z_old^T r_old) tolerates a non-symmetric or
-    varying preconditioner. The loop stops converged once ||r|| <= r_max
-    (also before the first step), after ``cap`` steps, at the first
-    non-finite residual norm, unconverged, or, in CG, at a breakdown:
-    p^T A p <= 0, or delta = z^T r, the next divisor, 0 or not finite.
-    Returns (residual norms, converged, breakdown).
+    varying preconditioner. Returns (residual norms, stop), where stop is
+    why it ended, checked in this order before every step: ``"converged"``
+    once ||r|| <= r_max, ``"non-finite"`` at an inf or NaN norm,
+    ``"breakdown"`` after a CG step whose delta = z^T r, the next divisor,
+    was 0 or not finite, and ``"cap"`` after ``cap`` steps. A CG step that
+    finds p^T A p <= 0 stops at once as a ``"breakdown"``, recording no norm.
     """
-    res = [float(np.linalg.norm(r))]
-    converged, breakdown, p = res[0] <= r_max, False, None
-    while not converged and len(res) <= cap:
+    res, p, broke = [float(np.linalg.norm(r))], None, False
+    while True:
+        if res[-1] <= r_max:
+            return res, "converged"
+        if not np.isfinite(res[-1]):
+            return res, "non-finite"
+        if broke:
+            return res, "breakdown"
+        if len(res) > cap:
+            return res, "cap"
         z = precondition(r, len(res) - 1)
         if not cg:
             u += z  # promoted inside the add, without a copy
@@ -278,17 +288,12 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
             q = apply(p)
             pq = np.vdot(p, q)
             if pq <= 0.0:
-                breakdown = True
-                break
+                return res, "breakdown"
             alpha = delta / pq
             u += alpha * p
             r = r - alpha * q
-            breakdown = not (np.isfinite(delta) and delta != 0.0)
+            broke = not (np.isfinite(delta) and delta != 0.0)
         res.append(float(np.linalg.norm(r)))
-        if breakdown or not np.isfinite(res[-1]):
-            break
-        converged = res[-1] <= r_max
-    return res, converged, breakdown
 
 
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
@@ -302,15 +307,13 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     b = project_mean(f0.astype(np.float64, copy=False))
     cap = 10 * b.size
     x = np.zeros_like(b)
-    res, converged, breakdown = iterate(
+    res, stop = iterate(
         h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
         h.coarse_tol * np.linalg.norm(b), cap, cg=True)
-    if not converged:
+    if stop != "converged":
         h.coarse_cg_exhausted += 1
-        how = ("broke down" if breakdown else "hit its iteration cap"
-               if len(res) > cap else "reached a non-finite residual")
-        log.warning("coarse CG %s after %d of %d iterations; possible "
-                    "ill-conditioning", how, len(res) - 1, cap)
+        log.warning("coarse CG stopped (%s) after %d of %d iterations; "
+                    "possible ill-conditioning", stop, len(res) - 1, cap)
     return project_mean(x).astype(f0.dtype, copy=False)
 
 

@@ -40,6 +40,10 @@ class RunSpec:
     nu_hat: float | None = None   # None selects the Poisson problem
     nu_shift: float = 0.2
 
+    def __post_init__(self):
+        if self.cycle not in ("std", "var"):
+            raise ValueError(f"unknown cycle {self.cycle!r}")
+
 
 @dataclass
 class RunRecord:
@@ -62,7 +66,7 @@ class RunRecord:
     n10: int
     omega1: float
     converged: bool
-    breakdown: bool               # MGCG stopped at delta = z . r = 0
+    stop: str                     # why the solve ended: multigrid.iterate
     wallclock: float
     coarse_cg_exhausted: int
 
@@ -110,7 +114,7 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
         n_pre=spec.n_pre, n_post=spec.n_post, cycle_type=spec.cycle,
         nu_hat=spec.nu_hat, shift_s=spec.nu_shift if spec.nu_hat is not None else None,
         seed=seed, cycles=rep.cycles, rbar=rep.rbar, n10=rep.n10,
-        omega1=omega1, converged=rep.converged, breakdown=rep.breakdown,
+        omega1=omega1, converged=rep.converged, stop=rep.stop,
         wallclock=rep.wallclock,
         coarse_cg_exhausted=rep.coarse_cg_exhausted)
 

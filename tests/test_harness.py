@@ -106,21 +106,32 @@ def test_records_carry_coarse_cap_hits():
     assert json.loads(records_to_json([hit]))[0]["coarse_cg_exhausted"] == 7
 
 
-def test_records_carry_breakdown():
+@pytest.mark.parametrize("stop", ["converged", "non-finite", "breakdown",
+                                  "cap"])
+def test_records_carry_the_stop(stop):
     rec = run_single(FAST_SPEC, seed=1)
-    assert rec.breakdown is False
-    hit = dataclasses.replace(rec, breakdown=True, converged=False)
+    assert rec.stop == "converged"
+    hit = dataclasses.replace(rec, stop=stop, converged=stop == "converged")
     [back] = read_csv(io.StringIO(records_to_csv([hit])))
-    assert back.breakdown is True and back.converged is False
+    assert back.stop == stop and back.converged == (stop == "converged")
     assert records_to_csv([back]) == records_to_csv([hit])
-    assert json.loads(records_to_json([hit]))[0]["breakdown"] is True
+    assert json.loads(records_to_json([hit]))[0]["stop"] == stop
 
 
 def test_run_single_records_an_mgcg_breakdown(monkeypatch):
     # A zero correction gives p^T A p = 0: MGCG stops with a breakdown.
     monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle: 0.0 * r)
     rec = run_single(dataclasses.replace(FAST_SPEC, solver="mgcg"), seed=1)
-    assert rec.breakdown and not rec.converged
+    assert rec.stop == "breakdown" and not rec.converged
+
+
+def test_run_single_rejects_an_unknown_cycle_before_setup(monkeypatch):
+    def no_setup(spec):
+        raise AssertionError("set-up ran before the cycle was checked")
+
+    monkeypatch.setattr(presets, "build_problem", no_setup)
+    with pytest.raises(ValueError, match="unknown cycle 'bogus'"):
+        run_single(dataclasses.replace(FAST_SPEC, cycle="bogus"), 1)
 
 
 def test_json_emission_parses():
@@ -201,6 +212,7 @@ def test_cli_solve_json_format(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert json.loads(out)[0]["converged"] is True
+    assert json.loads(out)[0]["stop"] == "converged"
     assert json.loads(out)[0]["coarse_cg_exhausted"] == 0
 
 

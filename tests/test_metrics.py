@@ -4,34 +4,43 @@ import math
 
 import pytest
 
-from schwarzmg.metrics import (ConvergenceReport, convergence_rate,
-                               cycle_cost, cycles_per_decade10,
-                               work_per_decades)
+from schwarzmg.metrics import ConvergenceReport, cycle_cost, work_per_decades
+
+
+def _rate(residuals, stop="converged"):
+    rep = ConvergenceReport(residuals, stop, 0.1)
+    return rep.rbar, rep.n10
 
 
 def test_convergence_rate_simple_histories():
-    assert convergence_rate([100.0, 1.0]) == pytest.approx(2.0)
-    assert convergence_rate([1.0, 0.1, 0.01]) == pytest.approx(1.0)
+    assert _rate([100.0, 1.0])[0] == pytest.approx(2.0)
+    assert _rate([1.0, 0.1, 0.01])[0] == pytest.approx(1.0)
     # Only the endpoints enter the average rate.
-    assert convergence_rate([10.0, 123.0, 1.0]) == pytest.approx(0.5)
-    # An overflowed final norm is a divergence, not a domain error.
-    assert convergence_rate([1.0, 2.0, math.inf]) == -math.inf
+    assert _rate([10.0, 123.0, 1.0])[0] == pytest.approx(0.5)
+    # A breakdown after a reducing step keeps the rate of that step.
+    assert _rate([1.0, 0.01], "breakdown")[0] == pytest.approx(2.0)
 
 
-def test_convergence_rate_validation():
-    with pytest.raises(ValueError):
-        convergence_rate([1.0])
-    with pytest.raises(ValueError):
-        convergence_rate([1.0, 0.0])
+def test_convergence_rate_of_a_solve_that_did_not_reduce():
+    # No reduction or a growth: a rate of 0 or below, and no n10.
+    assert _rate([1.0, 1.0], "cap") == (0.0, -1)
+    assert _rate([1.0, 10.0], "cap") == (pytest.approx(-1.0), -1)
+
+
+@pytest.mark.parametrize("last", [math.inf, math.nan])
+def test_convergence_rate_of_a_non_finite_solve(last):
+    # An overflowed or NaN final norm is a divergence, never a NaN rate.
+    rep = ConvergenceReport([1.0, 2.0, last], "non-finite", 0.1)
+    assert rep.rbar == -math.inf and rep.n10 == -1
+    assert rep.cycles == 2 and not rep.converged
 
 
 def test_cycles_per_decade10():
-    assert cycles_per_decade10(1.29) == 8
-    assert cycles_per_decade10(2.0) == 5
-    assert cycles_per_decade10(0.16) == 63
-    assert cycles_per_decade10(math.inf) == 0
-    with pytest.raises(ValueError):
-        cycles_per_decade10(0.0)
+    # n10 = ceil(10 / rbar) cycles for a 1e10 reduction at rate rbar.
+    assert _rate([1.0, 10.0**-1.29], "cap")[1] == 8
+    assert _rate([1.0, 1e-2], "cap")[1] == 5
+    assert _rate([1.0, 10.0**-0.16], "cap")[1] == 63
+    assert _rate([1.0, 0.0])[1] == 0
 
 
 def test_cycle_cost_hand_computed():
@@ -59,18 +68,18 @@ def test_work_per_decades():
 
 
 def test_convergence_report_rates():
-    rep = ConvergenceReport([1e3, 1e1, 1e-1, 1e-3], True, 0.1)
-    assert rep.cycles == 3
+    rep = ConvergenceReport([1e3, 1e1, 1e-1, 1e-3], "converged", 0.1)
+    assert rep.cycles == 3 and rep.converged
     assert rep.rbar == pytest.approx(2.0)
     assert rep.n10 == 5
-    assert not rep.breakdown
+    assert rep.stop == "converged"
 
 
 def test_convergence_report_exact_solve():
-    rep = ConvergenceReport([1.0, 0.0], True, 0.1)
+    rep = ConvergenceReport([1.0, 0.0], "converged", 0.1)
     assert math.isinf(rep.rbar)
     assert rep.n10 == 0
-    rep = ConvergenceReport([0.0], True, 0.1)
+    rep = ConvergenceReport([0.0], "converged", 0.1)
     assert rep.cycles == 0
     assert math.isinf(rep.rbar)
     assert rep.n10 == 0
@@ -78,7 +87,7 @@ def test_convergence_report_exact_solve():
 
 def test_convergence_report_of_a_solve_stopped_before_its_first_cycle():
     # A nonzero residual with no cycle taken was not reduced at all.
-    rep = ConvergenceReport([1.0], False, 0.1, breakdown=True)
-    assert rep.cycles == 0
+    rep = ConvergenceReport([1.0], "breakdown", 0.1)
+    assert rep.cycles == 0 and not rep.converged
     assert rep.rbar == 0.0
     assert rep.n10 == -1

@@ -319,8 +319,8 @@ def test_coarse_solve_warns_when_it_hits_its_cap(caplog, monkeypatch):
     coarse_solve(h, f0)
     assert next(nodes) == 90
     assert h.coarse_cg_exhausted == 1
-    assert "coarse CG hit its iteration cap after 90 of 90" in caplog.text
-    assert "broke down" not in caplog.text
+    assert "coarse CG stopped (cap) after 90 of 90 iterations" in caplog.text
+    assert "breakdown" not in caplog.text
 
 
 def test_coarse_solve_warns_when_it_breaks_down(caplog, monkeypatch):
@@ -330,8 +330,9 @@ def test_coarse_solve_warns_when_it_breaks_down(caplog, monkeypatch):
                         lambda h, r: np.zeros_like(r))
     assert not coarse_solve(h, f0).any()
     assert h.coarse_cg_exhausted == 1
-    assert "coarse CG broke down after 0 of 90 iterations" in caplog.text
-    assert "iteration cap" not in caplog.text
+    assert ("coarse CG stopped (breakdown) after 0 of 90 iterations"
+            in caplog.text)
+    assert "(cap)" not in caplog.text
 
 
 def _dense_system(n=12):
@@ -351,10 +352,9 @@ def test_iterate_cg_solves_a_dense_spd_system_within_n_steps():
     A, apply, f, u = _dense_system()
     jacobi = lambda r, k: r / np.diag(A)
     r = apply(u, f)
-    res, converged, breakdown = iterate(apply, f, jacobi, u, r,
-                                        1e-10 * np.linalg.norm(r), len(f),
-                                        cg=True)
-    assert converged and not breakdown
+    res, stop = iterate(apply, f, jacobi, u, r, 1e-10 * np.linalg.norm(r),
+                        len(f), cg=True)
+    assert stop == "converged"
     assert len(res) <= len(f) + 1
     npt.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-9)
 
@@ -362,10 +362,9 @@ def test_iterate_cg_solves_a_dense_spd_system_within_n_steps():
 def test_iterate_with_the_exact_inverse_converges_in_one_step():
     A, apply, f, u = _dense_system()
     r = apply(u, f)
-    res, converged, breakdown = iterate(
-        apply, f, lambda r, k: np.linalg.solve(A, r), u, r,
-        1e-10 * np.linalg.norm(r), 10)
-    assert converged and not breakdown
+    res, stop = iterate(apply, f, lambda r, k: np.linalg.solve(A, r), u, r,
+                        1e-10 * np.linalg.norm(r), 10)
+    assert stop == "converged"
     assert len(res) == 2
     npt.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-12)
 
@@ -374,9 +373,8 @@ def test_iterate_stops_at_its_cap():
     A, apply, f, u = _dense_system()
     half = lambda r, k: 0.5 * np.linalg.solve(A, r)
     r = apply(u, f)
-    res, converged, breakdown = iterate(apply, f, half, u, r,
-                                        1e-10 * np.linalg.norm(r), 5)
-    assert not converged and not breakdown
+    res, stop = iterate(apply, f, half, u, r, 1e-10 * np.linalg.norm(r), 5)
+    assert stop == "cap"
     assert len(res) == 6
     npt.assert_allclose(np.diff(res) / res[:-1], -0.5, rtol=1e-9)
 
@@ -386,12 +384,21 @@ def test_iterate_stops_at_the_first_non_finite_norm(cg):
     _, apply, f, u = _dense_system()
     steps = []
     nan = lambda r, k: steps.append(k) or np.full_like(r, np.nan)
-    res, converged, breakdown = iterate(apply, f, nan, u, apply(u, f), 1e-10,
-                                        10, cg=cg)
+    res, stop = iterate(apply, f, nan, u, apply(u, f), 1e-10, 10, cg=cg)
     assert steps == [0] and len(res) == 2
     assert np.isfinite(res[0]) and np.isnan(res[1])
-    assert not converged
-    assert breakdown == cg  # delta = z . r is NaN, the next divisor
+    # In CG delta = z . r, the next divisor, is NaN too: the norm decides.
+    assert stop == "non-finite"
+
+
+@pytest.mark.parametrize("cg", [False, True])
+def test_iterate_takes_no_step_from_a_non_finite_residual(cg):
+    _, apply, f, u = _dense_system()
+    r = apply(u, f)
+    r[3] = np.inf
+    never = lambda r, k: pytest.fail("a step was taken")
+    assert iterate(apply, f, never, u, r, 1e-10, 10, cg=cg) == ([np.inf],
+                                                                "non-finite")
 
 
 def test_iterate_cg_reports_a_breakdown():
@@ -403,10 +410,18 @@ def test_iterate_cg_reports_a_breakdown():
     z = np.zeros_like(r)
     z[::2] = 1.0
     u = np.linalg.solve(A, f - r)  # so that f - A u = r
-    res, converged, breakdown = iterate(apply, f, lambda r, k: z.copy(), u,
-                                        r, 1e-10, 10, cg=True)
-    assert breakdown and not converged
+    res, stop = iterate(apply, f, lambda r, k: z.copy(), u, r, 1e-10, 10,
+                        cg=True)
+    assert stop == "breakdown"
     assert len(res) == 2 and np.all(np.isfinite(res))
+
+
+def test_iterate_cg_breaks_down_at_a_zero_search_direction():
+    # z = 0 gives p = 0, so p^T A p = 0: no step is taken or recorded.
+    _, apply, f, u = _dense_system()
+    res, stop = iterate(apply, f, lambda r, k: np.zeros_like(r), u,
+                        apply(u, f), 1e-10, 10, cg=True)
+    assert stop == "breakdown" and len(res) == 1
 
 
 @pytest.mark.parametrize("smoother", ["add", "mult"])

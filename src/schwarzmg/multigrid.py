@@ -4,31 +4,39 @@ Levels carry orders p_l = 2^l from 1 up to the target order p (which must
 be a power of two). Transfers apply the embedded interpolation matrix
 element by element, one direction at a time (sum factorization);
 restriction is their exact algebraic transpose. The coarse (p = 1) problem
-is singular on the periodic mesh and is solved by preconditioned CG
-(``iterate``, the loop ``krylov.solve`` runs too) with the right side
-projected onto the complement of constants; a coarse CG that stops short
-logs ``iterate``'s stop reason and counts in ``coarse_cg_exhausted``. On
-the uniform periodic mesh the p = 1 Poisson operator L is diagonalized by
+is singular on the periodic mesh; its right side is projected onto the
+complement of constants. A small diffusion coarse problem is solved
+directly, as in the spectral-element multigrid of Lottes & Fischer
+(J. Sci. Comput. 24, 2005), whose coarse grid is solved by the XX^T
+method (Tufo & Fischer, J. Parallel Distrib. Comput. 61, 2001): the
+hierarchy builds the dense inverse of A + c 11^T on its first coarse
+solve (``coarse_inverse``), and its product with a mean-free b is A+ b.
+Every other coarse problem is solved by preconditioned CG (``iterate``,
+the loop ``krylov.solve`` runs too); a coarse CG that stops short logs
+``iterate``'s stop reason and counts in ``coarse_cg_exhausted``. On the
+uniform periodic mesh the p = 1 Poisson operator L is diagonalized by
 the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its mean-free
 pseudoinverse L+ is cheap.
 The preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the p = 1
 nodes, the diagonal scaling of the variable-coefficient operator around a
 constant-coefficient fast solver (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973): exact for Poisson (s = 1), and close to the inverse where nu varies
-slowly. V-cycle c numbers its smoothing sweeps consecutively from c times
-the sweeps per cycle, through all levels in the order they run, so the
-multiplicative colour order follows from the cycle index alone and the
-hierarchy holds no solve state.
+1973): exact for Poisson (s = 1), so its CG stops after one step, and
+close to the inverse where nu varies slowly. V-cycle c numbers its
+smoothing sweeps consecutively from c times the sweeps per cycle, through
+all levels in the order they run, so the multiplicative colour order
+follows from the cycle index alone and the hierarchy holds no solve state.
 
 Precision: the V-cycle computes in the dtype of the residual it is given.
 Every level holds its transfer factors, and its operator and smoother
 theirs, in float64 and float32 (``mesh.Precisions``), so one hierarchy
 serves both. ``krylov.solve`` runs its outer loop in float64 and passes a
-float32 residual; ``coarse_solve`` runs its CG in float64 whatever the
-dtype of its right side, because its 1e-12 tolerance is below float32
-resolution, and returns the right side's dtype.
+float32 residual; ``coarse_solve`` computes in float64 whatever the dtype
+of its right side, because its CG's 1e-12 tolerance is below float32
+resolution and the dense inverse is as accurate, and returns the right
+side's dtype.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -36,10 +44,18 @@ import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
 from .mesh import MeshConfig, Precisions, fold_product, split_factor
-from .operators import DiffusionOperator, PoissonOperator, diffusivity_field, project_mean
+from .operators import (DiffusionOperator, PoissonOperator,
+                        dense_diffusion_matrix, diffusivity_field, project_mean)
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
 
 log = logging.getLogger(__name__)
+
+# The most p = 1 nodes whose diffusion problem is solved by a dense inverse.
+# With one BLAS thread one CG coarse solve takes 2.5-4.0 ms at 64 nodes,
+# 2.8-4.5 at 256, 3.2-5.4 at 512 and 5.7-6.0 at 1024, building the inverse
+# 0.16, 4.7, 25.6 and 180 ms; a solve makes at least 5 coarse solves, so
+# the inverse pays for itself within one solve up to 256 nodes.
+_DENSE_COARSE_NODES = 256
 
 __all__ = ["OverlapRule", "MultigridHierarchy",
            "build_hierarchy", "prolongate", "restrict_residual",
@@ -136,6 +152,23 @@ class MultigridHierarchy:
         self.coarse_scale = coarse_scale
         self.coarse_tol = 1e-12  # relative residual at which coarse CG stops
         self.coarse_cg_exhausted = 0
+
+    @functools.cached_property
+    def coarse_inverse(self) -> np.ndarray | None:
+        """The float64 inverse of A + c 11^T, c = mean(diag A) / n, for a
+        diffusion p = 1 level of at most ``_DENSE_COARSE_NODES`` nodes;
+        None otherwise (for Poisson the CG's preconditioner is exact).
+
+        The constant mode, A's null space, becomes an eigenvector of
+        eigenvalue mean(diag A), so the inverse times a mean-free b is A+ b.
+        It depends on the hierarchy only and is built on first use.
+        """
+        lv0 = self.levels[0]
+        if lv0.op.nu is None or lv0.op.layout.size > _DENSE_COARSE_NODES:
+            return None
+        A = dense_diffusion_matrix(lv0.basis, self.mesh, lv0.op.nu)
+        A += np.mean(np.diag(A)) / len(A)
+        return np.linalg.inv(A)
 
     @property
     def depth(self) -> int:
@@ -297,23 +330,28 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
 
 
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
-    """Null-space-projected, FFT-preconditioned CG solve of the p = 1 problem.
+    """Null-space-projected solve of the p = 1 problem, in float64.
 
-    ``iterate``'s CG from 0 to h.coarse_tol * ||b||, in at most 10
-    iterations per node, in float64, whose resolution its tolerance needs.
-    The final projection also removes the constant that a preconditioner
-    scaled by a non-constant s lets in; the result has the dtype of ``f0``.
+    With ``h.coarse_inverse`` it is that inverse times the mean-free right
+    side b; otherwise ``iterate``'s FFT-preconditioned CG from 0 to
+    h.coarse_tol * ||b||, in at most 10 iterations per node, whose
+    tolerance needs float64. The final projection removes the roundoff in
+    the constant mode and the constant that a preconditioner scaled by a
+    non-constant s lets in; the result has the dtype of ``f0``.
     """
     b = project_mean(f0.astype(np.float64, copy=False))
-    cap = 10 * b.size
-    x = np.zeros_like(b)
-    res, stop = iterate(
-        h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
-        h.coarse_tol * np.linalg.norm(b), cap, cg=True)
-    if stop != "converged":
-        h.coarse_cg_exhausted += 1
-        log.warning("coarse CG stopped (%s) after %d of %d iterations; "
-                    "possible ill-conditioning", stop, len(res) - 1, cap)
+    if h.coarse_inverse is not None:
+        x = (h.coarse_inverse @ b.ravel()).reshape(b.shape)
+    else:
+        cap = 10 * b.size
+        x = np.zeros_like(b)
+        res, stop = iterate(
+            h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
+            h.coarse_tol * np.linalg.norm(b), cap, cg=True)
+        if stop != "converged":
+            h.coarse_cg_exhausted += 1
+            log.warning("coarse CG stopped (%s) after %d of %d iterations; "
+                        "possible ill-conditioning", stop, len(res) - 1, cap)
     return project_mean(x).astype(f0.dtype, copy=False)
 
 
@@ -327,7 +365,7 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     run, from ``cycle`` times the sweeps per cycle, which sets the
     multiplicative colour order. ``r`` is left unchanged, and the
     hierarchy keeps no field between calls. Every level computes in the
-    dtype of ``r`` except the coarse CG, which runs in float64.
+    dtype of ``r`` except the coarse solve, which runs in float64.
     """
     L = h.depth
     k = cycle * sum(lv.n_pre + lv.n_post for lv in h.levels)

@@ -18,7 +18,10 @@ element rows (``mesh._slab_elements``) and, given a right side f, returns
 the residual f - A u from the same loop; each operator adds only its
 factors and its per-slab x and y products.
 
-Dense assembly routines are included as independent test oracles.
+The dense assembly routines share nothing with the sum-factorized apply
+but the periodic window indices, so they are the apply tests' independent
+oracles; ``dense_diffusion_matrix`` also builds the small diffusion coarse
+matrix that ``multigrid`` inverts once.
 """
 
 import numpy as np
@@ -276,8 +279,9 @@ def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
 
 
 # ----------------------------------------------------------------------
-# Dense assembly oracles (testing only; they share nothing with the
-# sum-factorized apply path above but the periodic window indices)
+# Dense assembly: the apply tests' oracles (they share nothing with the
+# sum-factorized apply path above but the periodic window indices), and
+# the small diffusion coarse matrix of ``MultigridHierarchy.coarse_inverse``
 
 
 def dense_poisson_matrix(basis: Basis1D, mesh: MeshConfig) -> np.ndarray:

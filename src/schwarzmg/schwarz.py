@@ -141,7 +141,7 @@ def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int):
         inv_sqrt = 1.0 / np.sqrt(m_s)
         lam, q = np.linalg.eigh(inv_sqrt[:, None] * L_s * inv_sqrt[None, :])
         if lam[0] <= 0.0:
-            raise RuntimeError("restricted subdomain problem is not definite")
+            raise ValueError("restricted subdomain problem is not definite")
         factors += (inv_sqrt[:, None] * q, lam)
     return factors
 

@@ -242,6 +242,17 @@ def test_cli_bad_order_is_one_line_error(capsys):
     assert "power of two" in err
 
 
+def test_cli_extreme_aspect_ratio_is_one_line_error(capsys):
+    # At ar = 1e200 the restricted subdomain problem of level 1 is not
+    # definite; the error names the level and ends the run with exit 1.
+    rc = cli.main(["solve", "--p", "4", "--nel", "4", "--ar", "1e200"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        "schwarzmg: error: multigrid level 1 of the p=4 hierarchy: "
+        "restricted subdomain problem is not definite"]
+
+
 @pytest.mark.parametrize("args", [["--overlap", "bogus"], ["--tol", "1"],
                                   ["--p", "4", "--nel", "2",
                                    "--overlap", "fixed:2"],

@@ -135,25 +135,38 @@ def test_every_solve_numbers_its_cycles_from_zero(monkeypatch):
     assert seen == 2 * list(range(rep.cycles)) and rep.cycles == 3
 
 
-@pytest.mark.parametrize("smoother", ["add", "mult"])
-def test_a_solve_rebinds_no_hierarchy_attribute(smoother):
+@pytest.mark.parametrize("smoother, nu_hat",
+                         [("add", None), ("mult", None), ("add", 0.9),
+                          ("mult", 0.9)],
+                         ids=["add", "mult", "add-diffusion", "mult-diffusion"])
+def test_a_solve_rebinds_no_hierarchy_attribute(smoother, nu_hat):
     # The hierarchy, its levels, operators and smoothers hold no solve
     # state: a solve rebinds none of their attributes and changes none of
-    # their arrays. Only the hierarchy's coarse-cap tally counts on.
-    h, f, _ = _problem(p=4, smoother=smoother)
+    # their arrays. Only the hierarchy's coarse-cap tally counts on, and
+    # the first solve caches the coarse inverse (None for Poisson), which
+    # the second keeps as it is.
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), smoother=smoother,
+                        nu_hat=nu_hat)
+    f = (poisson_benchmark(mesh, h.top.basis) if nu_hat is None
+         else manufactured_rhs_diffusion(mesh, h.top.basis, nu_hat))[0]
     owners = [h] + [o for lv in h.levels for o in (lv, lv.op, lv.smoother)
                     if o is not None]
-    before = [(o, dict(vars(o))) for o in owners]
-    copies = [{k: v.copy() for k, v in attrs.items()
-               if isinstance(v, np.ndarray)} for _, attrs in before]
-    solve(h, f, SolveConfig(solver="mgcg", max_cycles=3, seed=1))
-    for (o, attrs), arrays in zip(before, copies):
-        now = dict(vars(o))
-        if o is h:
-            del now["coarse_cg_exhausted"], attrs["coarse_cg_exhausted"]
-        assert now.keys() == attrs.keys()
-        assert all(now[k] is v for k, v in attrs.items()), type(o).__name__
-        assert all(np.array_equal(now[k], v) for k, v in arrays.items())
+    for first in (True, False):
+        before = [(o, dict(vars(o))) for o in owners]
+        copies = [{k: v.copy() for k, v in attrs.items()
+                   if isinstance(v, np.ndarray)} for _, attrs in before]
+        solve(h, f, SolveConfig(solver="mgcg", max_cycles=3, seed=1))
+        for (o, attrs), arrays in zip(before, copies):
+            now = dict(vars(o))
+            if o is h:
+                del now["coarse_cg_exhausted"], attrs["coarse_cg_exhausted"]
+                if first:
+                    cached = now.pop("coarse_inverse")
+                    assert (cached is None) == (nu_hat is None)
+            assert now.keys() == attrs.keys()
+            assert all(now[k] is v for k, v in attrs.items()), type(o).__name__
+            assert all(np.array_equal(now[k], v) for k, v in arrays.items())
 
 
 def test_cycle_cap_is_respected():

@@ -248,9 +248,11 @@ def test_scaled_coarse_preconditioner_is_symmetric_for_diffusion():
 def test_scaled_coarse_preconditioner_caps_diffusion_coarse_iterations():
     # The p = 1 problem of the mult-diffusion benchmark (16x16, nu_hat=0.9):
     # 43-45 iterations per coarse solve with the mean-nu-scaled Poisson
-    # pseudoinverse, 15 with the 1/sqrt(nu) scaling.
+    # pseudoinverse, 15 with the 1/sqrt(nu) scaling. Its 256 nodes are
+    # solved by the dense inverse; None sends them through the CG.
     h = build_hierarchy(MeshConfig(16, 16, l_x=1.0, l_y=1.0), 2,
                         OverlapRule("ceilp8"), smoother="mult", nu_hat=0.9)
+    h.coarse_inverse = None
     lv0 = h.levels[0]
     calls = []
     apply = lv0.op.apply
@@ -262,12 +264,73 @@ def test_scaled_coarse_preconditioner_caps_diffusion_coarse_iterations():
     assert len(calls) <= 16
 
 
+def _counted_coarse_apply(h):
+    """Count the coarse operator's applies: one per coarse CG iteration."""
+    lv0, calls = h.levels[0], []
+    apply = lv0.op.apply
+    lv0.op.apply = lambda u: calls.append(1) or apply(u)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("ar", [1.0, 4.0])
+def test_small_diffusion_coarse_solve_is_the_dense_pseudoinverse(n, ar):
+    # The diffusion coarse levels of fig3, fig4 and mult-diffusion (64 and
+    # 256 nodes) are solved by the dense inverse, with no CG iteration.
+    mesh = MeshConfig(n, n, l_x=ar, l_y=1.0)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=0.9)
+    lv0 = h.levels[0]
+    calls = _counted_coarse_apply(h)
+    f0 = np.random.default_rng(89).standard_normal(
+        (lv0.op.layout.N_y, lv0.op.layout.N_x))
+    u0 = coarse_solve(h, f0)
+    A = dense_diffusion_matrix(lv0.basis, mesh, lv0.op.nu)
+    want = project_mean(np.linalg.lstsq(A, project_mean(f0).ravel())[0])
+    npt.assert_allclose(u0.ravel(), want, rtol=0,
+                        atol=1e-10 * np.abs(want).max())
+    assert not calls and h.coarse_cg_exhausted == 0
+
+
+@pytest.mark.parametrize("mesh, nu_hat", [
+    (MeshConfig(32, 16, l_x=1.5), 0.9),   # 512 nodes: above the dense limit
+    (MeshConfig(16, 16), None),           # Poisson: the FFT CG is exact
+], ids=["diffusion-32x16", "poisson-16x16"])
+def test_other_coarse_problems_still_run_the_cg(mesh, nu_hat):
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=nu_hat)
+    layout = h.levels[0].op.layout
+    calls = _counted_coarse_apply(h)
+    coarse_solve(h, np.random.default_rng(97).standard_normal(
+        (layout.N_y, layout.N_x)))
+    assert h.coarse_inverse is None
+    assert len(calls) > 0 and h.coarse_cg_exhausted == 0
+
+
+def test_coarse_inverse_is_built_once_on_the_first_coarse_solve(monkeypatch):
+    h = build_hierarchy(MeshConfig(8, 8, l_x=1.0, l_y=1.0), 4,
+                        OverlapRule("ceilp8"), nu_hat=0.9)
+    assert "coarse_inverse" not in vars(h)
+    built = []
+    dense = multigrid.dense_diffusion_matrix
+    monkeypatch.setattr(multigrid, "dense_diffusion_matrix",
+                        lambda *args: built.append(1) or dense(*args))
+    layout = h.levels[0].op.layout
+    f0 = np.random.default_rng(101).standard_normal((layout.N_y, layout.N_x))
+    first = coarse_solve(h, f0)
+    assert np.array_equal(coarse_solve(h, f0), first)
+    assert len(built) == 1
+    # A float32 right side comes back float32, the float64 result rounded.
+    got = coarse_solve(h, f0.astype(np.float32))
+    assert got.dtype == np.float32
+    npt.assert_allclose(got, first, rtol=0, atol=1e-6 * np.abs(first).max())
+
+
 def test_coarse_solve_is_textbook_polak_ribiere_cg():
     # Preconditioned CG with the Polak-Ribiere coefficient, written out:
     # beta_k = z_k . (r_k - r_{k-1}) / (z_{k-1} . r_{k-1}), on a diffusion
-    # coarse level, where s * L+(s * r) is not the exact inverse.
-    h = build_hierarchy(MeshConfig(6, 5, l_x=1.5), 2, OverlapRule("fixed", 1),
-                        nu_hat=0.9)
+    # coarse level, where s * L+(s * r) is not the exact inverse, of 512
+    # nodes, too many for the dense inverse.
+    h = build_hierarchy(MeshConfig(32, 16, l_x=1.5), 2,
+                        OverlapRule("fixed", 1), nu_hat=0.9)
     lv0 = h.levels[0]
     calls = []
     apply = lv0.op.apply
@@ -276,6 +339,7 @@ def test_coarse_solve_is_textbook_polak_ribiere_cg():
         (lv0.op.layout.N_y, lv0.op.layout.N_x)))
     u0 = coarse_solve(h, b)
 
+    b = project_mean(b)  # as coarse_solve projects its right side
     x, r = np.zeros_like(b), b
     z = p = _fft_inverse(h, r)
     for k in range(1, len(calls) + 1):
@@ -550,8 +614,9 @@ def test_every_kernel_computes_in_the_dtype_of_its_field(nu_hat, smoother):
         t = rng.standard_normal(shape).astype(np.float32)
         assert fold_product(t, F, axis, 4).dtype == f32
     assert v_cycle(h, field(h.depth)).dtype == f32
-    # The coarse CG runs in float64 on a float32 right side, taking the
-    # float64 call's iterations, and returns float32.
+    # The coarse solve runs in float64 on a float32 right side and returns
+    # float32: for Poisson the CG takes the float64 call's iterations, for
+    # this small diffusion level the dense inverse is float64.
     lv0 = h.levels[0]
     dtypes = []
     apply = lv0.op.apply
@@ -560,8 +625,12 @@ def test_every_kernel_computes_in_the_dtype_of_its_field(nu_hat, smoother):
     assert coarse_solve(h, f0).dtype == np.float64
     n64 = len(dtypes)
     assert coarse_solve(h, f0.astype(np.float32)).dtype == f32
-    assert len(dtypes) == 2 * n64
-    assert set(dtypes) == {np.dtype(np.float64)}
+    if nu_hat is None:
+        assert len(dtypes) == 2 * n64
+        assert set(dtypes) == {np.dtype(np.float64)}
+    else:
+        assert h.coarse_inverse.dtype == np.float64
+        assert not dtypes
     assert h.coarse_cg_exhausted == 0
 
 

@@ -33,28 +33,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schwarzmg")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # Every default is the one RunSpec and SolveConfig declare.
+    d = RunSpec()
     s = sub.add_parser("solve", help="run one solver configuration")
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--nel", type=_parse_nel, default=(8, 8),
+    s.add_argument("--nel", type=_parse_nel, default=(d.n_x, d.n_y),
                    metavar="NX[,NY]")
-    s.add_argument("--ar", type=float, default=1.0)
-    s.add_argument("--solver", choices=["mg", "mgcg"], default="mg")
-    s.add_argument("--smoother", choices=["add", "mult"], default="add")
+    s.add_argument("--ar", type=float, default=d.ar)
+    s.add_argument("--solver", choices=["mg", "mgcg"], default=d.solver)
+    s.add_argument("--smoother", choices=["add", "mult"], default=d.smoother)
     s.add_argument("--weight", choices=[k.value for k in WeightKind],
-                   default="w5")
-    s.add_argument("--overlap", default="fixed:1",
+                   default=d.weight)
+    s.add_argument("--overlap", default=d.overlap_rule,
                    metavar="fixed:<k>|floorp8|ceilp8|ceilp2")
-    s.add_argument("--pre", type=int, default=1)
-    s.add_argument("--post", type=int, default=0)
-    s.add_argument("--cycle", choices=["std", "var"], default="std")
-    s.add_argument("--tol", type=float, default=1e10,
+    s.add_argument("--pre", type=int, default=d.n_pre)
+    s.add_argument("--post", type=int, default=d.n_post)
+    s.add_argument("--cycle", choices=["std", "var"], default=d.cycle)
+    s.add_argument("--tol", type=float, default=d.tol,
                    help="target residual reduction factor")
-    s.add_argument("--max-cycles", type=int, default=200)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--nu-hat", type=float, default=None,
+    s.add_argument("--max-cycles", type=int, default=d.max_cycles)
+    s.add_argument("--seed", type=int, default=SolveConfig().seed)
+    s.add_argument("--nu-hat", type=float, default=d.nu_hat,
                    help="diffusivity fluctuation amplitude; selects the "
                         "variable-diffusion problem when given")
-    s.add_argument("--nu-shift", type=float, default=0.2)
+    s.add_argument("--nu-shift", type=float, default=d.nu_shift)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
 
     t = sub.add_parser("table", help="run a full experiment preset")

@@ -13,7 +13,8 @@ iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
 Distrib. Syst. 22, 2007). A cycle need only cut the residual by about
 1e2, far above float32 resolution, while the float64 outer residual keeps
 the attainable accuracy of float64; the V-cycle's fields take half the
-bytes. Its coarse CG still runs in float64 (``multigrid.coarse_solve``).
+bytes. Its coarse CG runs in float64 to float32 resolution
+(``multigrid.coarse_solve``).
 The float64 residual f - A u comes from the operator's own slab loop
 (``apply(u, f, out=r)``), which ``mg`` writes into the previous residual's
 array.

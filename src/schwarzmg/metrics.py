@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ConvergenceReport", "cycle_cost", "work_per_decades"]
+__all__ = ["ConvergenceReport", "cycle_cost"]
 
 
 @dataclass
@@ -55,8 +55,3 @@ def cycle_cost(p: int, n_el: int, n_o_top: int, n_s: int,
     w_cyc = bracket * n_p**3 * n_el
     w_op = 2.0 * n_p**3 * n_el
     return w_cyc, w_op, w_cyc / w_op
-
-
-def work_per_decades(k: float, rbar: float, cost_ratio: float) -> float:
-    """Equivalent operator applications per k decades of residual reduction."""
-    return (k / rbar) * cost_ratio

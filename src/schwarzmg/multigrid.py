@@ -31,9 +31,10 @@ Every level holds its transfer factors, and its operator and smoother
 theirs, in float64 and float32 (``mesh.Precisions``), so one hierarchy
 serves both. ``krylov.solve`` runs its outer loop in float64 and passes a
 float32 residual; ``coarse_solve`` computes in float64 whatever the dtype
-of its right side, because its CG's 1e-12 tolerance is below float32
-resolution and the dense inverse is as accurate, and returns the right
-side's dtype.
+of its right side and returns the right side's dtype. Its CG stops at
+1e-12 relative for a float64 right side and at 100 float32 ulps (1.2e-5)
+for a float32 one, whose result is rounded to float32 anyway: an inexact
+inner solve need only be as accurate as the inner precision.
 """
 
 import functools
@@ -56,6 +57,9 @@ log = logging.getLogger(__name__)
 # 0.16, 4.7, 25.6 and 180 ms; a solve makes at least 5 coarse solves, so
 # the inverse pays for itself within one solve up to 256 nodes.
 _DENSE_COARSE_NODES = 256
+# The relative residual at which the coarse CG stops, unless the right
+# side's precision is coarser: it stops at 100 ulps of that precision then.
+_COARSE_TOL = 1e-12
 
 __all__ = ["OverlapRule", "MultigridHierarchy",
            "build_hierarchy", "prolongate", "restrict_residual",
@@ -140,17 +144,24 @@ class Level:
 
 
 class MultigridHierarchy:
-    def __init__(self, mesh: MeshConfig, levels: list[Level],
-                 coarse_symbol: np.ndarray, coarse_scale: float | np.ndarray):
+    def __init__(self, mesh: MeshConfig, levels: list[Level]):
         self.mesh = mesh
         self.levels = levels
-        # rfft2 eigenvalues of the p = 1 Poisson operator, the constant mode
-        # inf, and the nodal scale s = 1/sqrt(nu) (1.0 for Poisson) of the
-        # coarse preconditioner s * L+(s * r). Where s is not constant the
-        # preconditioner is not mean-free; coarse_solve projects its result.
-        self.coarse_symbol = coarse_symbol
-        self.coarse_scale = coarse_scale
-        self.coarse_tol = 1e-12  # relative residual at which coarse CG stops
+        # The coarse preconditioner s * L+(s * r): the nodal scale
+        # s = 1/sqrt(nu) (1.0 for Poisson) and the rfft2 eigenvalues of the
+        # p = 1 Poisson operator L, a circular convolution with its unit
+        # impulse response, the constant mode inf. Where s is not constant
+        # the preconditioner is not mean-free; coarse_solve projects its result.
+        lv0 = levels[0]
+        if lv0.op.nu is None:
+            poisson, self.coarse_scale = lv0.op, 1.0
+        else:
+            poisson = PoissonOperator(lv0.basis, mesh)
+            self.coarse_scale = 1.0 / np.sqrt(lv0.op.nu)
+        delta = poisson.layout.zeros()
+        delta[0, 0] = 1.0
+        self.coarse_symbol = np.fft.rfft2(poisson.apply(delta)).real
+        self.coarse_symbol[0, 0] = np.inf
         self.coarse_cg_exhausted = 0
 
     @functools.cached_property
@@ -177,19 +188,6 @@ class MultigridHierarchy:
     @property
     def top(self) -> Level:
         return self.levels[-1]
-
-
-def _fft_symbol(op: PoissonOperator) -> np.ndarray:
-    """Real rfft2 eigenvalues of a translation-invariant periodic operator.
-
-    Such an operator is a circular convolution with its response to a unit
-    impulse, so it acts as a pointwise product in Fourier space.
-    """
-    delta = op.layout.zeros()
-    delta[0, 0] = 1.0
-    symbol = np.fft.rfft2(op.apply(delta)).real
-    symbol[0, 0] = np.inf
-    return symbol
 
 
 def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
@@ -239,12 +237,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
                             J, J, Precisions(J, split_factor(J, 2, p_l // 2),
                                              split_factor(J.T, 1, p_l // 2))))
-    lv0 = levels[0]
-    if nu_hat is None:
-        poisson, scale = lv0.op, 1.0
-    else:
-        poisson, scale = PoissonOperator(lv0.basis, mesh), 1.0 / np.sqrt(lv0.op.nu)
-    return MultigridHierarchy(mesh, levels, _fft_symbol(poisson), scale)
+    return MultigridHierarchy(mesh, levels)
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
@@ -334,20 +327,22 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
 
     With ``h.coarse_inverse`` it is that inverse times the mean-free right
     side b; otherwise ``iterate``'s FFT-preconditioned CG from 0 to
-    h.coarse_tol * ||b||, in at most 10 iterations per node, whose
-    tolerance needs float64. The final projection removes the roundoff in
-    the constant mode and the constant that a preconditioner scaled by a
-    non-constant s lets in; the result has the dtype of ``f0``.
+    tol * ||b||, in at most 10 iterations per node, where tol is
+    ``_COARSE_TOL`` or, if larger, 100 ulps of the dtype of ``f0``. The
+    final projection removes the roundoff in the constant mode and the
+    constant that a preconditioner scaled by a non-constant s lets in; the
+    result has the dtype of ``f0``.
     """
     b = project_mean(f0.astype(np.float64, copy=False))
     if h.coarse_inverse is not None:
         x = (h.coarse_inverse @ b.ravel()).reshape(b.shape)
     else:
         cap = 10 * b.size
+        r_tol = max(_COARSE_TOL, 100 * float(np.finfo(f0.dtype).eps))
         x = np.zeros_like(b)
         res, stop = iterate(
             h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
-            h.coarse_tol * np.linalg.norm(b), cap, cg=True)
+            r_tol * np.linalg.norm(b), cap, cg=True)
         if stop != "converged":
             h.coarse_cg_exhausted += 1
             log.warning("coarse CG stopped (%s) after %d of %d iterations; "

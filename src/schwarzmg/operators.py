@@ -21,7 +21,8 @@ factors and its per-slab x and y products.
 The dense assembly routines share nothing with the sum-factorized apply
 but the periodic window indices, so they are the apply tests' independent
 oracles; ``dense_diffusion_matrix`` also builds the small diffusion coarse
-matrix that ``multigrid`` inverts once.
+matrix that ``MultigridHierarchy`` inverts once. The hierarchy takes the
+FFT symbol of its coarse preconditioner from a p = 1 ``PoissonOperator``.
 """
 
 import numpy as np
@@ -32,9 +33,9 @@ from .mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
                    _global_mass, _slab_elements, fold_product, layout_for,
                    periodic_windows, scatter_blocks, split_factor)
 
-__all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_poisson",
-           "manufactured_rhs_diffusion", "nodal_coordinates", "project_mean",
-           "load_vector", "dense_poisson_matrix", "dense_diffusion_matrix"]
+__all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_diffusion",
+           "nodal_coordinates", "project_mean", "load_vector",
+           "dense_poisson_matrix", "dense_diffusion_matrix"]
 
 
 def _check_layout(layout: FieldLayout, u: np.ndarray):
@@ -223,20 +224,16 @@ def load_vector(mesh: MeshConfig, basis: Basis1D, source) -> np.ndarray:
     return _global_quadrature(mesh, basis) * source(X, Y)
 
 
-def manufactured_rhs_poisson(mesh: MeshConfig, basis: Basis1D, source) -> np.ndarray:
-    """Null-space-projected load vector for the analytic source -lap(u_exact)."""
-    return project_mean(load_vector(mesh, basis, source))
-
-
 def poisson_benchmark(mesh: MeshConfig, basis: Basis1D):
-    """Standard test problem u = sin(pi x) sin(pi y): returns (f, u_samples)."""
+    """Standard test problem u = sin(pi x) sin(pi y): returns (f, u_samples),
+    f the null-space-projected load for the analytic source -lap(u)."""
     def u_exact(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
 
     def source(x, y):
         return 2.0 * np.pi**2 * u_exact(x, y)
 
-    f = manufactured_rhs_poisson(mesh, basis, source)
+    f = project_mean(load_vector(mesh, basis, source))
     X, Y = nodal_coordinates(mesh, basis)
     return f, u_exact(X, Y)
 

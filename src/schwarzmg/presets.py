@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .krylov import SolveConfig, solve
 from .mesh import MeshConfig
-from .metrics import cycle_cost, work_per_decades
+from .metrics import cycle_cost
 from .multigrid import OverlapRule, build_hierarchy
 from .operators import manufactured_rhs_diffusion, poisson_benchmark
 from .schwarz import WeightKind
@@ -103,8 +103,8 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
     _, _, ratio = cycle_cost(spec.p, mesh.n_el, n_o, spec.n_pre + spec.n_post,
                              variable=(spec.cycle == "var"),
                              with_cg=(spec.solver == "mgcg"))
-    omega1 = (work_per_decades(1.0, rep.rbar, ratio)
-              if math.isfinite(rep.rbar) and rep.rbar > 0 else 0.0)
+    omega1 = (ratio / rep.rbar if math.isfinite(rep.rbar) and rep.rbar > 0
+              else 0.0)
     return RunRecord(
         solver=spec.solver,
         smoother=spec.smoother,

@@ -14,7 +14,7 @@ import pytest
 import schwarzmg
 
 from schwarzmg import cli, krylov, presets
-from schwarzmg.metrics import cycle_cost, work_per_decades
+from schwarzmg.metrics import cycle_cost
 from schwarzmg.presets import (RunSpec, preset_grid, read_csv,
                                records_to_json, reference_rbar,
                                rbar_tolerance, run_single, write_csv)
@@ -83,8 +83,7 @@ def test_p2_multiplicative_record_costs_its_cycle_without_overlap():
     spec = dataclasses.replace(FAST_SPEC, smoother="mult", p=2)
     rec = run_single(spec, seed=1)
     _, _, ratio = cycle_cost(2, 16, 0, 1)
-    assert rec.omega1 == pytest.approx(work_per_decades(1.0, rec.rbar, ratio),
-                                       rel=1e-15)
+    assert rec.omega1 == pytest.approx(ratio / rec.rbar, rel=1e-15)
 
 
 def test_csv_round_trip_is_stable():
@@ -198,6 +197,16 @@ def test_cli_solve_emits_csv_and_exits_zero(capsys):
     header, row = out.strip().splitlines()
     assert header.split(",")[0] == "solver"
     assert row.split(",")[0] == "mg"
+
+
+def test_cli_solve_defaults_are_runspec_and_solveconfig_defaults(capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda spec, seed: calls.append(
+        (spec, seed)) or run_single(FAST_SPEC, seed))
+    assert cli.main(["solve", "--p", "4"]) == 0
+    capsys.readouterr()
+    assert calls == [(RunSpec(p=4), krylov.SolveConfig().seed)]
 
 
 def test_cli_solve_nonconvergence_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Tests for the outer solvers (stand-alone multigrid and preconditioned CG)."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from schwarzmg import krylov
 from schwarzmg import mesh as mesh_module
+from schwarzmg import multigrid
 from schwarzmg.krylov import SolveConfig, random_initial_guess, solve
 from schwarzmg.mesh import MeshConfig
 from schwarzmg.multigrid import OverlapRule, build_hierarchy, v_cycle
@@ -204,20 +206,32 @@ def test_initial_guess_override():
 
 
 @pytest.mark.parametrize("solver", ["mg", "mgcg"])
-def test_report_counts_coarse_cap_hits_of_its_own_solve(solver):
+def test_report_counts_coarse_cap_hits_of_its_own_solve(solver, monkeypatch):
     cfg = SolveConfig(solver=solver, tol_reduction=1e4, max_cycles=20, seed=1)
     h, f, _ = _problem(p=4, n=4)
     _, rep = solve(h, f, cfg)
     assert rep.coarse_cg_exhausted == 0
 
-    # A zero coarse tolerance can never be met, so every coarse solve
-    # ends short of it.
-    mesh = MeshConfig(3, 3)
+    # A preconditioner that corrects one node per iteration in turn leaves
+    # the 36-node coarse residual at 2e-4 to 4e-4 of its start at the cap
+    # of 360 iterations, far above the 1.2e-5 at which the coarse CG of a
+    # float32 V-cycle stops, so every coarse solve ends short. The cap is
+    # 10 sweeps over the nodes, so each coarse solve starts at node 0.
+    nodes = itertools.count()
+
+    def one_node(h, r):
+        z = np.zeros_like(r)
+        i = next(nodes) % r.size
+        z.flat[i] = r.flat[i]
+        return z
+
+    monkeypatch.setattr(multigrid, "_fft_inverse", one_node)
+    mesh = MeshConfig(6, 6)
     h = build_hierarchy(mesh, 2, OverlapRule("fixed", 0))
-    h.coarse_tol = 0.0
     f, _ = poisson_benchmark(mesh, h.top.basis)
+    cfg = SolveConfig(solver=solver, tol_reduction=1e4, max_cycles=3, seed=1)
     _, first = solve(h, f, cfg)
-    assert first.coarse_cg_exhausted > 0
+    assert first.coarse_cg_exhausted == first.cycles == 3
     _, second = solve(h, f, cfg)
     assert second.coarse_cg_exhausted == first.coarse_cg_exhausted
     assert h.coarse_cg_exhausted == 2 * first.coarse_cg_exhausted

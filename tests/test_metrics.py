@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from schwarzmg.metrics import ConvergenceReport, cycle_cost, work_per_decades
+from schwarzmg.metrics import ConvergenceReport, cycle_cost
 
 
 def _rate(residuals, stop="converged"):
@@ -60,11 +60,6 @@ def test_cycle_cost_variable_and_cg_terms():
     assert with_cg == pytest.approx(base + 1.0)
     _, _, var = cycle_cost(8, 64, 1, 1, variable=True)
     assert var > base
-
-
-def test_work_per_decades():
-    assert work_per_decades(10.0, 2.0, 6.0) == pytest.approx(30.0)
-    assert work_per_decades(1.0, 1.25, 5.0) == pytest.approx(4.0)
 
 
 def test_convergence_report_rates():

@@ -18,6 +18,11 @@ element rows (``mesh._slab_elements``) and, given a right side f, returns
 the residual f - A u from the same loop; each operator adds only its
 factors and its per-slab x and y products.
 
+The manufactured right sides allocate only the fields they return: a
+source is evaluated slab by slab of element rows (``mesh._slab_elements``)
+times the slab's quadrature into one field, and the Poisson load weights
+its sampled u in place; every value is the whole-field formula's.
+
 The dense assembly routines share nothing with the sum-factorized apply
 but the periodic window indices, so they are the apply tests' independent
 oracles; ``dense_diffusion_matrix`` also builds the small diffusion coarse
@@ -207,10 +212,18 @@ def nodal_coordinates(mesh: MeshConfig, basis: Basis1D):
     return np.meshgrid(x, y, sparse=True)
 
 
-def _global_quadrature(mesh: MeshConfig, basis: Basis1D):
-    """Assembled global quadrature weights as an (N_y, N_x) tensor."""
-    return np.outer(_global_mass(basis, mesh.n_y, mesh.dy),
-                    _global_mass(basis, mesh.n_x, mesh.dx))
+def _global_quadrature(mesh: MeshConfig, basis: Basis1D,
+                       rows: slice = slice(None)) -> np.ndarray:
+    """Assembled global quadrature weights on node ``rows``, an (N_y, N_x)
+    tensor for all of them."""
+    return np.multiply.outer(_global_mass(basis, mesh.n_y, mesh.dy)[rows],
+                             _global_mass(basis, mesh.n_x, mesh.dx))
+
+
+def _slab_rows(mesh: MeshConfig, basis: Basis1D, f: np.ndarray):
+    """Node rows of each slab of element rows of the field ``f``."""
+    k = _slab_elements(f, mesh.n_y) * basis.p
+    return [slice(r, r + k) for r in range(0, len(f), k)]
 
 
 def project_mean(f: np.ndarray) -> np.ndarray:
@@ -219,23 +232,27 @@ def project_mean(f: np.ndarray) -> np.ndarray:
 
 
 def load_vector(mesh: MeshConfig, basis: Basis1D, source) -> np.ndarray:
-    """Quadrature-weighted Galerkin load for an analytic source g(x, y)."""
+    """Quadrature-weighted Galerkin load for an analytic source g(x, y),
+    evaluated slab by slab into the one field returned."""
     X, Y = nodal_coordinates(mesh, basis)
-    return _global_quadrature(mesh, basis) * source(X, Y)
+    f = np.empty((len(Y), X.shape[1]))
+    for rows in _slab_rows(mesh, basis, f):
+        np.multiply(_global_quadrature(mesh, basis, rows), source(X, Y[rows]),
+                    out=f[rows])
+    return f
 
 
 def poisson_benchmark(mesh: MeshConfig, basis: Basis1D):
     """Standard test problem u = sin(pi x) sin(pi y): returns (f, u_samples),
     f the null-space-projected load for the analytic source -lap(u)."""
-    def u_exact(x, y):
-        return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def source(x, y):
-        return 2.0 * np.pi**2 * u_exact(x, y)
-
-    f = project_mean(load_vector(mesh, basis, source))
     X, Y = nodal_coordinates(mesh, basis)
-    return f, u_exact(X, Y)
+    # Sampled whole: slab by slab, through load_vector, was slower at p=32.
+    u = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    f = 2.0 * np.pi**2 * u
+    for rows in _slab_rows(mesh, basis, f):
+        f[rows] *= _global_quadrature(mesh, basis, rows)
+    f -= f.mean()
+    return f, u
 
 
 def diffusivity_field(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
@@ -269,10 +286,10 @@ def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
         ny = two_pi * nu_hat * np.sin(two_pi * (x - s)) * np.cos(two_pi * (y - s))
         return -(nu_v * lap_u + nx * ux + ny * uy)
 
-    f = project_mean(load_vector(mesh, basis, source))
+    f = load_vector(mesh, basis, source)
+    f -= f.mean()
     X, Y = nodal_coordinates(mesh, basis)
-    u_samples = np.sin(two_pi * X) * np.sin(two_pi * Y)
-    return f, nu, u_samples
+    return f, nu, np.sin(two_pi * X) * np.sin(two_pi * Y)
 
 
 # ----------------------------------------------------------------------

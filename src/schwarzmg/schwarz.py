@@ -166,13 +166,13 @@ class SchwarzSmoother:
         self._colours = colours
         # The forward factors S_x and S_y^T; the back-transform factors
         # diag(w) S_y and S_x^T diag(w), split for ``fold_product``; the
-        # inverse eigenvalues on axes (y, e_x, x); and per element the
-        # inverse of its mean nu (None for Poisson).
+        # inverse eigenvalues on axes (y, x); and per element the inverse
+        # of its mean nu (None for Poisson).
         self._factors = Precisions(
             S_x, S_y.T,
             split_factor(w * S_y, 1, lay.p, n_o),
             split_factor((w * S_x).T, 2, lay.p, n_o),
-            1.0 / (lam_y[:, None, None] + lam_x),
+            1.0 / (lam_y[:, None] + lam_x),
             None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
@@ -192,9 +192,12 @@ class SchwarzSmoother:
                 t = (S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
                 if inv_nu is not None:
                     t *= inv_nu[c_y, c_x][:, None, :, None]
-                t *= inv_lam
-                t = fold_product(t.reshape(ny_c, m, -1), WS_y, 1, n_y,
-                                 c_y).reshape(-1, nx_c, m)
+                # Tiled along a row of windows, the scale's inner loop runs
+                # over the row, not over m nodes. (A tile held on the
+                # smoother, cast mid-solve, raised the p=32 peak RSS.)
+                t = t.reshape(ny_c, m, -1)
+                t *= np.tile(inv_lam, nx_c)
+                t = fold_product(t, WS_y, 1, n_y, c_y).reshape(-1, nx_c, m)
                 cor = fold_product(t, S_xTW, 2, n_x, c_x)
                 u = cor if u is None else np.add(u, cor, out=u)
         return u

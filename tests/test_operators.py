@@ -1,5 +1,7 @@
 """Tests for the matrix-free operators against dense assembly oracles."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,10 +12,11 @@ from schwarzmg import mesh as mesh_module
 from schwarzmg.basis import gll_basis
 from schwarzmg.mesh import MeshConfig, layout_for
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
-                                 dense_diffusion_matrix, dense_poisson_matrix,
-                                 diffusivity_field, load_vector,
-                                 manufactured_rhs_diffusion, nodal_coordinates,
-                                 poisson_benchmark, project_mean)
+                                 _global_quadrature, dense_diffusion_matrix,
+                                 dense_poisson_matrix, diffusivity_field,
+                                 load_vector, manufactured_rhs_diffusion,
+                                 nodal_coordinates, poisson_benchmark,
+                                 project_mean)
 
 # The last mesh has dx != dy, so a swap of the x and y scalings shows.
 MESHES = [MeshConfig(2, 2), MeshConfig(3, 2, l_x=3.0, l_y=2.0),
@@ -242,6 +245,53 @@ def test_manufactured_diffusion_solution_satisfies_system():
     r = f - op.apply(u_exact)
     assert np.linalg.norm(r) < 1e-7
     npt.assert_allclose(f.mean(), 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p, mesh, slab_bytes", [
+    (16, MeshConfig(64, 64), None),             # 16 slabs of 4 element rows
+    (4, MeshConfig(5, 3, l_x=3.0), 1)],         # 3 slabs of one row
+    ids=["p16-64x64", "p4-5x3"])
+def test_right_sides_are_bitwise_the_whole_field_formulas(
+        monkeypatch, p, mesh, slab_bytes):
+    # The right sides are built slab by slab in the fields they return;
+    # every value must be the whole-field formula's, bit for bit.
+    if slab_bytes is not None:
+        monkeypatch.setattr(mesh_module, "_SLAB_BYTES", slab_bytes)
+    basis = gll_basis(p)
+    X, Y = nodal_coordinates(mesh, basis)
+    q = _global_quadrature(mesh, basis)
+    u = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    f, u_got = poisson_benchmark(mesh, basis)
+    assert np.array_equal(u_got, u)
+    assert np.array_equal(f, project_mean(q * (2.0 * np.pi**2 * u)))
+
+    nu_hat, s, two_pi = 0.7, 0.2, 2.0 * np.pi
+    u = np.sin(two_pi * X) * np.sin(two_pi * Y)
+    ux = two_pi * np.cos(two_pi * X) * np.sin(two_pi * Y)
+    uy = two_pi * np.sin(two_pi * X) * np.cos(two_pi * Y)
+    nu = 1.0 + nu_hat * np.sin(two_pi * (X - s)) * np.sin(two_pi * (Y - s))
+    nx = two_pi * nu_hat * np.cos(two_pi * (X - s)) * np.sin(two_pi * (Y - s))
+    ny = two_pi * nu_hat * np.sin(two_pi * (X - s)) * np.cos(two_pi * (Y - s))
+    source = -(nu * (-2.0 * two_pi**2 * u) + nx * ux + ny * uy)
+    f, nu_got, u_got = manufactured_rhs_diffusion(mesh, basis, nu_hat, s)
+    assert np.array_equal(nu_got, nu) and np.array_equal(u_got, u)
+    assert np.array_equal(f, project_mean(q * source))
+
+
+def test_right_sides_allocate_one_field_per_returned_field():
+    # p=16 64x64 is 16 slabs: the slab temporaries add 1/16 of a field.
+    mesh, basis = MeshConfig(64, 64), gll_basis(16)
+    cases = [(lambda: poisson_benchmark(mesh, basis), 2),
+             (lambda: manufactured_rhs_diffusion(mesh, basis, 0.9), 3)]
+    for build, fields in cases:
+        tracemalloc.start()
+        try:
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == fields
+        assert peak <= (fields + 0.1) * out[0].nbytes
 
 
 def test_diffusivity_field_bounds():

@@ -6,18 +6,20 @@ and the report carries the one stop reason the loop returns.
 Both start from the same seeded random initial guess in [0, 1] and
 iterate until the Euclidean residual norm drops by ``tol_reduction``.
 
-Precision: the iterate, the residual, the CG recurrences and the recorded
-history are float64. Each V-cycle runs in float32 on a float32 copy of the
-residual, and its correction is promoted to float64: mixed-precision
-iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
-Distrib. Syst. 22, 2007). A cycle need only cut the residual by about
-1e2, far above float32 resolution, while the float64 outer residual keeps
-the attainable accuracy of float64; the V-cycle's fields take half the
-bytes. Its coarse CG runs in float64 to float32 resolution
-(``multigrid.coarse_solve``).
-The float64 residual f - A u comes from the operator's own slab loop
-(``apply(u, f, out=r)``), which ``mg`` writes into the previous residual's
-array.
+Precision: the iterate, the CG recurrences and the recorded history are
+float64, and every residual is computed in float64. Each V-cycle runs in
+float32 on the float32 rounding of the residual, and its correction is
+promoted to float64: mixed-precision iterative refinement (Goddeke,
+Strzodka & Turek, Int. J. Parallel Emerg. Distrib. Syst. 22, 2007;
+Carson & Higham, SIAM J. Sci. Comput. 40, 2018). A cycle need only cut
+the residual by about 1e2, far above float32 resolution, while the
+float64 residual keeps the attainable accuracy of float64; the V-cycle's
+fields take half the bytes. Its coarse CG runs in float64 to float32
+resolution (``multigrid.coarse_solve``).
+``mg`` stores its residual only in float32, in one array per solve: the
+operator's own slab loop (``apply(u, f, out=r, norm=True)``) computes
+f - A u in float64, rounds each slab into r and returns the float64 norm.
+``mgcg`` keeps its residual in float64, for CG's recurrences.
 """
 
 import time
@@ -62,8 +64,10 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     Cycle c computes one correction z = v_cycle(h, r, c) of the current
     residual r, in float32 and promoted to float64 (see the module
     docstring), so every solve numbers its smoothing sweeps from 0.
-    ``multigrid.iterate`` adds z to u (``mg``) or runs flexible CG on it
-    (``mgcg``), to ||r|| <= r0 / tol_reduction in ``max_cycles`` cycles.
+    ``multigrid.iterate`` adds z to u (``mg``, whose residual r is stored
+    in float32 and whose norms the apply returns) or runs flexible CG on
+    it (``mgcg``), to ||r|| <= r0 / tol_reduction in ``max_cycles``
+    cycles.
     A right side of any shape but the top level's field shape is rejected
     before any work, since it would broadcast into a different problem.
     """
@@ -76,12 +80,13 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
                          f"top level's fields have shape {shape}")
     u = (random_initial_guess(h, cfg.seed) if u0 is None
          else u0.astype(np.float64))  # a copy, in the outer precision
-    r = op.apply(u, f)
+    cg = cfg.solver == "mgcg"
+    r = op.apply(u, f) if cg else np.empty(shape, np.float32)
     # v_cycle is looked up at call time, so that it can be replaced.
     res, stop = iterate(
-        op.apply, f, lambda r, c: v_cycle(h, r.astype(np.float32), c), u, r,
-        float(np.linalg.norm(r)) / cfg.tol_reduction, cfg.max_cycles,
-        cg=cfg.solver == "mgcg")
+        op.apply, f,
+        lambda r, c: v_cycle(h, r.astype(np.float32, copy=False), c), u, r,
+        1.0 / cfg.tol_reduction, cfg.max_cycles, cg=cg)
     return u, ConvergenceReport(
         res, stop, time.perf_counter() - t0,
         coarse_cg_exhausted=h.coarse_cg_exhausted - exhausted)

@@ -277,27 +277,33 @@ def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
 
 
 def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
-            r_max: float, cap: int, cg: bool = False):
-    """Iterate on A u = f from ``u`` (updated in place) and r = f - A u.
+            rtol: float, cap: int, cg: bool = False):
+    """Iterate on A u = f from ``u`` (updated in place) to a residual norm
+    of at most ``rtol`` times the first one recorded.
 
-    Step k takes z = precondition(r, k). Without ``cg`` it adds z to u and
-    writes the next residual into ``r`` (``apply(u, f, out=r)``). With
-    ``cg`` z, in u's dtype, is the preconditioned residual of flexible CG
-    (Notay, SIAM J. Sci. Comput. 22, 2000), whose Polak-Ribiere
-    beta = z^T (r - r_old) / (z_old^T r_old) tolerates a non-symmetric or
-    varying preconditioner. Returns (residual norms, stop), where stop is
-    why it ended, checked in this order before every step: ``"converged"``
-    once ||r|| <= r_max, ``"non-finite"`` at an inf or NaN norm,
-    ``"breakdown"`` after a CG step whose delta = z^T r, the next divisor,
-    was 0 or not finite, and ``"cap"`` after ``cap`` steps. A CG step that
-    finds p^T A p <= 0 stops at once as a ``"breakdown"``, recording no norm.
+    Step k takes z = precondition(r, k). Without ``cg`` it adds z to u;
+    ``r`` is then only the array that every residual f - A u, the first
+    included, is written into by ``apply(u, f, out=r, norm=True)``, which
+    computes it in u's dtype, stores it in r's and returns its norm.
+    With ``cg`` r is f - A u, in u's dtype, and z the preconditioned
+    residual of flexible CG (Notay, SIAM J. Sci. Comput. 22, 2000), whose
+    Polak-Ribiere beta = z^T (r - r_old) / (z_old^T r_old) tolerates a
+    non-symmetric or varying preconditioner. Returns (residual norms,
+    stop), where stop is why it ended, checked in this order before every
+    step: ``"non-finite"`` at an inf or NaN norm, ``"converged"`` once
+    ||r|| <= rtol ||r_0||, ``"breakdown"`` after a CG step whose
+    delta = z^T r, the next divisor, was 0 or not finite, and ``"cap"``
+    after ``cap`` steps. A CG step that finds p^T A p <= 0 stops at once
+    as a ``"breakdown"``, recording no norm.
     """
-    res, p, broke = [float(np.linalg.norm(r))], None, False
+    res = [float(np.linalg.norm(r)) if cg
+           else apply(u, f, out=r, norm=True)[1]]
+    r_max, p, broke = rtol * res[0], None, False
     while True:
-        if res[-1] <= r_max:
-            return res, "converged"
         if not np.isfinite(res[-1]):
             return res, "non-finite"
+        if res[-1] <= r_max:
+            return res, "converged"
         if broke:
             return res, "breakdown"
         if len(res) > cap:
@@ -306,19 +312,19 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
         if not cg:
             u += z  # promoted inside the add, without a copy
             del z  # freed before the next correction allocates its fields
-            apply(u, f, out=r)
-        else:
-            z = z.astype(u.dtype, copy=False)
-            p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
-            delta, r_old = np.vdot(z, r), r
-            q = apply(p)
-            pq = np.vdot(p, q)
-            if pq <= 0.0:
-                return res, "breakdown"
-            alpha = delta / pq
-            u += alpha * p
-            r = r - alpha * q
-            broke = not (np.isfinite(delta) and delta != 0.0)
+            res.append(apply(u, f, out=r, norm=True)[1])
+            continue
+        z = z.astype(u.dtype, copy=False)
+        p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p
+        delta, r_old = np.vdot(z, r), r
+        q = apply(p)
+        pq = np.vdot(p, q)
+        if pq <= 0.0:
+            return res, "breakdown"
+        alpha = delta / pq
+        u += alpha * p
+        r = r - alpha * q
+        broke = not (np.isfinite(delta) and delta != 0.0)
         res.append(float(np.linalg.norm(r)))
 
 
@@ -342,7 +348,7 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
         x = np.zeros_like(b)
         res, stop = iterate(
             h.levels[0].op.apply, b, lambda r, _: _fft_inverse(h, r), x, b,
-            r_tol * np.linalg.norm(b), cap, cg=True)
+            r_tol, cap, cg=True)
         if stop != "converged":
             h.coarse_cg_exhausted += 1
             log.warning("coarse CG stopped (%s) after %d of %d iterations; "

@@ -15,8 +15,9 @@ that holds the basis, the mesh, the layout, the nodal nu (None for
 Poisson; the only stored diffusivity), the element window tables, the
 element kernel and ``apply``, which runs the two passes slab by slab of
 element rows (``mesh._slab_elements``) and, given a right side f, returns
-the residual f - A u from the same loop; each operator adds only its
-factors and its per-slab x and y products.
+the residual f - A u from the same loop (for ``mg`` rounded into a float32
+``out``, with its float64 norm); each operator adds only its factors and
+its per-slab x and y products.
 
 The manufactured right sides allocate only the fields they return: a
 source is evaluated slab by slab of element rows (``mesh._slab_elements``)
@@ -68,7 +69,7 @@ class _GlobalOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
 
     def apply(self, u: np.ndarray, f: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, norm: bool = False):
         """A u, or the residual f - A u when ``f`` is given, written into
         ``out`` when it is given; computed in the dtype of u.
 
@@ -80,16 +81,30 @@ class _GlobalOperator:
         last. Every node gets the same operations in the same order for
         any slab size, so the result does not depend on it; a field of
         one slab is summed into its x pass's array.
+
+        With ``norm`` (and f and out given) each residual slab is rounded
+        into ``out``, whose dtype may be coarser than u's, then squared in
+        place while in cache; it returns (out, ||f - A u||), the norm of
+        the residual as computed, from per-element-row sums added in row
+        order, so it too does not depend on the slab size. An entry beyond
+        out's range is stored as inf, silently: the norm tells.
         """
         _check_layout(self.layout, u)
         F = self._factors[u.dtype]
         p, n = self.basis.p, self.mesh.n_y
         k = _slab_elements(u, n)
+        sums = np.empty(n) if norm else None  # squares per element row
 
         def finish(x, y, rows):
-            o = np.add(x, self._y_scale(y, F), out=out[rows])
+            o = np.add(x, self._y_scale(y, F), out=x if norm else out[rows])
             if f is not None:
                 np.subtract(f[rows], o, out=o)
+            if norm:
+                with np.errstate(over="ignore"):
+                    out[rows] = o
+                    o *= o
+                sums[rows.start // p:rows.stop // p] = o.reshape(
+                    -1, p * o.shape[1]).sum(axis=1)
 
         for e0 in range(0, n, k):
             es = slice(e0, min(e0 + k, n))
@@ -107,7 +122,7 @@ class _GlobalOperator:
                 first = x, y, rows
         first[1][0] += carry
         finish(*first)
-        return out
+        return (out, float(np.sqrt(sums.sum()))) if norm else out
 
     def _y_scale(self, y: np.ndarray, F) -> np.ndarray:
         return y

@@ -1,6 +1,7 @@
 """Tests for the outer solvers (stand-alone multigrid and preconditioned CG)."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,9 +276,10 @@ def test_mgcg_is_textbook_flexible_cg():
 
 @pytest.mark.parametrize("p", [4, 32])
 def test_float32_v_cycle_keeps_the_float64_attainable_accuracy(p):
-    # The outer residual is float64, so the solve reaches float64 roundoff
-    # although every V-cycle runs in float32; with a float32 outer loop it
-    # would stall near 1e-7 r0.
+    # The outer residual is computed in float64, so the solve reaches
+    # float64 roundoff although every V-cycle runs in float32 (and mg
+    # stores the residual it passes in float32); with a float32 outer loop
+    # it would stall near 1e-7 r0.
     mesh = MeshConfig(4, 4)
     h = build_hierarchy(mesh, p, OverlapRule("ceilp8"),
                         weight=WeightKind.QUINTIC)
@@ -333,3 +335,50 @@ def test_solve_stops_at_the_first_non_finite_residual(solver, scale,
     assert not np.isfinite(rep.residuals[1])
     assert rep.rbar == -np.inf
     assert rep.n10 == -1
+
+
+@pytest.mark.parametrize("slab_rows", [4, 1], ids=["one-slab", "slabs"])
+def test_mg_v_cycles_receive_the_rounded_float64_residual(monkeypatch,
+                                                          slab_rows):
+    # Cycle c gets (f - A u_c).astype(float32), u_c = u0 + z_0 + ... z_{c-1}
+    # in float64: the float32 store holds the float64 residual, rounded.
+    h, f, _ = _problem()
+    u0 = random_initial_guess(h, 3)
+    if slab_rows < 4:
+        monkeypatch.setattr(mesh_module, "_SLAB_BYTES", 1)
+    assert mesh_module._slab_elements(f, 4) == slab_rows
+    got = []
+
+    def recording(h, r, cycle):
+        z = v_cycle(h, r, cycle)
+        got.append((r.copy(), z))
+        return z
+
+    monkeypatch.setattr(krylov, "v_cycle", recording)
+    u, rep = solve(h, f, SolveConfig(seed=3))
+    assert len(got) == rep.cycles
+    for r, z in got:
+        assert r.dtype == np.float32
+        assert np.array_equal(r, (f - h.top.op.apply(u0)).astype(np.float32))
+        u0 = u0 + z
+    npt.assert_array_equal(u, u0)
+
+
+def test_mg_solve_temporaries_stay_below_four_fields():
+    # The mg outer residual is one float32 field written slab by slab by
+    # the apply, which returns its norm: no float64 residual, no float32
+    # copy and no norm pass. A solve at p=16 64x64 (w5, ceilp8) peaks at
+    # 3.68 float64 fields, casting the float32 factors in its first cycle;
+    # with a float64 residual and its cast it took 4.68.
+    mesh = MeshConfig(64, 64)
+    h = build_hierarchy(mesh, 16, OverlapRule("ceilp8"),
+                        weight=WeightKind.QUINTIC)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    tracemalloc.start()
+    try:
+        _, rep = solve(h, f, SolveConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 3.8 * f.nbytes

@@ -155,6 +155,29 @@ def test_apply_with_a_right_side_is_the_residual_in_out(monkeypatch,
         npt.assert_array_equal(buf, op.apply(u))
 
 
+@pytest.mark.parametrize("p", [2, 4])
+def test_residual_stored_in_float32_is_the_rounded_float64_residual(
+        monkeypatch, p):
+    # With norm, each float64 residual slab is rounded into a float32 out,
+    # and its norm is summed per element row: the same bits for slabs of
+    # one, two and all 17 element rows.
+    ops, u, f = _slab_case(p, np.float64)
+    for op in ops:
+        r = f - op.apply(u)
+        norms = set()
+        for k in (17, 2, 1):
+            monkeypatch.setattr(mesh_module, "_SLAB_BYTES", k * u.nbytes // 17)
+            assert mesh_module._slab_elements(u, 17) == k
+            buf = np.empty(u.shape, np.float32)
+            out, norm = op.apply(u, f, out=buf, norm=True)
+            assert out is buf
+            assert np.array_equal(buf, r.astype(np.float32))
+            npt.assert_allclose(norm, np.linalg.norm(r), rtol=1e-14)
+            norms.add(norm)
+        assert len(norms) == 1
+        monkeypatch.undo()
+
+
 def test_diffusion_rejects_nonpositive_nu():
     mesh = MeshConfig(2, 2)
     basis = gll_basis(2)

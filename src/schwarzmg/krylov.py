@@ -17,7 +17,7 @@ float64 residual keeps the attainable accuracy of float64; the V-cycle's
 fields take half the bytes. Its coarse CG runs in float64 to float32
 resolution (``multigrid.coarse_solve``).
 ``mg`` stores its residual only in float32, in one array per solve: the
-operator's own slab loop (``apply(u, f, out=r, norm=True)``) computes
+operator's own slab loop (``apply(u, f, out=r)``) computes
 f - A u in float64, rounds each slab into r and returns the float64 norm.
 ``mgcg`` keeps its residual in float64, for CG's recurrences.
 """

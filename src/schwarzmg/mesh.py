@@ -11,7 +11,7 @@ gathered values, summed back onto the nodes one direction at a time;
 factor as split once by ``split_factor``. Each kernel computes in the
 dtype of the field it is given: ``fold_product`` allocates in its
 operands' result type, and every object that holds factors keeps them in
-``Precisions``, float64 as built and float32 cast once on first use, so a
+``Precisions``, float64 as built and float32 cast at set-up, so a
 float32 field moves half the bytes and is never upcast.
 
 The operator apply works on a large field in slabs of element rows (loop
@@ -114,25 +114,24 @@ def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
 
 
 class Precisions(dict):
-    """Factors (arrays, tuples of them or None) keyed by dtype: float64 as
-    given, and float32 cast once, when a float32 field first asks for
-    them, so factors no float32 field uses (those of the coarse operator)
-    are never cast. A kernel picks them by its field's dtype; any dtype but
-    float32 gets the float64 factors."""
+    """Factors (arrays, tuples of them or None) keyed by dtype, which a
+    kernel picks by its field's: float64 as given and float32 cast on
+    construction, a factor beyond its range being a ``ValueError``. Any
+    dtype but float32 gets the float64 factors."""
 
     def __init__(self, *factors):
-        super().__init__({np.dtype(np.float64): factors})
+        def f32(a):
+            return (tuple(map(f32, a)) if isinstance(a, tuple)
+                    else None if a is None else a.astype(np.float32))
+        try:
+            with np.errstate(over="raise"):
+                super().__init__({np.dtype(np.float64): factors,
+                                  np.dtype(np.float32): f32(factors)})
+        except FloatingPointError:
+            raise ValueError("factors exceed the float32 range") from None
 
     def __missing__(self, dtype):
-        if dtype != np.float32:
-            return self[np.dtype(np.float64)]
-
-        def f32(a):
-            if isinstance(a, tuple):
-                return tuple(map(f32, a))
-            return None if a is None else a.astype(np.float32)
-        self[dtype] = f32(self[np.dtype(np.float64)])
-        return self[dtype]
+        return self[np.dtype(np.float64)]
 
 
 def split_factor(F: np.ndarray, axis: int, p: int,

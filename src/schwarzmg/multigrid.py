@@ -28,13 +28,13 @@ follows from the cycle index alone and the hierarchy holds no solve state.
 
 Precision: the V-cycle computes in the dtype of the residual it is given.
 Every level holds its transfer factors, and its operator and smoother
-theirs, in float64 and float32 (``mesh.Precisions``), so one hierarchy
-serves both. ``krylov.solve`` runs its outer loop in float64 and passes a
-float32 residual; ``coarse_solve`` computes in float64 whatever the dtype
-of its right side and returns the right side's dtype. Its CG stops at
-1e-12 relative for a float64 right side and at 100 float32 ulps (1.2e-5)
-for a float32 one, whose result is rounded to float32 anyway: an inexact
-inner solve need only be as accurate as the inner precision.
+theirs, in float64 and float32 (``mesh.Precisions``, cast at set-up), so one
+hierarchy serves both. ``krylov.solve`` runs its outer loop in float64 and
+passes a float32 residual; ``coarse_solve`` computes in float64 whatever the
+dtype of its right side and returns the right side's dtype. Its CG stops at
+1e-12 relative for a float64 right side and at 100 float32 ulps (1.2e-5) for
+a float32 one, whose result is rounded to float32 anyway: an inexact inner
+solve need only be as accurate as the inner precision.
 """
 
 import functools
@@ -217,11 +217,14 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
     for l in range(depth + 1):
         p_l = 1 << l
         basis = gll_basis(p_l)
-        if nu_hat is None:
-            op = PoissonOperator(basis, mesh)
-        else:
-            nu = diffusivity_field(mesh, basis, nu_hat, nu_shift)
-            op = DiffusionOperator(basis, mesh, nu)
+        nu = (None if nu_hat is None
+              else diffusivity_field(mesh, basis, nu_hat, nu_shift))
+        where = f"multigrid level {l} of the p={p} hierarchy"
+        try:
+            op = (PoissonOperator(basis, mesh) if nu is None
+                  else DiffusionOperator(basis, mesh, nu))
+        except ValueError as exc:
+            raise ValueError(f"{where}: operator {exc}") from None
         if l == 0:
             levels.append(Level(l, basis, op, None, 0, 0))
             continue
@@ -230,8 +233,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
             sm = (AdditiveSchwarz(op, n_o, weight) if smoother == "add"
                   else MultiplicativeSchwarz(op, n_o))
         except ValueError as exc:
-            raise ValueError(f"multigrid level {l} of the p={p} hierarchy: "
-                             f"{exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         factor = 2 ** (depth - l) if variable else 1
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
@@ -283,8 +285,8 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
 
     Step k takes z = precondition(r, k). Without ``cg`` it adds z to u;
     ``r`` is then only the array that every residual f - A u, the first
-    included, is written into by ``apply(u, f, out=r, norm=True)``, which
-    computes it in u's dtype, stores it in r's and returns its norm.
+    included, is written into by ``apply(u, f, out=r)``, which computes it
+    in u's dtype, stores it in r's and returns its norm.
     With ``cg`` r is f - A u, in u's dtype, and z the preconditioned
     residual of flexible CG (Notay, SIAM J. Sci. Comput. 22, 2000), whose
     Polak-Ribiere beta = z^T (r - r_old) / (z_old^T r_old) tolerates a
@@ -296,8 +298,7 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
     after ``cap`` steps. A CG step that finds p^T A p <= 0 stops at once
     as a ``"breakdown"``, recording no norm.
     """
-    res = [float(np.linalg.norm(r)) if cg
-           else apply(u, f, out=r, norm=True)[1]]
+    res = [float(np.linalg.norm(r)) if cg else apply(u, f, out=r)[1]]
     r_max, p, broke = rtol * res[0], None, False
     while True:
         if not np.isfinite(res[-1]):
@@ -312,7 +313,7 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
         if not cg:
             u += z  # promoted inside the add, without a copy
             del z  # freed before the next correction allocates its fields
-            res.append(apply(u, f, out=r, norm=True)[1])
+            res.append(apply(u, f, out=r)[1])
             continue
         z = z.astype(u.dtype, copy=False)
         p = z if p is None else z + (np.vdot(z, r - r_old) / delta) * p

@@ -15,9 +15,9 @@ that holds the basis, the mesh, the layout, the nodal nu (None for
 Poisson; the only stored diffusivity), the element window tables, the
 element kernel and ``apply``, which runs the two passes slab by slab of
 element rows (``mesh._slab_elements``) and, given a right side f, returns
-the residual f - A u from the same loop (for ``mg`` rounded into a float32
-``out``, with its float64 norm); each operator adds only its factors and
-its per-slab x and y products.
+the residual f - A u from the same loop (rounded into an ``out`` given,
+a float32 one for ``mg``, with its float64 norm); each operator adds
+only its factors and its per-slab x and y products.
 
 The manufactured right sides allocate only the fields they return: a
 source is evaluated slab by slab of element rows (``mesh._slab_elements``)
@@ -69,9 +69,8 @@ class _GlobalOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
 
     def apply(self, u: np.ndarray, f: np.ndarray | None = None,
-              out: np.ndarray | None = None, norm: bool = False):
-        """A u, or the residual f - A u when ``f`` is given, written into
-        ``out`` when it is given; computed in the dtype of u.
+              out: np.ndarray | None = None):
+        """A u, or the residual f - A u when ``f`` is given, in u's dtype.
 
         The loop takes one slab of element rows at a time: the x pass on
         its node rows, the y pass on its element windows, folded on an
@@ -82,17 +81,18 @@ class _GlobalOperator:
         any slab size, so the result does not depend on it; a field of
         one slab is summed into its x pass's array.
 
-        With ``norm`` (and f and out given) each residual slab is rounded
-        into ``out``, whose dtype may be coarser than u's, then squared in
-        place while in cache; it returns (out, ||f - A u||), the norm of
-        the residual as computed, from per-element-row sums added in row
-        order, so it too does not depend on the slab size. An entry beyond
-        out's range is stored as inf, silently: the norm tells.
+        Given ``out``, each slab of the result is rounded into it, whose
+        dtype may be coarser than u's, then squared in place while in
+        cache; it returns (out, norm), the norm of the result as computed,
+        from per-element-row sums added in row order, so it too does not
+        depend on the slab size. An entry beyond out's range is stored as
+        inf, silently: the norm tells.
         """
         _check_layout(self.layout, u)
         F = self._factors[u.dtype]
         p, n = self.basis.p, self.mesh.n_y
         k = _slab_elements(u, n)
+        norm = out is not None
         sums = np.empty(n) if norm else None  # squares per element row
 
         def finish(x, y, rows):

@@ -24,7 +24,7 @@ in reverse order, so that an even number of consecutive multiplicative
 sweeps is symmetric.  The caller numbers the
 sweeps; no smoother keeps state between calls.  A sweep computes in the
 dtype of its right side: the smoother holds its factors in float64 and
-float32 (``mesh.Precisions``).
+float32 (``mesh.Precisions``), both built with it.
 
 The additive weights are built from the smoothed sign function
 S_k(x) = c_k * integral from 0 to x of (1 - t^2)^k dt, with c_k such that

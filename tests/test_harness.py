@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,14 +253,18 @@ def test_cli_bad_order_is_one_line_error(capsys):
 
 
 def test_cli_extreme_aspect_ratio_is_one_line_error(capsys):
-    # At ar = 1e200 the restricted subdomain problem of level 1 is not
-    # definite; the error names the level and ends the run with exit 1.
-    rc = cli.main(["solve", "--p", "4", "--nel", "4", "--ar", "1e200"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.splitlines() == [
-        "schwarzmg: error: multigrid level 1 of the p=4 hierarchy: "
-        "restricted subdomain problem is not definite"]
+    # At ar = 1e40 and beyond the p=1 operator's factors overflow float32
+    # when the hierarchy casts them, before any solve; the error names the
+    # level and ends the run with exit 1, with no numpy warning.
+    for ar in ("1e40", "1e200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--p", "4", "--nel", "4", "--ar", ar])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            "schwarzmg: error: multigrid level 0 of the p=4 hierarchy: "
+            "operator factors exceed the float32 range"]
 
 
 @pytest.mark.parametrize("args", [["--overlap", "bogus"], ["--tol", "1"],

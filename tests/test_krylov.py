@@ -147,7 +147,9 @@ def test_a_solve_rebinds_no_hierarchy_attribute(smoother, nu_hat):
     # state: a solve rebinds none of their attributes and changes none of
     # their arrays. Only the hierarchy's coarse-cap tally counts on, and
     # the first solve caches the coarse inverse (None for Poisson), which
-    # the second keeps as it is.
+    # the later ones keep as it is. Every factor table (the operators' and
+    # smoothers' ``_factors``, the levels' ``transfers``) keeps its keys,
+    # its entries and their values: both precisions exist from set-up on.
     mesh = MeshConfig(4, 4)
     h = build_hierarchy(mesh, 4, OverlapRule("fixed", 1), smoother=smoother,
                         nu_hat=nu_hat)
@@ -155,21 +157,40 @@ def test_a_solve_rebinds_no_hierarchy_attribute(smoother, nu_hat):
          else manufactured_rhs_diffusion(mesh, h.top.basis, nu_hat))[0]
     owners = [h] + [o for lv in h.levels for o in (lv, lv.op, lv.smoother)
                     if o is not None]
-    for first in (True, False):
+    tables = [t for o in owners for t in (vars(o).get("_factors"),
+                                          vars(o).get("transfers"))
+              if t is not None]
+    assert len(tables) == 3 * h.depth + 1
+
+    def flat(entry):
+        if isinstance(entry, tuple):
+            return [a for e in entry for a in flat(e)]
+        return [] if entry is None else [entry]
+
+    for i, solver in enumerate(("mgcg", "mg", "mgcg")):
         before = [(o, dict(vars(o))) for o in owners]
         copies = [{k: v.copy() for k, v in attrs.items()
                    if isinstance(v, np.ndarray)} for _, attrs in before]
-        solve(h, f, SolveConfig(solver="mgcg", max_cycles=3, seed=1))
+        entries = [dict(t) for t in tables]
+        values = [[a.copy() for e in t.values() for a in flat(e)]
+                  for t in tables]
+        solve(h, f, SolveConfig(solver=solver, max_cycles=3, seed=1))
         for (o, attrs), arrays in zip(before, copies):
             now = dict(vars(o))
             if o is h:
                 del now["coarse_cg_exhausted"], attrs["coarse_cg_exhausted"]
-                if first:
+                if i == 0:
                     cached = now.pop("coarse_inverse")
                     assert (cached is None) == (nu_hat is None)
             assert now.keys() == attrs.keys()
             assert all(now[k] is v for k, v in attrs.items()), type(o).__name__
             assert all(np.array_equal(now[k], v) for k, v in arrays.items())
+        for t, was, vals in zip(tables, entries, values):
+            assert t.keys() == was.keys() == {np.dtype(np.float64),
+                                              np.dtype(np.float32)}
+            assert all(t[k] is v for k, v in was.items())
+            now = [a for e in t.values() for a in flat(e)]
+            assert all(map(np.array_equal, now, vals))
 
 
 def test_cycle_cap_is_respected():
@@ -368,8 +389,8 @@ def test_mg_solve_temporaries_stay_below_four_fields():
     # The mg outer residual is one float32 field written slab by slab by
     # the apply, which returns its norm: no float64 residual, no float32
     # copy and no norm pass. A solve at p=16 64x64 (w5, ceilp8) peaks at
-    # 3.68 float64 fields, casting the float32 factors in its first cycle;
-    # with a float64 residual and its cast it took 4.68.
+    # 3.68 float64 fields, the float32 factors cast when the hierarchy was
+    # built; with a float64 residual and its cast it took 4.68.
     mesh = MeshConfig(64, 64)
     h = build_hierarchy(mesh, 16, OverlapRule("ceilp8"),
                         weight=WeightKind.QUINTIC)

@@ -132,15 +132,22 @@ def test_fold_windows_equals_add_at_loop(p, n):
 
 
 def test_precisions_cast_only_for_float32():
+    # Both entries exist once built, so a kernel only reads them; every
+    # other dtype gets the float64 factors, and a factor that float32
+    # cannot hold is an error of the construction.
     a, b = np.arange(3.0), np.ones((2, 2))
     factors = Precisions(a, (b, b), None)
+    assert factors.keys() == {np.dtype(np.float64), np.dtype(np.float32)}
     for dtype in (np.float16, np.int64, np.complex128):
         assert factors[np.dtype(dtype)] is factors[np.dtype(np.float64)]
+    assert factors.keys() == {np.dtype(np.float64), np.dtype(np.float32)}
     assert factors[np.dtype(np.float64)][0] is a
-    assert np.dtype(np.float32) not in factors
     f32 = factors[np.dtype(np.float32)]
     assert [x.dtype for x in (f32[0], *f32[1])] == [np.float32] * 3
+    assert np.array_equal(f32[1][0], b)
     assert f32[2] is None
+    with pytest.raises(ValueError, match="exceed the float32 range"):
+        Precisions(a, (b, np.array([1.0, 1e40])))
 
 
 def test_split_factor_blocks_are_contiguous():

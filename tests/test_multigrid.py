@@ -422,18 +422,18 @@ def test_coarse_solve_warns_when_it_breaks_down(caplog, monkeypatch):
 def _dense_system(n=12):
     """A random SPD matrix, its operator apply, a right side and a start.
 
-    The apply gives A u, f - A u or, as the operators' ``apply`` does with
-    ``norm``, (out, ||f - A u||) with the residual stored in ``out``.
+    The apply gives A u, f - A u or, as the operators' ``apply`` does
+    given ``out``, (out, ||f - A u||) with the residual stored in ``out``.
     """
     rng = np.random.default_rng(83)
     m = rng.standard_normal((n, n))
     A = m @ m.T + n * np.eye(n)
 
-    def apply(u, f=None, out=None, norm=False):
+    def apply(u, f=None, out=None):
         if f is None:
             return A @ u
         r = f - A @ u
-        if not norm:
+        if out is None:
             return r
         out[...] = r
         return out, float(np.linalg.norm(r))

@@ -148,17 +148,18 @@ def test_apply_with_a_right_side_is_the_residual_in_out(monkeypatch,
                             slab_rows * u.nbytes // 17)
     assert mesh_module._slab_elements(u, 17) == slab_rows
     for op in ops:
-        buf = np.empty_like(u)
-        assert op.apply(u, f, out=buf) is buf
-        npt.assert_array_equal(buf, f - op.apply(u))
-        assert op.apply(u, out=buf) is buf
-        npt.assert_array_equal(buf, op.apply(u))
+        for rhs, want in ((f, f - op.apply(u)), (None, op.apply(u))):
+            buf = np.empty_like(u)
+            out, norm = op.apply(u, rhs, out=buf)
+            assert out is buf
+            npt.assert_array_equal(buf, want)
+            npt.assert_allclose(norm, np.linalg.norm(want), rtol=1e-14)
 
 
 @pytest.mark.parametrize("p", [2, 4])
 def test_residual_stored_in_float32_is_the_rounded_float64_residual(
         monkeypatch, p):
-    # With norm, each float64 residual slab is rounded into a float32 out,
+    # Given out, each float64 residual slab is rounded into a float32 out,
     # and its norm is summed per element row: the same bits for slabs of
     # one, two and all 17 element rows.
     ops, u, f = _slab_case(p, np.float64)
@@ -169,7 +170,7 @@ def test_residual_stored_in_float32_is_the_rounded_float64_residual(
             monkeypatch.setattr(mesh_module, "_SLAB_BYTES", k * u.nbytes // 17)
             assert mesh_module._slab_elements(u, 17) == k
             buf = np.empty(u.shape, np.float32)
-            out, norm = op.apply(u, f, out=buf, norm=True)
+            out, norm = op.apply(u, f, out=buf)
             assert out is buf
             assert np.array_equal(buf, r.astype(np.float32))
             npt.assert_allclose(norm, np.linalg.norm(r), rtol=1e-14)

@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nu-hat", type=float, default=d.nu_hat,
                    help="diffusivity fluctuation amplitude; selects the "
                         "variable-diffusion problem when given")
-    s.add_argument("--nu-shift", type=float, default=d.nu_shift)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
 
     t = sub.add_parser("table", help="run a full experiment preset")
@@ -77,7 +76,7 @@ def _cmd_solve(args) -> int:
                    ar=args.ar, overlap_rule=args.overlap,
                    n_pre=args.pre, n_post=args.post, cycle=args.cycle,
                    tol=args.tol, max_cycles=args.max_cycles,
-                   nu_hat=args.nu_hat, nu_shift=args.nu_shift)
+                   nu_hat=args.nu_hat)
     record = run_single(spec, args.seed)
     if args.format == "csv":
         presets.write_csv([record], sys.stdout)

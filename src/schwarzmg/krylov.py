@@ -57,8 +57,7 @@ def random_initial_guess(h: MultigridHierarchy, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random(shape)
 
 
-def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
-          u0: np.ndarray | None = None):
+def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig):
     """Solve A u = f, recording the residual norm once per cycle.
 
     Cycle c computes one correction z = v_cycle(h, r, c) of the current
@@ -78,8 +77,7 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig,
     if np.shape(f) != shape:
         raise ValueError(f"right side has shape {np.shape(f)}, but the "
                          f"top level's fields have shape {shape}")
-    u = (random_initial_guess(h, cfg.seed) if u0 is None
-         else u0.astype(np.float64))  # a copy, in the outer precision
+    u = random_initial_guess(h, cfg.seed)
     cg = cfg.solver == "mgcg"
     r = op.apply(u, f) if cg else np.empty(shape, np.float32)
     # v_cycle is looked up at call time, so that it can be replaced.

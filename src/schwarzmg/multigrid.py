@@ -194,8 +194,7 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
                     smoother: str = "add",
                     weight: WeightKind | str = WeightKind.QUINTIC,
                     n_pre: int = 1, n_post: int = 0, variable: bool = False,
-                    nu_hat: float | None = None,
-                    nu_shift: float = 0.2) -> MultigridHierarchy:
+                    nu_hat: float | None = None) -> MultigridHierarchy:
     """Construct all levels, smoothers and transfer operators.
 
     ``nu_hat = None`` builds the Poisson hierarchy; otherwise every level
@@ -211,14 +210,17 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
     if n_pre + n_post == 0:
         raise ValueError("a V-cycle needs at least one smoothing sweep "
                          "(n_pre + n_post >= 1)")
+    if rule.name == "fixed" and rule.k > p - 1:
+        # Only the levels below the top clamp the count (``layers``).
+        raise ValueError(f"overlap fixed:{rule.k} exceeds p - 1 = {p - 1} "
+                         f"layers at the top level")
     weight = WeightKind(weight)
     depth = p.bit_length() - 1
     levels: list[Level] = []
     for l in range(depth + 1):
         p_l = 1 << l
         basis = gll_basis(p_l)
-        nu = (None if nu_hat is None
-              else diffusivity_field(mesh, basis, nu_hat, nu_shift))
+        nu = None if nu_hat is None else diffusivity_field(mesh, basis, nu_hat)
         where = f"multigrid level {l} of the p={p} hierarchy"
         try:
             op = (PoissonOperator(basis, mesh) if nu is None

@@ -270,41 +270,48 @@ def poisson_benchmark(mesh: MeshConfig, basis: Basis1D):
     return f, u
 
 
-def diffusivity_field(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
-                      s: float = 0.2) -> np.ndarray:
-    """nu = 1 + nu_hat sin(2 pi (x - s)) sin(2 pi (y - s)) at the level nodes."""
+# The diffusivity's shift s: every variable-diffusion problem is the one
+# manufactured problem with s = 0.2.
+NU_SHIFT = 0.2
+
+
+def _nu(x, y, nu_hat: float):
+    """nu = 1 + nu_hat sin(2 pi (x - s)) sin(2 pi (y - s)), s = ``NU_SHIFT``."""
+    return (1.0 + nu_hat * np.sin(2 * np.pi * (x - NU_SHIFT))
+            * np.sin(2 * np.pi * (y - NU_SHIFT)))
+
+
+def diffusivity_field(mesh: MeshConfig, basis: Basis1D,
+                      nu_hat: float) -> np.ndarray:
+    """The diffusivity ``_nu`` at the level nodes."""
     if not 0.0 <= nu_hat < 1.0:
         raise ValueError(f"diffusivity amplitude must be in [0, 1), got {nu_hat}")
-    if not np.isfinite(s):
-        raise ValueError(f"diffusivity shift must be finite, got {s}")
-    X, Y = nodal_coordinates(mesh, basis)
-    return 1.0 + nu_hat * np.sin(2 * np.pi * (X - s)) * np.sin(2 * np.pi * (Y - s))
+    return _nu(*nodal_coordinates(mesh, basis), nu_hat)
 
 
-def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float,
-                               s: float = 0.2):
-    """Variable-diffusion test problem with u = sin(2 pi x) sin(2 pi y).
+def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float):
+    """Variable-diffusion test problem with u = sin(2 pi x) sin(2 pi y) and
+    the diffusivity ``_nu``.
 
-    Returns (f, nu, u_samples); f is the quadrature-weighted, mean-projected
+    Returns (f, u_samples); f is the quadrature-weighted, mean-projected
     load for the analytic source f = -(nu lap u + grad nu . grad u).
     """
-    nu = diffusivity_field(mesh, basis, nu_hat, s)
     two_pi = 2.0 * np.pi
+    s = NU_SHIFT
 
     def source(x, y):
         u = np.sin(two_pi * x) * np.sin(two_pi * y)
         ux = two_pi * np.cos(two_pi * x) * np.sin(two_pi * y)
         uy = two_pi * np.sin(two_pi * x) * np.cos(two_pi * y)
         lap_u = -2.0 * two_pi**2 * u
-        nu_v = 1.0 + nu_hat * np.sin(two_pi * (x - s)) * np.sin(two_pi * (y - s))
         nx = two_pi * nu_hat * np.cos(two_pi * (x - s)) * np.sin(two_pi * (y - s))
         ny = two_pi * nu_hat * np.sin(two_pi * (x - s)) * np.cos(two_pi * (y - s))
-        return -(nu_v * lap_u + nx * ux + ny * uy)
+        return -(_nu(x, y, nu_hat) * lap_u + nx * ux + ny * uy)
 
     f = load_vector(mesh, basis, source)
     f -= f.mean()
     X, Y = nodal_coordinates(mesh, basis)
-    return f, nu, np.sin(two_pi * X) * np.sin(two_pi * Y)
+    return f, np.sin(two_pi * X) * np.sin(two_pi * Y)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import typing
 from dataclasses import asdict, dataclass, fields
 
 from .krylov import SolveConfig, solve
@@ -14,7 +13,7 @@ from .operators import manufactured_rhs_diffusion, poisson_benchmark
 from .schwarz import WeightKind
 
 __all__ = ["RunSpec", "RunRecord", "run_single", "preset_grid", "run_preset",
-           "write_csv", "read_csv", "PRESET_NAMES"]
+           "write_csv", "PRESET_NAMES"]
 
 PRESET_NAMES = ("table2", "table3", "table4", "table5",
                 "fig3-diffusion", "fig4-diffusion-ar")
@@ -38,7 +37,6 @@ class RunSpec:
     tol: float = 1e10
     max_cycles: int = 200
     nu_hat: float | None = None   # None selects the Poisson problem
-    nu_shift: float = 0.2
 
     def __post_init__(self):
         if self.cycle not in ("std", "var"):
@@ -59,7 +57,6 @@ class RunRecord:
     n_post: int
     cycle_type: str
     nu_hat: float | None
-    shift_s: float | None
     seed: int
     cycles: int
     rbar: float
@@ -84,12 +81,11 @@ def build_problem(spec: RunSpec):
         weight=WeightKind(spec.weight),
         n_pre=spec.n_pre, n_post=spec.n_post,
         variable=(spec.cycle == "var"),
-        nu_hat=spec.nu_hat, nu_shift=spec.nu_shift)
+        nu_hat=spec.nu_hat)
     if spec.nu_hat is None:
         f, u_exact = poisson_benchmark(mesh, h.top.basis)
     else:
-        f, _, u_exact = manufactured_rhs_diffusion(
-            mesh, h.top.basis, spec.nu_hat, spec.nu_shift)
+        f, u_exact = manufactured_rhs_diffusion(mesh, h.top.basis, spec.nu_hat)
     return mesh, h, f, u_exact
 
 
@@ -112,9 +108,8 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
         p=spec.p, n_x=spec.n_x, n_y=spec.n_y, ar=spec.ar,
         overlap_rule=spec.overlap_rule,
         n_pre=spec.n_pre, n_post=spec.n_post, cycle_type=spec.cycle,
-        nu_hat=spec.nu_hat, shift_s=spec.nu_shift if spec.nu_hat is not None else None,
-        seed=seed, cycles=rep.cycles, rbar=rep.rbar, n10=rep.n10,
-        omega1=omega1, converged=rep.converged, stop=rep.stop,
+        nu_hat=spec.nu_hat, seed=seed, cycles=rep.cycles, rbar=rep.rbar,
+        n10=rep.n10, omega1=omega1, converged=rep.converged, stop=rep.stop,
         wallclock=rep.wallclock,
         coarse_cg_exhausted=rep.coarse_cg_exhausted)
 
@@ -305,23 +300,6 @@ def write_csv(records: list[RunRecord], stream) -> None:
     for rec in records:
         d = asdict(rec)
         writer.writerow([_fmt(name, d[name]) for name in CSV_FIELDS])
-
-
-def _parse(kind, text: str):
-    """One CSV cell as a value of the field type ``kind``; an empty cell of
-    an optional (``X | None``) field is None."""
-    if kind is bool:
-        return text == "true"
-    args = typing.get_args(kind)
-    if args:
-        return None if text == "" else _parse(args[0], text)
-    return kind(text)
-
-
-def read_csv(stream) -> list[RunRecord]:
-    return [RunRecord(**{f.name: _parse(f.type, row[f.name])
-                         for f in fields(RunRecord)})
-            for row in csv.DictReader(stream)]
 
 
 def _finite_or_none(value):

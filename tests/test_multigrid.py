@@ -666,7 +666,7 @@ def test_diffusion_hierarchy_v_cycle():
     mesh = MeshConfig(4, 4, l_x=1.0, l_y=1.0)
     h = build_hierarchy(mesh, 8, OverlapRule("ceilp8"), nu_hat=0.5)
     from schwarzmg.operators import manufactured_rhs_diffusion
-    f, _, _ = manufactured_rhs_diffusion(mesh, h.top.basis, 0.5)
+    f, _ = manufactured_rhs_diffusion(mesh, h.top.basis, 0.5)
     rng = np.random.default_rng(61)
     u = rng.random(f.shape)
     r = f - h.top.op.apply(u)

@@ -264,8 +264,8 @@ def test_poisson_benchmark_solution_satisfies_system():
 def test_manufactured_diffusion_solution_satisfies_system():
     mesh = MeshConfig(4, 4, l_x=1.0, l_y=1.0)
     basis = gll_basis(12)
-    f, nu, u_exact = manufactured_rhs_diffusion(mesh, basis, nu_hat=0.5)
-    op = DiffusionOperator(basis, mesh, nu)
+    f, u_exact = manufactured_rhs_diffusion(mesh, basis, nu_hat=0.5)
+    op = DiffusionOperator(basis, mesh, diffusivity_field(mesh, basis, 0.5))
     r = f - op.apply(u_exact)
     assert np.linalg.norm(r) < 1e-7
     npt.assert_allclose(f.mean(), 0.0, atol=1e-15)
@@ -297,8 +297,9 @@ def test_right_sides_are_bitwise_the_whole_field_formulas(
     nx = two_pi * nu_hat * np.cos(two_pi * (X - s)) * np.sin(two_pi * (Y - s))
     ny = two_pi * nu_hat * np.sin(two_pi * (X - s)) * np.cos(two_pi * (Y - s))
     source = -(nu * (-2.0 * two_pi**2 * u) + nx * ux + ny * uy)
-    f, nu_got, u_got = manufactured_rhs_diffusion(mesh, basis, nu_hat, s)
-    assert np.array_equal(nu_got, nu) and np.array_equal(u_got, u)
+    f, u_got = manufactured_rhs_diffusion(mesh, basis, nu_hat)
+    assert np.array_equal(diffusivity_field(mesh, basis, nu_hat), nu)
+    assert np.array_equal(u_got, u)
     assert np.array_equal(f, project_mean(q * source))
 
 
@@ -306,7 +307,7 @@ def test_right_sides_allocate_one_field_per_returned_field():
     # p=16 64x64 is 16 slabs: the slab temporaries add 1/16 of a field.
     mesh, basis = MeshConfig(64, 64), gll_basis(16)
     cases = [(lambda: poisson_benchmark(mesh, basis), 2),
-             (lambda: manufactured_rhs_diffusion(mesh, basis, 0.9), 3)]
+             (lambda: manufactured_rhs_diffusion(mesh, basis, 0.9), 2)]
     for build, fields in cases:
         tracemalloc.start()
         try:
@@ -325,6 +326,3 @@ def test_diffusivity_field_bounds():
     assert nu.min() > 0.0 and nu.max() < 2.0
     with pytest.raises(ValueError):
         diffusivity_field(mesh, basis, nu_hat=1.0)
-    for bad_shift in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            diffusivity_field(mesh, basis, nu_hat=0.5, s=bad_shift)

@@ -92,7 +92,10 @@ def _cmd_table(args) -> int:
     for seed in seeds:
         SolveConfig(seed=seed)  # a bad seed fails before any output opens
     out = args.out or f"{args.name}.csv"
-    paths = [out] + [str(Path(out).with_suffix(".json"))] * (args.format == "json")
+    json_out = Path(out).with_suffix(".json")
+    if args.format == "json" and json_out == Path(out):
+        raise ValueError(f"--out {out} would be both the CSV and the JSON")
+    paths = [out] + [json_out] * (args.format == "json")
     with ExitStack() as stack:
         # Open every output before the first cell runs, so an unwritable
         # path fails at once instead of after the whole preset.
@@ -103,19 +106,18 @@ def _cmd_table(args) -> int:
         for fh in json_fh:
             fh.write(presets.records_to_json(records))
     print(f"wrote {len(records)} records to {out}")
-    for row in summary:
-        tag = row["weight"] if row["smoother"] == "add" else "mult"
-        label = (f"{row['solver']} {tag} p={row['p']} "
-                 f"{row['n_x']}x{row['n_y']} ar={row['ar']:g}")
-        if row["nu_hat"] is not None:
-            label += f" nu_hat={row['nu_hat']:g}"
-        line = f"{label}: rbar={row['mean_rbar']:.4g}"
-        if row["reference_rbar"] is not None:
-            verdict = "pass" if row["passed"] else "FAIL"
-            line += f" (published {row['reference_rbar']:.4g}, {verdict})"
+    for spec, mean_rbar, ref, passed in summary:
+        tag = spec.weight if spec.smoother == "add" else "mult"
+        label = (f"{spec.solver} {tag} p={spec.p} "
+                 f"{spec.n_x}x{spec.n_y} ar={spec.ar:g}")
+        if spec.nu_hat is not None:
+            label += f" nu_hat={spec.nu_hat:g}"
+        line = f"{label}: rbar={mean_rbar:.4g}"
+        if ref is not None:
+            line += f" (published {ref:.4g}, {'pass' if passed else 'FAIL'})"
         print(line)
     # Any unconverged record fails; so does a missed published rate.
-    failed = any(row["passed"] is False for row in summary)
+    failed = any(passed is False for *_, passed in summary)
     return 2 if failed or not all(r.converged for r in records) else 0
 
 

@@ -43,20 +43,10 @@ class RunSpec:
             raise ValueError(f"unknown cycle {self.cycle!r}")
 
 
-@dataclass
-class RunRecord:
-    solver: str
-    smoother: str
-    weight: str
-    p: int
-    n_x: int
-    n_y: int
-    ar: float
-    overlap_rule: str
-    n_pre: int
-    n_post: int
-    cycle_type: str
-    nu_hat: float | None
+@dataclass(frozen=True, kw_only=True)
+class RunRecord(RunSpec):
+    """The RunSpec that ran (weight blank for "mult"), its seed and outcome."""
+
     seed: int
     cycles: int
     rbar: float
@@ -101,17 +91,12 @@ def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
                              with_cg=(spec.solver == "mgcg"))
     omega1 = (ratio / rep.rbar if math.isfinite(rep.rbar) and rep.rbar > 0
               else 0.0)
+    weight = spec.weight if spec.smoother == "add" else ""
     return RunRecord(
-        solver=spec.solver,
-        smoother=spec.smoother,
-        weight=spec.weight if spec.smoother == "add" else "",
-        p=spec.p, n_x=spec.n_x, n_y=spec.n_y, ar=spec.ar,
-        overlap_rule=spec.overlap_rule,
-        n_pre=spec.n_pre, n_post=spec.n_post, cycle_type=spec.cycle,
-        nu_hat=spec.nu_hat, seed=seed, cycles=rep.cycles, rbar=rep.rbar,
-        n10=rep.n10, omega1=omega1, converged=rep.converged, stop=rep.stop,
-        wallclock=rep.wallclock,
-        coarse_cg_exhausted=rep.coarse_cg_exhausted)
+        **{**asdict(spec), "weight": weight}, seed=seed, cycles=rep.cycles,
+        rbar=rep.rbar, n10=rep.n10, omega1=omega1,
+        converged=rep.converged, stop=rep.stop,
+        wallclock=rep.wallclock, coarse_cg_exhausted=rep.coarse_cg_exhausted)
 
 
 # ----------------------------------------------------------------------
@@ -248,29 +233,23 @@ def rbar_tolerance(ref: float) -> float:
 def run_preset(name: str, seeds: list[int], full: bool = False):
     """Execute every grid cell for every seed.
 
-    Returns (records, summary) where summary holds one row per cell with
-    the seed-mean rate and, where available, the pass/fail comparison
-    against the published value.
+    Returns (records, summary) where summary holds one
+    (spec, mean_rbar, reference_rbar, passed) tuple per cell: the seed-mean
+    rate and, where a published value exists, that value and whether the
+    mean lies within rbar_tolerance of it (both None otherwise).
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    specs = preset_grid(name, full=full)
     records: list[RunRecord] = []
-    summary: list[dict] = []
-    for spec in specs:
+    summary = []
+    for spec in preset_grid(name, full=full):
         cell = [run_single(spec, seed) for seed in seeds]
         records.extend(cell)
         mean_rbar = sum(r.rbar for r in cell) / len(cell)
-        row = {"solver": spec.solver, "smoother": spec.smoother,
-               "weight": spec.weight, "p": spec.p,
-               "n_x": spec.n_x, "n_y": spec.n_y, "ar": spec.ar,
-               "nu_hat": spec.nu_hat, "mean_rbar": mean_rbar,
-               "reference_rbar": None, "passed": None}
         ref = reference_rbar(name, spec)
-        if ref is not None:
-            row["reference_rbar"] = ref
-            row["passed"] = abs(mean_rbar - ref) <= rbar_tolerance(ref)
-        summary.append(row)
+        passed = (None if ref is None
+                  else abs(mean_rbar - ref) <= rbar_tolerance(ref))
+        summary.append((spec, mean_rbar, ref, passed))
     return records, summary
 
 

@@ -88,9 +88,9 @@ def test_table3_every_cell_reproduces_at_one_seed():
     # All 28 Table 3 cells (floorp8 overlap, 8x8 elements), seed 1, and the
     # cycle ratio of the original method (wa) to the new one (w5) per order.
     records, summary = run_preset("table3", [1])
-    misses = [f"{row['weight'] if row['smoother'] == 'add' else 'mult'}"
-              f" p={row['p']}: {row['mean_rbar']:.2f}/{row['reference_rbar']}"
-              for row in summary if not row["passed"]]
+    misses = [f"{spec.weight if spec.smoother == 'add' else 'mult'}"
+              f" p={spec.p}: {mean_rbar:.2f}/{ref}"
+              for spec, mean_rbar, ref, passed in summary if not passed]
     cycles = {(r.weight, r.p): r.cycles for r in records}
     ratios = {p: cycles["wa", p] / cycles["w5", p] for p in (4, 8, 16, 32)}
     outside = {p for p, q in ratios.items() if not 1.5 <= q <= 3.0}

@@ -62,12 +62,19 @@ print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
 
 
 def test_run_single_record_fields():
-    rec = run_single(FAST_SPEC, seed=1)
-    assert rec.converged
-    assert rec.solver == "mg" and rec.weight == "w5" and rec.seed == 1
-    assert rec.rbar > 0 and rec.n10 > 0 and rec.omega1 > 0
-    assert 0 < rec.cycles <= 30
-    assert rec.nu_hat is None
+    for smoother in ("add", "mult"):
+        spec = dataclasses.replace(FAST_SPEC, smoother=smoother)
+        rec = run_single(spec, seed=1)
+        assert rec.converged and rec.seed == 1
+        assert rec.rbar > 0 and rec.n10 > 0 and rec.omega1 > 0
+        assert 0 < rec.cycles <= 30
+        # The record holds the spec that ran; "mult" blanks only the weight.
+        ran = {f.name: getattr(rec, f.name)
+               for f in dataclasses.fields(RunSpec)}
+        want = dataclasses.asdict(spec)
+        if smoother == "mult":
+            want["weight"] = ""
+        assert ran == want
 
 
 def test_run_single_deterministic_except_wallclock():
@@ -104,7 +111,11 @@ def test_csv_round_trip_is_stable():
         assert row["cycles"] == str(rec.cycles)
         assert row["rbar"] == f"{rec.rbar:.4g}"
         assert row["wallclock"] == f"{rec.wallclock:.4f}"
-    assert text.splitlines()[0] == ",".join(presets.CSV_FIELDS)
+    assert text.splitlines()[0].split(",") == [
+        "solver", "smoother", "weight", "p", "n_x", "n_y", "ar",
+        "overlap_rule", "n_pre", "n_post", "cycle", "tol", "max_cycles",
+        "nu_hat", "seed", "cycles", "rbar", "n10", "omega1", "converged",
+        "stop", "wallclock", "coarse_cg_exhausted"]
     assert "\r" not in text
 
 
@@ -229,12 +240,13 @@ def test_cli_solve_nonconvergence_exit_code(capsys):
 
 def test_cli_solve_json_format(capsys):
     rc = cli.main(["solve", "--p", "4", "--nel", "4,4", "--tol", "1e4",
-                   "--max-cycles", "30", "--format", "json"])
-    out = capsys.readouterr().out
+                   "--max-cycles", "30", "--cycle", "var", "--format", "json"])
+    [rec] = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert json.loads(out)[0]["converged"] is True
-    assert json.loads(out)[0]["stop"] == "converged"
-    assert json.loads(out)[0]["coarse_cg_exhausted"] == 0
+    assert rec["converged"] is True and rec["stop"] == "converged"
+    assert rec["coarse_cg_exhausted"] == 0
+    assert rec["tol"] == 1e4 and rec["max_cycles"] == 30
+    assert rec["cycle"] == "var"
 
 
 def test_cli_usage_errors_exit_one(capsys):
@@ -357,6 +369,24 @@ def test_cli_table_unwritable_out_is_one_line_error_before_any_cell(
         assert rc == 1
         assert err.startswith("schwarzmg: error: ")
         assert len(err.splitlines()) == 1
+
+
+def test_cli_table_json_out_is_one_line_error_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    # The JSON goes beside the CSV at --out with a .json suffix, so an --out
+    # ending in .json would name both outputs.
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran before the output paths were checked")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    out = tmp_path / "x.json"
+    rc = cli.main(["table", "--name", "table2", "--seeds", "1",
+                   "--format", "json", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"schwarzmg: error: --out {out} would be both the CSV "
+                   "and the JSON\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_solve_deterministic_records(capsys):

@@ -80,9 +80,6 @@ class FieldLayout:
     def size(self) -> int:
         return self.N_x * self.N_y
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.N_y, self.N_x))
-
 
 # Bytes of field rows per slab: a quarter of a core's 2 MiB L2, so that
 # the few slab-sized intermediates of a pass stay in it. A field of at

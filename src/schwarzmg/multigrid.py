@@ -15,8 +15,9 @@ Every other coarse problem is solved by preconditioned CG (``iterate``,
 the loop ``krylov.solve`` runs too); a coarse CG that stops short logs
 ``iterate``'s stop reason and counts in ``coarse_cg_exhausted``. On the
 uniform periodic mesh the p = 1 Poisson operator L is diagonalized by
-the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so its mean-free
-pseudoinverse L+ is cheap.
+the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with eigenvalues
+(``coarse_symbol``) written in closed form from its two circulant 1D
+factors, so its mean-free pseudoinverse L+ is cheap.
 The preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the p = 1
 nodes, the diagonal scaling of the variable-coefficient operator around a
 constant-coefficient fast solver (Concus & Golub, SIAM J. Numer. Anal. 10,
@@ -52,10 +53,12 @@ from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, We
 log = logging.getLogger(__name__)
 
 # The most p = 1 nodes whose diffusion problem is solved by a dense inverse.
-# With one BLAS thread one CG coarse solve takes 2.5-4.0 ms at 64 nodes,
-# 2.8-4.5 at 256, 3.2-5.4 at 512 and 5.7-6.0 at 1024, building the inverse
-# 0.16, 4.7, 25.6 and 180 ms; a solve makes at least 5 coarse solves, so
-# the inverse pays for itself within one solve up to 256 nodes.
+# With one BLAS thread (nu_hat = 0.9) building the inverse takes 0.31 ms at
+# 64 nodes, 5.1 at 256, 25 at 512 and 124 at 1024, and a solve with it
+# 14, 21, 75 and 320 us; one CG coarse solve of a float32 right side takes
+# 1.0-1.2 ms at each size. A solve makes at least 5 coarse solves (6 at
+# p = 4 to 8 on 16x16), so the inverse pays for itself within one solve
+# up to 256 nodes.
 _DENSE_COARSE_NODES = 256
 # The relative residual at which the coarse CG stops, unless the right
 # side's precision is coarser: it stops at 100 ulps of that precision then.
@@ -148,19 +151,20 @@ class MultigridHierarchy:
         self.mesh = mesh
         self.levels = levels
         # The coarse preconditioner s * L+(s * r): the nodal scale
-        # s = 1/sqrt(nu) (1.0 for Poisson) and the rfft2 eigenvalues of the
-        # p = 1 Poisson operator L, a circular convolution with its unit
-        # impulse response, the constant mode inf. Where s is not constant
-        # the preconditioner is not mean-free; coarse_solve projects its result.
+        # s = 1/sqrt(nu) (1.0 for Poisson) and the eigenvalues of the p = 1
+        # Poisson operator L on the rfft2 grid, the constant mode inf. L is
+        # m_y (x) L_x + L_y (x) m_x with the 1D mass m = d per node and the
+        # stiffness (1/d) circ(-1, 2, -1), so its symbol is
+        # (dy/dx)(2 - 2 cos tx) + (dx/dy)(2 - 2 cos ty). Where s is not
+        # constant the preconditioner is not mean-free; coarse_solve
+        # projects its result.
         lv0 = levels[0]
-        if lv0.op.nu is None:
-            poisson, self.coarse_scale = lv0.op, 1.0
-        else:
-            poisson = PoissonOperator(lv0.basis, mesh)
-            self.coarse_scale = 1.0 / np.sqrt(lv0.op.nu)
-        delta = poisson.layout.zeros()
-        delta[0, 0] = 1.0
-        self.coarse_symbol = np.fft.rfft2(poisson.apply(delta)).real
+        self.coarse_scale = (1.0 if lv0.op.nu is None
+                             else 1.0 / np.sqrt(lv0.op.nu))
+        tx = 2.0 * np.pi * np.fft.rfftfreq(lv0.op.layout.N_x)
+        ty = 2.0 * np.pi * np.fft.fftfreq(lv0.op.layout.N_y)[:, None]
+        self.coarse_symbol = (mesh.dy / mesh.dx * (2.0 - 2.0 * np.cos(tx))
+                              + mesh.dx / mesh.dy * (2.0 - 2.0 * np.cos(ty)))
         self.coarse_symbol[0, 0] = np.inf
         self.coarse_cg_exhausted = 0
 

@@ -19,16 +19,17 @@ the residual f - A u from the same loop (rounded into an ``out`` given,
 a float32 one for ``mg``, with its float64 norm); each operator adds
 only its factors and its per-slab x and y products.
 
-The manufactured right sides allocate only the fields they return: a
-source is evaluated slab by slab of element rows (``mesh._slab_elements``)
-times the slab's quadrature into one field, and the Poisson load weights
-its sampled u in place; every value is the whole-field formula's.
+The manufactured right sides allocate only the fields they return and
+weight their loads by the two assembled 1D masses in place, the y mass
+(a column) and then the x mass (a row): a source is evaluated slab by
+slab of element rows (``mesh._slab_elements``) into one field, and the
+Poisson load weights its sampled u; every value is the whole-field
+formula's.
 
 The dense assembly routines share nothing with the sum-factorized apply
 but the periodic window indices, so they are the apply tests' independent
 oracles; ``dense_diffusion_matrix`` also builds the small diffusion coarse
-matrix that ``MultigridHierarchy`` inverts once. The hierarchy takes the
-FFT symbol of its coarse preconditioner from a p = 1 ``PoissonOperator``.
+matrix that ``MultigridHierarchy`` inverts once.
 """
 
 import numpy as np
@@ -227,20 +228,6 @@ def nodal_coordinates(mesh: MeshConfig, basis: Basis1D):
     return np.meshgrid(x, y, sparse=True)
 
 
-def _global_quadrature(mesh: MeshConfig, basis: Basis1D,
-                       rows: slice = slice(None)) -> np.ndarray:
-    """Assembled global quadrature weights on node ``rows``, an (N_y, N_x)
-    tensor for all of them."""
-    return np.multiply.outer(_global_mass(basis, mesh.n_y, mesh.dy)[rows],
-                             _global_mass(basis, mesh.n_x, mesh.dx))
-
-
-def _slab_rows(mesh: MeshConfig, basis: Basis1D, f: np.ndarray):
-    """Node rows of each slab of element rows of the field ``f``."""
-    k = _slab_elements(f, mesh.n_y) * basis.p
-    return [slice(r, r + k) for r in range(0, len(f), k)]
-
-
 def project_mean(f: np.ndarray) -> np.ndarray:
     """Remove the constant component (Euclidean mean) from a field."""
     return f - f.mean()
@@ -248,12 +235,15 @@ def project_mean(f: np.ndarray) -> np.ndarray:
 
 def load_vector(mesh: MeshConfig, basis: Basis1D, source) -> np.ndarray:
     """Quadrature-weighted Galerkin load for an analytic source g(x, y),
-    evaluated slab by slab into the one field returned."""
+    evaluated slab by slab into the one field returned, times the
+    assembled y mass of the slab's rows and then the x mass."""
     X, Y = nodal_coordinates(mesh, basis)
+    m_y = _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
     f = np.empty((len(Y), X.shape[1]))
-    for rows in _slab_rows(mesh, basis, f):
-        np.multiply(_global_quadrature(mesh, basis, rows), source(X, Y[rows]),
-                    out=f[rows])
+    k = _slab_elements(f, mesh.n_y) * basis.p
+    for rows in (slice(r, r + k) for r in range(0, len(f), k)):
+        np.multiply(source(X, Y[rows]), m_y[rows], out=f[rows])
+    f *= _global_mass(basis, mesh.n_x, mesh.dx)
     return f
 
 
@@ -264,8 +254,8 @@ def poisson_benchmark(mesh: MeshConfig, basis: Basis1D):
     # Sampled whole: slab by slab, through load_vector, was slower at p=32.
     u = np.sin(np.pi * X) * np.sin(np.pi * Y)
     f = 2.0 * np.pi**2 * u
-    for rows in _slab_rows(mesh, basis, f):
-        f[rows] *= _global_quadrature(mesh, basis, rows)
+    f *= _global_mass(basis, mesh.n_y, mesh.dy)[:, None]
+    f *= _global_mass(basis, mesh.n_x, mesh.dx)
     f -= f.mean()
     return f, u
 

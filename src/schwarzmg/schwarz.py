@@ -193,8 +193,7 @@ class SchwarzSmoother:
                 if inv_nu is not None:
                     t *= inv_nu[c_y, c_x][:, None, :, None]
                 # Tiled along a row of windows, the scale's inner loop runs
-                # over the row, not over m nodes. (A tile held on the
-                # smoother, cast mid-solve, raised the p=32 peak RSS.)
+                # over the row, not over m nodes.
                 t = t.reshape(ny_c, m, -1)
                 t *= np.tile(inv_lam, nx_c)
                 t = fold_product(t, WS_y, 1, n_y, c_y).reshape(-1, nx_c, m)

@@ -85,8 +85,9 @@ CYCLE_RATIO_DEVIATIONS = {4, 8}
 
 
 def test_table3_every_cell_reproduces_at_one_seed():
-    # All 28 Table 3 cells (floorp8 overlap, 8x8 elements), seed 1, and the
-    # cycle ratio of the original method (wa) to the new one (w5) per order.
+    # All 28 Table 3 cells (floorp8 overlap, 8x8 elements), seed 1, each
+    # converged, and the cycle ratio of the original method (wa) to the new
+    # one (w5) per order.
     records, summary = run_preset("table3", [1])
     misses = [f"{spec.weight if spec.smoother == 'add' else 'mult'}"
               f" p={spec.p}: {mean_rbar:.2f}/{ref}"
@@ -95,6 +96,7 @@ def test_table3_every_cell_reproduces_at_one_seed():
     ratios = {p: cycles["wa", p] / cycles["w5", p] for p in (4, 8, 16, 32)}
     outside = {p for p, q in ratios.items() if not 1.5 <= q <= 3.0}
     ok = (len(summary) == 28 and not misses
+          and all(r.converged for r in records)
           and outside == CYCLE_RATIO_DEVIATIONS)
     print(f"table3: {'PASS' if ok else 'FAIL'} - "
           f"{len(summary) - len(misses)}/{len(summary)} cells within "
@@ -354,7 +356,7 @@ def test_criterion_12_multiplicative_symmetrization():
     A = dense_poisson_matrix(basis, mesh)
     N = layout.size
     M = np.zeros((N, N))
-    f = layout.zeros()
+    f = np.zeros((layout.N_y, layout.N_x))
     sm = MultiplicativeSchwarz(op, 0)
     for i in range(N):
         e = np.zeros(N)

@@ -15,7 +15,6 @@ from schwarzmg.mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
                             periodic_windows, scatter_blocks, split_factor)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
-from schwarzmg.operators import _global_quadrature
 from schwarzmg.schwarz import _colour_classes
 
 
@@ -57,7 +56,6 @@ def test_mesh_config_validation():
 def test_layout_counts():
     layout = layout_for(MeshConfig(3, 2), p=4)
     assert (layout.N_x, layout.N_y, layout.size) == (12, 8, 96)
-    assert layout.zeros().shape == (8, 12)
 
 
 def test_element_indices_wrap_periodically():
@@ -230,11 +228,14 @@ def test_fold_windows_is_adjoint_of_take(case, axis, pick, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(ORDERS, COUNTS, COUNTS, st.floats(0.5, 4.0), st.floats(0.5, 4.0))
-def test_global_quadrature_sums_to_area(p, n_x, n_y, l_x, l_y):
-    mesh = MeshConfig(n_x, n_y, l_x=l_x, l_y=l_y)
-    w = _global_quadrature(mesh, gll_basis(p))
-    assert w.shape == (p * n_y, p * n_x)
-    npt.assert_allclose(w.sum(), l_x * l_y, rtol=1e-13)
+def test_global_masses_sum_to_extents(p, n_x, n_y, l_x, l_y):
+    # The load weights are the outer product of these two vectors.
+    mesh, basis = MeshConfig(n_x, n_y, l_x=l_x, l_y=l_y), gll_basis(p)
+    m_x = _global_mass(basis, mesh.n_x, mesh.dx)
+    m_y = _global_mass(basis, mesh.n_y, mesh.dy)
+    assert (m_x.shape, m_y.shape) == ((p * n_x,), (p * n_y,))
+    npt.assert_allclose(m_x.sum(), l_x, rtol=1e-13)
+    npt.assert_allclose(m_y.sum(), l_y, rtol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,8 @@ from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
                                  _fft_inverse, build_hierarchy, coarse_solve,
                                  iterate, prolongate, restrict_residual,
                                  v_cycle)
-from schwarzmg.operators import (dense_diffusion_matrix, dense_poisson_matrix,
+from schwarzmg.operators import (PoissonOperator, dense_diffusion_matrix,
+                                 dense_poisson_matrix, nodal_coordinates,
                                  poisson_benchmark, project_mean)
 from schwarzmg.schwarz import WeightKind
 
@@ -233,6 +234,53 @@ def test_fft_preconditioner_solves_poisson_coarse_problem_in_one_iteration():
     u0 = coarse_solve(h, f0)
     assert len(calls) == 1
     assert np.linalg.norm(f0 - apply(u0)) <= 1e-12 * np.linalg.norm(f0)
+
+
+@pytest.mark.parametrize("nu_hat", [None, 0.9])
+@pytest.mark.parametrize("mesh", [
+    MeshConfig(4, 4), MeshConfig(6, 3, l_x=3.0),
+    MeshConfig(5, 8, l_x=8.0, l_y=0.5)], ids=["4x4", "6x3", "5x8-aniso"])
+def test_coarse_symbol_is_the_fft_of_the_impulse_response(mesh, nu_hat):
+    # The oracle: rfft2 of the p = 1 Poisson operator applied to a unit
+    # impulse, the eigenvalues of the circular convolution it is.
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=nu_hat)
+    poisson = PoissonOperator(gll_basis(1), mesh)
+    delta = np.zeros((poisson.layout.N_y, poisson.layout.N_x))
+    delta[0, 0] = 1.0
+    want = np.fft.rfft2(poisson.apply(delta)).real
+    assert h.coarse_symbol.shape == want.shape
+    assert h.coarse_symbol[0, 0] == np.inf
+    got, want = h.coarse_symbol.ravel()[1:], want.ravel()[1:]
+    npt.assert_allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("l_x", [2e8, 2e10])
+def test_coarse_symbol_keeps_the_weak_direction(l_x):
+    # With dx/dy = 1e8 (1e10) the x-only modes' eigenvalues, 2e-8 (2e-10)
+    # and twice that, are far below the y ones; an FFT of the operator's
+    # impulse response rounds them to 2.98e-8 (to 0 at 1e10).
+    mesh = MeshConfig(4, 4, l_x=l_x)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1))
+    op = h.levels[0].op
+    X, _ = nodal_coordinates(mesh, op.basis)
+    for k in range(1, op.layout.N_x // 2 + 1):
+        u = np.repeat(np.cos(2 * np.pi * k * X / l_x), op.layout.N_y, axis=0)
+        lam = h.coarse_symbol[0, k]
+        assert np.linalg.norm(op.apply(u) - lam * u) <= (
+            1e-12 * lam * np.linalg.norm(u))
+
+
+def test_a_diffusion_hierarchy_builds_no_poisson_operator(monkeypatch):
+    calls = []
+    init = PoissonOperator.__init__
+    monkeypatch.setattr(PoissonOperator, "__init__",
+                        lambda self, *a: calls.append(1) or init(self, *a))
+    h = build_hierarchy(MeshConfig(4, 4), 4, OverlapRule("ceilp8"),
+                        nu_hat=0.9)
+    assert np.isfinite(h.coarse_symbol.ravel()[1:]).all()
+    assert not calls
+    build_hierarchy(MeshConfig(4, 4), 4, OverlapRule("ceilp8"))
+    assert len(calls) == 3  # the counter counts: one per Poisson level
 
 
 def test_scaled_coarse_preconditioner_is_symmetric_for_diffusion():

@@ -3,6 +3,7 @@
 import argparse
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 
 from . import presets
@@ -29,31 +30,39 @@ def _parse_nel(text: str):
     raise argparse.ArgumentTypeError("--nel expects nx or nx,ny")
 
 
+class _StoreNel(argparse.Action):
+    """Store ``--nel``'s counts as the RunSpec fields n_x and n_y."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.n_x, namespace.n_y = values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schwarzmg")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # Every default is the one RunSpec and SolveConfig declare.
-    d = RunSpec()
-    s = sub.add_parser("solve", help="run one solver configuration")
+    # Each run setting is stored under its RunSpec field name, and one not
+    # given is left out, so that RunSpec and SolveConfig declare every
+    # default.
+    s = sub.add_parser("solve", help="run one solver configuration",
+                       argument_default=argparse.SUPPRESS)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--nel", type=_parse_nel, default=(d.n_x, d.n_y),
+    s.add_argument("--nel", type=_parse_nel, action=_StoreNel,
                    metavar="NX[,NY]")
-    s.add_argument("--ar", type=float, default=d.ar)
-    s.add_argument("--solver", choices=["mg", "mgcg"], default=d.solver)
-    s.add_argument("--smoother", choices=["add", "mult"], default=d.smoother)
-    s.add_argument("--weight", choices=[k.value for k in WeightKind],
-                   default=d.weight)
-    s.add_argument("--overlap", default=d.overlap_rule,
+    s.add_argument("--ar", type=float)
+    s.add_argument("--solver", choices=["mg", "mgcg"])
+    s.add_argument("--smoother", choices=["add", "mult"])
+    s.add_argument("--weight", choices=[k.value for k in WeightKind])
+    s.add_argument("--overlap", dest="overlap_rule",
                    metavar="fixed:<k>|floorp8|ceilp8|ceilp2")
-    s.add_argument("--pre", type=int, default=d.n_pre)
-    s.add_argument("--post", type=int, default=d.n_post)
-    s.add_argument("--cycle", choices=["std", "var"], default=d.cycle)
-    s.add_argument("--tol", type=float, default=d.tol,
+    s.add_argument("--pre", type=int, dest="n_pre", metavar="PRE")
+    s.add_argument("--post", type=int, dest="n_post", metavar="POST")
+    s.add_argument("--cycle", choices=["std", "var"])
+    s.add_argument("--tol", type=float,
                    help="target residual reduction factor")
-    s.add_argument("--max-cycles", type=int, default=d.max_cycles)
-    s.add_argument("--seed", type=int, default=SolveConfig().seed)
-    s.add_argument("--nu-hat", type=float, default=d.nu_hat,
+    s.add_argument("--max-cycles", type=int)
+    s.add_argument("--seed", type=int, default=SolveConfig.seed)
+    s.add_argument("--nu-hat", type=float,
                    help="diffusivity fluctuation amplitude; selects the "
                         "variable-diffusion problem when given")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -70,13 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    n_x, n_y = args.nel
-    spec = RunSpec(solver=args.solver, smoother=args.smoother,
-                   weight=args.weight, p=args.p, n_x=n_x, n_y=n_y,
-                   ar=args.ar, overlap_rule=args.overlap,
-                   n_pre=args.pre, n_post=args.post, cycle=args.cycle,
-                   tol=args.tol, max_cycles=args.max_cycles,
-                   nu_hat=args.nu_hat)
+    given = vars(args)
+    spec = RunSpec(**{f.name: given[f.name] for f in fields(RunSpec)
+                      if f.name in given})
     record = run_single(spec, args.seed)
     if args.format == "csv":
         presets.write_csv([record], sys.stdout)

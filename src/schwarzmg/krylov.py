@@ -6,16 +6,21 @@ and the report carries the one stop reason the loop returns.
 Both start from the same seeded random initial guess in [0, 1] and
 iterate until the Euclidean residual norm drops by ``tol_reduction``.
 
-Precision: the iterate, the CG recurrences and the recorded history are
-float64, and every residual is computed in float64. Each V-cycle runs in
-float32 on the float32 rounding of the residual, and its correction is
-promoted to float64: mixed-precision iterative refinement (Goddeke,
-Strzodka & Turek, Int. J. Parallel Emerg. Distrib. Syst. 22, 2007;
-Carson & Higham, SIAM J. Sci. Comput. 40, 2018). A cycle need only cut
-the residual by about 1e2, far above float32 resolution, while the
-float64 residual keeps the attainable accuracy of float64; the V-cycle's
-fields take half the bytes. Its coarse CG runs in float64 to float32
-resolution (``multigrid.coarse_solve``).
+Precision, for the whole package: the iterate, the CG recurrences and
+the recorded history are float64, and every residual is computed in
+float64. Each V-cycle runs in float32 on the float32 rounding of the
+residual, and its correction is promoted to float64: mixed-precision
+iterative refinement (Goddeke, Strzodka & Turek, Int. J. Parallel Emerg.
+Distrib. Syst. 22, 2007; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
+A cycle need only cut the residual by about 1e2, far above float32
+resolution, while the float64 residual keeps the attainable accuracy of
+float64; the V-cycle's fields take half the bytes. Its coarse solve
+alone runs in float64, to float32 resolution (``multigrid.coarse_solve``).
+Every kernel computes in the dtype of the field it is given:
+``mesh.fold_product`` allocates in its operands' result type, and every
+object that holds factors (an operator, a smoother, a level's transfers)
+keeps them in ``mesh.Precisions``, float64 as built and float32 cast at
+set-up, so one hierarchy serves both and a float32 field is never upcast.
 ``mg`` stores its residual only in float32, in one array per solve: the
 operator's own slab loop (``apply(u, f, out=r)``) computes
 f - A u in float64, rounds each slab into r and returns the float64 norm.

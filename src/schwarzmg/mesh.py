@@ -8,18 +8,10 @@ node index comes from ``periodic_windows``. Every operator apply,
 smoother sweep and restriction ends in a window product, a factor times
 gathered values, summed back onto the nodes one direction at a time;
 ``fold_product`` does that sum without forming the windows, from the
-factor as split once by ``split_factor``. Each kernel computes in the
-dtype of the field it is given: ``fold_product`` allocates in its
-operands' result type, and every object that holds factors keeps them in
-``Precisions``, float64 as built and float32 cast at set-up, so a
-float32 field moves half the bytes and is never upcast.
-
-The operator apply works on a large field in slabs of element rows (loop
-tiling for locality; Wolf & Lam, PLDI 1991), so that every intermediate
-of a pass stays in a core's cache: ``_slab_elements`` sizes the slab from
-the field's bytes, and ``fold_product`` with ``wrap=False`` folds a
-slab's windows on an open line, leaving the rows that cross the slab's
-edges to its caller. A field of a few slabs or less is one slab.
+factor as split once by ``split_factor``. ``Precisions`` holds a
+kernel's factors in both precisions (the precision policy is
+``krylov``'s), and ``_slab_elements`` sizes the slabs of the operator
+apply's loop (``operators._GlobalOperator.apply``).
 """
 
 from dataclasses import dataclass
@@ -113,8 +105,8 @@ def periodic_windows(p: int, n: int, n_o: int = 0) -> np.ndarray:
 class Precisions(dict):
     """Factors (arrays, tuples of them or None) keyed by dtype, which a
     kernel picks by its field's: float64 as given and float32 cast on
-    construction, a factor beyond its range being a ``ValueError``. Any
-    dtype but float32 gets the float64 factors."""
+    construction, a factor beyond its range being a ``ValueError``. No
+    other dtype has factors, so a field of one fails at the lookup."""
 
     def __init__(self, *factors):
         def f32(a):
@@ -126,9 +118,6 @@ class Precisions(dict):
                                   np.dtype(np.float32): f32(factors)})
         except FloatingPointError:
             raise ValueError("factors exceed the float32 range") from None
-
-    def __missing__(self, dtype):
-        return self[np.dtype(np.float64)]
 
 
 def split_factor(F: np.ndarray, axis: int, p: int,

@@ -3,39 +3,9 @@
 Levels carry orders p_l = 2^l from 1 up to the target order p (which must
 be a power of two). Transfers apply the embedded interpolation matrix
 element by element, one direction at a time (sum factorization);
-restriction is their exact algebraic transpose. The coarse (p = 1) problem
-is singular on the periodic mesh; its right side is projected onto the
-complement of constants. A small diffusion coarse problem is solved
-directly, as in the spectral-element multigrid of Lottes & Fischer
-(J. Sci. Comput. 24, 2005), whose coarse grid is solved by the XX^T
-method (Tufo & Fischer, J. Parallel Distrib. Comput. 61, 2001): the
-hierarchy builds the dense inverse of A + c 11^T on its first coarse
-solve (``coarse_inverse``), and its product with a mean-free b is A+ b.
-Every other coarse problem is solved by preconditioned CG (``iterate``,
-the loop ``krylov.solve`` runs too); a coarse CG that stops short logs
-``iterate``'s stop reason and counts in ``coarse_cg_exhausted``. On the
-uniform periodic mesh the p = 1 Poisson operator L is diagonalized by
-the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with eigenvalues
-(``coarse_symbol``) written in closed form from its two circulant 1D
-factors, so its mean-free pseudoinverse L+ is cheap.
-The preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the p = 1
-nodes, the diagonal scaling of the variable-coefficient operator around a
-constant-coefficient fast solver (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973): exact for Poisson (s = 1), so its CG stops after one step, and
-close to the inverse where nu varies slowly. V-cycle c numbers its
-smoothing sweeps consecutively from c times the sweeps per cycle, through
-all levels in the order they run, so the multiplicative colour order
-follows from the cycle index alone and the hierarchy holds no solve state.
-
-Precision: the V-cycle computes in the dtype of the residual it is given.
-Every level holds its transfer factors, and its operator and smoother
-theirs, in float64 and float32 (``mesh.Precisions``, cast at set-up), so one
-hierarchy serves both. ``krylov.solve`` runs its outer loop in float64 and
-passes a float32 residual; ``coarse_solve`` computes in float64 whatever the
-dtype of its right side and returns the right side's dtype. Its CG stops at
-1e-12 relative for a float64 right side and at 100 float32 ulps (1.2e-5) for
-a float32 one, whose result is rounded to float32 anyway: an inexact inner
-solve need only be as accurate as the inner precision.
+restriction is their exact algebraic transpose. ``coarse_solve`` solves
+the p = 1 problem, and ``iterate`` is the one loop of both the coarse CG
+and ``krylov.solve``. The precision policy is ``krylov``'s.
 """
 
 import functools
@@ -60,8 +30,7 @@ log = logging.getLogger(__name__)
 # p = 4 to 8 on 16x16), so the inverse pays for itself within one solve
 # up to 256 nodes.
 _DENSE_COARSE_NODES = 256
-# The relative residual at which the coarse CG stops, unless the right
-# side's precision is coarser: it stops at 100 ulps of that precision then.
+# The coarse CG's relative tolerance (``coarse_solve``).
 _COARSE_TOL = 1e-12
 
 __all__ = ["OverlapRule", "MultigridHierarchy",
@@ -150,14 +119,11 @@ class MultigridHierarchy:
     def __init__(self, mesh: MeshConfig, levels: list[Level]):
         self.mesh = mesh
         self.levels = levels
-        # The coarse preconditioner s * L+(s * r): the nodal scale
-        # s = 1/sqrt(nu) (1.0 for Poisson) and the eigenvalues of the p = 1
-        # Poisson operator L on the rfft2 grid, the constant mode inf. L is
-        # m_y (x) L_x + L_y (x) m_x with the 1D mass m = d per node and the
-        # stiffness (1/d) circ(-1, 2, -1), so its symbol is
-        # (dy/dx)(2 - 2 cos tx) + (dx/dy)(2 - 2 cos ty). Where s is not
-        # constant the preconditioner is not mean-free; coarse_solve
-        # projects its result.
+        # The coarse CG's preconditioner s * L+(s * r) (``coarse_solve``):
+        # the nodal scale s and the eigenvalues of L on the rfft2 grid, the
+        # constant mode inf. L is m_y (x) L_x + L_y (x) m_x with the 1D mass
+        # m = d per node and the stiffness (1/d) circ(-1, 2, -1), so its
+        # symbol is (dy/dx)(2 - 2 cos tx) + (dx/dy)(2 - 2 cos ty).
         lv0 = levels[0]
         self.coarse_scale = (1.0 if lv0.op.nu is None
                              else 1.0 / np.sqrt(lv0.op.nu))
@@ -172,7 +138,7 @@ class MultigridHierarchy:
     def coarse_inverse(self) -> np.ndarray | None:
         """The float64 inverse of A + c 11^T, c = mean(diag A) / n, for a
         diffusion p = 1 level of at most ``_DENSE_COARSE_NODES`` nodes;
-        None otherwise (for Poisson the CG's preconditioner is exact).
+        None otherwise (``coarse_solve`` says why).
 
         The constant mode, A's null space, becomes an eigenvector of
         eigenvalue mean(diag A), so the inverse times a mean-free b is A+ b.
@@ -338,11 +304,30 @@ def iterate(apply, f: np.ndarray, precondition, u: np.ndarray, r: np.ndarray,
 def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     """Null-space-projected solve of the p = 1 problem, in float64.
 
-    With ``h.coarse_inverse`` it is that inverse times the mean-free right
-    side b; otherwise ``iterate``'s FFT-preconditioned CG from 0 to
-    tol * ||b||, in at most 10 iterations per node, where tol is
-    ``_COARSE_TOL`` or, if larger, 100 ulps of the dtype of ``f0``. The
-    final projection removes the roundoff in the constant mode and the
+    The problem is singular on the periodic mesh, so its right side is
+    projected onto the complement of constants, b. A small diffusion
+    problem is solved directly, as in the spectral-element multigrid of
+    Lottes & Fischer (J. Sci. Comput. 24, 2005), whose coarse grid is
+    solved by the XX^T method (Tufo & Fischer, J. Parallel Distrib.
+    Comput. 61, 2001): ``h.coarse_inverse`` times b is A+ b. Every other
+    one is solved by ``iterate``'s CG from 0 to tol * ||b||, in at most 10
+    iterations per node, where tol is ``_COARSE_TOL`` or, if larger, 100
+    ulps of the dtype of ``f0`` (1.2e-5 for float32, whose result is
+    rounded to float32 anyway: an inexact inner solve need only be as
+    accurate as the inner precision). A CG that stops short logs its stop
+    reason and counts in ``h.coarse_cg_exhausted``.
+
+    The CG's preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the
+    p = 1 nodes, the diagonal scaling of the variable-coefficient operator
+    around a constant-coefficient fast solver (Concus & Golub, SIAM J.
+    Numer. Anal. 10, 1973): exact for Poisson (s = 1), so its CG stops
+    after one step, and close to the inverse where nu varies slowly. On
+    the uniform periodic mesh the p = 1 Poisson operator L is diagonalized
+    by the 2D FFT (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with
+    eigenvalues ``h.coarse_symbol`` written in closed form from its two
+    circulant 1D factors, so L+ is cheap.
+
+    The final projection removes the roundoff in the constant mode and the
     constant that a preconditioner scaled by a non-constant s lets in; the
     result has the dtype of ``f0``.
     """
@@ -369,10 +354,11 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     Returns a new correction e ~ A^{-1} r: descend smoothing and
     restricting, solve the coarse problem, ascend correcting and smoothing.
     Every level starts from e = 0, so its first sweep takes the level's
-    right side as its residual. The sweeps are numbered in the order they
-    run, from ``cycle`` times the sweeps per cycle, which sets the
-    multiplicative colour order. ``r`` is left unchanged, and the
-    hierarchy keeps no field between calls. Every level computes in the
+    right side as its residual. The sweeps are numbered consecutively in
+    the order they run, through all levels, from ``cycle`` times the
+    sweeps per cycle, so the multiplicative colour order follows from the
+    cycle index alone. ``r`` is left unchanged, and the hierarchy keeps no
+    field or other solve state between calls. Every level computes in the
     dtype of ``r`` except the coarse solve, which runs in float64.
     """
     L = h.depth

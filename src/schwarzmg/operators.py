@@ -7,17 +7,9 @@ gathered windows times the element stiffness, folded onto the nodes by
 realizes the weak-form Galerkin discretization of -div(nu grad u) with
 GLL-collocated quadrature, applied the same way, with nu w times the
 assembled weight of the other direction between the derivative and the
-test derivative, the test derivative being the folded factor. Each
-folded factor is split by ``split_factor`` when the operator is built,
-and every factor of the apply is held in both precisions, so ``apply``
-computes in the dtype of its field. Both operators derive from one base
-that holds the basis, the mesh, the layout, the nodal nu (None for
-Poisson; the only stored diffusivity), the element window tables, the
-element kernel and ``apply``, which runs the two passes slab by slab of
-element rows (``mesh._slab_elements``) and, given a right side f, returns
-the residual f - A u from the same loop (rounded into an ``out`` given,
-a float32 one for ``mg``, with its float64 norm); each operator adds
-only its factors and its per-slab x and y products.
+test derivative, the test derivative being the folded factor. Both run
+the slab loop of ``_GlobalOperator.apply``, in the dtype of their field
+(the precision policy is ``krylov``'s).
 
 The manufactured right sides allocate only the fields they return and
 weight their loads by the two assembled 1D masses in place, the y mass
@@ -54,11 +46,11 @@ def _check_layout(layout: FieldLayout, u: np.ndarray):
 class _GlobalOperator:
     """What both operators share on one polynomial level: the basis, the
     mesh, the field layout, the nodal nu (None for Poisson: unit
-    diffusivity), the element window tables, the element kernel and the
-    slab loop of ``apply``. Each operator supplies ``_x_rows``, its x pass
-    on a run of node rows, and ``_y_fold``, the fold of its y pass on a
-    run of element rows; ``_y_scale`` finishes the fold (by default as
-    it is)."""
+    diffusivity; the only stored diffusivity), the element window tables,
+    the element kernel and the slab loop of ``apply``. Each operator
+    supplies ``_x_rows``, its x pass on a run of node rows, and
+    ``_y_fold``, the fold of its y pass on a run of element rows;
+    ``_y_scale`` finishes the fold (by default as it is)."""
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig,
                  nu: np.ndarray | None = None):
@@ -73,14 +65,18 @@ class _GlobalOperator:
               out: np.ndarray | None = None):
         """A u, or the residual f - A u when ``f`` is given, in u's dtype.
 
-        The loop takes one slab of element rows at a time: the x pass on
-        its node rows, the y pass on its element windows, folded on an
-        open line, and their sum (subtracted from f). The fold's last row,
-        the slab's last edge, is carried onto the next slab's first row;
-        the last slab's goes onto row 0, so the first slab is finished
-        last. Every node gets the same operations in the same order for
-        any slab size, so the result does not depend on it; a field of
-        one slab is summed into its x pass's array.
+        On a large field the loop takes one slab of element rows at a time
+        (loop tiling for locality; Wolf & Lam, PLDI 1991), so that every
+        intermediate of a pass stays in a core's cache; ``_slab_elements``
+        sizes the slab from the field's bytes. Per slab it runs the x pass
+        on its node rows, the y pass on its element windows, folded on an
+        open line (``fold_product`` with ``wrap=False``), and their sum
+        (subtracted from f). The fold's last row, the slab's last edge, is
+        carried onto the next slab's first row; the last slab's goes onto
+        row 0, so the first slab is finished last. Every node gets the same
+        operations in the same order for any slab size, so the result does
+        not depend on it; a field of one slab is summed into its x pass's
+        array.
 
         Given ``out``, each slab of the result is rounded into it, whose
         dtype may be coarser than u's, then squared in place while in
@@ -187,9 +183,8 @@ class DiffusionOperator(_GlobalOperator):
             raise ValueError("diffusivity must be positive at every node")
         # Per direction, nu w on the windows times the other direction's
         # assembled mass and (2/d)^2 (d/2) for the derivative, test gradient
-        # and quadrature along it: shapes (N_y, n_x, p+1), (n_y, p+1, N_x).
-        # They are held in both precisions with the derivative matrix and
-        # its x and y folded factors.
+        # and quadrature along it: shapes (N_y, n_x, p+1), (n_y, p+1, N_x);
+        # with the derivative matrix and its x and y folded factors.
         w = basis.weights
         self._factors = Precisions(
             basis.diff,
@@ -305,9 +300,7 @@ def manufactured_rhs_diffusion(mesh: MeshConfig, basis: Basis1D, nu_hat: float):
 
 
 # ----------------------------------------------------------------------
-# Dense assembly: the apply tests' oracles (they share nothing with the
-# sum-factorized apply path above but the periodic window indices), and
-# the small diffusion coarse matrix of ``MultigridHierarchy.coarse_inverse``
+# Dense assembly
 
 
 def dense_poisson_matrix(basis: Basis1D, mesh: MeshConfig) -> np.ndarray:

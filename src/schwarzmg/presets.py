@@ -23,7 +23,7 @@ PRESET_NAMES = ("table2", "table3", "table4", "table5",
 class RunSpec:
     """One solver configuration (everything but the seed)."""
 
-    solver: str = "mg"
+    solver: str = SolveConfig.solver
     smoother: str = "add"
     weight: str = "w5"            # ignored for the multiplicative smoother
     p: int = 8
@@ -34,8 +34,8 @@ class RunSpec:
     n_pre: int = 1
     n_post: int = 0
     cycle: str = "std"            # "std" | "var"
-    tol: float = 1e10
-    max_cycles: int = 200
+    tol: float = SolveConfig.tol_reduction
+    max_cycles: int = SolveConfig.max_cycles
     nu_hat: float | None = None   # None selects the Poisson problem
 
     def __post_init__(self):
@@ -79,14 +79,14 @@ def build_problem(spec: RunSpec):
     return mesh, h, f, u_exact
 
 
-def run_single(spec: RunSpec, seed: int = 0) -> RunRecord:
+def run_single(spec: RunSpec, seed: int = SolveConfig.seed) -> RunRecord:
     # Validate the solve settings before the (possibly costly) set-up.
     cfg = SolveConfig(solver=spec.solver, tol_reduction=spec.tol,
                       max_cycles=spec.max_cycles, seed=seed)
     mesh, h, f, _ = build_problem(spec)
     _, rep = solve(h, f, cfg)
-    n_o = OverlapRule.parse(spec.overlap_rule).layers(spec.p, spec.smoother)
-    _, _, ratio = cycle_cost(spec.p, mesh.n_el, n_o, spec.n_pre + spec.n_post,
+    _, _, ratio = cycle_cost(spec.p, mesh.n_el, h.top.smoother.n_o,
+                             spec.n_pre + spec.n_post,
                              variable=(spec.cycle == "var"),
                              with_cg=(spec.solver == "mgcg"))
     omega1 = (ratio / rep.rbar if math.isfinite(rep.rbar) and rep.rbar > 0

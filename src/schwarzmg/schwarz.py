@@ -1,38 +1,20 @@
-"""Overlapping-subdomain Schwarz smoothers.
+"""Overlapping-subdomain Schwarz smoothers and their subdomain weights.
 
 Subdomains are extended element regions adopting ``n_o`` node layers from
 each neighbor (the outer layer on the subdomain boundary is excluded).
 All subdomains of a uniform periodic mesh are congruent, so a single
-fast-diagonalization factorization per level suffices.  A smoother is
-built from its level's operator alone: the operator gives the basis, the
-layout and the element sizes, and for diffusion the per-element mean nu
-that scales each local solve (the local problem has unit diffusivity).
-There is one sweep: colour by colour, take a fresh residual, gather the
-colour's subdomain windows, transform them one direction at a time and
-scale by the inverse eigenvalues; the residual comes from the operator's
-own loop (``apply(u, f)``).  Each back transform is then folded onto the
-nodes by ``mesh.fold_product`` without forming the windows: the
-product with the factor's own-node rows or columns goes straight into
-the colour's entries of the result, the other colours' entries staying
-zero, and only the edge-node product is added onto the neighbours.  The
-weight tensor W = W_y (x) W_x is folded into the back-transform factors
-(diag(w) S_y and S_x^T diag(w)), split once when the smoother is built.
-The weighted additive smoother is the one-colour case, every subdomain
-at once; the multiplicative smoother is unweighted (w = 1) over colours
-of non-neighbouring subdomains.  Odd-numbered sweeps visit the colours
-in reverse order, so that an even number of consecutive multiplicative
-sweeps is symmetric.  The caller numbers the
-sweeps; no smoother keeps state between calls.  A sweep computes in the
-dtype of its right side: the smoother holds its factors in float64 and
-float32 (``mesh.Precisions``), both built with it.
+fast-diagonalization factorization per level suffices.  There is one
+sweep, ``SchwarzSmoother``'s; it computes in the dtype of its right side
+(the precision policy is ``krylov``'s).
 
 The additive weights are built from the smoothed sign function
 S_k(x) = c_k * integral from 0 to x of (1 - t^2)^k dt, with c_k such that
 S_k(1) = 1: w1, w3, w5 and w7 take k = 0 ... 3, S_k held at +-1 beyond
 [-1, 1].  A subdomain of overlap width delta weighs the node at extended
 coordinate xi by (S((xi + 1) / delta) - S((xi - 1) / delta)) / 2.  The
-top hat wt takes S = sign; the arithmetic mean wa weighs each node by
-one over the number of subdomains that update it.
+top hat wt takes S = sign.  The arithmetic mean wa of Lottes & Fischer
+(J. Sci. Comput. 24, 2005) has no such profile: it weighs each node by
+one over the number of subdomains that update it (``build_weight_1d``).
 """
 
 from enum import Enum
@@ -73,19 +55,18 @@ _SMOOTHED_SIGN = {kind: _smoothed_sign(k) for k, kind in enumerate(
 
 def _shape(kind: WeightKind, x: np.ndarray) -> np.ndarray:
     """The kind's shape S: the smoothed sign function on [-1, 1] and +-1
-    outside it for w1 ... w7, sign(x) for wt, and for wa 0 on [-1, 1] and
-    sign(x) outside it."""
+    outside it for w1 ... w7, and sign(x) for wt."""
     if kind == WeightKind.TOPHAT:
         return np.sign(x)
-    if kind == WeightKind.ARITHMETIC:
-        return np.where(np.abs(x) <= 1.0, 0.0, np.sign(x))
     return P.polyval(np.clip(x, -1.0, 1.0), _SMOOTHED_SIGN[kind])
 
 
 def weight_value(kind: WeightKind, xi, delta: float) -> np.ndarray:
     """Continuous weighting profile at extended standard coordinate ``xi``:
     (S((xi + 1) / delta) - S((xi - 1) / delta)) / 2 with S the kind's
-    ``_shape``."""
+    ``_shape``.  wa has no profile, so it raises ``ValueError``."""
+    if kind == WeightKind.ARITHMETIC:
+        raise ValueError("wa has no profile: its weight is 1 / coverage")
     if delta <= 0:
         raise ValueError("overlap width must be positive")
     s = _shape(kind, np.add.outer([1.0, -1.0], xi) / delta)
@@ -147,9 +128,28 @@ def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int):
 
 
 class SchwarzSmoother:
-    """The one Schwarz sweep of the module docstring over ``colours``, a
-    list of (y, x) slices of the elements, with the weights ``w`` at one
-    direction's subdomain nodes (a scalar weighs them all alike)."""
+    """The one Schwarz sweep, over ``colours``, a list of (y, x) slices of
+    the elements, with the weights ``w`` at one direction's subdomain
+    nodes (a scalar weighs them all alike) and ``n_o`` overlap layers.
+
+    A smoother is built from its level's operator alone: the operator
+    gives the basis, the layout and the element sizes, and for diffusion
+    the per-element mean nu that scales each local solve (the local
+    problem has unit diffusivity).  A sweep goes colour by colour: take a
+    fresh residual from the operator's own loop (``apply(u, f)``), gather
+    the colour's subdomain windows, transform them one direction at a
+    time and scale by the inverse eigenvalues.  Each back transform is
+    then folded onto the nodes by ``mesh.fold_product`` without forming
+    the windows: the product with the factor's own-node rows or columns
+    goes straight into the colour's entries of the result, the other
+    colours' entries staying zero, and only the edge-node product is
+    added onto the neighbours.  The weight tensor W = W_y (x) W_x is
+    folded into the back-transform factors (diag(w) S_y and
+    S_x^T diag(w)), split once when the smoother is built.  Odd-numbered
+    sweeps visit the colours in reverse order, so that an even number of
+    consecutive multiplicative sweeps is symmetric.  The caller numbers
+    the sweeps; no smoother keeps state between calls.
+    """
 
     def __init__(self, op, n_o: int, w, colours: list[tuple[slice, slice]]):
         lay = op.layout
@@ -161,6 +161,7 @@ class SchwarzSmoother:
         S_x, lam_x, S_y, lam_y = build_fast_diag(op.basis, op.mesh.dx,
                                                  op.mesh.dy, n_o)
         w = np.reshape(w, (-1, 1))
+        self.n_o = n_o
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
         self._colours = colours
@@ -179,8 +180,7 @@ class SchwarzSmoother:
                n_it: int, first: int = 0) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
-        residual is ``f`` itself.  Odd-numbered sweeps visit the colours
-        in reverse order.  The sweep computes in the dtype of ``f``."""
+        residual is ``f`` itself."""
         n_y, n_x = len(self._wy), len(self._wx)
         S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = self._factors[f.dtype]
         for k in range(first, first + n_it):
@@ -203,9 +203,9 @@ class SchwarzSmoother:
 
 
 class AdditiveSchwarz(SchwarzSmoother):
-    """Weighted additive Schwarz: one colour holding every subdomain, with
-    the weights W = W_y (x) W_x of ``kind``.  Every sweep is the same, so
-    the sweep number is immaterial."""
+    """Weighted additive Schwarz, the one-colour sweep: every subdomain at
+    once, with the weights of ``kind``.  Every sweep is the same, so the
+    sweep number is immaterial."""
 
     def __init__(self, op, n_o: int, kind: WeightKind):
         super().__init__(op, n_o, build_weight_1d(kind, op.basis, n_o),

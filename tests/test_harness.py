@@ -232,6 +232,27 @@ def test_cli_solve_defaults_are_runspec_and_solveconfig_defaults(capsys,
     assert calls == [(RunSpec(p=4), krylov.SolveConfig().seed)]
 
 
+def test_cli_solve_flags_store_into_the_runspec_fields(capsys, monkeypatch):
+    # Every flag set to a value other than its default hands run_single
+    # the spec built directly, so a flag stored under a wrong name fails.
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda spec, seed: calls.append(
+        (spec, seed)) or run_single(FAST_SPEC, seed))
+    want = RunSpec(solver="mgcg", smoother="mult", weight="w3", p=16, n_x=6,
+                   n_y=5, ar=2.5, overlap_rule="ceilp2", n_pre=2, n_post=3,
+                   cycle="var", tol=1e6, max_cycles=17, nu_hat=0.3)
+    assert all(getattr(want, f.name) != getattr(RunSpec(), f.name)
+               for f in dataclasses.fields(RunSpec))
+    assert cli.main(["solve", "--solver", "mgcg", "--smoother", "mult",
+                     "--weight", "w3", "--p", "16", "--nel", "6,5",
+                     "--ar", "2.5", "--overlap", "ceilp2", "--pre", "2",
+                     "--post", "3", "--cycle", "var", "--tol", "1e6",
+                     "--max-cycles", "17", "--seed", "4", "--nu-hat", "0.3",
+                     "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == [(want, 4)]
+
+
 def test_cli_solve_nonconvergence_exit_code(capsys):
     rc = cli.main(["solve", "--p", "4", "--nel", "4", "--max-cycles", "1"])
     capsys.readouterr()

@@ -130,14 +130,15 @@ def test_fold_windows_equals_add_at_loop(p, n):
 
 
 def test_precisions_cast_only_for_float32():
-    # Both entries exist once built, so a kernel only reads them; every
-    # other dtype gets the float64 factors, and a factor that float32
-    # cannot hold is an error of the construction.
+    # Both entries exist once built, so a kernel only reads them; no other
+    # dtype has factors, and a factor that float32 cannot hold is an error
+    # of the construction.
     a, b = np.arange(3.0), np.ones((2, 2))
     factors = Precisions(a, (b, b), None)
     assert factors.keys() == {np.dtype(np.float64), np.dtype(np.float32)}
     for dtype in (np.float16, np.int64, np.complex128):
-        assert factors[np.dtype(dtype)] is factors[np.dtype(np.float64)]
+        with pytest.raises(KeyError):
+            factors[np.dtype(dtype)]
     assert factors.keys() == {np.dtype(np.float64), np.dtype(np.float32)}
     assert factors[np.dtype(np.float64)][0] is a
     f32 = factors[np.dtype(np.float32)]

@@ -610,6 +610,35 @@ def test_v_cycle_depends_on_the_cycle_through_the_sweep_parity(n_post, odd):
     assert np.array_equal(v_cycle(h, f, 2), e) != odd
 
 
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+def test_v_cycle_with_only_post_smoothing_is_the_hand_composition(smoother):
+    # n_pre = 0, n_post = 1: the residual is restricted unsmoothed down to
+    # the coarse level; the ascent prolongates the correction and sweeps
+    # once per level. p=8 has 3 sweeps per cycle, so cycle c numbers them
+    # 3c, 3c + 1 and 3c + 2 from level 1 up, and cycles 0 and 1 start the
+    # multiplicative colour order in opposite directions.
+    mesh = MeshConfig(4, 4)
+    h = build_hierarchy(mesh, 8, OverlapRule("fixed", 1), smoother=smoother,
+                        n_pre=0, n_post=1)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    r = f - h.top.op.apply(np.random.default_rng(67).random(f.shape))
+    r = r.astype(np.float32)
+    rs = [r]
+    for l in range(h.depth, 0, -1):
+        rs.insert(0, restrict_residual(h, l, rs[0]))
+    got = []
+    for cycle in (0, 1):
+        e = coarse_solve(h, rs[0])
+        for l in range(1, h.depth + 1):
+            lv = h.levels[l]
+            e = lv.smoother.smooth(lv.op, prolongate(h, l, e), rs[l], 1,
+                                   3 * cycle + l - 1)
+        got.append(v_cycle(h, r, cycle))
+        assert got[-1].dtype == np.float32
+        assert np.array_equal(got[-1], e)
+    assert np.array_equal(got[0], got[1]) == (smoother == "add")
+
+
 @st.composite
 def _v_cycle_case(draw):
     p = draw(st.sampled_from([2, 4, 8]))

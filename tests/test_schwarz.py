@@ -20,6 +20,8 @@ from schwarzmg.schwarz import (AdditiveSchwarz, MultiplicativeSchwarz,
                                build_weight_1d, restricted_1d, weight_value)
 
 ALL_KINDS = list(WeightKind)
+# The kinds with a continuous profile: all but the arithmetic mean.
+PROFILE_KINDS = [k for k in WeightKind if k is not WeightKind.ARITHMETIC]
 
 
 # ----------------------------------------------------------------------
@@ -27,16 +29,12 @@ ALL_KINDS = list(WeightKind)
 
 def test_shape_function_endpoint_values():
     # Gradual profiles vanish at the subdomain boundary and reach 1 in the
-    # single-coverage core; the arithmetic profile is 1/2 exactly at the
-    # boundary.
+    # single-coverage core.
     delta = 0.3
     edge = 1.0 + delta - 1e-3  # just inside the subdomain boundary
-    for kind in ALL_KINDS:
+    for kind in PROFILE_KINDS:
         w = weight_value(kind, np.array([-edge, edge]), delta)
-        if kind is WeightKind.ARITHMETIC:
-            npt.assert_allclose(w, [0.5, 0.5], atol=1e-14)
-        else:
-            assert np.all(np.abs(w) < 0.05)
+        assert np.all(np.abs(w) < 0.05)
         npt.assert_allclose(weight_value(kind, 0.0, delta), 1.0, atol=1e-14)
         # Strictly outside, every profile vanishes.
         npt.assert_allclose(weight_value(kind, 2.0 + delta, delta), 0.0,
@@ -46,7 +44,6 @@ def test_shape_function_endpoint_values():
 # The published closed forms of each kind's shape on [-1, 1]; outside it
 # every shape is sign(x).
 CLOSED_FORMS = {
-    WeightKind.ARITHMETIC: lambda x: 0.0 * x,
     WeightKind.LINEAR: lambda x: x,
     WeightKind.CUBIC: lambda x: (3 * x - x**3) / 2,
     WeightKind.QUINTIC: lambda x: (15 * x - 10 * x**3 + 3 * x**5) / 8,
@@ -55,7 +52,8 @@ CLOSED_FORMS = {
     WeightKind.TOPHAT: np.sign}
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+@pytest.mark.parametrize("kind", PROFILE_KINDS,
+                         ids=[k.value for k in PROFILE_KINDS])
 def test_shape_matches_the_published_closed_form(kind):
     x = np.linspace(-1.5, 1.5, 601)
     want = np.where(np.abs(x) <= 1.0, CLOSED_FORMS[kind](x), np.sign(x))
@@ -67,7 +65,7 @@ def test_weight_pairs_sum_to_one_in_overlap():
     # left one's coordinate; their weights are mirror images summing to 1.
     delta = 0.4
     xi = np.linspace(1.0 - delta, 1.0 + delta, 33)
-    for kind in ALL_KINDS:
+    for kind in PROFILE_KINDS:
         left = weight_value(kind, xi, delta)
         right = weight_value(kind, xi - 2.0, delta)
         npt.assert_allclose(left + right, 1.0, atol=1e-13)
@@ -76,6 +74,21 @@ def test_weight_pairs_sum_to_one_in_overlap():
 def test_weight_value_rejects_bad_delta():
     with pytest.raises(ValueError):
         weight_value(WeightKind.QUINTIC, 0.0, 0.0)
+
+
+def test_arithmetic_weight_is_one_over_coverage_and_has_no_profile():
+    # Subdomain e of a line updates the nodes e*p - n_o ... e*p + p + n_o;
+    # the wa weight of each node of subdomain 0 is one over the number of
+    # subdomains that update it, counted here on an open line.
+    with pytest.raises(ValueError, match="wa has no profile"):
+        weight_value(WeightKind.ARITHMETIC, 0.0, 0.5)
+    for p in range(1, 33):
+        for n_o in range(p):
+            j = np.arange(-n_o, p + n_o + 1)
+            count = sum((e * p - n_o <= j) & (j <= e * p + p + n_o)
+                        for e in range(-2, 3))
+            w = build_weight_1d(WeightKind.ARITHMETIC, gll_basis(p), n_o)
+            npt.assert_array_equal(w, 1.0 / count)
 
 
 @pytest.mark.parametrize("p", [4, 8, 16])

@@ -23,10 +23,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_nel(text: str):
     parts = text.split(",")
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
+    try:
+        if len(parts) in (1, 2):
+            return int(parts[0]), int(parts[-1])
+    except ValueError:
+        pass
     raise argparse.ArgumentTypeError("--nel expects nx or nx,ny")
 
 

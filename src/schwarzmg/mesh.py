@@ -8,10 +8,11 @@ node index comes from ``periodic_windows``. Every operator apply,
 smoother sweep and restriction ends in a window product, a factor times
 gathered values, summed back onto the nodes one direction at a time;
 ``fold_product`` does that sum without forming the windows, from the
-factor as split once by ``split_factor``. ``Precisions`` holds a
-kernel's factors in both precisions (the precision policy is
-``krylov``'s), and ``_slab_elements`` sizes the slabs of the operator
-apply's loop (``operators._GlobalOperator.apply``).
+factor as split once by ``split_factor``; its x fold adds the edge
+products with the elements innermost, bit for bit as element by element.
+``Precisions`` holds a kernel's factors in both precisions (the precision
+policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
+operator apply's loop (``operators._GlobalOperator.apply``).
 """
 
 from dataclasses import dataclass
@@ -149,8 +150,11 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
     own-node product is written straight into the result, and only the
     edge-node product is added onto the neighbours, first onto e + 1 and
-    then onto e - 1. The result has the dtype ``np.result_type`` of t and
-    the factor, so float32 operands give a float32 fold.
+    then onto e - 1. For ``axis=2`` each move is one ``np.add`` per wrap
+    part with the n elements innermost; every node gets the same adds in
+    the same order as element by element, so the result is bitwise the
+    same. The result has the dtype ``np.result_type`` of t and the
+    factor, so float32 operands give a float32 fold.
 
     ``wrap=False`` folds the n elements as a stretch of an open line: no
     edge wraps, and the result holds the n*p + 2*n_o + 1 nodes from n_o
@@ -178,8 +182,14 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     # onto element e - 1 (a shift of n - 1, from own block 0).
     moves = [(1, 2, slice(0, n_o + 1), slice(0, n_o + 1)),
              (n - 1, 0, slice(n_o + 1, None), slice(p - n_o, p))]
+    # x-fold views (..., nodes, n): order="C" keeps the elements innermost.
+    ov, ev = (w[..., 0].swapaxes(-1, -2) for w in blocks)
     for s, b, src, dst in moves[:1 + (n_o > 0)]:
-        if wrap:
+        if wrap and axis == 2:
+            for d, e in ((ov[..., dst, s:], ev[..., src, :n - s]),
+                         (ov[..., dst, :s], ev[..., src, n - s:])):
+                np.add(d, e, out=d, order="C")
+        elif wrap:
             own[..., s:, dst, :] += edge[..., :n - s, src, :]
             own[..., :s, dst, :] += edge[..., n - s:, src, :]
         else:  # own block b holds element b - 1; zero the pad rows kept

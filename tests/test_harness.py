@@ -311,6 +311,18 @@ def test_cli_extreme_aspect_ratio_is_one_line_error(capsys):
             "operator factors exceed the float32 range"]
 
 
+@pytest.mark.parametrize("nel", ["4,x", "x", "4,", "", "1.5"])
+def test_cli_malformed_nel_names_the_option(capsys, nel):
+    # A count that is not an integer is reported under --nel's own
+    # message, after the usage line, not as a value of a private function.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--p", "2", "--nel", nel])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.splitlines()[-1] == (
+        "schwarzmg solve: error: argument --nel: --nel expects nx or nx,ny")
+
+
 @pytest.mark.parametrize("args", [["--overlap", "bogus"], ["--tol", "1"],
                                   ["--p", "4", "--nel", "2",
                                    "--overlap", "fixed:2"],

@@ -82,13 +82,40 @@ def test_scatter_blocks_equals_add_at_loop():
     npt.assert_allclose(got, want, atol=1e-14)
 
 
-def _window_product(rng, axis, lead, n_sel, m, k=2):
-    """Random (t, F, windows t @ F or F @ t) for ``fold_product``."""
+def _window_product(rng, axis, lead, n_sel, m, k=2, dtype=None):
+    """Random (t, F, windows t @ F or F @ t) for ``fold_product``: standard
+    normal, or given a dtype small integers, whose products and sums are
+    exact in float32 and float64 alike."""
+    def draw(shape):
+        if dtype is None:
+            return rng.standard_normal(shape)
+        return rng.integers(-8, 9, shape).astype(dtype)
+
     if axis == 2:
-        t, F = rng.standard_normal(lead + (n_sel, k)), rng.standard_normal((k, m))
+        t, F = draw(lead + (n_sel, k)), draw((k, m))
         return t, F, t @ F
-    t, F = rng.standard_normal(lead + (n_sel, k, 3)), rng.standard_normal((m, k))
+    t, F = draw(lead + (n_sel, k, 3)), draw((m, k))
     return t, F, F @ t
+
+
+def _add_at_fold(prod, axis, p, n, n_o, sel, wrap=True):
+    """``fold_product``'s oracle: the windows ``prod`` of the ``sel``
+    elements (zero for the others) np.add.at onto their nodes, the
+    periodic windows or, without ``wrap``, window e on the nodes
+    e*p ... e*p + m - 1 of an open line."""
+    m = p + 1 + 2 * n_o
+    idx = (periodic_windows(p, n, n_o) if wrap
+           else np.arange(n)[:, None] * p + np.arange(m))
+    trail = prod.shape[prod.ndim + axis - 2:]  # the r columns of F @ t
+    lead = prod.shape[:prod.ndim - 2 - len(trail)]
+    cols = (slice(None),) * len(trail)
+    w = np.zeros(lead + (n, m) + trail)
+    w[(Ellipsis, sel, slice(None)) + cols] = prod
+    want = np.zeros(lead + (idx.max() + 1,) + trail)
+    for e in range(n):
+        np.add.at(want, (Ellipsis, idx[e]) + cols,
+                  w[(Ellipsis, e, slice(None)) + cols])
+    return want
 
 
 def _selections(n):
@@ -113,20 +140,37 @@ def test_fold_windows_equals_add_at_loop(p, n):
             continue
         for wrap, axis, lead, sel in itertools.product(
                 (True, False), (1, 2), ((), (3,)), _selections(n)):
-            idx = (periodic_windows(p, n, n_o) if wrap
-                   else np.arange(n)[:, None] * p + np.arange(m))
-            n_sel = len(range(n)[sel])
-            t, F, prod = _window_product(rng, axis, lead, n_sel, m)
-            trail = prod.shape[len(lead) + 2:]
-            w = np.zeros(lead + (n, m) + trail)
-            w[(Ellipsis, sel, slice(None)) + (slice(None),) * len(trail)] = prod
-            want = np.zeros(lead + (idx.max() + 1,) + trail)
-            for e in range(n):
-                np.add.at(want, (Ellipsis, idx[e]) + (slice(None),) * len(trail),
-                          w[(Ellipsis, e) + (slice(None),) * (1 + len(trail))])
+            t, F, prod = _window_product(rng, axis, lead, len(range(n)[sel]),
+                                         m)
             got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
                                wrap)
-            npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+            npt.assert_allclose(got, _add_at_fold(prod, axis, p, n, n_o, sel,
+                                                  wrap),
+                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_of_integers_equals_add_at_exactly(p, n):
+    # On integer-valued t and F every product and sum is exact in both
+    # precisions, so the fold equals the np.add.at oracle to the bit:
+    # every overlap n_o < p (from 2*n_o >= p on, both edge moves land on
+    # one node), both axes, both dtypes, every window selection, periodic
+    # and open.
+    rng = np.random.default_rng(31)
+    for n_o, dtype, axis, sel, wrap in itertools.product(
+            range(p), (np.float32, np.float64), (1, 2), _selections(n),
+            (True, False)):
+        m = p + 1 + 2 * n_o
+        if m > p * n:
+            continue
+        t, F, prod = _window_product(rng, axis, (2,), len(range(n)[sel]), m,
+                                     k=3, dtype=dtype)
+        got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
+                           wrap)
+        assert got.dtype == dtype
+        npt.assert_array_equal(got, _add_at_fold(prod, axis, p, n, n_o, sel,
+                                                 wrap))
 
 
 def test_precisions_cast_only_for_float32():

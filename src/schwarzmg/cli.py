@@ -92,9 +92,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not seeds:
-        raise ValueError("need at least one seed")
+    try:  # an empty item is no integer either: '' and '1,' fail too
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError("--seeds expects comma-separated integers, "
+                         f"got {args.seeds!r}") from None
     for seed in seeds:
         SolveConfig(seed=seed)  # a bad seed fails before any output opens
     out = args.out or f"{args.name}.csv"

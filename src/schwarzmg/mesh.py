@@ -8,8 +8,9 @@ node index comes from ``periodic_windows``. Every operator apply,
 smoother sweep and restriction ends in a window product, a factor times
 gathered values, summed back onto the nodes one direction at a time;
 ``fold_product`` does that sum without forming the windows, from the
-factor as split once by ``split_factor``; its x fold adds the edge
-products with the elements innermost, bit for bit as element by element.
+factor as split once by ``split_factor``. Every fold adds its edge
+products one way, bit for bit as element by element, and its open line
+serves only the operator apply's y pass, whose windows have n_o = 0.
 ``Precisions`` holds a kernel's factors in both precisions (the precision
 policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
 operator apply's loop (``operators._GlobalOperator.apply``).
@@ -150,54 +151,52 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
     own-node product is written straight into the result, and only the
     edge-node product is added onto the neighbours, first onto e + 1 and
-    then onto e - 1. For ``axis=2`` each move is one ``np.add`` per wrap
-    part with the n elements innermost; every node gets the same adds in
-    the same order as element by element, so the result is bitwise the
-    same. The result has the dtype ``np.result_type`` of t and the
-    factor, so float32 operands give a float32 fold.
+    then onto e - 1, each move as one ``np.add`` per wrap part on views
+    (..., node, element, r), in order "C" for ``axis=2``, which keeps the
+    n elements innermost, and "K" for ``axis=1``, which keeps the r
+    columns innermost. Every node gets the same adds in the same order
+    as element by element, so the result is bitwise the same. The result
+    has the dtype ``np.result_type`` of t and the factor, so float32
+    operands give a float32 fold.
 
-    ``wrap=False`` folds the n elements as a stretch of an open line: no
-    edge wraps, and the result holds the n*p + 2*n_o + 1 nodes from n_o
-    before element 0 to the first n_o + 1 of element n, each edge that
-    leaves the stretch on its own rows.
+    ``wrap=False`` serves only the operator apply's y pass: it folds
+    n_o = 0 windows as a stretch of an open line, the wrap part of the
+    e + 1 move landing on a trailing element slot, into the n*p + 1 nodes
+    up to the first of element n. With n_o > 0 it is a ``ValueError``.
     """
+    slot = 0 if wrap else 1  # the open line's trailing element slot
     # Unselected windows are zero; selected ones are written whole.
     alloc = np.empty if len(range(n)[sel]) == n else np.zeros
     blocks = []
-    for f, pad in zip(F, (0 if wrap else 1, 0)):
+    for f, extra in zip(F, (slot, 0)):
         dtype = np.result_type(t, f)
         if axis == 2:
-            w = alloc(t.shape[:-2] + (n + 2 * pad, f.shape[1]), dtype)
-            np.matmul(t, f, out=w[..., pad:pad + n, :][..., sel, :])
+            w = alloc(t.shape[:-2] + (n + extra, f.shape[1]), dtype)
+            np.matmul(t, f, out=w[..., :n, :][..., sel, :])
             w = w[..., None]
         else:
-            w = alloc(t.shape[:-3] + (n + 2 * pad, len(f), t.shape[-1]),
-                      dtype)
-            np.matmul(f, t, out=w[..., pad:pad + n, :, :][..., sel, :, :])
+            w = alloc(t.shape[:-3] + (n + extra, len(f), t.shape[-1]), dtype)
+            np.matmul(f, t, out=w[..., :n, :, :][..., sel, :, :])
         blocks.append(w)
-    own, edge = blocks  # (..., n [+ 2], p, r) and (..., n, 2 n_o + 1, r)
+    own, edge = blocks  # (..., n + slot, p, r) and (..., n, 2 n_o + 1, r)
     p, n_o = own.shape[-2], edge.shape[-2] // 2
-    # Each move of edge rows src onto own rows dst: onto element e + 1
-    # (a shift of 1, from own block 2 on an open line) and, when n_o > 0,
-    # onto element e - 1 (a shift of n - 1, from own block 0).
-    moves = [(1, 2, slice(0, n_o + 1), slice(0, n_o + 1)),
-             (n - 1, 0, slice(n_o + 1, None), slice(p - n_o, p))]
-    # x-fold views (..., nodes, n): order="C" keeps the elements innermost.
-    ov, ev = (w[..., 0].swapaxes(-1, -2) for w in blocks)
-    for s, b, src, dst in moves[:1 + (n_o > 0)]:
-        if wrap and axis == 2:
-            for d, e in ((ov[..., dst, s:], ev[..., src, :n - s]),
-                         (ov[..., dst, :s], ev[..., src, n - s:])):
-                np.add(d, e, out=d, order="C")
-        elif wrap:
-            own[..., s:, dst, :] += edge[..., :n - s, src, :]
-            own[..., :s, dst, :] += edge[..., n - s:, src, :]
-        else:  # own block b holds element b - 1; zero the pad rows kept
-            own[..., n + 1 if b else 0, dst, :] = 0
-            own[..., b:b + n, dst, :] += edge[..., src, :]
+    if n_o and not wrap:
+        raise ValueError("an open-line fold takes only n_o = 0 windows")
+    own[..., n:, :, :] = 0  # the trailing slot; empty when wrapping
+    # Each move of edge nodes src onto own nodes dst, a shift of s
+    # elements: onto element e + 1 (s = 1) and, when n_o > 0, onto
+    # element e - 1 (s = n - 1). The wrap part lands on elements
+    # 0 ... s - 1, or on an open line on the trailing slot.
+    moves = [(1, slice(0, n_o + 1), slice(0, n_o + 1)),
+             (n - 1, slice(n_o + 1, None), slice(p - n_o, p))]
+    ov, ev = (w.swapaxes(-2, -3) for w in blocks)  # (..., node, element, r)
+    for s, src, dst in moves[:1 + (n_o > 0)]:
+        for d, e in ((ov[..., dst, s:n, :], ev[..., src, :n - s, :]),
+                     (ov[..., dst, n * slot:n * slot + s, :],
+                      ev[..., src, n - s:, :])):
+            np.add(d, e, out=d, order="C" if axis == 2 else "K")
     out = own.reshape(own.shape[:-3] + (-1, own.shape[-1]))
-    if not wrap:
-        out = out[..., p - n_o:(n + 1) * p + n_o + 1, :]
+    out = out[..., :n * p + slot, :]
     return out[..., 0] if axis == 2 else out
 
 

@@ -69,14 +69,14 @@ class _GlobalOperator:
         (loop tiling for locality; Wolf & Lam, PLDI 1991), so that every
         intermediate of a pass stays in a core's cache; ``_slab_elements``
         sizes the slab from the field's bytes. Per slab it runs the x pass
-        on its node rows, the y pass on its element windows, folded on an
-        open line (``fold_product`` with ``wrap=False``), and their sum
-        (subtracted from f). The fold's last row, the slab's last edge, is
-        carried onto the next slab's first row; the last slab's goes onto
-        row 0, so the first slab is finished last. Every node gets the same
-        operations in the same order for any slab size, so the result does
-        not depend on it; a field of one slab is summed into its x pass's
-        array.
+        on its node rows, the y pass on its element windows (n_o = 0),
+        folded on an open line (``fold_product`` with ``wrap=False``), and
+        their sum (subtracted from f). The fold's last row, the slab's last
+        edge, is carried onto the next slab's first row; the last slab's
+        goes onto row 0, so the first slab is finished last. Every node gets
+        the same operations in the same order for any slab size, so the
+        result does not depend on it; a field of one slab is summed into its
+        x pass's array.
 
         Given ``out``, each slab of the result is rounded into it, whose
         dtype may be coarser than u's, then squared in place while in

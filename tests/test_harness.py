@@ -371,6 +371,23 @@ def test_cli_table_without_seeds_is_one_line_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["1,x", "a", "1.5", "1,2,"])
+def test_cli_table_non_integer_seeds_is_one_line_error(seeds, tmp_path,
+                                                       capsys, monkeypatch):
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran with a malformed seed list")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    out = tmp_path / "bad.csv"
+    rc = cli.main(["table", "--name", "table2", "--seeds", seeds,
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("schwarzmg: error: --seeds expects comma-separated "
+                   f"integers, got {seeds!r}\n")
+    assert not out.exists()
+
+
 def test_cli_table_negative_seed_is_one_line_error_before_any_cell(
         tmp_path, capsys, monkeypatch):
     def no_run(spec, seed=0):

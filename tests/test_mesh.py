@@ -131,15 +131,16 @@ def test_fold_windows_equals_add_at_loop(p, n):
     # unselected windows zero: every overlap 0 <= n_o < p whose window
     # does not wrap onto itself (up to 3p - 1 nodes, reaching into both
     # neighbouring elements), both product sides, with and without
-    # leading axes; and the same on an open line (``wrap=False``), window
-    # e on the nodes e*p ... e*p + m - 1 of n*p + 2*n_o + 1.
+    # leading axes; and for n_o = 0 the same on an open line
+    # (``wrap=False``), window e on the nodes e*p ... e*p + p of n*p + 1.
     rng = np.random.default_rng(29)
     for n_o in range(p):
         m = p + 1 + 2 * n_o
         if m > p * n:
             continue
         for wrap, axis, lead, sel in itertools.product(
-                (True, False), (1, 2), ((), (3,)), _selections(n)):
+                (True, False) if n_o == 0 else (True,), (1, 2), ((), (3,)),
+                _selections(n)):
             t, F, prod = _window_product(rng, axis, lead, len(range(n)[sel]),
                                          m)
             got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
@@ -150,19 +151,20 @@ def test_fold_windows_equals_add_at_loop(p, n):
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_fold_of_integers_equals_add_at_exactly(p, n):
     # On integer-valued t and F every product and sum is exact in both
     # precisions, so the fold equals the np.add.at oracle to the bit:
     # every overlap n_o < p (from 2*n_o >= p on, both edge moves land on
-    # one node), both axes, both dtypes, every window selection, periodic
-    # and open.
+    # one node; on the ring of n = 2 both moves shift by one element),
+    # both axes, both dtypes, every window selection, periodic and, for
+    # n_o = 0, open.
     rng = np.random.default_rng(31)
     for n_o, dtype, axis, sel, wrap in itertools.product(
             range(p), (np.float32, np.float64), (1, 2), _selections(n),
             (True, False)):
         m = p + 1 + 2 * n_o
-        if m > p * n:
+        if m > p * n or (n_o and not wrap):
             continue
         t, F, prod = _window_product(rng, axis, (2,), len(range(n)[sel]), m,
                                      k=3, dtype=dtype)
@@ -171,6 +173,17 @@ def test_fold_of_integers_equals_add_at_exactly(p, n):
         assert got.dtype == dtype
         npt.assert_array_equal(got, _add_at_fold(prod, axis, p, n, n_o, sel,
                                                  wrap))
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_open_line_fold_with_overlap_is_an_error(axis):
+    # The open line serves only the operator apply's y pass, whose
+    # windows have n_o = 0; wider windows on it are an error.
+    p, n, n_o = 4, 3, 1
+    t, F, _ = _window_product(np.random.default_rng(37), axis, (), n,
+                              p + 1 + 2 * n_o)
+    with pytest.raises(ValueError, match="open-line fold"):
+        fold_product(t, split_factor(F, axis, p, n_o), axis, n, wrap=False)
 
 
 def test_precisions_cast_only_for_float32():

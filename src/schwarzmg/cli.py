@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default=None, help="output CSV path")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.add_argument("--full", action="store_true",
-                   help="include the largest tabulated meshes")
+                   help="include the largest tabulated meshes (table4 only)")
     return parser
 
 
@@ -99,6 +99,8 @@ def _cmd_table(args) -> int:
                          f"got {args.seeds!r}") from None
     for seed in seeds:
         SolveConfig(seed=seed)  # a bad seed fails before any output opens
+    if args.full and args.name != "table4":
+        raise ValueError("--full applies only to table4")
     out = args.out or f"{args.name}.csv"
     json_out = Path(out).with_suffix(".json")
     if args.format == "json" and json_out == Path(out):

@@ -106,7 +106,8 @@ class Level:
     n_post: int
     # The element interpolation block J[:-1] from level l-1 to l in x and
     # in y (one array), shape (p_l, p_{l-1} + 1); the last fine node
-    # belongs to the next element.
+    # belongs to the next element. Only bench/layers.py reads them (ROADMAP
+    # item 1b deletes them); the transfers read ``transfers``.
     px: np.ndarray | None = None
     py: np.ndarray | None = None
     # J[:-1] and the restriction's folded factors, J[:-1] split per

@@ -71,12 +71,14 @@ class _GlobalOperator:
         sizes the slab from the field's bytes. Per slab it runs the x pass
         on its node rows, the y pass on its element windows (n_o = 0),
         folded on an open line (``fold_product`` with ``wrap=False``), and
-        their sum (subtracted from f). The fold's last row, the slab's last
-        edge, is carried onto the next slab's first row; the last slab's
-        goes onto row 0, so the first slab is finished last. Every node gets
-        the same operations in the same order for any slab size, so the
-        result does not depend on it; a field of one slab is summed into its
-        x pass's array.
+        their sum (subtracted from f), finishing the slabs in order. The
+        fold's last row, the slab's last edge, is carried onto the next
+        slab's first row. The first slab's carry, the edge of element row
+        n - 1, comes from a fold of that one row before the loop; a field
+        of one slab adds its own fold's last row onto row 0. Every node
+        gets the same operations in the same order for any slab size, so
+        the result does not depend on it; a field of one slab is summed
+        into its x pass's array.
 
         Given ``out``, each slab of the result is rounded into it, whose
         dtype may be coarser than u's, then squared in place while in
@@ -91,8 +93,16 @@ class _GlobalOperator:
         k = _slab_elements(u, n)
         norm = out is not None
         sums = np.empty(n) if norm else None  # squares per element row
-
-        def finish(x, y, rows):
+        carry = self._y_fold(u, slice(n - 1, n), F)[-1] if k < n else None
+        for e0 in range(0, n, k):
+            es = slice(e0, min(e0 + k, n))
+            rows = slice(e0 * p, es.stop * p)
+            x = self._x_rows(u, rows, F)
+            y = self._y_fold(u, es, F)
+            y[0] += y[-1] if carry is None else carry
+            carry, y = y[-1], y[:-1]
+            if out is None:
+                out = x if k >= n else np.empty(u.shape, x.dtype)
             o = np.add(x, self._y_scale(y, F), out=x if norm else out[rows])
             if f is not None:
                 np.subtract(f[rows], o, out=o)
@@ -100,25 +110,7 @@ class _GlobalOperator:
                 with np.errstate(over="ignore"):
                     out[rows] = o
                     o *= o
-                sums[rows.start // p:rows.stop // p] = o.reshape(
-                    -1, p * o.shape[1]).sum(axis=1)
-
-        for e0 in range(0, n, k):
-            es = slice(e0, min(e0 + k, n))
-            rows = slice(e0 * p, es.stop * p)
-            x = self._x_rows(u, rows, F)
-            y = self._y_fold(u, es, F)
-            if e0:
-                y[0] += carry
-            carry, y = y[-1], y[:-1]
-            if out is None:
-                out = x if k >= n else np.empty(u.shape, x.dtype)
-            if e0:
-                finish(x, y, rows)
-            else:
-                first = x, y, rows
-        first[1][0] += carry
-        finish(*first)
+                sums[e0:es.stop] = o.reshape(-1, p * o.shape[1]).sum(axis=1)
         return (out, float(np.sqrt(sums.sum()))) if norm else out
 
     def _y_scale(self, y: np.ndarray, F) -> np.ndarray:
@@ -140,7 +132,8 @@ class _GlobalOperator:
         A_e u = c_x (nu_w * (u D^T)) D + c_y D^T (nu_w * (D u)), with D the
         1D derivative matrix, nu_w = nu (w (x) w), c_x = dy/dx and
         c_y = dx/dy (the 2/d derivative and test gradient times the
-        (dx/2)(dy/2) quadrature)."""
+        (dx/2)(dy/2) quadrature). No solver path calls it (bench/layers.py
+        wraps it by name); ROADMAP item 1b deletes it."""
         d, nu_w, mesh = self.basis.diff, self._nu_w(e_x, e_y), self.mesh
         return (mesh.dy / mesh.dx * ((nu_w * (blocks @ d.T)) @ d)
                 + mesh.dx / mesh.dy * (d.T @ (nu_w * (d @ blocks))))

@@ -388,6 +388,21 @@ def test_cli_table_non_integer_seeds_is_one_line_error(seeds, tmp_path,
     assert not out.exists()
 
 
+def test_cli_table_full_for_another_preset_is_one_line_error(
+        tmp_path, capsys, monkeypatch):
+    def no_run(spec, seed=0):
+        raise AssertionError("a cell ran with --full on table2")
+
+    monkeypatch.setattr(presets, "run_single", no_run)
+    out = tmp_path / "full.csv"
+    rc = cli.main(["table", "--name", "table2", "--full", "--format", "json",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "schwarzmg: error: --full applies only to table4\n"
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_cli_table_negative_seed_is_one_line_error_before_any_cell(
         tmp_path, capsys, monkeypatch):
     def no_run(spec, seed=0):

@@ -110,10 +110,10 @@ def test_diffusion_with_unit_nu_equals_poisson():
     npt.assert_allclose(diff.apply(u), pois.apply(u), rtol=1e-12, atol=1e-12)
 
 
-def _slab_case(p, dtype):
-    """Both operators on a 3x17 mesh (n_x != n_y) and a random field and
+def _slab_case(p, dtype, n_y=17):
+    """Both operators on a 3 x n_y mesh (n_x != n_y) and a random field and
     right side of ``dtype``."""
-    mesh = MeshConfig(3, 17, l_x=1.5)
+    mesh = MeshConfig(3, n_y, l_x=1.5)
     basis = gll_basis(p)
     layout = layout_for(mesh, p)
     rng = np.random.default_rng(p)
@@ -123,20 +123,51 @@ def _slab_case(p, dtype):
             DiffusionOperator(basis, mesh, nu)), u, f
 
 
+def _slab_rows(monkeypatch, u, n_y, k):
+    """Makes an apply of u, a field of n_y element rows, take slabs of k
+    rows (k = 1, or 8 k < n_y)."""
+    monkeypatch.setattr(mesh_module, "_SLAB_BYTES",
+                        1 if k == 1 else k * u.nbytes // n_y)
+    assert mesh_module._slab_elements(u, n_y) == k
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("p", [2, 4, 8])
 def test_slabbed_apply_is_bitwise_the_one_slab_apply(monkeypatch, p, dtype):
     # Slabs of one and of two element rows (the last slab of the 17 rows
-    # holds one) give the one-slab result bit for bit, in both forms.
-    ops, u, f = _slab_case(p, dtype)
+    # holds one) give the one-slab result bit for bit, in both forms. On 2
+    # rows in slabs of one, the first slab's carry is the other slab's
+    # whole fold.
+    for n_y, slab_rows in ((17, (1, 2)), (2, (1,))):
+        ops, u, f = _slab_case(p, dtype, n_y)
+        for op in ops:
+            whole, residual = op.apply(u), op.apply(u, f)
+            for k in slab_rows:
+                _slab_rows(monkeypatch, u, n_y, k)
+                npt.assert_array_equal(op.apply(u), whole)
+                npt.assert_array_equal(op.apply(u, f), residual)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k, folds", [(17, 1), (2, 10), (1, 18)])
+def test_apply_folds_y_once_per_slab_and_once_for_the_first_carry(
+        monkeypatch, k, folds):
+    # A field of one slab folds once per apply; s slabs fold s + 1 times,
+    # the extra fold being the last element row's, the first slab's carry.
+    ops, u, _ = _slab_case(4, np.float64)
+    if k < 17:
+        _slab_rows(monkeypatch, u, 17, k)
     for op in ops:
-        whole, residual = op.apply(u), op.apply(u, f)
-        for k in (1, 2):
-            monkeypatch.setattr(mesh_module, "_SLAB_BYTES", k * u.nbytes // 17)
-            assert mesh_module._slab_elements(u, 17) == k
-            npt.assert_array_equal(op.apply(u), whole)
-            npt.assert_array_equal(op.apply(u, f), residual)
-        monkeypatch.undo()
+        calls, y_fold = [], op._y_fold
+
+        def counted(u, es, F):
+            calls.append(es)
+            return y_fold(u, es, F)
+
+        monkeypatch.setattr(op, "_y_fold", counted)
+        op.apply(u)
+        assert len(calls) == folds
+        assert calls[0] == slice(16 if k < 17 else 0, 17)
 
 
 @pytest.mark.parametrize("slab_rows", [17, 2], ids=["one-slab", "slabs"])

@@ -16,6 +16,7 @@ policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
 operator apply's loop (``operators._GlobalOperator.apply``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .basis import Basis1D
 
 __all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "split_factor",
-           "fold_product", "Precisions"]
+           "fold_product", "Precisions", "scratch", "take", "product"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,37 @@ class Precisions(dict):
             raise ValueError("factors exceed the float32 range") from None
 
 
+def scratch(ws: dict | None, role: str | None, shape: tuple, dtype,
+            zero: bool = False) -> np.ndarray:
+    """An empty (``zero``: zeroed) array, fresh or, given the pool ``ws``
+    (``krylov``) and a role, a view of that role's buffer, grown to fit."""
+    if ws is None or role is None:
+        return (np.zeros if zero else np.empty)(shape, dtype)
+    n = np.dtype(dtype).itemsize * math.prod(shape)
+    buf = ws.get(role)
+    if buf is None or buf.size < n:
+        buf = ws[role] = np.empty(n, np.uint8)
+    a = np.ndarray(shape, dtype, buf)
+    if zero:
+        a.fill(0)
+    return a
+
+
+def take(ws: dict | None, a: np.ndarray, idx: np.ndarray,
+         axis: int) -> np.ndarray:
+    """``np.take(a, idx, axis)`` into the pool's ``"take"`` buffer; ``idx``
+    is always in range, so ``"clip"`` only keeps ``out`` unbuffered."""
+    shape = a.shape[:axis] + idx.shape + a.shape[axis + 1:]
+    return a.take(idx, axis, scratch(ws, "take", shape, a.dtype), "clip")
+
+
+def product(ws: dict | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, one of them 2-D, into the pool's ``"prod"`` buffer."""
+    shape = (a.shape[:-1] + b.shape[-1:] if b.ndim == 2
+             else b.shape[:-2] + a.shape[:1] + b.shape[-1:])
+    return np.matmul(a, b, scratch(ws, "prod", shape, np.result_type(a, b)))
+
+
 def split_factor(F: np.ndarray, axis: int, p: int,
                  n_o: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Split a window factor for ``fold_product``, once per factor.
@@ -137,8 +169,9 @@ def split_factor(F: np.ndarray, axis: int, p: int,
 
 
 def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
-                 n: int, sel: slice = slice(None),
-                 wrap: bool = True) -> np.ndarray:
+                 n: int, sel: slice = slice(None), wrap: bool = True,
+                 ws: dict | None = None, role: str | None = None
+                 ) -> np.ndarray:
     """Fold of the n windows whose ``sel`` entries are the products of t
     with the factor split by ``split_factor`` and whose others are zero.
 
@@ -159,6 +192,9 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     has the dtype ``np.result_type`` of t and the factor, so float32
     operands give a float32 fold.
 
+    Given the scratch pool ``ws``, the edge block is its ``"edge"`` buffer
+    and the own block, the result's, its ``role`` buffer or else fresh.
+
     ``wrap=False`` serves only the operator apply's y pass: it folds
     n_o = 0 windows as a stretch of an open line, the wrap part of the
     e + 1 move landing on a trailing element slot, into the n*p + 1 nodes
@@ -166,17 +202,18 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     """
     slot = 0 if wrap else 1  # the open line's trailing element slot
     # Unselected windows are zero; selected ones are written whole.
-    alloc = np.empty if len(range(n)[sel]) == n else np.zeros
+    zero = len(range(n)[sel]) < n
+    lead, r = (t.shape[:-2], 1) if axis == 2 else (t.shape[:-3], t.shape[-1])
     blocks = []
-    for f, extra in zip(F, (slot, 0)):
-        dtype = np.result_type(t, f)
+    for f, extra, b in zip(F, (slot, 0), (role, "edge")):
+        m = f.shape[1] if axis == 2 else len(f)
+        w = scratch(ws, b, lead + (n + extra, m, r), np.result_type(t, f),
+                    zero)
+        o = w[..., :n, :, :][..., sel, :, :]
         if axis == 2:
-            w = alloc(t.shape[:-2] + (n + extra, f.shape[1]), dtype)
-            np.matmul(t, f, out=w[..., :n, :][..., sel, :])
-            w = w[..., None]
+            np.matmul(t, f, out=o[..., 0])
         else:
-            w = alloc(t.shape[:-3] + (n + extra, len(f), t.shape[-1]), dtype)
-            np.matmul(f, t, out=w[..., :n, :, :][..., sel, :, :])
+            np.matmul(f, t, out=o)
         blocks.append(w)
     own, edge = blocks  # (..., n + slot, p, r) and (..., n, 2 n_o + 1, r)
     p, n_o = own.shape[-2], edge.shape[-2] // 2

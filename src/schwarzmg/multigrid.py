@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import MeshConfig, Precisions, fold_product, split_factor
+from .mesh import (MeshConfig, Precisions, fold_product, product,
+                   split_factor, take)
 from .operators import (DiffusionOperator, PoissonOperator,
                         dense_diffusion_matrix, diffusivity_field, project_mean)
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
@@ -215,22 +216,23 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
     return MultigridHierarchy(mesh, levels)
 
 
-def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray) -> np.ndarray:
+def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray,
+               ws: dict | None = None) -> np.ndarray:
     """Interpolate a level l-1 field to level l, in the field's dtype."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
     J, _, _ = h.levels[l].transfers[coarse.dtype]
     op_c = h.levels[l - 1].op
     # x: every coarse element row window times J[:-1]^T, laid out as fine
-    # rows (np.take returns the windows contiguous, unlike coarse[:, idx]).
-    wx = np.take(coarse, op_c._wx, axis=1)
-    t = (wx @ J.T).reshape(coarse.shape[0], -1)
+    # rows (the gathered windows are contiguous, unlike coarse[:, idx]).
+    t = product(ws, take(ws, coarse, op_c._wx, 1), J.T).reshape(
+        coarse.shape[0], -1)
     # y: the same on the element column windows.
-    wy = np.take(t, op_c._wy, axis=0)
-    return (J @ wy).reshape(-1, t.shape[1])
+    return (J @ take(ws, t, op_c._wy, 0)).reshape(-1, t.shape[1])
 
 
-def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.ndarray:
+def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
+                      ws: dict | None = None) -> np.ndarray:
     """Transpose of prolongation: restrict a level l field to level l-1,
     in the field's dtype."""
     if not 1 <= l <= h.depth:
@@ -240,9 +242,9 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray) -> np.nda
     p_f = lv.basis.p
     # x: each fine element row block times J[:-1], folded into coarse rows.
     t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), rx, 2,
-                     mesh.n_x)
+                     mesh.n_x, ws=ws, role="take")
     # y: the same on the element column blocks.
-    return fold_product(t.reshape(mesh.n_y, p_f, -1), ry, 1, mesh.n_y)
+    return fold_product(t.reshape(mesh.n_y, p_f, -1), ry, 1, mesh.n_y, ws=ws)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
@@ -349,7 +351,8 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     return project_mean(x).astype(f0.dtype, copy=False)
 
 
-def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
+def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0,
+            ws: dict | None = None) -> np.ndarray:
     """V-cycle number ``cycle`` on the residual equation A e = r.
 
     Returns a new correction e ~ A^{-1} r: descend smoothing and
@@ -360,7 +363,8 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     sweeps per cycle, so the multiplicative colour order follows from the
     cycle index alone. ``r`` is left unchanged, and the hierarchy keeps no
     field or other solve state between calls. Every level computes in the
-    dtype of ``r`` except the coarse solve, which runs in float64.
+    dtype of ``r`` except the coarse solve, which runs in float64. ``ws``
+    is the scratch pool (``krylov``).
     """
     L = h.depth
     k = cycle * sum(lv.n_pre + lv.n_post for lv in h.levels)
@@ -368,16 +372,16 @@ def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0) -> np.ndarray:
     for l in range(L, 0, -1):
         lv = h.levels[l]
         if lv.n_pre:
-            es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre, k)
+            es[l] = lv.smoother.smooth(lv.op, None, rs[l], lv.n_pre, k, ws)
             k += lv.n_pre
-        r_l = rs[l] if es[l] is None else lv.op.apply(es[l], rs[l])
-        rs[l - 1] = restrict_residual(h, l, r_l)
+        r_l = rs[l] if es[l] is None else lv.op.apply(es[l], rs[l], ws=ws)
+        rs[l - 1] = restrict_residual(h, l, r_l, ws)
     es[0] = coarse_solve(h, rs[0])
     for l in range(1, L + 1):
         lv = h.levels[l]
-        e = prolongate(h, l, es[l - 1])
+        e = prolongate(h, l, es[l - 1], ws)
         es[l] = e if es[l] is None else np.add(es[l], e, out=e)
         if lv.n_post:
-            es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post, k)
+            es[l] = lv.smoother.smooth(lv.op, es[l], rs[l], lv.n_post, k, ws)
             k += lv.n_post
     return es[L]

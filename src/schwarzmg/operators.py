@@ -30,7 +30,8 @@ from .basis import Basis1D
 # Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
 from .mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
                    _global_mass, _slab_elements, fold_product, layout_for,
-                   periodic_windows, scatter_blocks, split_factor)
+                   periodic_windows, product, scatter_blocks, split_factor,
+                   take)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_diffusion",
            "nodal_coordinates", "project_mean", "load_vector",
@@ -62,7 +63,7 @@ class _GlobalOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
 
     def apply(self, u: np.ndarray, f: np.ndarray | None = None,
-              out: np.ndarray | None = None):
+              out: np.ndarray | None = None, ws: dict | None = None):
         """A u, or the residual f - A u when ``f`` is given, in u's dtype.
 
         On a large field the loop takes one slab of element rows at a time
@@ -85,7 +86,7 @@ class _GlobalOperator:
         cache; it returns (out, norm), the norm of the result as computed,
         from per-element-row sums added in row order, so it too does not
         depend on the slab size. An entry beyond out's range is stored as
-        inf, silently: the norm tells.
+        inf, silently: the norm tells. ``ws`` is the scratch pool (``krylov``).
         """
         _check_layout(self.layout, u)
         F = self._factors[u.dtype]
@@ -93,12 +94,13 @@ class _GlobalOperator:
         k = _slab_elements(u, n)
         norm = out is not None
         sums = np.empty(n) if norm else None  # squares per element row
+        ws = ws if k == n else None  # a slab's carry outlives its fold
         carry = self._y_fold(u, slice(n - 1, n), F)[-1] if k < n else None
         for e0 in range(0, n, k):
             es = slice(e0, min(e0 + k, n))
             rows = slice(e0 * p, es.stop * p)
-            x = self._x_rows(u, rows, F)
-            y = self._y_fold(u, es, F)
+            x = self._x_rows(u, rows, F, ws, "own" if norm else None)
+            y = self._y_fold(u, es, F, ws)
             y[0] += y[-1] if carry is None else carry
             carry, y = y[-1], y[:-1]
             if out is None:
@@ -151,15 +153,15 @@ class PoissonOperator(_GlobalOperator):
             _global_mass(basis, mesh.n_x, mesh.dx),
             _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
 
-    def _x_rows(self, u, rows, F):
-        x = fold_product(np.take(u[rows], self._wx, 1), F[0], 2,
-                         self.mesh.n_x)
+    def _x_rows(self, u, rows, F, ws, role):
+        x = fold_product(take(ws, u[rows], self._wx, 1), F[0], 2,
+                         self.mesh.n_x, ws=ws, role=role)
         x *= F[3][rows]
         return x
 
-    def _y_fold(self, u, es, F):
-        return fold_product(np.take(u, self._wy[es], 0), F[1], 1,
-                            es.stop - es.start, wrap=False)
+    def _y_fold(self, u, es, F, ws=None):
+        return fold_product(take(ws, u, self._wy[es], 0), F[1], 1,
+                            es.stop - es.start, wrap=False, ws=ws, role="prod")
 
     def _y_scale(self, y, F):
         y *= F[2]
@@ -188,15 +190,18 @@ class DiffusionOperator(_GlobalOperator):
             split_factor(basis.diff, 2, basis.p),
             split_factor(basis.diff.T, 1, basis.p))
 
-    def _x_rows(self, u, rows, F):
+    def _x_rows(self, u, rows, F, ws, role):
         d, fx, _, fold_x, _ = F
-        return fold_product((np.take(u[rows], self._wx, 1) @ d.T) * fx[rows],
-                            fold_x, 2, self.mesh.n_x)
+        t = product(ws, take(ws, u[rows], self._wx, 1), d.T)
+        t *= fx[rows]
+        return fold_product(t, fold_x, 2, self.mesh.n_x, ws=ws, role=role)
 
-    def _y_fold(self, u, es, F):
+    def _y_fold(self, u, es, F, ws=None):
         d, _, fy, _, fold_y = F
-        return fold_product(fy[es] * (d @ np.take(u, self._wy[es], 0)),
-                            fold_y, 1, es.stop - es.start, wrap=False)
+        t = product(ws, d, take(ws, u, self._wy[es], 0))
+        t *= fy[es]
+        return fold_product(t, fold_y, 1, es.stop - es.start, wrap=False,
+                            ws=ws, role="take")
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""

@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as P
 
 from .basis import Basis1D, overlap_width
 from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
-                   split_factor)
+                   product, split_factor, take)
 
 __all__ = ["WeightKind", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
@@ -167,37 +167,41 @@ class SchwarzSmoother:
         self._colours = colours
         # The forward factors S_x and S_y^T; the back-transform factors
         # diag(w) S_y and S_x^T diag(w), split for ``fold_product``; the
-        # inverse eigenvalues on axes (y, x); and per element the inverse
-        # of its mean nu (None for Poisson).
+        # inverse eigenvalues on axes (y, x), tiled along the widest
+        # colour's row of windows, so that the scale's inner loop runs over
+        # the row (a narrower colour takes the first columns); and per
+        # element the inverse of its mean nu (None for Poisson).
+        nx_c = max(len(range(lay.n_x)[c_x]) for _, c_x in colours)
         self._factors = Precisions(
             S_x, S_y.T,
             split_factor(w * S_y, 1, lay.p, n_o),
             split_factor((w * S_x).T, 2, lay.p, n_o),
-            1.0 / (lam_y[:, None] + lam_x),
+            np.tile(1.0 / (lam_y[:, None] + lam_x), nx_c),
             None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
-               n_it: int, first: int = 0) -> np.ndarray | None:
+               n_it: int, first: int = 0,
+               ws: dict | None = None) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
-        residual is ``f`` itself."""
+        residual is ``f`` itself; ``ws`` is the scratch pool (``krylov``)."""
         n_y, n_x = len(self._wy), len(self._wx)
         S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = self._factors[f.dtype]
         for k in range(first, first + n_it):
             for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
-                r = f if u is None else op.apply(u, f)
-                t = np.take(np.take(r, self._wx[c_x], 1) @ S_x,
-                            self._wy[c_y], 0)
+                r = f if u is None else op.apply(u, f, ws=ws)
+                t = take(ws, product(ws, take(ws, r, self._wx[c_x], 1), S_x),
+                         self._wy[c_y], 0)
                 ny_c, m, nx_c, _ = t.shape
-                t = (S_yT @ t.reshape(ny_c, m, -1)).reshape(t.shape)
+                t = product(ws, S_yT, t.reshape(ny_c, m, -1)).reshape(t.shape)
                 if inv_nu is not None:
                     t *= inv_nu[c_y, c_x][:, None, :, None]
-                # Tiled along a row of windows, the scale's inner loop runs
-                # over the row, not over m nodes.
                 t = t.reshape(ny_c, m, -1)
-                t *= np.tile(inv_lam, nx_c)
-                t = fold_product(t, WS_y, 1, n_y, c_y).reshape(-1, nx_c, m)
-                cor = fold_product(t, S_xTW, 2, n_x, c_x)
+                t *= inv_lam[:, :nx_c * m]
+                t = fold_product(t, WS_y, 1, n_y, c_y, ws=ws,
+                                 role="take").reshape(-1, nx_c, m)
+                cor = fold_product(t, S_xTW, 2, n_x, c_x, ws=ws,
+                                   role=None if u is None else "prod")
                 u = cor if u is None else np.add(u, cor, out=u)
         return u
 

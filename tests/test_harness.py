@@ -142,7 +142,7 @@ def test_records_carry_the_stop(stop):
 
 def test_run_single_records_an_mgcg_breakdown(monkeypatch):
     # A zero correction gives p^T A p = 0: MGCG stops with a breakdown.
-    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle: 0.0 * r)
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle, ws: 0.0 * r)
     rec = run_single(dataclasses.replace(FAST_SPEC, solver="mgcg"), seed=1)
     assert rec.stop == "breakdown" and not rec.converged
 

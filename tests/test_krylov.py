@@ -70,7 +70,7 @@ def test_mgcg_stops_with_breakdown_when_z_is_orthogonal_to_r(monkeypatch):
     f[:, ::2] = 0.0
     z = np.zeros_like(f)
     z[:, ::2] = rng.standard_normal((16, 8))
-    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle: z.copy())
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle, ws: z.copy())
     # From u = 0 the first residual is f itself.
     monkeypatch.setattr(krylov, "random_initial_guess",
                         lambda h, seed: np.zeros_like(f))
@@ -87,7 +87,7 @@ def test_mgcg_breakdown_before_the_first_cycle_reports_no_reduction(
     # A zero correction gives p = 0, so p^T A p = 0 before the first step:
     # the residual was not reduced, not solved exactly.
     monkeypatch.setattr(krylov, "v_cycle",
-                        lambda h, r, cycle: np.zeros_like(r))
+                        lambda h, r, cycle, ws: np.zeros_like(r))
     h, f, _ = _problem(p=4, n=4)
     _, rep = solve(h, f, SolveConfig(solver="mgcg", seed=1))
     assert rep.cycles == 0 and len(rep.residuals) == 1
@@ -132,8 +132,8 @@ def test_same_seed_reproduces_residual_history(solver, smoother):
 
 def test_every_solve_numbers_its_cycles_from_zero(monkeypatch):
     seen, v_cycle = [], krylov.v_cycle
-    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle:
-                        seen.append(cycle) or v_cycle(h, r, cycle))
+    monkeypatch.setattr(krylov, "v_cycle", lambda h, r, cycle, ws:
+                        seen.append(cycle) or v_cycle(h, r, cycle, ws))
     h, f, _ = _problem(p=4, smoother="mult")
     cfg = SolveConfig(max_cycles=3, seed=1)
     _, rep = solve(h, f, cfg)
@@ -340,7 +340,8 @@ def test_solve_stops_at_the_first_non_finite_residual(solver, scale,
     # norm is the stop.
     rng = np.random.default_rng(5)
     monkeypatch.setattr(krylov, "v_cycle",
-                        lambda h, r, cycle: scale * rng.standard_normal(r.shape))
+                        lambda h, r, cycle, ws:
+                        scale * rng.standard_normal(r.shape))
     h, f, _ = _problem(p=4, n=4)
     _, rep = solve(h, f, SolveConfig(solver=solver, max_cycles=50, seed=1))
     assert rep.stop == "non-finite" and not rep.converged
@@ -363,8 +364,8 @@ def test_mg_v_cycles_receive_the_rounded_float64_residual(monkeypatch,
     assert mesh_module._slab_elements(f, 4) == slab_rows
     got = []
 
-    def recording(h, r, cycle):
-        z = v_cycle(h, r, cycle)
+    def recording(h, r, cycle, ws):
+        z = v_cycle(h, r, cycle, ws)
         got.append((r.copy(), z))
         return z
 
@@ -376,6 +377,27 @@ def test_mg_v_cycles_receive_the_rounded_float64_residual(monkeypatch,
         assert np.array_equal(r, (f - h.top.op.apply(u0)).astype(np.float32))
         u0 = u0 + z
     npt.assert_array_equal(u, u0)
+
+
+def test_pooled_mg_solve_temporaries_stay_below_eight_and_a_half_fields():
+    # p=4 64x64 (w5, ceilp8): the top field is one slab, so the solve has
+    # a scratch pool, which holds 4.7 float64 fields (2416 KiB). After a
+    # first solve in the process a solve peaks at 7.80 fields; unpooled it
+    # peaked at 5.28.
+    mesh = MeshConfig(64, 64)
+    h = build_hierarchy(mesh, 4, OverlapRule("ceilp8"),
+                        weight=WeightKind.QUINTIC)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    assert mesh_module._slab_elements(f, 64) == 64
+    solve(h, f, SolveConfig(seed=1))
+    tracemalloc.start()
+    try:
+        _, rep = solve(h, f, SolveConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 8.5 * f.nbytes
 
 
 def test_mg_solve_temporaries_stay_below_four_fields():
@@ -396,3 +418,75 @@ def test_mg_solve_temporaries_stay_below_four_fields():
         tracemalloc.stop()
     assert rep.converged
     assert peak <= 3.8 * f.nbytes
+
+
+def _unpooled(monkeypatch, h):
+    """Make every solve on ``h`` run without a scratch pool."""
+    apply = h.top.op.apply
+    monkeypatch.setattr(h.top.op, "apply", lambda u, f=None, out=None,
+                        ws=None: apply(u, f, out))
+    monkeypatch.setattr(krylov, "v_cycle",
+                        lambda h, r, cycle, ws: v_cycle(h, r, cycle))
+
+
+@pytest.mark.parametrize("nu_hat", [None, 0.9])
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+@pytest.mark.parametrize("solver", ["mg", "mgcg"])
+def test_pooled_solve_is_bitwise_the_unpooled_solve(monkeypatch, solver,
+                                                     smoother, nu_hat):
+    mesh = MeshConfig(5, 4, l_x=1.5)
+    h = build_hierarchy(mesh, 8, OverlapRule("ceilp8"), smoother=smoother,
+                        n_post=int(smoother == "mult"), nu_hat=nu_hat)
+    if nu_hat is None:
+        f, _ = poisson_benchmark(mesh, h.top.basis)
+    else:
+        f, _ = manufactured_rhs_diffusion(mesh, h.top.basis, nu_hat)
+    cfg = SolveConfig(solver=solver, max_cycles=12, seed=2)
+    u, rep = solve(h, f, cfg)
+    _unpooled(monkeypatch, h)
+    u_ref, ref = solve(h, f, cfg)
+    assert rep.cycles > 3 and rep.residuals == ref.residuals
+    npt.assert_array_equal(u, u_ref)
+
+
+@pytest.mark.parametrize("solver", ["mg", "mgcg"])
+def test_the_pool_keeps_its_buffers_after_the_first_cycle(monkeypatch,
+                                                          solver):
+    # After cycle 1 every role has its buffer: cycles 2 ... k and the
+    # applies between them reuse the same objects.
+    h, f, _ = _problem(smoother="mult")
+    after = []
+
+    def recording(h, r, cycle, ws):
+        z = v_cycle(h, r, cycle, ws)
+        after.append(dict(ws))
+        return z
+
+    monkeypatch.setattr(krylov, "v_cycle", recording)
+    _, rep = solve(h, f, SolveConfig(solver=solver, seed=1))
+    assert rep.cycles == len(after) >= 3
+    assert {"take", "prod", "edge"} <= after[0].keys()
+    for buffers in after[1:]:
+        assert buffers.keys() == after[0].keys()
+        assert all(buffers[role] is after[0][role] for role in buffers)
+
+
+def test_a_solve_with_a_slabbed_top_has_no_pool(monkeypatch):
+    # The top field in slabs of one element row: the solve passes no pool,
+    # and its history is the one-slab (pooled) solve's.
+    h, f, _ = _problem()
+    cfg = SolveConfig(seed=4)
+    u_want, want = solve(h, f, cfg)
+    monkeypatch.setattr(mesh_module, "_SLAB_BYTES", 2 * f.nbytes // 17)
+    assert mesh_module._slab_elements(f, 4) == 1
+    pools = []
+
+    def recording(h, r, cycle, ws):
+        pools.append(ws)
+        return v_cycle(h, r, cycle, ws)
+
+    monkeypatch.setattr(krylov, "v_cycle", recording)
+    u, got = solve(h, f, cfg)
+    assert pools == [None] * got.cycles
+    assert got.residuals == want.residuals
+    npt.assert_array_equal(u, u_want)

@@ -587,9 +587,9 @@ def test_v_cycle_numbers_its_sweeps_in_the_order_they_run():
     seen = []
     for lv in h.levels[1:]:
         lv.smoother.smooth = (
-            lambda op, u, f, n_it, first, smooth=lv.smoother.smooth:
+            lambda op, u, f, n_it, first, ws, smooth=lv.smoother.smooth:
             seen.append((op.basis.p, n_it, first)) or smooth(op, u, f, n_it,
-                                                             first))
+                                                             first, ws))
     v_cycle(h, f, 1)
     assert seen == [(8, 2, 9), (4, 2, 11), (2, 2, 13),
                     (2, 1, 15), (4, 1, 16), (8, 1, 17)]
@@ -778,8 +778,8 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
     calls = {lv.l: [] for lv in h.levels}
     for lv in h.levels:
         apply = lv.op.apply
-        lv.op.apply = (lambda u, *rest, apply=apply, seen=calls[lv.l]:
-                       seen.append(bool(np.any(u))) or apply(u, *rest))
+        lv.op.apply = (lambda u, *rest, apply=apply, seen=calls[lv.l], **kw:
+                       seen.append(bool(np.any(u))) or apply(u, *rest, **kw))
     v_cycle(h, f)
     assert all(all(seen) for seen in calls.values())
     # Each level above the coarse one starts from zero: it needs A for the
@@ -790,3 +790,68 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
     sweeps = steps * (n_pre + n_post) - (n_pre > 0)
     assert all(len(calls[l]) == (n_pre > 0) + sweeps
                for l in range(1, h.depth + 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_x, n_y, rule", [(4, 4, "ceilp8"),
+                                            (5, 4, "ceilp8"),
+                                            (5, 5, "fixed:0")],
+                         ids=["4-colours", "6-colours", "9-colours-n_o=0"])
+@pytest.mark.parametrize("nu_hat", [None, 0.7])
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
+                                                        n_y, rule, dtype):
+    # Three cycles on one scratch pool: the first sizes its buffers, the
+    # later ones reuse the same objects. Every correction is the unpooled
+    # cycle's bit for bit and shares no memory with the pool.
+    mesh = MeshConfig(n_x, n_y, l_x=1.5)
+    h = build_hierarchy(mesh, 8, OverlapRule.parse(rule), smoother=smoother,
+                        n_post=1, nu_hat=nu_hat)
+    lay = h.top.op.layout
+    r = np.random.default_rng(11).standard_normal((lay.N_y, lay.N_x))
+    r = r.astype(dtype)
+    ws, got = {}, []
+    for cycle in range(3):
+        got.append(v_cycle(h, r, cycle, ws))
+        if cycle == 0:
+            buffers = dict(ws)
+        assert ws.keys() == buffers.keys()
+        assert all(ws[role] is buffers[role] for role in ws)
+    assert {"take", "prod", "edge"} <= ws.keys()
+    for cycle, e in enumerate(got):
+        assert not any(np.shares_memory(e, b) for b in ws.values())
+        npt.assert_array_equal(e, v_cycle(h, r, cycle))
+
+
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+@pytest.mark.parametrize("nu_hat", [None, 0.7])
+def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
+    # Every kernel of a level runs on one pool, and only then are the
+    # results compared: a result that was a pool view would have been
+    # overwritten by the kernels after it.
+    h = build_hierarchy(MeshConfig(5, 4), 8, OverlapRule("ceilp8"),
+                        smoother=smoother, n_post=1, nu_hat=nu_hat)
+    rng = np.random.default_rng(29)
+
+    def field(l):
+        lay = h.levels[l].op.layout
+        return rng.standard_normal((lay.N_y, lay.N_x)).astype(np.float32)
+
+    for lv in h.levels[1:]:
+        u, f, coarse = field(lv.l), field(lv.l), field(lv.l - 1)
+
+        def kernels(ws):
+            return [lv.op.apply(u, ws=ws), lv.op.apply(u, f, ws=ws),
+                    lv.op.apply(u.astype(np.float64), f, np.empty_like(u),
+                                ws=ws)[0],
+                    lv.smoother.smooth(lv.op, None, f, 2, 0, ws),
+                    lv.smoother.smooth(lv.op, u.copy(), f, 2, 1, ws),
+                    restrict_residual(h, lv.l, f, ws),
+                    prolongate(h, lv.l, coarse, ws)]
+
+        ws = {}
+        got = kernels(ws)
+        assert ws.keys() == {"take", "prod", "own", "edge"}
+        for a, want in zip(got, kernels(None)):
+            assert not any(np.shares_memory(a, b) for b in ws.values())
+            npt.assert_array_equal(a, want)

@@ -160,9 +160,9 @@ def test_apply_folds_y_once_per_slab_and_once_for_the_first_carry(
     for op in ops:
         calls, y_fold = [], op._y_fold
 
-        def counted(u, es, F):
+        def counted(u, es, F, ws=None):
             calls.append(es)
-            return y_fold(u, es, F)
+            return y_fold(u, es, F, ws)
 
         monkeypatch.setattr(op, "_y_fold", counted)
         op.apply(u)
@@ -358,3 +358,18 @@ def test_diffusivity_field_bounds():
     assert nu.min() > 0.0 and nu.max() < 2.0
     with pytest.raises(ValueError):
         diffusivity_field(mesh, basis, nu_hat=1.0)
+
+
+@pytest.mark.parametrize("k", [17, 2], ids=["one-slab", "slabs"])
+def test_only_a_field_of_one_slab_uses_the_pool(monkeypatch, k):
+    # A slab's carry outlives its fold, so a slabbed apply leaves the pool
+    # alone; either way the result is the unpooled one bit for bit.
+    ops, u, f = _slab_case(4, np.float64)
+    if k < 17:
+        _slab_rows(monkeypatch, u, 17, k)
+    for op in ops:
+        ws = {}
+        got = [op.apply(u, ws=ws), op.apply(u, f, np.empty_like(u), ws=ws)]
+        assert bool(ws) == (k == 17)
+        npt.assert_array_equal(got[0], op.apply(u))
+        npt.assert_array_equal(got[1][0], op.apply(u, f))

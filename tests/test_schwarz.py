@@ -462,7 +462,7 @@ def test_smoothers_start_from_zero_without_applying_the_operator(smoother_cls):
         sm = smoother_cls(op, 1)
     want = sm.smooth(op, np.zeros((layout.N_y, layout.N_x)), f, 2)
     apply, calls = op.apply, []
-    op.apply = lambda u, *rest: calls.append(1) or apply(u, *rest)
+    op.apply = lambda u, *rest, **kw: calls.append(1) or apply(u, *rest, **kw)
     f_copy = f.copy()
     npt.assert_array_equal(sm.smooth(op, None, f, 2), want)
     assert np.array_equal(f, f_copy)

@@ -32,10 +32,11 @@ to every sweep, apply, transfer and fold. Their temporaries are views
 (``mesh.scratch``) of one buffer per role, each grown to its largest use
 in the first cycle: ``"take"``, gathered windows; ``"prod"``, GEMM
 products; ``"own"``, the apply's x pass when its result goes to ``out``;
-``"edge"``, a fold's edge block. Another fold whose own block is not
-the kernel's result writes it into whichever of ``"take"`` and
-``"prod"`` it does not read. No buffer holds a value between kernel
-calls, and no kernel returns a view of one.
+``"edge"``, a fold's edge block. A fold whose own block is not the
+kernel's result, and a multiplicative colour step's second and fourth
+GEMMs, write into whichever of ``"take"`` and ``"prod"`` they do not
+read: no product writes the buffer it reads. No buffer holds a value
+between kernel calls, and no kernel returns a view of one.
 A solve whose top-level field is more than one slab
 (``mesh._slab_elements``) passes None, and every kernel allocates
 afresh: at p=32 held buffers raised the peak memory from 226 to 393 MB.

@@ -5,7 +5,7 @@ index windows with modular wrap; no DOF indirection tables are needed.
 Global coefficients live in a single dense (N_y, N_x) array, row-major by
 y then x, with N_x = p * n_x unique nodes per direction. Every periodic
 node index comes from ``periodic_windows``. Every operator apply,
-smoother sweep and restriction ends in a window product, a factor times
+additive sweep and restriction ends in a window product, a factor times
 gathered values, summed back onto the nodes one direction at a time;
 ``fold_product`` does that sum without forming the windows, from the
 factor as split once by ``split_factor``. Every fold adds its edge
@@ -123,20 +123,17 @@ class Precisions(dict):
             raise ValueError("factors exceed the float32 range") from None
 
 
-def scratch(ws: dict | None, role: str | None, shape: tuple, dtype,
-            zero: bool = False) -> np.ndarray:
-    """An empty (``zero``: zeroed) array, fresh or, given the pool ``ws``
-    (``krylov``) and a role, a view of that role's buffer, grown to fit."""
+def scratch(ws: dict | None, role: str | None, shape: tuple,
+            dtype) -> np.ndarray:
+    """An empty array, fresh or, given the pool ``ws`` (``krylov``) and a
+    role, a view of that role's buffer, grown to fit."""
     if ws is None or role is None:
-        return (np.zeros if zero else np.empty)(shape, dtype)
+        return np.empty(shape, dtype)
     n = np.dtype(dtype).itemsize * math.prod(shape)
     buf = ws.get(role)
     if buf is None or buf.size < n:
         buf = ws[role] = np.empty(n, np.uint8)
-    a = np.ndarray(shape, dtype, buf)
-    if zero:
-        a.fill(0)
-    return a
+    return np.ndarray(shape, dtype, buf)
 
 
 def take(ws: dict | None, a: np.ndarray, idx: np.ndarray,
@@ -147,11 +144,12 @@ def take(ws: dict | None, a: np.ndarray, idx: np.ndarray,
     return a.take(idx, axis, scratch(ws, "take", shape, a.dtype), "clip")
 
 
-def product(ws: dict | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, one of them 2-D, into the pool's ``"prod"`` buffer."""
+def product(ws: dict | None, a: np.ndarray, b: np.ndarray,
+            role: str = "prod") -> np.ndarray:
+    """``a @ b`` (a or b 2-D) into the ``role`` buffer, which neither views."""
     shape = (a.shape[:-1] + b.shape[-1:] if b.ndim == 2
              else b.shape[:-2] + a.shape[:1] + b.shape[-1:])
-    return np.matmul(a, b, scratch(ws, "prod", shape, np.result_type(a, b)))
+    return np.matmul(a, b, scratch(ws, role, shape, np.result_type(a, b)))
 
 
 def split_factor(F: np.ndarray, axis: int, p: int,
@@ -169,14 +167,13 @@ def split_factor(F: np.ndarray, axis: int, p: int,
 
 
 def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
-                 n: int, sel: slice = slice(None), wrap: bool = True,
-                 ws: dict | None = None, role: str | None = None
-                 ) -> np.ndarray:
-    """Fold of the n windows whose ``sel`` entries are the products of t
-    with the factor split by ``split_factor`` and whose others are zero.
+                 n: int, wrap: bool = True, ws: dict | None = None,
+                 role: str | None = None) -> np.ndarray:
+    """Fold of the n windows that are the products of t with the factor
+    split by ``split_factor``.
 
-    ``axis=2``: t is (..., n_sel, k), the windows t @ F (..., n, m) and the
-    result (..., n*p). ``axis=1``: t is (..., n_sel, k, r), the windows
+    ``axis=2``: t is (..., n, k), the windows t @ F (..., n, m) and the
+    result (..., n*p). ``axis=1``: t is (..., n, k, r), the windows
     F @ t (..., n, m, r) and the result (..., n*p, r). A window of
     m = p + 1 + 2*n_o nodes (0 <= n_o < p) gives its middle p nodes to
     its element e, its last n_o + 1 to the first nodes of element e + 1
@@ -201,15 +198,12 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     up to the first of element n. With n_o > 0 it is a ``ValueError``.
     """
     slot = 0 if wrap else 1  # the open line's trailing element slot
-    # Unselected windows are zero; selected ones are written whole.
-    zero = len(range(n)[sel]) < n
     lead, r = (t.shape[:-2], 1) if axis == 2 else (t.shape[:-3], t.shape[-1])
     blocks = []
     for f, extra, b in zip(F, (slot, 0), (role, "edge")):
         m = f.shape[1] if axis == 2 else len(f)
-        w = scratch(ws, b, lead + (n + extra, m, r), np.result_type(t, f),
-                    zero)
-        o = w[..., :n, :, :][..., sel, :, :]
+        w = scratch(ws, b, lead + (n + extra, m, r), np.result_type(t, f))
+        o = w[..., :n, :, :]
         if axis == 2:
             np.matmul(t, f, out=o[..., 0])
         else:

@@ -4,8 +4,8 @@ Subdomains are extended element regions adopting ``n_o`` node layers from
 each neighbor (the outer layer on the subdomain boundary is excluded).
 All subdomains of a uniform periodic mesh are congruent, so a single
 fast-diagonalization factorization per level suffices.  There is one
-sweep, ``SchwarzSmoother``'s; it computes in the dtype of its right side
-(the precision policy is ``krylov``'s).
+sweep, ``SchwarzSmoother``'s, with a step per smoother; it computes in
+the dtype of its right side (the precision policy is ``krylov``'s).
 
 The additive weights are built from the smoothed sign function
 S_k(x) = c_k * integral from 0 to x of (1 - t^2)^k dt, with c_k such that
@@ -128,30 +128,23 @@ def build_fast_diag(basis: Basis1D, dx: float, dy: float, n_o: int):
 
 
 class SchwarzSmoother:
-    """The one Schwarz sweep, over ``colours``, a list of (y, x) slices of
-    the elements, with the weights ``w`` at one direction's subdomain
-    nodes (a scalar weighs them all alike) and ``n_o`` overlap layers.
+    """The one Schwarz sweep, over ``_colours`` with ``n_o`` overlap layers.
 
     A smoother is built from its level's operator alone: the operator
     gives the basis, the layout and the element sizes, and for diffusion
     the per-element mean nu that scales each local solve (the local
     problem has unit diffusivity).  A sweep goes colour by colour: take a
-    fresh residual from the operator's own loop (``apply(u, f)``), gather
-    the colour's subdomain windows, transform them one direction at a
-    time and scale by the inverse eigenvalues.  Each back transform is
-    then folded onto the nodes by ``mesh.fold_product`` without forming
-    the windows: the product with the factor's own-node rows or columns
-    goes straight into the colour's entries of the result, the other
-    colours' entries staying zero, and only the edge-node product is
-    added onto the neighbours.  The weight tensor W = W_y (x) W_x is
-    folded into the back-transform factors (diag(w) S_y and
-    S_x^T diag(w)), split once when the smoother is built.  Odd-numbered
-    sweeps visit the colours in reverse order, so that an even number of
-    consecutive multiplicative sweeps is symmetric.  The caller numbers
-    the sweeps; no smoother keeps state between calls.
+    fresh residual from the operator's own loop (``apply(u, f)``), then
+    make the colour's step (``_step``): gather its subdomain windows,
+    transform them one direction at a time, scale by the inverse
+    eigenvalues (``_scale``), transform back with the subclass's factors
+    (``_back``) and add onto u.  Odd-numbered sweeps visit the colours in
+    reverse order, so that an even number of consecutive multiplicative
+    sweeps is symmetric.  The caller numbers the sweeps; no smoother keeps
+    state between calls.
     """
 
-    def __init__(self, op, n_o: int, w, colours: list[tuple[slice, slice]]):
+    def __init__(self, op, n_o: int):
         lay = op.layout
         m = lay.p + 1 + 2 * n_o
         if m > lay.N_x or m > lay.N_y:
@@ -160,23 +153,15 @@ class SchwarzSmoother:
                 f"{lay.n_x}x{lay.n_y} mesh at p={lay.p}; reduce n_o")
         S_x, lam_x, S_y, lam_y = build_fast_diag(op.basis, op.mesh.dx,
                                                  op.mesh.dy, n_o)
-        w = np.reshape(w, (-1, 1))
         self.n_o = n_o
         self._wx = periodic_windows(lay.p, lay.n_x, n_o)
         self._wy = periodic_windows(lay.p, lay.n_y, n_o)
-        self._colours = colours
-        # The forward factors S_x and S_y^T; the back-transform factors
-        # diag(w) S_y and S_x^T diag(w), split for ``fold_product``; the
-        # inverse eigenvalues on axes (y, x), tiled along the widest
-        # colour's row of windows, so that the scale's inner loop runs over
-        # the row (a narrower colour takes the first columns); and per
-        # element the inverse of its mean nu (None for Poisson).
-        nx_c = max(len(range(lay.n_x)[c_x]) for _, c_x in colours)
+        # The forward factors S_x and S_y^T; the back transform's (``_back``);
+        # 1 / eigenvalue on axes (y, x), tiled along a row of windows (a
+        # colour's scale takes its first columns); 1 / mean nu per element.
         self._factors = Precisions(
-            S_x, S_y.T,
-            split_factor(w * S_y, 1, lay.p, n_o),
-            split_factor((w * S_x).T, 2, lay.p, n_o),
-            np.tile(1.0 / (lam_y[:, None] + lam_x), nx_c),
+            S_x, S_y.T, *self._back(op, S_x, S_y),
+            np.tile(1.0 / (lam_y[:, None] + lam_x), lay.n_x),
             None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
@@ -185,35 +170,53 @@ class SchwarzSmoother:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
         residual is ``f`` itself; ``ws`` is the scratch pool (``krylov``)."""
-        n_y, n_x = len(self._wy), len(self._wx)
-        S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = self._factors[f.dtype]
+        factors = self._factors[f.dtype]
         for k in range(first, first + n_it):
-            for c_y, c_x in self._colours[::-1 if k % 2 else 1]:
+            for colour in self._colours[::-1 if k % 2 else 1]:
                 r = f if u is None else op.apply(u, f, ws=ws)
-                t = take(ws, product(ws, take(ws, r, self._wx[c_x], 1), S_x),
-                         self._wy[c_y], 0)
-                ny_c, m, nx_c, _ = t.shape
-                t = product(ws, S_yT, t.reshape(ny_c, m, -1)).reshape(t.shape)
-                if inv_nu is not None:
-                    t *= inv_nu[c_y, c_x][:, None, :, None]
-                t = t.reshape(ny_c, m, -1)
-                t *= inv_lam[:, :nx_c * m]
-                t = fold_product(t, WS_y, 1, n_y, c_y, ws=ws,
-                                 role="take").reshape(-1, nx_c, m)
-                cor = fold_product(t, S_xTW, 2, n_x, c_x, ws=ws,
-                                   role=None if u is None else "prod")
-                u = cor if u is None else np.add(u, cor, out=u)
+                u = self._step(u, r, colour, factors, ws)
         return u
+
+
+def _scale(t, c_y, c_x, inv_lam, inv_nu):
+    """Scale the transformed windows t (ny_c, m, nx_c * m) of elements
+    (c_y, c_x) in place: by 1 / mean nu, then by 1 / eigenvalue."""
+    if inv_nu is not None:
+        v = t.reshape(*t.shape[:2], -1, t.shape[1])
+        v *= inv_nu[c_y, c_x][:, None, :, None]
+    t *= inv_lam[:, :t.shape[2]]
 
 
 class AdditiveSchwarz(SchwarzSmoother):
     """Weighted additive Schwarz, the one-colour sweep: every subdomain at
     once, with the weights of ``kind``.  Every sweep is the same, so the
-    sweep number is immaterial."""
+    sweep number is immaterial.  Its step transforms the x windows of
+    every node row before it gathers their y windows, and folds each back
+    transform onto the nodes without forming the windows
+    (``mesh.fold_product``), through the factors diag(w) S_y and
+    S_x^T diag(w), split once by ``mesh.split_factor``."""
 
     def __init__(self, op, n_o: int, kind: WeightKind):
-        super().__init__(op, n_o, build_weight_1d(kind, op.basis, n_o),
-                         [(slice(None), slice(None))])
+        self._kind = kind
+        super().__init__(op, n_o)
+        self._colours = [(slice(None), slice(None))]
+
+    def _back(self, op, S_x, S_y):
+        w = build_weight_1d(self._kind, op.basis, self.n_o)[:, None]
+        return (split_factor(w * S_y, 1, op.basis.p, self.n_o),
+                split_factor((w * S_x).T, 2, op.basis.p, self.n_o))
+
+    def _step(self, u, r, colour, factors, ws):
+        S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = factors
+        t = take(ws, product(ws, take(ws, r, self._wx, 1), S_x), self._wy, 0)
+        n_y, m, n_x, _ = t.shape
+        t = product(ws, S_yT, t.reshape(n_y, m, -1))
+        _scale(t, *colour, inv_lam, inv_nu)
+        t = fold_product(t, WS_y, 1, n_y, ws=ws,
+                         role="take").reshape(-1, n_x, m)
+        cor = fold_product(t, S_xTW, 2, n_x, ws=ws,
+                           role=None if u is None else "prod")
+        return cor if u is None else np.add(u, cor, out=u)
 
 
 def _colour_classes(n: int) -> list[slice]:
@@ -223,14 +226,46 @@ def _colour_classes(n: int) -> list[slice]:
     return classes + [slice(n - 1, n)] * (n % 2)
 
 
+def _colour_nodes(lay, n_o: int, wy: np.ndarray, wx: np.ndarray):
+    """The flat node indices (ny_c, m, nx_c, m) of the windows wy x wx of a
+    colour, and whether they are disjoint: exactly when 2 n_o < p or the
+    colour is one element (a class's elements lie two or more apart)."""
+    return (wy[:, :, None, None] * lay.N_x + wx,
+            2 * n_o < lay.p or len(wy) == len(wx) == 1)
+
+
 class MultiplicativeSchwarz(SchwarzSmoother):
-    """Multicolour multiplicative Schwarz (Smith, Bjorstad & Gropp,
-    Domain Decomposition, 1996), unweighted, over the products of the two
-    directions' ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on
-    an odd one, lexicographic by (y class, x class)."""
+    """Multicolour multiplicative Schwarz (Smith, Bjorstad & Gropp, Domain
+    Decomposition, 1996), unweighted, over the products of both directions'
+    ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on an odd one,
+    lexicographic by (y class, x class).  A step gathers its colour's
+    windows in one take, transforms them both ways with the full factors and
+    adds them onto u in place: by fancy index where they are disjoint
+    (``_colour_nodes``), else by the slower, exact ``np.add.at``."""
 
     def __init__(self, op, n_o: int):
-        lay = op.layout
-        super().__init__(op, n_o, 1.0,
-                         [(c_y, c_x) for c_y in _colour_classes(lay.n_y)
-                          for c_x in _colour_classes(lay.n_x)])
+        super().__init__(op, n_o)
+        lay, wy, wx = op.layout, self._wy, self._wx
+        self._colours = [(c_y, c_x, *_colour_nodes(lay, n_o, wy[c_y], wx[c_x]))
+                         for c_y in _colour_classes(lay.n_y)
+                         for c_x in _colour_classes(lay.n_x)]
+
+    def _back(self, op, S_x, S_y):
+        return S_y, S_x.T.copy()
+
+    def _step(self, u, r, colour, factors, ws):
+        S_x, S_yT, S_y, S_xT, inv_lam, inv_nu = factors
+        c_y, c_x, idx, disjoint = colour
+        ny_c, m = idx.shape[:2]
+        t = product(ws, take(ws, r.reshape(-1), idx, 0).reshape(-1, m), S_x)
+        t = product(ws, S_yT, t.reshape(ny_c, m, -1), "take")
+        _scale(t, c_y, c_x, inv_lam, inv_nu)
+        t = product(ws, product(ws, S_y, t).reshape(-1, m), S_xT, "take")
+        u = np.zeros(r.shape, r.dtype) if u is None else u
+        if not u.flags.c_contiguous:
+            raise ValueError("u must be C-contiguous: it is updated in place")
+        if disjoint:
+            u.reshape(-1)[idx] += t.reshape(idx.shape)
+        else:
+            np.add.at(u.reshape(-1), idx, t.reshape(idx.shape))
+        return u

@@ -15,7 +15,6 @@ from schwarzmg.mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
                             periodic_windows, scatter_blocks, split_factor)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
-from schwarzmg.schwarz import _colour_classes
 
 
 def _global_prolongation(j: np.ndarray, p_c: int, p_f: int, n: int) -> np.ndarray:
@@ -82,7 +81,7 @@ def test_scatter_blocks_equals_add_at_loop():
     npt.assert_allclose(got, want, atol=1e-14)
 
 
-def _window_product(rng, axis, lead, n_sel, m, k=2, dtype=None):
+def _window_product(rng, axis, lead, n, m, k=2, dtype=None):
     """Random (t, F, windows t @ F or F @ t) for ``fold_product``: standard
     normal, or given a dtype small integers, whose products and sums are
     exact in float32 and float64 alike."""
@@ -92,43 +91,34 @@ def _window_product(rng, axis, lead, n_sel, m, k=2, dtype=None):
         return rng.integers(-8, 9, shape).astype(dtype)
 
     if axis == 2:
-        t, F = draw(lead + (n_sel, k)), draw((k, m))
+        t, F = draw(lead + (n, k)), draw((k, m))
         return t, F, t @ F
-    t, F = draw(lead + (n_sel, k, 3)), draw((m, k))
+    t, F = draw(lead + (n, k, 3)), draw((m, k))
     return t, F, F @ t
 
 
-def _add_at_fold(prod, axis, p, n, n_o, sel, wrap=True):
-    """``fold_product``'s oracle: the windows ``prod`` of the ``sel``
-    elements (zero for the others) np.add.at onto their nodes, the
-    periodic windows or, without ``wrap``, window e on the nodes
-    e*p ... e*p + m - 1 of an open line."""
+def _add_at_fold(prod, axis, p, n, n_o, wrap=True):
+    """``fold_product``'s oracle: the windows ``prod`` np.add.at onto
+    their nodes, the periodic windows or, without ``wrap``, window e on
+    the nodes e*p ... e*p + m - 1 of an open line."""
     m = p + 1 + 2 * n_o
     idx = (periodic_windows(p, n, n_o) if wrap
            else np.arange(n)[:, None] * p + np.arange(m))
     trail = prod.shape[prod.ndim + axis - 2:]  # the r columns of F @ t
     lead = prod.shape[:prod.ndim - 2 - len(trail)]
     cols = (slice(None),) * len(trail)
-    w = np.zeros(lead + (n, m) + trail)
-    w[(Ellipsis, sel, slice(None)) + cols] = prod
     want = np.zeros(lead + (idx.max() + 1,) + trail)
     for e in range(n):
         np.add.at(want, (Ellipsis, idx[e]) + cols,
-                  w[(Ellipsis, e, slice(None)) + cols])
+                  prod[(Ellipsis, e, slice(None)) + cols])
     return want
-
-
-def _selections(n):
-    """Every window selection of a sweep: all windows and each colour
-    class, on an odd ring the last element alone among them."""
-    return [slice(None)] + _colour_classes(n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_fold_windows_equals_add_at_loop(p, n):
-    # ``fold_product`` against np.add.at of the full window product, the
-    # unselected windows zero: every overlap 0 <= n_o < p whose window
+    # ``fold_product`` against np.add.at of the full window product: every
+    # overlap 0 <= n_o < p whose window
     # does not wrap onto itself (up to 3p - 1 nodes, reaching into both
     # neighbouring elements), both product sides, with and without
     # leading axes; and for n_o = 0 the same on an open line
@@ -138,15 +128,12 @@ def test_fold_windows_equals_add_at_loop(p, n):
         m = p + 1 + 2 * n_o
         if m > p * n:
             continue
-        for wrap, axis, lead, sel in itertools.product(
-                (True, False) if n_o == 0 else (True,), (1, 2), ((), (3,)),
-                _selections(n)):
-            t, F, prod = _window_product(rng, axis, lead, len(range(n)[sel]),
-                                         m)
-            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
+        for wrap, axis, lead in itertools.product(
+                (True, False) if n_o == 0 else (True,), (1, 2), ((), (3,))):
+            t, F, prod = _window_product(rng, axis, lead, n, m)
+            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n,
                                wrap)
-            npt.assert_allclose(got, _add_at_fold(prod, axis, p, n, n_o, sel,
-                                                  wrap),
+            npt.assert_allclose(got, _add_at_fold(prod, axis, p, n, n_o, wrap),
                                 rtol=0, atol=1e-13)
 
 
@@ -157,22 +144,17 @@ def test_fold_of_integers_equals_add_at_exactly(p, n):
     # precisions, so the fold equals the np.add.at oracle to the bit:
     # every overlap n_o < p (from 2*n_o >= p on, both edge moves land on
     # one node; on the ring of n = 2 both moves shift by one element),
-    # both axes, both dtypes, every window selection, periodic and, for
-    # n_o = 0, open.
+    # both axes, both dtypes, periodic and, for n_o = 0, open.
     rng = np.random.default_rng(31)
-    for n_o, dtype, axis, sel, wrap in itertools.product(
-            range(p), (np.float32, np.float64), (1, 2), _selections(n),
-            (True, False)):
+    for n_o, dtype, axis, wrap in itertools.product(
+            range(p), (np.float32, np.float64), (1, 2), (True, False)):
         m = p + 1 + 2 * n_o
         if m > p * n or (n_o and not wrap):
             continue
-        t, F, prod = _window_product(rng, axis, (2,), len(range(n)[sel]), m,
-                                     k=3, dtype=dtype)
-        got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, sel,
-                           wrap)
+        t, F, prod = _window_product(rng, axis, (2,), n, m, k=3, dtype=dtype)
+        got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, wrap)
         assert got.dtype == dtype
-        npt.assert_array_equal(got, _add_at_fold(prod, axis, p, n, n_o, sel,
-                                                 wrap))
+        npt.assert_array_equal(got, _add_at_fold(prod, axis, p, n, n_o, wrap))
 
 
 @pytest.mark.parametrize("axis", [1, 2])
@@ -260,26 +242,19 @@ def test_periodic_windows_rows_are_consecutive(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_windows_case(), st.sampled_from([1, 2]), st.integers(0, 3),
-       st.integers(0, 2**32 - 1))
-def test_fold_windows_is_adjoint_of_take(case, axis, pick, seed):
+@given(_windows_case(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_fold_windows_is_adjoint_of_take(case, axis, seed):
     # <take(x), w> = <x, fold_product(t, F)> on a 2D field, along either
-    # axis, for w the windows t @ F (axis 2) or F @ t (axis 1) of one
-    # selection and zero elsewhere.
+    # axis, for w the windows t @ F (axis 2) or F @ t (axis 1).
     p, n, n_o = case
-    sels = _selections(n)
-    sel = sels[pick % len(sels)]
     rng = np.random.default_rng(seed)
     m = p + 1 + 2 * n_o
     lead = (3,) if axis == 2 else ()
-    t, F, prod = _window_product(rng, axis, lead, len(range(n)[sel]), m)
+    t, F, w = _window_product(rng, axis, lead, n, m)
     x = rng.standard_normal((3, p * n) if axis == 2 else (p * n, 3))
     tx = np.take(x, periodic_windows(p, n, n_o), axis - 1)
-    w = np.zeros(tx.shape)
-    w[(slice(None),) * (axis - 1) + (sel,)] = prod
     lhs = np.vdot(tx, w)
-    rhs = np.vdot(x, fold_product(t, split_factor(F, axis, p, n_o), axis, n,
-                                  sel))
+    rhs = np.vdot(x, fold_product(t, split_factor(F, axis, p, n_o), axis, n))
     scale = np.abs(tx).ravel() @ np.abs(w).ravel()
     assert abs(lhs - rhs) <= 1e-12 * scale
 

@@ -855,3 +855,37 @@ def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
         for a, want in zip(got, kernels(None)):
             assert not any(np.shares_memory(a, b) for b in ws.values())
             npt.assert_array_equal(a, want)
+
+
+@pytest.mark.parametrize("smoother", ["add", "mult"])
+def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
+                                                               smoother):
+    # numpy copies an operand that overlaps ``out`` without a word, so a
+    # product or gather into the role buffer its operand is a view of
+    # gives the right result at the cost of a copy. Through pooled
+    # V-cycles (4 and 6 colours, two precisions), every ``mesh.product``
+    # and ``mesh.take`` writes memory that none of its operands shares.
+    from schwarzmg import mesh, operators, schwarz
+    calls = []
+
+    def checked(kernel):
+        def call(ws, *args):
+            out = kernel(ws, *args)
+            calls.append(kernel.__name__)
+            assert not any(np.shares_memory(out, a) for a in args
+                           if isinstance(a, np.ndarray))
+            return out
+        return call
+
+    for module in (multigrid, operators, schwarz):
+        for name in ("product", "take"):
+            monkeypatch.setattr(module, name, checked(getattr(mesh, name)))
+    for n_x in (4, 5):
+        h = build_hierarchy(MeshConfig(n_x, 4, l_x=1.5), 8,
+                            OverlapRule("ceilp8"), smoother=smoother,
+                            n_post=1, nu_hat=0.7)
+        lay = h.top.op.layout
+        r = np.random.default_rng(13).standard_normal((lay.N_y, lay.N_x))
+        for dtype in (np.float32, np.float64):
+            v_cycle(h, r.astype(dtype), 0, {})
+    assert {"product", "take"} <= set(calls)

@@ -26,20 +26,18 @@ operator's own slab loop (``apply(u, f, out=r)``) computes
 f - A u in float64, rounds each slab into r and returns the float64 norm.
 ``mgcg`` keeps its residual in float64, for CG's recurrences.
 
-The scratch pool: ``solve`` makes one dict ``ws``, which lives as long
+The scratch pool: ``solve`` makes one ``mesh.Pool``, which lives as long
 as the solve, and passes it through ``iterate``'s apply and ``v_cycle``
-to every sweep, apply, transfer and fold. Their temporaries are views
-(``mesh.scratch``) of one buffer per role, each grown to its largest use
-in the first cycle: ``"take"``, gathered windows; ``"prod"``, GEMM
-products; ``"own"``, the apply's x pass when its result goes to ``out``;
-``"edge"``, a fold's edge block. A fold whose own block is not the
-kernel's result, and a multiplicative colour step's second and fourth
-GEMMs, write into whichever of ``"take"`` and ``"prod"`` they do not
-read: no product writes the buffer it reads. No buffer holds a value
-between kernel calls, and no kernel returns a view of one.
-A solve whose top-level field is more than one slab
-(``mesh._slab_elements``) passes None, and every kernel allocates
-afresh: at p=32 held buffers raised the peak memory from 226 to 393 MB.
+to every apply, sweep and transfer. Each binds once per solve and dtype,
+on its first call (plan and run, as in FFTW: Frigo & Johnson, Proc. IEEE
+93, 2005): its temporaries become views of one buffer per role, grown to
+fit by a dry bind, and its steps calls with every operand and ``out``
+fixed, none writing memory it reads; each call runs the steps in order.
+No buffer holds a value between kernel calls, and no kernel returns a
+view of one. A solve whose top-level field is more than one slab
+(``mesh._slab_elements``) passes None, and every kernel binds on an eager
+pool, which makes each step as it is bound, on fresh arrays: at p=32 held
+buffers raised the peak memory from 226 to 393 MB.
 """
 
 import functools
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _slab_elements
+from .mesh import Pool, _slab_elements
 from .metrics import ConvergenceReport
 from .multigrid import MultigridHierarchy, iterate, v_cycle
 
@@ -100,7 +98,7 @@ def solve(h: MultigridHierarchy, f: np.ndarray, cfg: SolveConfig):
         raise ValueError(f"right side has shape {np.shape(f)}, but the "
                          f"top level's fields have shape {shape}")
     u = random_initial_guess(h, cfg.seed)
-    ws = {} if _slab_elements(u, op.mesh.n_y) == op.mesh.n_y else None
+    ws = Pool() if _slab_elements(u, op.mesh.n_y) == op.mesh.n_y else None
     apply = functools.partial(op.apply, ws=ws)
     cg = cfg.solver == "mgcg"
     r = apply(u, f) if cg else np.empty(shape, np.float32)

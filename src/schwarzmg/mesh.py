@@ -16,6 +16,7 @@ policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
 operator apply's loop (``operators._GlobalOperator.apply``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 from .basis import Basis1D
 
 __all__ = ["MeshConfig", "FieldLayout", "periodic_windows", "split_factor",
-           "fold_product", "Precisions", "scratch", "take", "product"]
+           "fold_product", "Precisions", "Pool", "take", "product"]
 
 
 @dataclass(frozen=True)
@@ -123,33 +124,98 @@ class Precisions(dict):
             raise ValueError("factors exceed the float32 range") from None
 
 
-def scratch(ws: dict | None, role: str | None, shape: tuple,
-            dtype) -> np.ndarray:
-    """An empty array, fresh or, given the pool ``ws`` (``krylov``) and a
-    role, a view of that role's buffer, grown to fit."""
-    if ws is None or role is None:
-        return np.empty(shape, dtype)
-    n = np.dtype(dtype).itemsize * math.prod(shape)
-    buf = ws.get(role)
-    if buf is None or buf.size < n:
-        buf = ws[role] = np.empty(n, np.uint8)
-    return np.ndarray(shape, dtype, buf)
+class Pool(dict):
+    """A solve's scratch pool (``krylov``): a byte buffer per role, and in
+    ``plans`` the kernels bound on them, by key. An eager pool serves one
+    unpooled call: fresh arrays, each step made as it is bound, so that a
+    temporary is freed once the next is made, and nothing kept."""
+
+    def __init__(self, eager: bool = False):
+        super().__init__()
+        self.plans, self.binds, self.eager, self.sizes = {}, 0, eager, None
+        # Makes a result in the buffers fresh; holds no reference to self.
+        self.fresh = np.asarray if eager else np.copy
+
+    @staticmethod
+    def of(ws: "Pool | None") -> "Pool":
+        return Pool(eager=True) if ws is None else ws
+
+    def view(self, role: str, shape: tuple, dtype, *reads) -> np.ndarray:
+        """A view of the role's buffer, grown to fit, that shares no memory
+        with ``reads``, the arrays of the step that writes it."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        if self.eager:
+            out = np.empty(shape, dtype)
+        elif self.sizes is not None:  # a dry bind: stand-ins, no memory
+            self.sizes[role] = max(self.sizes.get(role, 0), n)
+            out = np.ndarray(shape, dtype, np.empty(1, dtype), 0,
+                             (0,) * len(shape))
+        else:
+            self._fit(role, n)
+            out = np.ndarray(shape, dtype, self[role])
+        if any(np.shares_memory(out, a) for a in reads):
+            raise ValueError("a bound kernel would write the buffer it reads")
+        return out
+
+    def _fit(self, role: str, n: int):
+        if role not in self or self[role].size < n:
+            self.plans.clear()  # a plan keeps the views it was bound on
+            self.pop(role, None)
+            self[role] = np.empty(n, np.uint8)
+
+    def bound(self, step, *args, each=None):
+        """Makes ``step(*args)`` now, if eager; else adds it to the plan
+        being bound, its args fixed or, given ``each``, ``step(each(x))``
+        on each call's input x, which the plan must not hold."""
+        if self.eager:
+            step(*args)
+        else:
+            self.steps.append((step, () if each else args, each))
+
+    def plan(self, key, bind):
+        """The kernel bound under ``key``: run(x, *rest) makes its steps on
+        the input x, then returns finish(x, *rest), ``finish = bind(self)``.
+        A first bind runs dry, and the buffers grow to all it asked for,
+        so that no view of the real bind outgrows its buffer."""
+        run = self.plans.get(key)
+        if run is None:
+            if not self.eager:
+                self.sizes, self.steps = {}, []
+                bind(self)
+                for role, n in self.sizes.items():
+                    self._fit(role, n)
+                self.sizes, self.binds = None, self.binds + 1
+            self.steps = []
+            steps, finish = self.steps, bind(self)
+
+            def run(x, *rest):
+                for step, args, each in steps:
+                    step(*args) if each is None else step(each(x))
+                return finish(x, *rest)
+            if not self.eager:
+                self.plans[key] = run
+        return run
 
 
-def take(ws: dict | None, a: np.ndarray, idx: np.ndarray,
-         axis: int) -> np.ndarray:
-    """``np.take(a, idx, axis)`` into the pool's ``"take"`` buffer; ``idx``
-    is always in range, so ``"clip"`` only keeps ``out`` unbuffered."""
-    shape = a.shape[:axis] + idx.shape + a.shape[axis + 1:]
-    return a.take(idx, axis, scratch(ws, "take", shape, a.dtype), "clip")
+def take(pool, a: np.ndarray, idx: np.ndarray, axis: int, role="take",
+         each=None) -> np.ndarray:
+    """Binds ``np.take(a, idx, axis)`` into a view of the role's buffer,
+    which it returns (``each`` as for ``Pool.bound``); ``idx`` is always
+    in range, so ``"clip"`` only keeps the view unbuffered."""
+    out = pool.view(role, a.shape[:axis] + idx.shape + a.shape[axis + 1:],
+                    a.dtype, a)
+    pool.bound(lambda a: a.take(idx, axis, out, "clip"), a, each=each)
+    return out
 
 
-def product(ws: dict | None, a: np.ndarray, b: np.ndarray,
-            role: str = "prod") -> np.ndarray:
-    """``a @ b`` (a or b 2-D) into the ``role`` buffer, which neither views."""
+def product(pool, a: np.ndarray, b: np.ndarray, role="prod") -> np.ndarray:
+    """Binds ``a @ b`` (a or b 2-D) into a view of the role's buffer,
+    which it returns."""
     shape = (a.shape[:-1] + b.shape[-1:] if b.ndim == 2
              else b.shape[:-2] + a.shape[:1] + b.shape[-1:])
-    return np.matmul(a, b, scratch(ws, role, shape, np.result_type(a, b)))
+    out = pool.view(role, shape, np.result_type(a, b), a, b)
+    pool.bound(np.matmul, a, b, out)
+    return out
 
 
 def split_factor(F: np.ndarray, axis: int, p: int,
@@ -166,11 +232,12 @@ def split_factor(F: np.ndarray, axis: int, p: int,
     return F[n_o:n_o + p].copy(), np.concatenate([F[n_o + p:], F[:n_o]]).copy()
 
 
-def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
-                 n: int, wrap: bool = True, ws: dict | None = None,
-                 role: str | None = None) -> np.ndarray:
-    """Fold of the n windows that are the products of t with the factor
-    split by ``split_factor``.
+def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
+                 axis: int, n: int, wrap: bool = True, role: str = "prod",
+                 each=None) -> np.ndarray:
+    """Binds the fold of the n windows that are the products of t with the
+    factor split by ``split_factor`` (``each`` as for ``Pool.bound``), and
+    returns it.
 
     ``axis=2``: t is (..., n, k), the windows t @ F (..., n, m) and the
     result (..., n*p). ``axis=1``: t is (..., n, k, r), the windows
@@ -179,18 +246,16 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     its element e, its last n_o + 1 to the first nodes of element e + 1
     and its first n_o to the last nodes of element e - 1; this is the
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
-    own-node product is written straight into the result, and only the
-    edge-node product is added onto the neighbours, first onto e + 1 and
-    then onto e - 1, each move as one ``np.add`` per wrap part on views
+    own-node product is written straight into the result, a view of the
+    role's buffer, and only the edge-node product, in the ``"edge"``
+    buffer, is added onto the neighbours, first onto e + 1 and then onto
+    e - 1, each move as one ``np.add`` per wrap part on views
     (..., node, element, r), in order "C" for ``axis=2``, which keeps the
     n elements innermost, and "K" for ``axis=1``, which keeps the r
     columns innermost. Every node gets the same adds in the same order
     as element by element, so the result is bitwise the same. The result
     has the dtype ``np.result_type`` of t and the factor, so float32
     operands give a float32 fold.
-
-    Given the scratch pool ``ws``, the edge block is its ``"edge"`` buffer
-    and the own block, the result's, its ``role`` buffer or else fresh.
 
     ``wrap=False`` serves only the operator apply's y pass: it folds
     n_o = 0 windows as a stretch of an open line, the wrap part of the
@@ -199,35 +264,35 @@ def fold_product(t: np.ndarray, F: tuple[np.ndarray, np.ndarray], axis: int,
     """
     slot = 0 if wrap else 1  # the open line's trailing element slot
     lead, r = (t.shape[:-2], 1) if axis == 2 else (t.shape[:-3], t.shape[-1])
-    blocks = []
-    for f, extra, b in zip(F, (slot, 0), (role, "edge")):
-        m = f.shape[1] if axis == 2 else len(f)
-        w = scratch(ws, b, lead + (n + extra, m, r), np.result_type(t, f))
-        o = w[..., :n, :, :]
-        if axis == 2:
-            np.matmul(t, f, out=o[..., 0])
-        else:
-            np.matmul(f, t, out=o)
-        blocks.append(w)
-    own, edge = blocks  # (..., n + slot, p, r) and (..., n, 2 n_o + 1, r)
-    p, n_o = own.shape[-2], edge.shape[-2] // 2
+    own, edge = (pool.view(b, lead + (n + extra, f.shape[axis - 1], r),
+                           np.result_type(t, f), t)
+                 for f, extra, b in zip(F, (slot, 0), (role, "edge")))
+    p, n_o = own.shape[-2], edge.shape[-2] // 2  # blocks (..., n [+ 1], m, r)
     if n_o and not wrap:
         raise ValueError("an open-line fold takes only n_o = 0 windows")
-    own[..., n:, :, :] = 0  # the trailing slot; empty when wrapping
     # Each move of edge nodes src onto own nodes dst, a shift of s
     # elements: onto element e + 1 (s = 1) and, when n_o > 0, onto
     # element e - 1 (s = n - 1). The wrap part lands on elements
     # 0 ... s - 1, or on an open line on the trailing slot.
     moves = [(1, slice(0, n_o + 1), slice(0, n_o + 1)),
              (n - 1, slice(n_o + 1, None), slice(p - n_o, p))]
-    ov, ev = (w.swapaxes(-2, -3) for w in blocks)  # (..., node, element, r)
-    for s, src, dst in moves[:1 + (n_o > 0)]:
-        for d, e in ((ov[..., dst, s:n, :], ev[..., src, :n - s, :]),
-                     (ov[..., dst, n * slot:n * slot + s, :],
-                      ev[..., src, n - s:, :])):
-            np.add(d, e, out=d, order="C" if axis == 2 else "K")
-    out = own.reshape(own.shape[:-3] + (-1, own.shape[-1]))
-    out = out[..., :n * p + slot, :]
+    ov, ev = (w.swapaxes(-2, -3) for w in (own, edge))  # (..., node, el, r)
+    adds = [pair for s, src, dst in moves[:1 + (n_o > 0)] for pair in (
+        (ov[..., dst, s:n, :], ev[..., src, :n - s, :]),
+        (ov[..., dst, n * slot:n * slot + s, :], ev[..., src, n - s:, :]))]
+    order, tail = "C" if axis == 2 else "K", own[..., n:, :, :]
+    gemms = [(f, w[..., :n, :, 0] if axis == 2 else w[..., :n, :, :])
+             for f, w in zip(F, (own, edge))]
+
+    def step(t):
+        for f, o in gemms:
+            np.matmul(*((t, f) if axis == 2 else (f, t)), out=o)
+        tail.fill(0)  # the trailing slot; empty when wrapping
+        for d, e in adds:
+            np.add(d, e, out=d, order=order)
+
+    out = own.reshape(own.shape[:-3] + (-1, r))[..., :n * p + slot, :]
+    pool.bound(step, t, each=each)
     return out[..., 0] if axis == 2 else out
 
 

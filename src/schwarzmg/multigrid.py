@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis1D, gll_basis, interp_matrix
-from .mesh import (MeshConfig, Precisions, fold_product, product,
-                   split_factor, take)
+from .mesh import (MeshConfig, Pool, Precisions, fold_product,
+                   product, split_factor, take)
 from .operators import (DiffusionOperator, PoissonOperator,
                         dense_diffusion_matrix, diffusivity_field, project_mean)
 from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, WeightKind
@@ -217,34 +217,46 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
 
 
 def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray,
-               ws: dict | None = None) -> np.ndarray:
-    """Interpolate a level l-1 field to level l, in the field's dtype."""
+               ws=None) -> np.ndarray:
+    """Interpolate a level l-1 field to level l, in the field's dtype; a
+    plan bound in the scratch pool ``ws`` (``krylov``)."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
-    J, _, _ = h.levels[l].transfers[coarse.dtype]
-    op_c = h.levels[l - 1].op
-    # x: every coarse element row window times J[:-1]^T, laid out as fine
-    # rows (the gathered windows are contiguous, unlike coarse[:, idx]).
-    t = product(ws, take(ws, coarse, op_c._wx, 1), J.T).reshape(
-        coarse.shape[0], -1)
-    # y: the same on the element column windows.
-    return (J @ take(ws, t, op_c._wy, 0)).reshape(-1, t.shape[1])
+
+    def bind(pool):
+        J, _, _ = h.levels[l].transfers[coarse.dtype]
+        op_c = h.levels[l - 1].op
+        # x: every coarse element row window times J[:-1]^T, laid out as
+        # fine rows (the gathered windows are contiguous, unlike
+        # coarse[:, idx]).
+        t = product(pool, take(pool, coarse, op_c._wx, 1, each=np.asarray), J.T)
+        # y: the same on the element column windows.
+        t = take(pool, t.reshape(coarse.shape[0], -1), op_c._wy, 0)
+        return lambda coarse: (J @ t).reshape(-1, t.shape[2])
+    return Pool.of(ws).plan(("prolongate", l, coarse.dtype), bind)(coarse)
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
-                      ws: dict | None = None) -> np.ndarray:
+                      ws=None) -> np.ndarray:
     """Transpose of prolongation: restrict a level l field to level l-1,
-    in the field's dtype."""
+    in the field's dtype; a plan bound in the scratch pool ``ws``."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
-    lv, mesh = h.levels[l], h.mesh
-    _, rx, ry = lv.transfers[fine.dtype]
-    p_f = lv.basis.p
-    # x: each fine element row block times J[:-1], folded into coarse rows.
-    t = fold_product(fine.reshape(fine.shape[0], mesh.n_x, p_f), rx, 2,
-                     mesh.n_x, ws=ws, role="take")
-    # y: the same on the element column blocks.
-    return fold_product(t.reshape(mesh.n_y, p_f, -1), ry, 1, mesh.n_y, ws=ws)
+
+    def bind(pool):
+        lv, mesh = h.levels[l], h.mesh
+        _, rx, ry = lv.transfers[fine.dtype]
+        blocks = (fine.shape[0], mesh.n_x, lv.basis.p)
+        # x: each fine element row block times J[:-1], folded into coarse
+        # rows.
+        t = fold_product(pool, fine.reshape(blocks), rx, 2, mesh.n_x,
+                         role="take", each=lambda fine: fine.reshape(blocks))
+        # y: the same on the element column blocks.
+        t = fold_product(pool, t.reshape(mesh.n_y, lv.basis.p, -1), ry, 1,
+                         mesh.n_y, role="own")
+        fresh = pool.fresh
+        return lambda fine: fresh(t)
+    return Pool.of(ws).plan(("restrict", l, fine.dtype), bind)(fine)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:
@@ -352,7 +364,7 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
 
 
 def v_cycle(h: MultigridHierarchy, r: np.ndarray, cycle: int = 0,
-            ws: dict | None = None) -> np.ndarray:
+            ws=None) -> np.ndarray:
     """V-cycle number ``cycle`` on the residual equation A e = r.
 
     Returns a new correction e ~ A^{-1} r: descend smoothing and

@@ -28,10 +28,10 @@ import numpy as np
 
 from .basis import Basis1D
 # Only for bench/layers.py, which wraps ``operators.scatter_blocks`` by name.
-from .mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
-                   _global_mass, _slab_elements, fold_product, layout_for,
-                   periodic_windows, product, scatter_blocks, split_factor,
-                   take)
+from .mesh import (FieldLayout, MeshConfig, Pool, Precisions, _global_1d,
+                   _global_mass, _slab_elements, fold_product,
+                   layout_for, periodic_windows, product, scatter_blocks,
+                   split_factor, take)
 
 __all__ = ["PoissonOperator", "DiffusionOperator", "manufactured_rhs_diffusion",
            "nodal_coordinates", "project_mean", "load_vector",
@@ -49,9 +49,9 @@ class _GlobalOperator:
     mesh, the field layout, the nodal nu (None for Poisson: unit
     diffusivity; the only stored diffusivity), the element window tables,
     the element kernel and the slab loop of ``apply``. Each operator
-    supplies ``_x_rows``, its x pass on a run of node rows, and
-    ``_y_fold``, the fold of its y pass on a run of element rows;
-    ``_y_scale`` finishes the fold (by default as it is)."""
+    binds ``_x_pass``, its x pass on a run of node rows, and ``_y_pass``,
+    the fold of its y pass on a run of element rows, each as (run(u),
+    result); ``_y_mass`` finishes the fold (by default as it is)."""
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig,
                  nu: np.ndarray | None = None):
@@ -63,7 +63,7 @@ class _GlobalOperator:
         self._wy = periodic_windows(basis.p, mesh.n_y)
 
     def apply(self, u: np.ndarray, f: np.ndarray | None = None,
-              out: np.ndarray | None = None, ws: dict | None = None):
+              out: np.ndarray | None = None, ws=None):
         """A u, or the residual f - A u when ``f`` is given, in u's dtype.
 
         On a large field the loop takes one slab of element rows at a time
@@ -78,45 +78,66 @@ class _GlobalOperator:
         n - 1, comes from a fold of that one row before the loop; a field
         of one slab adds its own fold's last row onto row 0. Every node
         gets the same operations in the same order for any slab size, so
-        the result does not depend on it; a field of one slab is summed
-        into its x pass's array.
+        the result does not depend on it. A field of one slab runs the
+        plan ``_slab`` bound in the scratch pool ``ws`` (``krylov``); a
+        slab's carry outlives its fold, so a field of more slabs binds each
+        slab afresh.
 
         Given ``out``, each slab of the result is rounded into it, whose
         dtype may be coarser than u's, then squared in place while in
         cache; it returns (out, norm), the norm of the result as computed,
         from per-element-row sums added in row order, so it too does not
         depend on the slab size. An entry beyond out's range is stored as
-        inf, silently: the norm tells. ``ws`` is the scratch pool (``krylov``).
+        inf, silently: the norm tells.
         """
         _check_layout(self.layout, u)
-        F = self._factors[u.dtype]
-        p, n = self.basis.p, self.mesh.n_y
+        n = self.mesh.n_y
         k = _slab_elements(u, n)
-        norm = out is not None
-        sums = np.empty(n) if norm else None  # squares per element row
-        ws = ws if k == n else None  # a slab's carry outlives its fold
-        carry = self._y_fold(u, slice(n - 1, n), F)[-1] if k < n else None
+        ws = ws if k == n else None
+        sums = None if out is None else np.empty(n)  # squares per row
+        # The result's field, or None where it is the x pass's fresh array.
+        into = (None if out is not None or (k == n and ws is None)
+                else np.empty(u.shape, u.dtype))
+        carry = None
+        if k < n:
+            carry = self._y_pass(Pool.of(None), u, slice(n - 1, n))[-1]
         for e0 in range(0, n, k):
             es = slice(e0, min(e0 + k, n))
-            rows = slice(e0 * p, es.stop * p)
-            x = self._x_rows(u, rows, F, ws, "own" if norm else None)
-            y = self._y_fold(u, es, F, ws)
-            y[0] += y[-1] if carry is None else carry
-            carry, y = y[-1], y[:-1]
-            if out is None:
-                out = x if k >= n else np.empty(u.shape, x.dtype)
-            o = np.add(x, self._y_scale(y, F), out=x if norm else out[rows])
+            carry, o = Pool.of(ws).plan((self, u.dtype), lambda pool: (
+                self._slab(pool, u, es)))(u, f, into, out, carry, sums)
+        if out is not None:
+            return out, float(np.sqrt(sums.sum()))
+        return o if into is None else into
+
+    def _slab(self, pool, u, es):
+        """Binds the apply on the element rows ``es`` of fields like u:
+        returns its finish(u, f, into, out, carry, sums) -> (carry, o)."""
+        p = self.basis.p
+        rows = slice(es.start * p, es.stop * p)
+        x, y = self._x_pass(pool, u, rows), self._y_pass(pool, u, es)
+        y0, last, y = y[0], y[-1], y[:-1]
+        mass = self._y_mass(self._factors[u.dtype])
+        squares = x.reshape(-1, p * x.shape[1])
+
+        def finish(u, f, into, out, carry, sums):
+            np.add(y0, last if carry is None else carry, out=y0)
+            if mass is not None:
+                np.multiply(y, mass, out=y)
+            o = x if into is None else into[rows]
+            np.add(x, y, out=o)
             if f is not None:
                 np.subtract(f[rows], o, out=o)
-            if norm:
+            if out is not None:
                 with np.errstate(over="ignore"):
                     out[rows] = o
-                    o *= o
-                sums[e0:es.stop] = o.reshape(-1, p * o.shape[1]).sum(axis=1)
-        return (out, float(np.sqrt(sums.sum()))) if norm else out
+                    np.multiply(o, o, out=o)
+                sums[es] = squares.sum(axis=1)
+            return last, o
+        return finish
 
-    def _y_scale(self, y: np.ndarray, F) -> np.ndarray:
-        return y
+    def _y_mass(self, F):
+        """The scale that finishes the y fold, or None (as it is)."""
+        return None
 
     def _nu_w(self, e_x, e_y) -> np.ndarray:
         """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x),
@@ -153,19 +174,20 @@ class PoissonOperator(_GlobalOperator):
             _global_mass(basis, mesh.n_x, mesh.dx),
             _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
 
-    def _x_rows(self, u, rows, F, ws, role):
-        x = fold_product(take(ws, u[rows], self._wx, 1), F[0], 2,
-                         self.mesh.n_x, ws=ws, role=role)
-        x *= F[3][rows]
+    def _x_pass(self, pool, u, rows):
+        F = self._factors[u.dtype]
+        t = take(pool, u[rows], self._wx, 1, each=lambda u: u[rows])
+        x = fold_product(pool, t, F[0], 2, self.mesh.n_x, role="own")
+        pool.bound(np.multiply, x, F[3][rows], x)
         return x
 
-    def _y_fold(self, u, es, F, ws=None):
-        return fold_product(take(ws, u, self._wy[es], 0), F[1], 1,
-                            es.stop - es.start, wrap=False, ws=ws, role="prod")
+    def _y_pass(self, pool, u, es):
+        t = take(pool, u, self._wy[es], 0, each=np.asarray)
+        return fold_product(pool, t, self._factors[u.dtype][1], 1,
+                            es.stop - es.start, wrap=False)
 
-    def _y_scale(self, y, F):
-        y *= F[2]
-        return y
+    def _y_mass(self, F):
+        return F[2]
 
 
 class DiffusionOperator(_GlobalOperator):
@@ -190,18 +212,19 @@ class DiffusionOperator(_GlobalOperator):
             split_factor(basis.diff, 2, basis.p),
             split_factor(basis.diff.T, 1, basis.p))
 
-    def _x_rows(self, u, rows, F, ws, role):
-        d, fx, _, fold_x, _ = F
-        t = product(ws, take(ws, u[rows], self._wx, 1), d.T)
-        t *= fx[rows]
-        return fold_product(t, fold_x, 2, self.mesh.n_x, ws=ws, role=role)
+    def _x_pass(self, pool, u, rows):
+        d, fx, _, fold_x, _ = self._factors[u.dtype]
+        t = product(pool, take(pool, u[rows], self._wx, 1,
+                               each=lambda u: u[rows]), d.T)
+        pool.bound(np.multiply, t, fx[rows], t)
+        return fold_product(pool, t, fold_x, 2, self.mesh.n_x, role="own")
 
-    def _y_fold(self, u, es, F, ws=None):
-        d, _, fy, _, fold_y = F
-        t = product(ws, d, take(ws, u, self._wy[es], 0))
-        t *= fy[es]
-        return fold_product(t, fold_y, 1, es.stop - es.start, wrap=False,
-                            ws=ws, role="take")
+    def _y_pass(self, pool, u, es):
+        d, _, fy, _, fold_y = self._factors[u.dtype]
+        t = product(pool, d, take(pool, u, self._wy[es], 0, each=np.asarray))
+        pool.bound(np.multiply, t, fy[es], t)
+        return fold_product(pool, t, fold_y, 1, es.stop - es.start,
+                            wrap=False, role="take")
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""

@@ -23,8 +23,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .basis import Basis1D, overlap_width
-from .mesh import (Precisions, _global_1d, fold_product, periodic_windows,
-                   product, split_factor, take)
+from .mesh import (Pool, Precisions, _global_1d, fold_product,
+                   periodic_windows, product, split_factor, take)
 
 __all__ = ["WeightKind", "restricted_1d", "weight_value",
            "build_weight_1d", "build_fast_diag", "SchwarzSmoother",
@@ -165,26 +165,29 @@ class SchwarzSmoother:
             None if op.nu is None else 1.0 / op.element_mean_nu())
 
     def smooth(self, op, u: np.ndarray | None, f: np.ndarray,
-               n_it: int, first: int = 0,
-               ws: dict | None = None) -> np.ndarray | None:
+               n_it: int, first: int = 0, ws=None) -> np.ndarray | None:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
-        residual is ``f`` itself; ``ws`` is the scratch pool (``krylov``)."""
+        residual is ``f`` itself. Each colour's step is the plan
+        ``_step`` binds in the scratch pool ``ws`` (``krylov``)."""
+        pool = Pool.of(ws)
         factors = self._factors[f.dtype]
         for k in range(first, first + n_it):
-            for colour in self._colours[::-1 if k % 2 else 1]:
+            for i in range(len(self._colours))[::-1 if k % 2 else 1]:
                 r = f if u is None else op.apply(u, f, ws=ws)
-                u = self._step(u, r, colour, factors, ws)
+                u = pool.plan((self, i, f.dtype), lambda pool: self._step(
+                    pool, r, self._colours[i], factors))(r, u)
         return u
 
 
-def _scale(t, c_y, c_x, inv_lam, inv_nu):
-    """Scale the transformed windows t (ny_c, m, nx_c * m) of elements
-    (c_y, c_x) in place: by 1 / mean nu, then by 1 / eigenvalue."""
+def _scale(pool, t, c_y, c_x, inv_lam, inv_nu):
+    """Binds the in-place scale of the transformed windows t
+    (ny_c, m, nx_c * m) of elements (c_y, c_x): by 1 / mean nu, then by
+    1 / eigenvalue."""
     if inv_nu is not None:
         v = t.reshape(*t.shape[:2], -1, t.shape[1])
-        v *= inv_nu[c_y, c_x][:, None, :, None]
-    t *= inv_lam[:, :t.shape[2]]
+        pool.bound(np.multiply, v, inv_nu[c_y, c_x][:, None, :, None], v)
+    pool.bound(np.multiply, t, inv_lam[:, :t.shape[2]], t)
 
 
 class AdditiveSchwarz(SchwarzSmoother):
@@ -206,17 +209,19 @@ class AdditiveSchwarz(SchwarzSmoother):
         return (split_factor(w * S_y, 1, op.basis.p, self.n_o),
                 split_factor((w * S_x).T, 2, op.basis.p, self.n_o))
 
-    def _step(self, u, r, colour, factors, ws):
+    def _step(self, pool, r, colour, factors):
+        """Binds the step on residuals like r: finish(r, u) -> u."""
         S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = factors
-        t = take(ws, product(ws, take(ws, r, self._wx, 1), S_x), self._wy, 0)
+        t = product(pool, take(pool, r, self._wx, 1, each=np.asarray), S_x)
+        t = take(pool, t, self._wy, 0)
         n_y, m, n_x, _ = t.shape
-        t = product(ws, S_yT, t.reshape(n_y, m, -1))
-        _scale(t, *colour, inv_lam, inv_nu)
-        t = fold_product(t, WS_y, 1, n_y, ws=ws,
-                         role="take").reshape(-1, n_x, m)
-        cor = fold_product(t, S_xTW, 2, n_x, ws=ws,
-                           role=None if u is None else "prod")
-        return cor if u is None else np.add(u, cor, out=u)
+        t = product(pool, S_yT, t.reshape(n_y, m, -1))
+        _scale(pool, t, *colour, inv_lam, inv_nu)
+        t = fold_product(pool, t, WS_y, 1, n_y, role="take")
+        cor = fold_product(pool, t.reshape(-1, n_x, m), S_xTW, 2, n_x,
+                           role="own")
+        fresh = pool.fresh
+        return lambda r, u: fresh(cor) if u is None else np.add(u, cor, out=u)
 
 
 def _colour_classes(n: int) -> list[slice]:
@@ -253,19 +258,32 @@ class MultiplicativeSchwarz(SchwarzSmoother):
     def _back(self, op, S_x, S_y):
         return S_y, S_x.T.copy()
 
-    def _step(self, u, r, colour, factors, ws):
+    def _step(self, pool, r, colour, factors):
+        """Binds the step on residuals like r: finish(r, u) -> u. It adds
+        the windows onto u by taking u's window nodes into the pool,
+        adding the windows there and writing them back by fancy index."""
         S_x, S_yT, S_y, S_xT, inv_lam, inv_nu = factors
         c_y, c_x, idx, disjoint = colour
         ny_c, m = idx.shape[:2]
-        t = product(ws, take(ws, r.reshape(-1), idx, 0).reshape(-1, m), S_x)
-        t = product(ws, S_yT, t.reshape(ny_c, m, -1), "take")
-        _scale(t, c_y, c_x, inv_lam, inv_nu)
-        t = product(ws, product(ws, S_y, t).reshape(-1, m), S_xT, "take")
-        u = np.zeros(r.shape, r.dtype) if u is None else u
-        if not u.flags.c_contiguous:
-            raise ValueError("u must be C-contiguous: it is updated in place")
-        if disjoint:
-            u.reshape(-1)[idx] += t.reshape(idx.shape)
-        else:
-            np.add.at(u.reshape(-1), idx, t.reshape(idx.shape))
-        return u
+        t = take(pool, r.reshape(-1), idx, 0, each=lambda r: r.reshape(-1))
+        t = product(pool, t.reshape(-1, m), S_x)
+        t = product(pool, S_yT, t.reshape(ny_c, m, -1), "take")
+        _scale(pool, t, c_y, c_x, inv_lam, inv_nu)
+        t = product(pool, product(pool, S_y, t).reshape(-1, m), S_xT, "take")
+        blocks = t.reshape(idx.shape)
+        w = pool.view("prod", idx.shape, t.dtype, blocks) if disjoint else None
+
+        def finish(r, u):
+            u = np.zeros(r.shape, r.dtype) if u is None else u
+            if not u.flags.c_contiguous:
+                raise ValueError("u must be C-contiguous: it is updated in "
+                                 "place")
+            flat = u.reshape(-1)
+            if disjoint:
+                flat.take(idx, 0, w, "clip")
+                np.add(w, blocks, out=w)
+                flat[idx] = w
+            else:
+                np.add.at(flat, idx, blocks)
+            return u
+        return finish

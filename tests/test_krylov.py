@@ -490,3 +490,36 @@ def test_a_solve_with_a_slabbed_top_has_no_pool(monkeypatch):
     assert pools == [None] * got.cycles
     assert got.residuals == want.residuals
     npt.assert_array_equal(u, u_want)
+
+
+def test_a_solve_binds_each_kernel_once_and_the_next_solve_afresh(
+        monkeypatch):
+    # A 6-cycle mgcg solve (p=8 16x16 multiplicative diffusion, the
+    # mult-diffusion benchmark's problem) binds each pooled kernel once per dtype:
+    # its binds equal its distinct plan keys. The next solve starts on a
+    # pool of its own, empty, and binds them all again.
+    mesh = MeshConfig(16, 16)
+    h = build_hierarchy(mesh, 8, OverlapRule("ceilp8"), smoother="mult",
+                        n_post=1, nu_hat=0.9)
+    f, _ = manufactured_rhs_diffusion(mesh, h.top.basis, 0.9)
+    keys, pools = {}, []
+    plan = mesh_module.Pool.plan
+
+    def recording(pool, key, bind):
+        if not pool.eager:
+            if not any(pool is seen for seen in pools):
+                assert not pool and not pool.plans
+                pools.append(pool)
+            keys.setdefault(id(pool), set()).add(key)
+        return plan(pool, key, bind)
+
+    monkeypatch.setattr(mesh_module.Pool, "plan", recording)
+    cfg = SolveConfig(solver="mgcg", max_cycles=6, seed=1)
+    reps = [solve(h, f, cfg)[1] for _ in range(2)]
+    assert [rep.cycles for rep in reps] == [6, 6]
+    assert reps[0].residuals == reps[1].residuals
+    assert len(pools) == 2
+    # The top level's float64 apply, and on each of the 3 levels the
+    # float32 apply, 4 colour steps and both transfers.
+    assert [len(keys[id(pool)]) for pool in pools] == [22, 22]
+    assert [pool.binds for pool in pools] == [22, 22]

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwarzmg.basis import gll_basis, interp_matrix
-from schwarzmg.mesh import (FieldLayout, MeshConfig, Precisions, _global_1d,
-                            _global_mass, fold_product, layout_for,
+from schwarzmg.mesh import (FieldLayout, MeshConfig, Pool, Precisions,
+                            _global_1d, _global_mass, fold_product, layout_for,
                             periodic_windows, scatter_blocks, split_factor)
 from schwarzmg.multigrid import (OverlapRule, build_hierarchy, prolongate,
                                  restrict_residual)
@@ -81,6 +81,11 @@ def test_scatter_blocks_equals_add_at_loop():
     npt.assert_allclose(got, want, atol=1e-14)
 
 
+def _fold(t, F, axis, n, wrap=True):
+    """``fold_product`` of t, bound and made at once (unpooled)."""
+    return fold_product(Pool.of(None), t, F, axis, n, wrap)
+
+
 def _window_product(rng, axis, lead, n, m, k=2, dtype=None):
     """Random (t, F, windows t @ F or F @ t) for ``fold_product``: standard
     normal, or given a dtype small integers, whose products and sums are
@@ -131,8 +136,7 @@ def test_fold_windows_equals_add_at_loop(p, n):
         for wrap, axis, lead in itertools.product(
                 (True, False) if n_o == 0 else (True,), (1, 2), ((), (3,))):
             t, F, prod = _window_product(rng, axis, lead, n, m)
-            got = fold_product(t, split_factor(F, axis, p, n_o), axis, n,
-                               wrap)
+            got = _fold(t, split_factor(F, axis, p, n_o), axis, n, wrap)
             npt.assert_allclose(got, _add_at_fold(prod, axis, p, n, n_o, wrap),
                                 rtol=0, atol=1e-13)
 
@@ -152,7 +156,7 @@ def test_fold_of_integers_equals_add_at_exactly(p, n):
         if m > p * n or (n_o and not wrap):
             continue
         t, F, prod = _window_product(rng, axis, (2,), n, m, k=3, dtype=dtype)
-        got = fold_product(t, split_factor(F, axis, p, n_o), axis, n, wrap)
+        got = _fold(t, split_factor(F, axis, p, n_o), axis, n, wrap)
         assert got.dtype == dtype
         npt.assert_array_equal(got, _add_at_fold(prod, axis, p, n, n_o, wrap))
 
@@ -165,7 +169,7 @@ def test_open_line_fold_with_overlap_is_an_error(axis):
     t, F, _ = _window_product(np.random.default_rng(37), axis, (), n,
                               p + 1 + 2 * n_o)
     with pytest.raises(ValueError, match="open-line fold"):
-        fold_product(t, split_factor(F, axis, p, n_o), axis, n, wrap=False)
+        _fold(t, split_factor(F, axis, p, n_o), axis, n, wrap=False)
 
 
 def test_precisions_cast_only_for_float32():
@@ -254,7 +258,7 @@ def test_fold_windows_is_adjoint_of_take(case, axis, seed):
     x = rng.standard_normal((3, p * n) if axis == 2 else (p * n, 3))
     tx = np.take(x, periodic_windows(p, n, n_o), axis - 1)
     lhs = np.vdot(tx, w)
-    rhs = np.vdot(x, fold_product(t, split_factor(F, axis, p, n_o), axis, n))
+    rhs = np.vdot(x, _fold(t, split_factor(F, axis, p, n_o), axis, n))
     scale = np.abs(tx).ravel() @ np.abs(w).ravel()
     assert abs(lhs - rhs) <= 1e-12 * scale
 

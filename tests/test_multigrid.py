@@ -1,5 +1,6 @@
 """Tests for the level hierarchy, transfers, coarse solve and V-cycle."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from schwarzmg import multigrid
 from schwarzmg.basis import gll_basis
-from schwarzmg.mesh import MeshConfig, fold_product, layout_for, split_factor
+from schwarzmg.mesh import (MeshConfig, Pool, fold_product, layout_for,
+                            split_factor)
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
                                  _fft_inverse, build_hierarchy, coarse_solve,
                                  iterate, prolongate, restrict_residual,
@@ -717,7 +719,7 @@ def test_every_kernel_computes_in_the_dtype_of_its_field(nu_hat, smoother):
         F = split_factor(rng.standard_normal((5, 5)).astype(np.float32),
                          axis, 4)
         t = rng.standard_normal(shape).astype(np.float32)
-        assert fold_product(t, F, axis, 4).dtype == f32
+        assert fold_product(Pool.of(None), t, F, axis, 4).dtype == f32
     assert v_cycle(h, field(h.depth)).dtype == f32
     # The coarse solve runs in float64 on a float32 right side and returns
     # float32: for Poisson the CG takes the float64 call's iterations, for
@@ -810,7 +812,7 @@ def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
     lay = h.top.op.layout
     r = np.random.default_rng(11).standard_normal((lay.N_y, lay.N_x))
     r = r.astype(dtype)
-    ws, got = {}, []
+    ws, got = Pool(), []
     for cycle in range(3):
         got.append(v_cycle(h, r, cycle, ws))
         if cycle == 0:
@@ -823,12 +825,40 @@ def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
         npt.assert_array_equal(e, v_cycle(h, r, cycle))
 
 
+def _held_arrays(obj, seen=None):
+    """Every array that a bound run holds: in closures, defaults, partials,
+    lists and tuples, to any depth."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, functools.partial):
+        parts = [obj.func, obj.args, list(obj.keywords.values())]
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    elif callable(obj) and hasattr(obj, "__code__"):
+        parts = [c.cell_contents for c in obj.__closure__ or ()
+                 if c.cell_contents is not None] + list(obj.__defaults__ or ())
+    else:
+        return []
+    return [a for part in parts for a in _held_arrays(part, seen)]
+
+
+def _root(a):
+    while a.base is not None and isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 @pytest.mark.parametrize("smoother", ["add", "mult"])
 @pytest.mark.parametrize("nu_hat", [None, 0.7])
 def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
     # Every kernel of a level runs on one pool, and only then are the
     # results compared: a result that was a pool view would have been
-    # overwritten by the kernels after it.
+    # overwritten by the kernels after it. Every plan views only the
+    # pool's buffers as they are now, none that a later bind outgrew.
     h = build_hierarchy(MeshConfig(5, 4), 8, OverlapRule("ceilp8"),
                         smoother=smoother, n_post=1, nu_hat=nu_hat)
     rng = np.random.default_rng(29)
@@ -849,9 +879,15 @@ def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
                     restrict_residual(h, lv.l, f, ws),
                     prolongate(h, lv.l, coarse, ws)]
 
-        ws = {}
+        ws = Pool()
         got = kernels(ws)
         assert ws.keys() == {"take", "prod", "own", "edge"}
+        assert ws.plans
+        for run in ws.plans.values():
+            held = [_root(a) for a in _held_arrays(run)]
+            assert any(b is buf for b in held for buf in ws.values())
+            assert all(any(b is buf for buf in ws.values())
+                       for b in held if b.dtype == np.uint8)
         for a, want in zip(got, kernels(None)):
             assert not any(np.shares_memory(a, b) for b in ws.values())
             npt.assert_array_equal(a, want)
@@ -863,14 +899,16 @@ def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
     # numpy copies an operand that overlaps ``out`` without a word, so a
     # product or gather into the role buffer its operand is a view of
     # gives the right result at the cost of a copy. Through pooled
-    # V-cycles (4 and 6 colours, two precisions), every ``mesh.product``
-    # and ``mesh.take`` writes memory that none of its operands shares.
+    # V-cycles (4 and 6 colours, two precisions), every bound
+    # ``mesh.product``, ``mesh.take`` and ``mesh.fold_product`` writes
+    # memory that none of its operands shares; and a bind that would is
+    # an error.
     from schwarzmg import mesh, operators, schwarz
     calls = []
 
     def checked(kernel):
-        def call(ws, *args):
-            out = kernel(ws, *args)
+        def call(pool, *args, **kw):
+            out = kernel(pool, *args, **kw)
             calls.append(kernel.__name__)
             assert not any(np.shares_memory(out, a) for a in args
                            if isinstance(a, np.ndarray))
@@ -878,7 +916,7 @@ def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
         return call
 
     for module in (multigrid, operators, schwarz):
-        for name in ("product", "take"):
+        for name in ("product", "take", "fold_product"):
             monkeypatch.setattr(module, name, checked(getattr(mesh, name)))
     for n_x in (4, 5):
         h = build_hierarchy(MeshConfig(n_x, 4, l_x=1.5), 8,
@@ -887,5 +925,12 @@ def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
         lay = h.top.op.layout
         r = np.random.default_rng(13).standard_normal((lay.N_y, lay.N_x))
         for dtype in (np.float32, np.float64):
-            v_cycle(h, r.astype(dtype), 0, {})
-    assert {"product", "take"} <= set(calls)
+            v_cycle(h, r.astype(dtype), 0, Pool())
+    assert {"product", "take", "fold_product"} <= set(calls)
+    pool = Pool()
+    a = pool.view("prod", (4, 4), np.float64)
+    with pytest.raises(ValueError, match="writes? the buffer it reads"):
+        mesh.product(pool, a, np.eye(4))
+    with pytest.raises(ValueError, match="writes? the buffer it reads"):
+        mesh.take(pool, pool.view("take", (4, 4), np.float64),
+                  np.arange(2), 0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schwarzmg import mesh as mesh_module
 from schwarzmg.basis import gll_basis
-from schwarzmg.mesh import MeshConfig, _global_mass, layout_for
+from schwarzmg.mesh import MeshConfig, Pool, _global_mass, layout_for
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
                                  dense_diffusion_matrix, dense_poisson_matrix,
                                  diffusivity_field,
@@ -158,13 +158,13 @@ def test_apply_folds_y_once_per_slab_and_once_for_the_first_carry(
     if k < 17:
         _slab_rows(monkeypatch, u, 17, k)
     for op in ops:
-        calls, y_fold = [], op._y_fold
+        calls, y_pass = [], op._y_pass
 
-        def counted(u, es, F, ws=None):
+        def counted(pool, u, es):
             calls.append(es)
-            return y_fold(u, es, F, ws)
+            return y_pass(pool, u, es)
 
-        monkeypatch.setattr(op, "_y_fold", counted)
+        monkeypatch.setattr(op, "_y_pass", counted)
         op.apply(u)
         assert len(calls) == folds
         assert calls[0] == slice(16 if k < 17 else 0, 17)
@@ -368,7 +368,7 @@ def test_only_a_field_of_one_slab_uses_the_pool(monkeypatch, k):
     if k < 17:
         _slab_rows(monkeypatch, u, 17, k)
     for op in ops:
-        ws = {}
+        ws = Pool()
         got = [op.apply(u, ws=ws), op.apply(u, f, np.empty_like(u), ws=ws)]
         assert bool(ws) == (k == 17)
         npt.assert_array_equal(got[0], op.apply(u))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from schwarzmg import mesh as mesh_module
 from schwarzmg.basis import gll_basis
-from schwarzmg.mesh import (FieldLayout, MeshConfig, layout_for,
+from schwarzmg.mesh import (FieldLayout, MeshConfig, Pool, layout_for,
                             periodic_windows)
 from schwarzmg.multigrid import OverlapRule, build_hierarchy
 from schwarzmg.operators import (DiffusionOperator, PoissonOperator,
@@ -563,6 +563,13 @@ STEP_CASES = [(4, 4, 4, 2.0, 1), (4, 5, 4, 3.0, 1), (4, 5, 3, 3.0, 1),
               (8, 3, 4, 1.5, 4)]
 
 
+def _step(sm, u, r, colour, factors, ws):
+    """A colour step with the given factors, bound in the pool ws (or
+    unpooled) under a key of its own, and made."""
+    return Pool.of(ws).plan(object(), lambda pool: sm._step(
+        pool, r, colour, factors))(r, u)
+
+
 def _colour_step_oracle(basis, mesh, layout, r, c_y, c_x, n_o, nu_bar):
     """The dense local solve on r of each window of colour (c_y, c_x),
     divided by the element's mean nu, np.add.at onto its nodes."""
@@ -599,14 +606,14 @@ def test_colour_steps_match_local_solves(case, problem, dtype):
     u0, r = (a.astype(dtype) for a in _random_fields(layout))
     factors = sm._factors[np.dtype(dtype)]
     tol = 1e-11 if dtype == np.float64 else 64 * np.finfo(np.float32).eps
-    pool = {}
+    pool = Pool()
     for colour in sm._colours:
         cor = _colour_step_oracle(basis, mesh, layout, r.astype(np.float64),
                                   *colour[:2], n_o, nu_bar)
         for u, ws in itertools.product((None, u0), (None, pool)):
             want = cor if u is None else u + cor
-            got = sm._step(None if u is None else u.copy(), r, colour,
-                           factors, ws)
+            got = _step(sm, None if u is None else u.copy(), r, colour,
+                        factors, ws)
             assert got.dtype == dtype
             npt.assert_allclose(got, want, rtol=0, atol=tol * np.abs(
                 want).max())
@@ -635,8 +642,9 @@ def test_colour_step_adds_integer_windows_exactly(case):
             for e_x in range(n_x)[c_x]:
                 win = np.ix_(wy[e_y], wx[e_x])
                 np.add.at(want, win, r[win])
-        got = sm._step(u0.astype(dtype) if from_u else None, r.astype(dtype),
-                       (c_y, c_x, idx, disjoint), factors, {})
+        got = _step(sm, u0.astype(dtype) if from_u else None,
+                    r.astype(dtype), (c_y, c_x, idx, disjoint), factors,
+                    Pool())
         assert got.dtype == dtype
         npt.assert_array_equal(got, want)
 
@@ -653,7 +661,7 @@ def test_colour_step_from_zero_is_symmetric(case, seed):
     factors = sm._factors[np.dtype(np.float64)]
     x, y = np.random.default_rng(seed).standard_normal((2, p * n_y, p * n_x))
     for colour in sm._colours:
-        _assert_symmetric(lambda r: sm._step(None, r, colour, factors, None),
+        _assert_symmetric(lambda r: _step(sm, None, r, colour, factors, None),
                           x, y)
 
 
@@ -692,3 +700,47 @@ def test_multiplicative_sweep_temporaries_stay_below_six_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 6.0 * f.nbytes
+
+
+def test_a_warm_colour_step_allocates_no_colour_block():
+    # The step adds its windows onto u through a pool view of u's window
+    # nodes: once bound, it allocates less than a tenth of one colour's
+    # windows, where the fancy-index += took a whole one. numpy's ufunc
+    # buffer for a broadcast scale takes up to 8192 entries whatever the
+    # size, so the colour here (p=8 64x64, n_o = 1: 123904 entries) is
+    # large enough for a tenth of it to tell the two apart.
+    mesh, basis = MeshConfig(64, 64), gll_basis(8)
+    op = DiffusionOperator(basis, mesh, diffusivity_field(mesh, basis, 0.9))
+    sm = MultiplicativeSchwarz(op, 1)
+    u, r = _random_fields(op.layout)
+    factors, colour = sm._factors[r.dtype], sm._colours[0]
+    run = Pool().plan((sm, 0, r.dtype), lambda pool: sm._step(
+        pool, r, colour, factors))
+    run(r, u)
+    tracemalloc.start()
+    try:
+        run(r, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * colour[2].size * u.itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_colour_step_add_is_bitwise_the_fancy_index_add(dtype):
+    # Taking u's window nodes, adding the windows and writing them back is
+    # the fancy-index += bit for bit: the same add on every node, on every
+    # colour, from u and from zero (whose result is the windows alone).
+    mesh, basis = MeshConfig(5, 4), gll_basis(8)
+    op = DiffusionOperator(basis, mesh, diffusivity_field(mesh, basis, 0.9))
+    sm = MultiplicativeSchwarz(op, 1)
+    u0, r = (a.astype(dtype) for a in _random_fields(op.layout))
+    factors = sm._factors[np.dtype(dtype)]
+    for colour in sm._colours:
+        idx, disjoint = colour[2:]
+        assert disjoint
+        blocks = _step(sm, None, r, colour, factors, Pool()).reshape(-1)[idx]
+        want = u0.copy()
+        want.reshape(-1)[idx] += blocks
+        npt.assert_array_equal(_step(sm, u0.copy(), r, colour, factors,
+                                     Pool()), want)

@@ -16,7 +16,6 @@ policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
 operator apply's loop (``operators._GlobalOperator.apply``).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -132,7 +131,7 @@ class Pool(dict):
 
     def __init__(self, eager: bool = False):
         super().__init__()
-        self.plans, self.binds, self.eager, self.sizes = {}, 0, eager, None
+        self.plans, self.binds, self.eager = {}, 0, eager
         # Makes a result in the buffers fresh; holds no reference to self.
         self.fresh = np.asarray if eager else np.copy
 
@@ -146,22 +145,17 @@ class Pool(dict):
         n = np.dtype(dtype).itemsize * math.prod(shape)
         if self.eager:
             out = np.empty(shape, dtype)
-        elif self.sizes is not None:  # a dry bind: stand-ins, no memory
-            self.sizes[role] = max(self.sizes.get(role, 0), n)
-            out = np.ndarray(shape, dtype, np.empty(1, dtype), 0,
-                             (0,) * len(shape))
         else:
-            self._fit(role, n)
+            if role not in self or self[role].size < n:
+                if role in self:  # plans, and this bind, may hold views
+                    del self[role]
+                    self.plans.clear()
+                    raise _Regrow(role, n)
+                self[role] = np.empty(n, np.uint8)
             out = np.ndarray(shape, dtype, self[role])
         if any(np.shares_memory(out, a) for a in reads):
             raise ValueError("a bound kernel would write the buffer it reads")
         return out
-
-    def _fit(self, role: str, n: int):
-        if role not in self or self[role].size < n:
-            self.plans.clear()  # a plan keeps the views it was bound on
-            self.pop(role, None)
-            self[role] = np.empty(n, np.uint8)
 
     def bound(self, step, *args, each=None):
         """Makes ``step(*args)`` now, if eager; else adds it to the plan
@@ -175,18 +169,19 @@ class Pool(dict):
     def plan(self, key, bind):
         """The kernel bound under ``key``: run(x, *rest) makes its steps on
         the input x, then returns finish(x, *rest), ``finish = bind(self)``.
-        A first bind runs dry, and the buffers grow to all it asked for,
-        so that no view of the real bind outgrows its buffer."""
+        A bind that outgrows a buffer stops, frees it, and starts again
+        on a buffer of the size it asked for."""
         run = self.plans.get(key)
         if run is None:
-            if not self.eager:
-                self.sizes, self.steps = {}, []
-                bind(self)
-                for role, n in self.sizes.items():
-                    self._fit(role, n)
-                self.sizes, self.binds = None, self.binds + 1
-            self.steps = []
-            steps, finish = self.steps, bind(self)
+            while True:
+                self.steps = []
+                try:
+                    finish = bind(self)
+                    break
+                except _Regrow as regrow:
+                    role, n = regrow.args
+                self[role] = np.empty(n, np.uint8)
+            steps, self.binds = self.steps, self.binds + (not self.eager)
 
             def run(x, *rest):
                 for step, args, each in steps:
@@ -195,6 +190,10 @@ class Pool(dict):
             if not self.eager:
                 self.plans[key] = run
         return run
+
+
+class _Regrow(Exception):
+    """A bind outgrew the buffer of a role (``Pool.plan``)."""
 
 
 def take(pool, a: np.ndarray, idx: np.ndarray, axis: int, role="take",

@@ -12,8 +12,10 @@ factor as split once by ``split_factor``. Every fold adds its edge
 products one way, bit for bit as element by element, and its open line
 serves only the operator apply's y pass, whose windows have n_o = 0.
 ``Precisions`` holds a kernel's factors in both precisions (the precision
-policy is ``krylov``'s), and ``_slab_elements`` sizes the slabs of the
-operator apply's loop (``operators._GlobalOperator.apply``).
+policy is ``krylov``'s), ``_slab_elements`` sizes the slabs of the
+operator apply's loop (``operators._GlobalOperator.apply``), and ``Pool``
+binds ``take``, ``product`` and ``fold_product`` (the scratch pool is
+``krylov``'s).
 """
 
 import math

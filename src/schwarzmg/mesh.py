@@ -13,9 +13,8 @@ products one way, bit for bit as element by element, and its open line
 serves only the operator apply's y pass, whose windows have n_o = 0.
 ``Precisions`` holds a kernel's factors in both precisions (the precision
 policy is ``krylov``'s), ``_slab_elements`` sizes the slabs of the
-operator apply's loop (``operators._GlobalOperator.apply``), and ``Pool``
-binds ``take``, ``product`` and ``fold_product`` (the scratch pool is
-``krylov``'s).
+operator apply's loop (``operators._GlobalOperator.apply``), and
+``take``, ``product`` and ``fold_product`` bind in a ``Pool``.
 """
 
 import math
@@ -127,94 +126,92 @@ class Precisions(dict):
 
 class Pool(dict):
     """A solve's scratch pool (``krylov``): a byte buffer per role, and in
-    ``plans`` the kernels bound on them, by key. An eager pool serves one
-    unpooled call: fresh arrays, each step made as it is bound, so that a
-    temporary is freed once the next is made, and nothing kept."""
+    ``plans`` the kernels bound on them. A step writes its named role or
+    the first of ``"take"`` and ``"prod"`` it does not read (each step
+    reads the one before). An eager pool makes each step as it is bound,
+    on fresh arrays, and keeps nothing: one unpooled call."""
 
     def __init__(self, eager: bool = False):
         super().__init__()
-        self.plans, self.binds, self.eager = {}, 0, eager
-        # Makes a result in the buffers fresh; holds no reference to self.
-        self.fresh = np.asarray if eager else np.copy
+        self.plans, self.eager = {}, eager
 
     @staticmethod
     def of(ws: "Pool | None") -> "Pool":
         return Pool(eager=True) if ws is None else ws
 
-    def view(self, role: str, shape: tuple, dtype, *reads) -> np.ndarray:
-        """A view of the role's buffer, grown to fit, that shares no memory
+    def view(self, shape: tuple, dtype, *reads, role=None) -> np.ndarray:
+        """A view of a role's buffer, grown to fit, that shares no memory
         with ``reads``, the arrays of the step that writes it."""
-        n = np.dtype(dtype).itemsize * math.prod(shape)
         if self.eager:
-            out = np.empty(shape, dtype)
-        else:
-            if role not in self or self[role].size < n:
-                if role in self:  # plans, and this bind, may hold views
-                    del self[role]
-                    self.plans.clear()
-                    raise _Regrow(role, n)
-                self[role] = np.empty(n, np.uint8)
-            out = np.ndarray(shape, dtype, self[role])
-        if any(np.shares_memory(out, a) for a in reads):
+            return np.empty(shape, dtype)
+        if role is None:
+            role = "prod" if "take" in self and any(
+                np.may_share_memory(self["take"], a) for a in reads) else "take"
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        if len(self.get(role, b"")) < n:
+            grown = role in self  # plans, and this bind, view the old one
+            self[role] = np.empty(n, np.uint8)
+            if grown:
+                self.plans.clear()
+                raise _Regrow
+        out = np.ndarray(shape, dtype, self[role])
+        if any(np.may_share_memory(out, a) for a in reads):
             raise ValueError("a bound kernel would write the buffer it reads")
         return out
 
-    def bound(self, step, *args, each=None):
+    def bound(self, step, *args):
         """Makes ``step(*args)`` now, if eager; else adds it to the plan
-        being bound, its args fixed or, given ``each``, ``step(each(x))``
-        on each call's input x, which the plan must not hold."""
+        being bound."""
         if self.eager:
-            step(*args)
-        else:
-            self.steps.append((step, () if each else args, each))
+            return step(*args)
+        self.steps.append((step, args))
 
-    def plan(self, key, bind):
-        """The kernel bound under ``key``: run(x, *rest) makes its steps on
-        the input x, then returns finish(x, *rest), ``finish = bind(self)``.
-        A bind that outgrows a buffer stops, frees it, and starts again
-        on a buffer of the size it asked for."""
+    def plan(self, key, bind, x, *rest):
+        """Runs the kernel bound under ``key`` on the input x: its steps,
+        in which a first argument that is the bind's x is each call's,
+        then finish(x, *rest), ``finish = bind(self)``, which it returns.
+        A bind that outgrows a buffer frees it and every plan, and binds
+        again on a buffer of the size it asked for."""
         run = self.plans.get(key)
-        if run is None:
-            while True:
-                self.steps = []
-                try:
-                    finish = bind(self)
-                    break
-                except _Regrow as regrow:
-                    role, n = regrow.args
-                self[role] = np.empty(n, np.uint8)
-            steps, self.binds = self.steps, self.binds + (not self.eager)
+        while run is None:
+            self.steps = []
+            try:
+                finish = bind(self)
+            except _Regrow:
+                continue
+            if self.eager:
+                return finish(x, *rest)
+            steps = [(step, args[1:], True) if args[0] is x else
+                     (step, args, False) for step, args in self.steps]
 
             def run(x, *rest):
-                for step, args, each in steps:
-                    step(*args) if each is None else step(each(x))
+                for step, args, reads in steps:
+                    step(x, *args) if reads else step(*args)
                 return finish(x, *rest)
-            if not self.eager:
-                self.plans[key] = run
-        return run
+            self.plans[key] = run
+        return run(x, *rest)
 
 
 class _Regrow(Exception):
     """A bind outgrew the buffer of a role (``Pool.plan``)."""
 
 
-def take(pool, a: np.ndarray, idx: np.ndarray, axis: int, role="take",
-         each=None) -> np.ndarray:
-    """Binds ``np.take(a, idx, axis)`` into a view of the role's buffer,
-    which it returns (``each`` as for ``Pool.bound``); ``idx`` is always
-    in range, so ``"clip"`` only keeps the view unbuffered."""
-    out = pool.view(role, a.shape[:axis] + idx.shape + a.shape[axis + 1:],
-                    a.dtype, a)
-    pool.bound(lambda a: a.take(idx, axis, out, "clip"), a, each=each)
+def take(pool, a: np.ndarray, idx: np.ndarray, axis) -> np.ndarray:
+    """Binds ``np.take(a, idx, axis)`` (``axis=None``: of a flattened) into
+    a pool view, which it returns; ``idx`` is always in range, so
+    ``"clip"`` only keeps the view unbuffered."""
+    shape = (idx.shape if axis is None
+             else a.shape[:axis] + idx.shape + a.shape[axis + 1:])
+    out = pool.view(shape, a.dtype, a)
+    pool.bound(np.ndarray.take, a, idx, axis, out, "clip")
     return out
 
 
-def product(pool, a: np.ndarray, b: np.ndarray, role="prod") -> np.ndarray:
-    """Binds ``a @ b`` (a or b 2-D) into a view of the role's buffer,
-    which it returns."""
+def product(pool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Binds ``a @ b`` (a or b 2-D) into a pool view, which it returns."""
     shape = (a.shape[:-1] + b.shape[-1:] if b.ndim == 2
              else b.shape[:-2] + a.shape[:1] + b.shape[-1:])
-    out = pool.view(role, shape, np.result_type(a, b), a, b)
+    out = pool.view(shape, np.result_type(a, b), a, b)
     pool.bound(np.matmul, a, b, out)
     return out
 
@@ -234,11 +231,12 @@ def split_factor(F: np.ndarray, axis: int, p: int,
 
 
 def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
-                 axis: int, n: int, wrap: bool = True, role: str = "prod",
-                 each=None) -> np.ndarray:
+                 axis: int, n: int, wrap: bool = True, role=None,
+                 fresh: bool = False):
     """Binds the fold of the n windows that are the products of t with the
-    factor split by ``split_factor`` (``each`` as for ``Pool.bound``), and
-    returns it.
+    factor split by ``split_factor`` into a pool view, of ``role`` if
+    given, and returns it; or, if ``fresh``, returns a list onto which each
+    call appends its fold in a fresh array, for the kernel to pop.
 
     ``axis=2``: t is (..., n, k), the windows t @ F (..., n, m) and the
     result (..., n*p). ``axis=1``: t is (..., n, k, r), the windows
@@ -247,16 +245,15 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     its element e, its last n_o + 1 to the first nodes of element e + 1
     and its first n_o to the last nodes of element e - 1; this is the
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
-    own-node product is written straight into the result, a view of the
-    role's buffer, and only the edge-node product, in the ``"edge"``
-    buffer, is added onto the neighbours, first onto e + 1 and then onto
-    e - 1, each move as one ``np.add`` per wrap part on views
-    (..., node, element, r), in order "C" for ``axis=2``, which keeps the
-    n elements innermost, and "K" for ``axis=1``, which keeps the r
-    columns innermost. Every node gets the same adds in the same order
-    as element by element, so the result is bitwise the same. The result
-    has the dtype ``np.result_type`` of t and the factor, so float32
-    operands give a float32 fold.
+    own-node product is written straight into the result, and only the
+    edge-node product, in the ``"edge"`` buffer, is added onto the
+    neighbours, first onto e + 1 and then onto e - 1, each move as one
+    ``np.add`` per wrap part on views (..., node, element, r), in order
+    "C" for ``axis=2``, which keeps the n elements innermost, and "K" for
+    ``axis=1``, which keeps the r columns innermost. Every node gets the
+    same adds in the same order as element by element, so the result is
+    bitwise the same. The result has the dtype ``np.result_type`` of t
+    and the factor, so float32 operands give a float32 fold.
 
     ``wrap=False`` serves only the operator apply's y pass: it folds
     n_o = 0 windows as a stretch of an open line, the wrap part of the
@@ -265,10 +262,11 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     """
     slot = 0 if wrap else 1  # the open line's trailing element slot
     lead, r = (t.shape[:-2], 1) if axis == 2 else (t.shape[:-3], t.shape[-1])
-    own, edge = (pool.view(b, lead + (n + extra, f.shape[axis - 1], r),
-                           np.result_type(t, f), t)
-                 for f, extra, b in zip(F, (slot, 0), (role, "edge")))
-    p, n_o = own.shape[-2], edge.shape[-2] // 2  # blocks (..., n [+ 1], m, r)
+    dtype = np.result_type(t, F[0])
+    shape = lead + (n + slot, F[0].shape[axis - 1], r)  # own (..., n, m, r)
+    edge = pool.view(lead + (n, F[1].shape[axis - 1], r), dtype, t,
+                     role="edge")
+    p, n_o = shape[-2], edge.shape[-2] // 2
     if n_o and not wrap:
         raise ValueError("an open-line fold takes only n_o = 0 windows")
     # Each move of edge nodes src onto own nodes dst, a shift of s
@@ -276,25 +274,42 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     # element e - 1 (s = n - 1). The wrap part lands on elements
     # 0 ... s - 1, or on an open line on the trailing slot.
     moves = [(1, slice(0, n_o + 1), slice(0, n_o + 1)),
-             (n - 1, slice(n_o + 1, None), slice(p - n_o, p))]
-    ov, ev = (w.swapaxes(-2, -3) for w in (own, edge))  # (..., node, el, r)
-    adds = [pair for s, src, dst in moves[:1 + (n_o > 0)] for pair in (
-        (ov[..., dst, s:n, :], ev[..., src, :n - s, :]),
-        (ov[..., dst, n * slot:n * slot + s, :], ev[..., src, n - s:, :]))]
-    order, tail = "C" if axis == 2 else "K", own[..., n:, :, :]
-    gemms = [(f, w[..., :n, :, 0] if axis == 2 else w[..., :n, :, :])
-             for f, w in zip(F, (own, edge))]
+             (n - 1, slice(n_o + 1, None), slice(p - n_o, p))][:1 + (n_o > 0)]
+    ev = edge.swapaxes(-2, -3)  # (..., node, element, r)
+    dsts, srcs = zip(*[pair for s, src, dst in moves for pair in (
+        ((..., dst, slice(s, n), slice(None)), ev[..., src, :n - s, :]),
+        ((..., dst, slice(n * slot, n * slot + s), slice(None)),
+         ev[..., src, n - s:, :]))])
+    gemm = (..., slice(0, n), slice(None), 0 if axis == 2 else slice(None))
+    edge_out, order = edge[gemm], "C" if axis == 2 else "K"
+    # The result: own's nodes up to n*p + slot, (..., node[, r]).
+    flat = lead + ((n + slot) * p,) + ((r,) if axis == 1 else ())
+    head = (..., slice(0, n * p + slot)) + ((slice(None),) if axis == 1 else ())
 
-    def step(t):
-        for f, o in gemms:
+    def views(own):  # the own block's out, trailing slot and add targets
+        ov, tail = own.swapaxes(-2, -3), own[..., n:, :, :] if slot else None
+        return own[gemm], tail, [ov[d] for d in dsts]
+
+    def step(t, own_out, tail, adds):
+        for f, o in zip(F, (own_out, edge_out)):
             np.matmul(*((t, f) if axis == 2 else (f, t)), out=o)
-        tail.fill(0)  # the trailing slot; empty when wrapping
-        for d, e in adds:
+        if slot:
+            tail.fill(0)
+        for d, e in zip(adds, srcs):
             np.add(d, e, out=d, order=order)
 
-    out = own.reshape(own.shape[:-3] + (-1, r))[..., :n * p + slot, :]
-    pool.bound(step, t, each=each)
-    return out[..., 0] if axis == 2 else out
+    if fresh:
+        made = []
+
+        def fold(t):
+            own = np.empty(shape, dtype)
+            step(t, *views(own))
+            made.append(own.reshape(flat)[head])
+        pool.bound(fold, t)
+        return made
+    own = pool.view(shape, dtype, t, role=role)
+    pool.bound(step, t, *views(own))
+    return own.reshape(flat)[head]
 
 
 def scatter_blocks(flat: np.ndarray, blocks: np.ndarray,

@@ -229,11 +229,11 @@ def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray,
         # x: every coarse element row window times J[:-1]^T, laid out as
         # fine rows (the gathered windows are contiguous, unlike
         # coarse[:, idx]).
-        t = product(pool, take(pool, coarse, op_c._wx, 1, each=np.asarray), J.T)
+        t = product(pool, take(pool, coarse, op_c._wx, 1), J.T)
         # y: the same on the element column windows.
         t = take(pool, t.reshape(coarse.shape[0], -1), op_c._wy, 0)
         return lambda coarse: (J @ t).reshape(-1, t.shape[2])
-    return Pool.of(ws).plan(("prolongate", l, coarse.dtype), bind)(coarse)
+    return Pool.of(ws).plan(("prolongate", l, coarse.dtype), bind, coarse)
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
@@ -242,21 +242,19 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
     in the field's dtype; a plan bound in the scratch pool ``ws``."""
     if not 1 <= l <= h.depth:
         raise ValueError(f"level must be in [1, {h.depth}], got {l}")
+    mesh, p_f = h.mesh, h.levels[l].basis.p
 
     def bind(pool):
-        lv, mesh = h.levels[l], h.mesh
-        _, rx, ry = lv.transfers[fine.dtype]
-        blocks = (fine.shape[0], mesh.n_x, lv.basis.p)
+        _, rx, ry = h.levels[l].transfers[fine.dtype]
         # x: each fine element row block times J[:-1], folded into coarse
         # rows.
-        t = fold_product(pool, fine.reshape(blocks), rx, 2, mesh.n_x,
-                         role="take", each=lambda fine: fine.reshape(blocks))
+        t = fold_product(pool, blocks, rx, 2, mesh.n_x)
         # y: the same on the element column blocks.
-        t = fold_product(pool, t.reshape(mesh.n_y, lv.basis.p, -1), ry, 1,
-                         mesh.n_y, role="own")
-        fresh = pool.fresh
-        return lambda fine: fresh(t)
-    return Pool.of(ws).plan(("restrict", l, fine.dtype), bind)(fine)
+        t = fold_product(pool, t.reshape(mesh.n_y, p_f, -1), ry, 1,
+                         mesh.n_y, fresh=True)
+        return lambda blocks: t.pop()
+    blocks = fine.reshape(fine.shape[0], mesh.n_x, p_f)
+    return Pool.of(ws).plan(("restrict", l, fine.dtype), bind, blocks)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:

@@ -49,9 +49,9 @@ class _GlobalOperator:
     mesh, the field layout, the nodal nu (None for Poisson: unit
     diffusivity; the only stored diffusivity), the element window tables,
     the element kernel and the slab loop of ``apply``. Each operator
-    binds ``_x_pass``, its x pass on a run of node rows, and ``_y_pass``,
-    the fold of its y pass on a run of element rows, each as (run(u),
-    result); ``_y_mass`` finishes the fold (by default as it is)."""
+    binds ``_x_pass``, its x pass on the node rows u, to the windows and
+    factor to fold, and ``_y_pass``, the fold of its y pass on a run of
+    element rows; ``_masses`` finishes the folds (by default as they are)."""
 
     def __init__(self, basis: Basis1D, mesh: MeshConfig,
                  nu: np.ndarray | None = None):
@@ -93,51 +93,55 @@ class _GlobalOperator:
         _check_layout(self.layout, u)
         n = self.mesh.n_y
         k = _slab_elements(u, n)
-        ws = ws if k == n else None
+        pool = Pool.of(ws if k == n else None)
         sums = None if out is None else np.empty(n)  # squares per row
         # The result's field, or None where it is the x pass's fresh array.
-        into = (None if out is not None or (k == n and ws is None)
-                else np.empty(u.shape, u.dtype))
-        carry = None
-        if k < n:
-            carry = self._y_pass(Pool.of(None), u, slice(n - 1, n))[-1]
+        into = None if out is not None or k == n else np.empty_like(u)
+        carry = self._y_pass(pool, u, slice(n - 1, n))[-1] if k < n else None
         for e0 in range(0, n, k):
             es = slice(e0, min(e0 + k, n))
-            carry, o = Pool.of(ws).plan((self, u.dtype), lambda pool: (
-                self._slab(pool, u, es)))(u, f, into, out, carry, sums)
+            carry, o = pool.plan((self, u.dtype, out is None), lambda pool: (
+                self._slab(pool, u, es, out is None)), u, f, into, out, carry,
+                sums)
         if out is not None:
             return out, float(np.sqrt(sums.sum()))
         return o if into is None else into
 
-    def _slab(self, pool, u, es):
-        """Binds the apply on the element rows ``es`` of fields like u:
-        returns its finish(u, f, into, out, carry, sums) -> (carry, o)."""
+    def _slab(self, pool, u, es, fresh):
+        """Binds the apply on the element rows ``es`` of fields like u, its x
+        fold fresh or in ``"own"``: finish(u, f, into, out, carry, sums)."""
         p = self.basis.p
         rows = slice(es.start * p, es.stop * p)
-        x, y = self._x_pass(pool, u, rows), self._y_pass(pool, u, es)
+        # No name holds the x windows: unpooled, they are freed here.
+        x = fold_product(pool, *self._x_pass(
+            pool, u if rows == slice(0, len(u)) else u[rows], rows), 2,
+            self.mesh.n_x, role="own", fresh=fresh)
+        y = self._y_pass(pool, u, es)
         y0, last, y = y[0], y[-1], y[:-1]
-        mass = self._y_mass(self._factors[u.dtype])
-        squares = x.reshape(-1, p * x.shape[1])
+        x_mass, y_mass = self._masses(self._factors[u.dtype], rows)
 
         def finish(u, f, into, out, carry, sums):
+            x_rows = x.pop() if fresh else x
+            if x_mass is not None:
+                np.multiply(x_rows, x_mass, out=x_rows)
             np.add(y0, last if carry is None else carry, out=y0)
-            if mass is not None:
-                np.multiply(y, mass, out=y)
-            o = x if into is None else into[rows]
-            np.add(x, y, out=o)
+            if y_mass is not None:
+                np.multiply(y, y_mass, out=y)
+            o = x_rows if into is None else into[rows]
+            np.add(x_rows, y, out=o)
             if f is not None:
                 np.subtract(f[rows], o, out=o)
             if out is not None:
                 with np.errstate(over="ignore"):
                     out[rows] = o
                     np.multiply(o, o, out=o)
-                sums[es] = squares.sum(axis=1)
+                sums[es] = o.reshape(-1, p * o.shape[1]).sum(axis=1)
             return last, o
         return finish
 
-    def _y_mass(self, F):
-        """The scale that finishes the y fold, or None (as it is)."""
-        return None
+    def _masses(self, F, rows):
+        """The scales of the x fold on ``rows`` and the y fold, or None."""
+        return None, None
 
     def _nu_w(self, e_x, e_y) -> np.ndarray:
         """nu (w (x) w) on the (y, x) block(s) of element(s) (e_y, e_x),
@@ -175,19 +179,15 @@ class PoissonOperator(_GlobalOperator):
             _global_mass(basis, mesh.n_y, mesh.dy)[:, None])
 
     def _x_pass(self, pool, u, rows):
-        F = self._factors[u.dtype]
-        t = take(pool, u[rows], self._wx, 1, each=lambda u: u[rows])
-        x = fold_product(pool, t, F[0], 2, self.mesh.n_x, role="own")
-        pool.bound(np.multiply, x, F[3][rows], x)
-        return x
+        return take(pool, u, self._wx, 1), self._factors[u.dtype][0]
 
     def _y_pass(self, pool, u, es):
-        t = take(pool, u, self._wy[es], 0, each=np.asarray)
+        t = take(pool, u, self._wy[es], 0)
         return fold_product(pool, t, self._factors[u.dtype][1], 1,
                             es.stop - es.start, wrap=False)
 
-    def _y_mass(self, F):
-        return F[2]
+    def _masses(self, F, rows):
+        return F[3][rows], F[2]
 
 
 class DiffusionOperator(_GlobalOperator):
@@ -214,17 +214,16 @@ class DiffusionOperator(_GlobalOperator):
 
     def _x_pass(self, pool, u, rows):
         d, fx, _, fold_x, _ = self._factors[u.dtype]
-        t = product(pool, take(pool, u[rows], self._wx, 1,
-                               each=lambda u: u[rows]), d.T)
+        t = product(pool, take(pool, u, self._wx, 1), d.T)
         pool.bound(np.multiply, t, fx[rows], t)
-        return fold_product(pool, t, fold_x, 2, self.mesh.n_x, role="own")
+        return t, fold_x
 
     def _y_pass(self, pool, u, es):
         d, _, fy, _, fold_y = self._factors[u.dtype]
-        t = product(pool, d, take(pool, u, self._wy[es], 0, each=np.asarray))
+        t = product(pool, d, take(pool, u, self._wy[es], 0))
         pool.bound(np.multiply, t, fy[es], t)
         return fold_product(pool, t, fold_y, 1, es.stop - es.start,
-                            wrap=False, role="take")
+                            wrap=False)
 
     def element_mean_nu(self) -> np.ndarray:
         """Quadrature-weighted mean of nu over each element, shape (n_y, n_x)."""

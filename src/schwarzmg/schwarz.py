@@ -144,6 +144,8 @@ class SchwarzSmoother:
     state between calls.
     """
 
+    _zero_plan = False  # whether a step from zero is a plan of its own
+
     def __init__(self, op, n_o: int):
         lay = op.layout
         m = lay.p + 1 + 2 * n_o
@@ -175,8 +177,9 @@ class SchwarzSmoother:
         for k in range(first, first + n_it):
             for i in range(len(self._colours))[::-1 if k % 2 else 1]:
                 r = f if u is None else op.apply(u, f, ws=ws)
-                u = pool.plan((self, i, f.dtype), lambda pool: self._step(
-                    pool, r, self._colours[i], factors))(r, u)
+                key = (self, i, f.dtype, self._zero_plan and u is None)
+                u = pool.plan(key, lambda pool: (
+                    self._step(pool, r, u, self._colours[i], factors)), r, u)
         return u
 
 
@@ -199,6 +202,8 @@ class AdditiveSchwarz(SchwarzSmoother):
     (``mesh.fold_product``), through the factors diag(w) S_y and
     S_x^T diag(w), split once by ``mesh.split_factor``."""
 
+    _zero_plan = True  # it folds the correction into a fresh array
+
     def __init__(self, op, n_o: int, kind: WeightKind):
         self._kind = kind
         super().__init__(op, n_o)
@@ -209,19 +214,18 @@ class AdditiveSchwarz(SchwarzSmoother):
         return (split_factor(w * S_y, 1, op.basis.p, self.n_o),
                 split_factor((w * S_x).T, 2, op.basis.p, self.n_o))
 
-    def _step(self, pool, r, colour, factors):
+    def _step(self, pool, r, u, colour, factors):
         """Binds the step on residuals like r: finish(r, u) -> u."""
         S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = factors
-        t = product(pool, take(pool, r, self._wx, 1, each=np.asarray), S_x)
-        t = take(pool, t, self._wy, 0)
+        t = take(pool, product(pool, take(pool, r, self._wx, 1), S_x),
+                 self._wy, 0)
         n_y, m, n_x, _ = t.shape
         t = product(pool, S_yT, t.reshape(n_y, m, -1))
         _scale(pool, t, *colour, inv_lam, inv_nu)
-        t = fold_product(pool, t, WS_y, 1, n_y, role="take")
+        t = fold_product(pool, t, WS_y, 1, n_y)
         cor = fold_product(pool, t.reshape(-1, n_x, m), S_xTW, 2, n_x,
-                           role="own")
-        fresh = pool.fresh
-        return lambda r, u: fresh(cor) if u is None else np.add(u, cor, out=u)
+                           fresh=u is None)
+        return lambda r, u: cor.pop() if u is None else np.add(u, cor, out=u)
 
 
 def _colour_classes(n: int) -> list[slice]:
@@ -245,8 +249,9 @@ class MultiplicativeSchwarz(SchwarzSmoother):
     ``_colour_classes``: 4 colours on an even mesh, 6 or 9 on an odd one,
     lexicographic by (y class, x class).  A step gathers its colour's
     windows in one take, transforms them both ways with the full factors and
-    adds them onto u in place: by fancy index where they are disjoint
-    (``_colour_nodes``), else by the slower, exact ``np.add.at``."""
+    adds them onto u in place: where they are disjoint (``_colour_nodes``)
+    it adds onto u's window nodes, taken into the pool, and writes them
+    back by fancy index, else it adds by the slower, exact ``np.add.at``."""
 
     def __init__(self, op, n_o: int):
         super().__init__(op, n_o)
@@ -258,20 +263,17 @@ class MultiplicativeSchwarz(SchwarzSmoother):
     def _back(self, op, S_x, S_y):
         return S_y, S_x.T.copy()
 
-    def _step(self, pool, r, colour, factors):
-        """Binds the step on residuals like r: finish(r, u) -> u. It adds
-        the windows onto u by taking u's window nodes into the pool,
-        adding the windows there and writing them back by fancy index."""
+    def _step(self, pool, r, u, colour, factors):
+        """Binds the step on residuals like r: finish(r, u) -> u."""
         S_x, S_yT, S_y, S_xT, inv_lam, inv_nu = factors
         c_y, c_x, idx, disjoint = colour
         ny_c, m = idx.shape[:2]
-        t = take(pool, r.reshape(-1), idx, 0, each=lambda r: r.reshape(-1))
-        t = product(pool, t.reshape(-1, m), S_x)
-        t = product(pool, S_yT, t.reshape(ny_c, m, -1), "take")
+        t = product(pool, take(pool, r, idx, None).reshape(-1, m), S_x)
+        t = product(pool, S_yT, t.reshape(ny_c, m, -1))
         _scale(pool, t, c_y, c_x, inv_lam, inv_nu)
-        t = product(pool, product(pool, S_y, t).reshape(-1, m), S_xT, "take")
+        t = product(pool, product(pool, S_y, t).reshape(-1, m), S_xT)
         blocks = t.reshape(idx.shape)
-        w = pool.view("prod", idx.shape, t.dtype, blocks) if disjoint else None
+        w = pool.view(idx.shape, t.dtype, blocks) if disjoint else None
 
         def finish(r, u):
             u = np.zeros(r.shape, r.dtype) if u is None else u

@@ -492,6 +492,31 @@ def test_a_solve_with_a_slabbed_top_has_no_pool(monkeypatch):
     npt.assert_array_equal(u, u_want)
 
 
+def _record_plans(monkeypatch):
+    """Per pool that solves bind on: its plan keys and its count of
+    completed binds. A pool is empty when its first kernel binds."""
+    pools = []
+    plan = mesh_module.Pool.plan
+
+    def recording(pool, key, bind, *args):
+        if pool.eager:
+            return plan(pool, key, bind, *args)
+        if not any(pool is seen for seen, _, _ in pools):
+            assert not pool and not pool.plans
+            pools.append((pool, set(), [0]))
+        _, keys, binds = next(p for p in pools if p[0] is pool)
+        keys.add(key)
+
+        def counted(pool):
+            finish = bind(pool)
+            binds[0] += 1
+            return finish
+        return plan(pool, key, counted, *args)
+
+    monkeypatch.setattr(mesh_module.Pool, "plan", recording)
+    return pools
+
+
 def test_a_solve_binds_each_kernel_once_and_the_next_solve_afresh(
         monkeypatch):
     # A 6-cycle mgcg solve (p=8 16x16 multiplicative diffusion, the
@@ -502,24 +527,28 @@ def test_a_solve_binds_each_kernel_once_and_the_next_solve_afresh(
     h = build_hierarchy(mesh, 8, OverlapRule("ceilp8"), smoother="mult",
                         n_post=1, nu_hat=0.9)
     f, _ = manufactured_rhs_diffusion(mesh, h.top.basis, 0.9)
-    keys, pools = {}, []
-    plan = mesh_module.Pool.plan
-
-    def recording(pool, key, bind):
-        if not pool.eager:
-            if not any(pool is seen for seen in pools):
-                assert not pool and not pool.plans
-                pools.append(pool)
-            keys.setdefault(id(pool), set()).add(key)
-        return plan(pool, key, bind)
-
-    monkeypatch.setattr(mesh_module.Pool, "plan", recording)
+    pools = _record_plans(monkeypatch)
     cfg = SolveConfig(solver="mgcg", max_cycles=6, seed=1)
     reps = [solve(h, f, cfg)[1] for _ in range(2)]
     assert [rep.cycles for rep in reps] == [6, 6]
     assert reps[0].residuals == reps[1].residuals
-    assert len(pools) == 2
     # The top level's float64 apply, and on each of the 3 levels the
     # float32 apply, 4 colour steps and both transfers.
-    assert [len(keys[id(pool)]) for pool in pools] == [22, 22]
-    assert [pool.binds for pool in pools] == [22, 22]
+    assert [len(keys) for _, keys, _ in pools] == [22, 22]
+    assert [binds for _, _, [binds] in pools] == [22, 22]
+
+
+@pytest.mark.xfail(strict=True, reason="the first float32 sweep outgrows the "
+                   "buffers the top float64 apply bound first, which drops "
+                   "its plan, so it binds again (ROADMAP item 3)")
+def test_a_coarse_p4_solve_binds_each_kernel_once(monkeypatch):
+    # The coarse-p4 benchmark's problem (p=4 64x64 w5 ceilp8 mg): as above,
+    # binds equal to the distinct plan keys.
+    mesh = MeshConfig(64, 64)
+    h = build_hierarchy(mesh, 4, OverlapRule("ceilp8"),
+                        weight=WeightKind.QUINTIC)
+    f, _ = poisson_benchmark(mesh, h.top.basis)
+    pools = _record_plans(monkeypatch)
+    solve(h, f, SolveConfig(max_cycles=2, seed=1))
+    [(_, keys, [binds])] = pools
+    assert binds == len(keys)

@@ -567,7 +567,7 @@ def _step(sm, u, r, colour, factors, ws):
     """A colour step with the given factors, bound in the pool ws (or
     unpooled) under a key of its own, and made."""
     return Pool.of(ws).plan(object(), lambda pool: sm._step(
-        pool, r, colour, factors))(r, u)
+        pool, r, u, colour, factors), r, u)
 
 
 def _colour_step_oracle(basis, mesh, layout, r, c_y, c_x, n_o, nu_bar):
@@ -714,12 +714,14 @@ def test_a_warm_colour_step_allocates_no_colour_block():
     sm = MultiplicativeSchwarz(op, 1)
     u, r = _random_fields(op.layout)
     factors, colour = sm._factors[r.dtype], sm._colours[0]
-    run = Pool().plan((sm, 0, r.dtype), lambda pool: sm._step(
-        pool, r, colour, factors))
-    run(r, u)
+    pool = Pool()
+
+    def run():
+        pool.plan(0, lambda pool: sm._step(pool, r, u, colour, factors), r, u)
+    run()
     tracemalloc.start()
     try:
-        run(r, u)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -183,6 +183,7 @@ class Pool(dict):
                 return finish(x, *rest)
             steps = [(step, args[1:], True) if args[0] is x else
                      (step, args, False) for step, args in self.steps]
+            self.steps = []  # which held this bind's input
 
             def run(x, *rest):
                 for step, args, reads in steps:

@@ -23,13 +23,15 @@ from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, We
 
 log = logging.getLogger(__name__)
 
-# The most p = 1 nodes whose diffusion problem is solved by a dense inverse.
-# With one BLAS thread (nu_hat = 0.9) building the inverse takes 0.31 ms at
-# 64 nodes, 5.1 at 256, 25 at 512 and 124 at 1024, and a solve with it
-# 14, 21, 75 and 320 us; one CG coarse solve of a float32 right side takes
-# 1.0-1.2 ms at each size. A solve makes at least 5 coarse solves (6 at
-# p = 4 to 8 on 16x16), so the inverse pays for itself within one solve
-# up to 256 nodes.
+# The most p = 1 nodes whose diffusion problem is solved by a dense XX^T
+# factor. With one BLAS thread (nu_hat = 0.9) building the factor takes
+# 0.10 ms at 64 nodes, 1.1 at 256, 6.2 at 512 and 43 at 1024 (a general
+# inverse 0.09, 3.0, 22 and 92), 0.2, 2.0-2.8, 9.4-12 and 49-60 with the
+# matrix's assembly, and a solve with it 11, 29, 104-130 and 600 us; one
+# CG coarse solve of a float32 right side takes 1.0-1.7 ms at each size. A
+# solve makes at least 5 coarse solves (6 at p = 4 to 8 on 16x16), so the
+# factor pays for itself within one solve up to 256 nodes; at 512 nodes it
+# would take about 8.
 _DENSE_COARSE_NODES = 256
 # The coarse CG's relative tolerance (``coarse_solve``).
 _COARSE_TOL = 1e-12
@@ -137,21 +139,35 @@ class MultigridHierarchy:
         self.coarse_cg_exhausted = 0
 
     @functools.cached_property
-    def coarse_inverse(self) -> np.ndarray | None:
-        """The float64 inverse of A + c 11^T, c = mean(diag A) / n, for a
-        diffusion p = 1 level of at most ``_DENSE_COARSE_NODES`` nodes;
-        None otherwise (``coarse_solve`` says why).
+    def coarse_factor(self) -> np.ndarray | None:
+        """The float64 upper-triangular X = L^-T, L the Cholesky factor of
+        A + c 11^T, c = mean(diag A) / n, for a diffusion p = 1 level of at
+        most ``_DENSE_COARSE_NODES`` nodes; None otherwise (``coarse_solve``
+        says why).
 
         The constant mode, A's null space, becomes an eigenvector of
-        eigenvalue mean(diag A), so the inverse times a mean-free b is A+ b.
-        It depends on the hierarchy only and is built on first use.
+        eigenvalue mean(diag A), so X X^T times a mean-free b is A+ b.
+        L^-1 is built in blocks of 32 rows, each from the rows above it:
+        numpy has no triangular inverse, and its general one costs as much
+        as inverting A. X depends on the hierarchy only and is built on
+        first use.
         """
         lv0 = self.levels[0]
         if lv0.op.nu is None or lv0.op.layout.size > _DENSE_COARSE_NODES:
             return None
         A = dense_diffusion_matrix(lv0.basis, self.mesh, lv0.op.nu)
         A += np.mean(np.diag(A)) / len(A)
-        return np.linalg.inv(A)
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            raise ValueError("p=1 coarse level: diffusion matrix is not "
+                             "positive definite") from None
+        X = np.zeros_like(L)
+        for i in range(0, len(L), 32):
+            j = slice(i, i + 32)
+            X[j, j] = np.linalg.inv(L[j, j])
+            X[j, :i] = -X[j, j] @ (L[j, :i] @ X[:i, :i])
+        return X.T
 
     @property
     def depth(self) -> int:
@@ -322,13 +338,14 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     problem is solved directly, as in the spectral-element multigrid of
     Lottes & Fischer (J. Sci. Comput. 24, 2005), whose coarse grid is
     solved by the XX^T method (Tufo & Fischer, J. Parallel Distrib.
-    Comput. 61, 2001): ``h.coarse_inverse`` times b is A+ b. Every other
-    one is solved by ``iterate``'s CG from 0 to tol * ||b||, in at most 10
-    iterations per node, where tol is ``_COARSE_TOL`` or, if larger, 100
-    ulps of the dtype of ``f0`` (1.2e-5 for float32, whose result is
-    rounded to float32 anyway: an inexact inner solve need only be as
-    accurate as the inner precision). A CG that stops short logs its stop
-    reason and counts in ``h.coarse_cg_exhausted``.
+    Comput. 61, 2001): with X = ``h.coarse_factor``, a dense triangular
+    factor of the inverse, X (X^T b) is A+ b. Every other one is solved by
+    ``iterate``'s CG from 0 to tol * ||b||, in at most 10 iterations per
+    node, where tol is ``_COARSE_TOL`` or, if larger, 100 ulps of the
+    dtype of ``f0`` (1.2e-5 for float32, whose result is rounded to
+    float32 anyway: an inexact inner solve need only be as accurate as the
+    inner precision). A CG that stops short logs its stop reason and
+    counts in ``h.coarse_cg_exhausted``.
 
     The CG's preconditioner is s * L+(s * r) with s = 1/sqrt(nu) at the
     p = 1 nodes, the diagonal scaling of the variable-coefficient operator
@@ -345,8 +362,9 @@ def coarse_solve(h: MultigridHierarchy, f0: np.ndarray) -> np.ndarray:
     result has the dtype of ``f0``.
     """
     b = project_mean(f0.astype(np.float64, copy=False))
-    if h.coarse_inverse is not None:
-        x = (h.coarse_inverse @ b.ravel()).reshape(b.shape)
+    if h.coarse_factor is not None:
+        X = h.coarse_factor
+        x = (X @ (X.T @ b.ravel())).reshape(b.shape)
     else:
         cap = 10 * b.size
         r_tol = max(_COARSE_TOL, 100 * float(np.finfo(f0.dtype).eps))

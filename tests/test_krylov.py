@@ -149,7 +149,7 @@ def test_a_solve_rebinds_no_hierarchy_attribute(smoother, nu_hat):
     # The hierarchy, its levels, operators and smoothers hold no solve
     # state: a solve rebinds none of their attributes and changes none of
     # their arrays. Only the hierarchy's coarse-cap tally counts on, and
-    # the first solve caches the coarse inverse (None for Poisson), which
+    # the first solve caches the coarse factor (None for Poisson), which
     # the later ones keep as it is. Every factor table (the operators' and
     # smoothers' ``_factors``, the levels' ``transfers``) keeps its keys,
     # its entries and their values: both precisions exist from set-up on.
@@ -183,7 +183,7 @@ def test_a_solve_rebinds_no_hierarchy_attribute(smoother, nu_hat):
             if o is h:
                 del now["coarse_cg_exhausted"], attrs["coarse_cg_exhausted"]
                 if i == 0:
-                    cached = now.pop("coarse_inverse")
+                    cached = now.pop("coarse_factor")
                     assert (cached is None) == (nu_hat is None)
             assert now.keys() == attrs.keys()
             assert all(now[k] is v for k, v in attrs.items()), type(o).__name__

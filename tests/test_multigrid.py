@@ -299,10 +299,10 @@ def test_scaled_coarse_preconditioner_caps_diffusion_coarse_iterations():
     # The p = 1 problem of the mult-diffusion benchmark (16x16, nu_hat=0.9):
     # 43-45 iterations per coarse solve with the mean-nu-scaled Poisson
     # pseudoinverse, 15 with the 1/sqrt(nu) scaling. Its 256 nodes are
-    # solved by the dense inverse; None sends them through the CG.
+    # solved by the dense factor; None sends them through the CG.
     h = build_hierarchy(MeshConfig(16, 16, l_x=1.0, l_y=1.0), 2,
                         OverlapRule("ceilp8"), smoother="mult", nu_hat=0.9)
-    h.coarse_inverse = None
+    h.coarse_factor = None
     lv0 = h.levels[0]
     calls = []
     apply = lv0.op.apply
@@ -326,7 +326,7 @@ def _counted_coarse_apply(h):
 @pytest.mark.parametrize("ar", [1.0, 4.0])
 def test_small_diffusion_coarse_solve_is_the_dense_pseudoinverse(n, ar):
     # The diffusion coarse levels of fig3, fig4 and mult-diffusion (64 and
-    # 256 nodes) are solved by the dense inverse, with no CG iteration.
+    # 256 nodes) are solved by the dense factor, with no CG iteration.
     mesh = MeshConfig(n, n, l_x=ar, l_y=1.0)
     h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=0.9)
     lv0 = h.levels[0]
@@ -351,7 +351,7 @@ def test_other_coarse_problems_still_run_the_cg(mesh, nu_hat):
     calls = _counted_coarse_apply(h)
     coarse_solve(h, np.random.default_rng(97).standard_normal(
         (layout.N_y, layout.N_x)))
-    assert h.coarse_inverse is None
+    assert h.coarse_factor is None
     assert len(calls) > 0 and h.coarse_cg_exhausted == 0
 
 
@@ -374,10 +374,10 @@ def test_float32_right_side_stops_the_coarse_cg_at_float32_resolution():
     assert np.linalg.norm(u32 - u64) <= 1e-4 * np.linalg.norm(u64)
 
 
-def test_coarse_inverse_is_built_once_on_the_first_coarse_solve(monkeypatch):
+def test_coarse_factor_is_built_once_on_the_first_coarse_solve(monkeypatch):
     h = build_hierarchy(MeshConfig(8, 8, l_x=1.0, l_y=1.0), 4,
                         OverlapRule("ceilp8"), nu_hat=0.9)
-    assert "coarse_inverse" not in vars(h)
+    assert "coarse_factor" not in vars(h)
     built = []
     dense = multigrid.dense_diffusion_matrix
     monkeypatch.setattr(multigrid, "dense_diffusion_matrix",
@@ -393,11 +393,69 @@ def test_coarse_inverse_is_built_once_on_the_first_coarse_solve(monkeypatch):
     npt.assert_allclose(got, first, rtol=0, atol=1e-6 * np.abs(first).max())
 
 
+@pytest.mark.parametrize("n", [1, 2, 33, 100, 255, 256])
+def test_coarse_factor_inverts_the_cholesky_factor_in_row_blocks(
+        monkeypatch, n):
+    # Sizes on and off the 32-row blocks, partial last blocks included, on
+    # a substituted symmetric positive definite matrix.
+    G = np.random.default_rng(107).standard_normal((n, n))
+    M = G @ G.T + n * np.eye(n)
+    monkeypatch.setattr(multigrid, "dense_diffusion_matrix",
+                        lambda *args: M.copy())
+    h = build_hierarchy(MeshConfig(4, 4), 2, OverlapRule("fixed", 1),
+                        nu_hat=0.9)
+    want = np.linalg.inv(np.linalg.cholesky(M + np.mean(np.diag(M)) / n))
+    X = h.coarse_factor
+    assert not np.tril(X, -1).any()
+    npt.assert_allclose(X.T, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("ar", [1.0, 4.0])
+def test_coarse_factor_times_its_transpose_is_the_inverse(n, ar):
+    mesh = MeshConfig(n, n, l_x=ar, l_y=1.0)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=0.9)
+    lv0 = h.levels[0]
+    A = dense_diffusion_matrix(lv0.basis, mesh, lv0.op.nu)
+    inv = np.linalg.inv(A + np.mean(np.diag(A)) / len(A))
+    X = h.coarse_factor
+    npt.assert_allclose(X @ X.T, inv, rtol=0, atol=1e-12 * np.abs(inv).max())
+
+
+@pytest.mark.parametrize("ar", [1.0, 4.0])
+def test_float32_coarse_solves_round_as_the_inverses_did(ar):
+    # The V-cycle's float32 coarse right sides on the 256-node levels of
+    # mult-diffusion and fig4 get the float32 rounding of the dense
+    # inverse's solve, bit for bit: the two differ by about 1e-14.
+    mesh = MeshConfig(16, 16, l_x=ar, l_y=1.0)
+    h = build_hierarchy(mesh, 2, OverlapRule("fixed", 1), nu_hat=0.9)
+    lv0 = h.levels[0]
+    A = dense_diffusion_matrix(lv0.basis, mesh, lv0.op.nu)
+    inv = np.linalg.inv(A + np.mean(np.diag(A)) / len(A))
+    rng = np.random.default_rng(109)
+    for _ in range(50):
+        f32 = rng.standard_normal(
+            (lv0.op.layout.N_y, lv0.op.layout.N_x)).astype(np.float32)
+        b = project_mean(f32.astype(np.float64))
+        want = project_mean((inv @ b.ravel()).reshape(b.shape))
+        assert np.array_equal(coarse_solve(h, f32), want.astype(np.float32))
+
+
+def test_an_indefinite_coarse_matrix_is_a_one_line_error(monkeypatch):
+    h = build_hierarchy(MeshConfig(4, 4), 2, OverlapRule("fixed", 1),
+                        nu_hat=0.9)
+    monkeypatch.setattr(multigrid, "dense_diffusion_matrix",
+                        lambda *args: np.diag(np.r_[np.ones(15), -1.0]))
+    with pytest.raises(ValueError, match=r"^p=1 coarse level: diffusion "
+                       r"matrix is not positive definite$"):
+        coarse_solve(h, np.ones((4, 4)))
+
+
 def test_coarse_solve_is_textbook_polak_ribiere_cg():
     # Preconditioned CG with the Polak-Ribiere coefficient, written out:
     # beta_k = z_k . (r_k - r_{k-1}) / (z_{k-1} . r_{k-1}), on a diffusion
     # coarse level, where s * L+(s * r) is not the exact inverse, of 512
-    # nodes, too many for the dense inverse.
+    # nodes, too many for the dense factor.
     h = build_hierarchy(MeshConfig(32, 16, l_x=1.5), 2,
                         OverlapRule("fixed", 1), nu_hat=0.9)
     lv0 = h.levels[0]
@@ -723,7 +781,7 @@ def test_every_kernel_computes_in_the_dtype_of_its_field(nu_hat, smoother):
     assert v_cycle(h, field(h.depth)).dtype == f32
     # The coarse solve runs in float64 on a float32 right side and returns
     # float32: for Poisson the CG takes the float64 call's iterations, for
-    # this small diffusion level the dense inverse is float64.
+    # this small diffusion level the dense factor is float64.
     lv0 = h.levels[0]
     dtypes = []
     apply = lv0.op.apply
@@ -736,7 +794,7 @@ def test_every_kernel_computes_in_the_dtype_of_its_field(nu_hat, smoother):
         assert len(dtypes) == 2 * n64
         assert set(dtypes) == {np.dtype(np.float64)}
     else:
-        assert h.coarse_inverse.dtype == np.float64
+        assert h.coarse_factor.dtype == np.float64
         assert not dtypes
     assert h.coarse_cg_exhausted == 0
 

@@ -162,6 +162,7 @@ class MultigridHierarchy:
         except np.linalg.LinAlgError:
             raise ValueError("p=1 coarse level: diffusion matrix is not "
                              "positive definite") from None
+        del A  # at most two n x n arrays live at once, as for inv(A)
         X = np.zeros_like(L)
         for i in range(0, len(L), 32):
             j = slice(i, i + 32)

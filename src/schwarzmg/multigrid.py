@@ -24,14 +24,14 @@ from .schwarz import AdditiveSchwarz, MultiplicativeSchwarz, SchwarzSmoother, We
 log = logging.getLogger(__name__)
 
 # The most p = 1 nodes whose diffusion problem is solved by a dense XX^T
-# factor. With one BLAS thread (nu_hat = 0.9) building the factor takes
-# 0.10 ms at 64 nodes, 1.1 at 256, 6.2 at 512 and 43 at 1024 (a general
-# inverse 0.09, 3.0, 22 and 92), 0.2, 2.0-2.8, 9.4-12 and 49-60 with the
-# matrix's assembly, and a solve with it 11, 29, 104-130 and 600 us; one
-# CG coarse solve of a float32 right side takes 1.0-1.7 ms at each size. A
-# solve makes at least 5 coarse solves (6 at p = 4 to 8 on 16x16), so the
-# factor pays for itself within one solve up to 256 nodes; at 512 nodes it
-# would take about 8.
+# factor. With one BLAS thread (nu_hat = 0.9) the factor of the assembled
+# matrix takes 0.10 ms at 64 nodes, 1.1 at 256, 6.2 at 512 and 43 at 1024
+# (a general inverse 0.09, 3.0, 22 and 92); the whole build, assembly
+# included, 0.2, 2.0-2.8, 9.4-12 and 49-60 ms; and a solve with it 11, 29,
+# 104-130 and 600 us. One CG coarse solve of a float32 right side takes
+# 1.0-1.7 ms at each size. A solve makes at least 5 coarse solves (6 at
+# p = 4 to 8 on 16x16), so the factor pays for itself within one solve up
+# to 256 nodes; at 512 nodes it would take about 8.
 _DENSE_COARSE_NODES = 256
 # The coarse CG's relative tolerance (``coarse_solve``).
 _COARSE_TOL = 1e-12

@@ -28,17 +28,19 @@ f - A u in float64, rounds each slab into r and returns the float64 norm.
 
 The scratch pool: ``solve`` makes one ``mesh.Pool``, which lives as long
 as the solve, and passes it through ``iterate``'s apply and ``v_cycle``
-to every apply, sweep and transfer. Each binds once per solve and dtype,
-on its first call (plan and run, as in FFTW: Frigo & Johnson, Proc. IEEE
-93, 2005): its temporaries become views of the pool's buffers, and its
-work a list of numpy calls with every operand and ``out`` fixed, none
-writing memory it reads; each call runs the list in order. A bind that
-outgrows a buffer frees it, drops every plan and binds again. No buffer
-holds a value between kernel calls: a kernel's result is a fresh array.
-A solve whose top-level field is more than one slab
-(``mesh._slab_elements``) passes None, and every kernel binds on an
-eager pool, which makes each call as it is bound, on fresh arrays: at
-p=32 held buffers raised the peak memory from 226 to 393 MB.
+to every apply, sweep and transfer. Each kernel binds one plan per input
+dtype, keyed by what holds its factors (an operator, a smoother and
+colour, a level), on its first call (plan and run, as in FFTW: Frigo &
+Johnson, Proc. IEEE 93, 2005): its temporaries become views of the
+pool's anonymous buffers, each step writing the first one it does not
+read, and its work a list of numpy calls with every operand and ``out``
+fixed; each call runs the list in order. A bind that outgrows a buffer
+frees it, drops every plan and binds again. No buffer holds a value
+between kernel calls: a kernel's result is a fresh array. A solve whose
+top-level field is more than one slab (``mesh._slab_elements``) passes
+None, and every kernel binds on an eager pool, which makes each call as
+it is bound, on fresh arrays: at p=32 held buffers raised the peak
+memory from 226 to 393 MB.
 """
 
 import functools

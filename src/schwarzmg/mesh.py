@@ -124,12 +124,12 @@ class Precisions(dict):
             raise ValueError("factors exceed the float32 range") from None
 
 
-class Pool(dict):
-    """A solve's scratch pool (``krylov``): a byte buffer per role, and in
-    ``plans`` the kernels bound on them. A step writes its named role or
-    the first of ``"take"`` and ``"prod"`` it does not read (each step
-    reads the one before). An eager pool makes each step as it is bound,
-    on fresh arrays, and keeps nothing: one unpooled call."""
+class Pool(list):
+    """A solve's scratch pool (``krylov``): anonymous byte buffers and, in
+    ``plans``, the kernels bound on them, one per kernel and input dtype.
+    A step writes the first buffer it does not read (``view``). An eager
+    pool makes each step as it is bound, on fresh arrays, and keeps
+    nothing: one unpooled call."""
 
     def __init__(self, eager: bool = False):
         super().__init__()
@@ -139,25 +139,22 @@ class Pool(dict):
     def of(ws: "Pool | None") -> "Pool":
         return Pool(eager=True) if ws is None else ws
 
-    def view(self, shape: tuple, dtype, *reads, role=None) -> np.ndarray:
-        """A view of a role's buffer, grown to fit, that shares no memory
-        with ``reads``, the arrays of the step that writes it."""
+    def view(self, shape: tuple, dtype, *reads) -> np.ndarray:
+        """A view of the first buffer that shares no memory with ``reads``,
+        the arrays of the step that writes it, grown to fit; a new buffer
+        when the step reads every one."""
         if self.eager:
             return np.empty(shape, dtype)
-        if role is None:
-            role = "prod" if "take" in self and any(
-                np.may_share_memory(self["take"], a) for a in reads) else "take"
+        i = next((i for i, b in enumerate(self) if not any(
+            np.may_share_memory(b, a) for a in reads)), len(self))
         n = np.dtype(dtype).itemsize * math.prod(shape)
-        if len(self.get(role, b"")) < n:
-            grown = role in self  # plans, and this bind, view the old one
-            self[role] = np.empty(n, np.uint8)
-            if grown:
-                self.plans.clear()
-                raise _Regrow
-        out = np.ndarray(shape, dtype, self[role])
-        if any(np.may_share_memory(out, a) for a in reads):
-            raise ValueError("a bound kernel would write the buffer it reads")
-        return out
+        if i == len(self):
+            self.append(np.empty(n, np.uint8))
+        elif len(self[i]) < n:  # plans, and this bind, view the old one
+            self[i] = np.empty(n, np.uint8)
+            self.plans.clear()
+            raise _Regrow
+        return np.ndarray(shape, dtype, self[i])
 
     def bound(self, step, *args):
         """Makes ``step(*args)`` now, if eager; else adds it to the plan
@@ -167,11 +164,12 @@ class Pool(dict):
         self.steps.append((step, args))
 
     def plan(self, key, bind, x, *rest):
-        """Runs the kernel bound under ``key`` on the input x: its steps,
-        in which a first argument that is the bind's x is each call's,
-        then finish(x, *rest), ``finish = bind(self)``, which it returns.
-        A bind that outgrows a buffer frees it and every plan, and binds
-        again on a buffer of the size it asked for."""
+        """Runs the kernel bound under ``key`` and x's dtype on the input
+        x: its steps, in which a first argument that is the bind's x is
+        each call's, then finish(x, *rest), ``finish = bind(self)``, which
+        it returns. A bind that outgrows a buffer frees it and every plan,
+        and binds again on a buffer of the size it asked for."""
+        key = key, x.dtype
         run = self.plans.get(key)
         while run is None:
             self.steps = []
@@ -194,7 +192,7 @@ class Pool(dict):
 
 
 class _Regrow(Exception):
-    """A bind outgrew the buffer of a role (``Pool.plan``)."""
+    """A bind outgrew a buffer (``Pool.plan``)."""
 
 
 def take(pool, a: np.ndarray, idx: np.ndarray, axis) -> np.ndarray:
@@ -232,12 +230,11 @@ def split_factor(F: np.ndarray, axis: int, p: int,
 
 
 def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
-                 axis: int, n: int, wrap: bool = True, role=None,
-                 fresh: bool = False):
+                 axis: int, n: int, wrap: bool = True, fresh: bool = False):
     """Binds the fold of the n windows that are the products of t with the
-    factor split by ``split_factor`` into a pool view, of ``role`` if
-    given, and returns it; or, if ``fresh``, returns a list onto which each
-    call appends its fold in a fresh array, for the kernel to pop.
+    factor split by ``split_factor`` into a pool view, which it returns;
+    or, if ``fresh``, returns a list onto which each call appends its fold
+    in a fresh array, for the kernel to pop.
 
     ``axis=2``: t is (..., n, k), the windows t @ F (..., n, m) and the
     result (..., n*p). ``axis=1``: t is (..., n, k, r), the windows
@@ -247,14 +244,16 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     and its first n_o to the last nodes of element e - 1; this is the
     adjoint of ``np.take(x, periodic_windows(p, n, n_o), axis - 1)``. The
     own-node product is written straight into the result, and only the
-    edge-node product, in the ``"edge"`` buffer, is added onto the
-    neighbours, first onto e + 1 and then onto e - 1, each move as one
-    ``np.add`` per wrap part on views (..., node, element, r), in order
-    "C" for ``axis=2``, which keeps the n elements innermost, and "K" for
-    ``axis=1``, which keeps the r columns innermost. Every node gets the
-    same adds in the same order as element by element, so the result is
-    bitwise the same. The result has the dtype ``np.result_type`` of t
-    and the factor, so float32 operands give a float32 fold.
+    edge-node product is added onto the neighbours, first onto e + 1 and
+    then onto e - 1, each move as one ``np.add`` per wrap part on views
+    (..., node, element, r), in order "C" for ``axis=2``, which keeps the
+    n elements innermost, and "K" for ``axis=1``, which keeps the r
+    columns innermost. Every node gets the same adds in the same order as
+    element by element, so the result is bitwise the same. The result has
+    the dtype ``np.result_type`` of t and the factor, so float32 operands
+    give a float32 fold. The result is viewed before the edge products,
+    which take a buffer that neither it nor t is in: the small third one
+    when t is a view of the pool.
 
     ``wrap=False`` serves only the operator apply's y pass: it folds
     n_o = 0 windows as a stretch of an open line, the wrap part of the
@@ -265,8 +264,9 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     lead, r = (t.shape[:-2], 1) if axis == 2 else (t.shape[:-3], t.shape[-1])
     dtype = np.result_type(t, F[0])
     shape = lead + (n + slot, F[0].shape[axis - 1], r)  # own (..., n, m, r)
+    own = None if fresh else pool.view(shape, dtype, t)
     edge = pool.view(lead + (n, F[1].shape[axis - 1], r), dtype, t,
-                     role="edge")
+                     *[] if fresh else [own])
     p, n_o = shape[-2], edge.shape[-2] // 2
     if n_o and not wrap:
         raise ValueError("an open-line fold takes only n_o = 0 windows")
@@ -308,7 +308,6 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
             made.append(own.reshape(flat)[head])
         pool.bound(fold, t)
         return made
-    own = pool.view(shape, dtype, t, role=role)
     pool.bound(step, t, *views(own))
     return own.reshape(flat)[head]
 

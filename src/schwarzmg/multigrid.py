@@ -107,16 +107,21 @@ class Level:
     smoother: SchwarzSmoother | None
     n_pre: int
     n_post: int
-    # The element interpolation block J[:-1] from level l-1 to l in x and
-    # in y (one array), shape (p_l, p_{l-1} + 1); the last fine node
-    # belongs to the next element. Only bench/layers.py reads them (ROADMAP
-    # item 1b deletes them); the transfers read ``transfers``.
-    px: np.ndarray | None = None
-    py: np.ndarray | None = None
-    # J[:-1] and the restriction's folded factors, J[:-1] split per
-    # direction by ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t), in
-    # both precisions for the transfers to pick by their field's dtype.
+    # The element interpolation block J[:-1] from level l-1 to l, shape
+    # (p_l, p_{l-1} + 1) (the last fine node belongs to the next element),
+    # and the restriction's folded factors, J[:-1] split per direction by
+    # ``split_factor`` (x: t @ J[:-1], y: J[:-1]^T @ t), in both precisions
+    # for the transfers to pick by their field's dtype.
     transfers: Precisions | None = None
+
+    @property
+    def px(self) -> np.ndarray | None:
+        """The float64 J[:-1] in x, and as ``py`` in y; None at p = 1.
+        Only bench/layers.py reads them (ROADMAP item 1b deletes them)."""
+        return (None if self.transfers is None
+                else self.transfers[np.dtype(np.float64)][0])
+
+    py = px
 
 
 class MultigridHierarchy:
@@ -228,8 +233,8 @@ def build_hierarchy(mesh: MeshConfig, p: int, rule: OverlapRule,
         factor = 2 ** (depth - l) if variable else 1
         J = interp_matrix(levels[l - 1].basis, basis)[:-1]
         levels.append(Level(l, basis, op, sm, n_pre * factor, n_post * factor,
-                            J, J, Precisions(J, split_factor(J, 2, p_l // 2),
-                                             split_factor(J.T, 1, p_l // 2))))
+                            Precisions(J, split_factor(J, 2, p_l // 2),
+                                       split_factor(J.T, 1, p_l // 2))))
     return MultigridHierarchy(mesh, levels)
 
 
@@ -250,7 +255,7 @@ def prolongate(h: MultigridHierarchy, l: int, coarse: np.ndarray,
         # y: the same on the element column windows.
         t = take(pool, t.reshape(coarse.shape[0], -1), op_c._wy, 0)
         return lambda coarse: (J @ t).reshape(-1, t.shape[2])
-    return Pool.of(ws).plan(("prolongate", l, coarse.dtype), bind, coarse)
+    return Pool.of(ws).plan((h.levels[l], prolongate), bind, coarse)
 
 
 def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
@@ -271,7 +276,7 @@ def restrict_residual(h: MultigridHierarchy, l: int, fine: np.ndarray,
                          mesh.n_y, fresh=True)
         return lambda blocks: t.pop()
     blocks = fine.reshape(fine.shape[0], mesh.n_x, p_f)
-    return Pool.of(ws).plan(("restrict", l, fine.dtype), bind, blocks)
+    return Pool.of(ws).plan((h.levels[l], restrict_residual), bind, blocks)
 
 
 def _fft_inverse(h: MultigridHierarchy, r: np.ndarray) -> np.ndarray:

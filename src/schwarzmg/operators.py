@@ -100,28 +100,29 @@ class _GlobalOperator:
         carry = self._y_pass(pool, u, slice(n - 1, n))[-1] if k < n else None
         for e0 in range(0, n, k):
             es = slice(e0, min(e0 + k, n))
-            carry, o = pool.plan((self, u.dtype, out is None), lambda pool: (
-                self._slab(pool, u, es, out is None)), u, f, into, out, carry,
-                sums)
+            carry, o = pool.plan(self, lambda pool: self._slab(pool, u, es),
+                                 u, f, into, out, carry, sums)
         if out is not None:
             return out, float(np.sqrt(sums.sum()))
         return o if into is None else into
 
-    def _slab(self, pool, u, es, fresh):
-        """Binds the apply on the element rows ``es`` of fields like u, its x
-        fold fresh or in ``"own"``: finish(u, f, into, out, carry, sums)."""
+    def _slab(self, pool, u, es):
+        """Binds the apply on the element rows ``es`` of fields like u, one
+        plan per operator and dtype with or without f and out: finish(u,
+        f, into, out, carry, sums). Its x fold lives through the y pass, so
+        it is fresh; every other step writes a buffer it does not read."""
         p = self.basis.p
         rows = slice(es.start * p, es.stop * p)
         # No name holds the x windows: unpooled, they are freed here.
         x = fold_product(pool, *self._x_pass(
             pool, u if rows == slice(0, len(u)) else u[rows], rows), 2,
-            self.mesh.n_x, role="own", fresh=fresh)
+            self.mesh.n_x, fresh=True)
         y = self._y_pass(pool, u, es)
         y0, last, y = y[0], y[-1], y[:-1]
         x_mass, y_mass = self._masses(self._factors[u.dtype], rows)
 
         def finish(u, f, into, out, carry, sums):
-            x_rows = x.pop() if fresh else x
+            x_rows = x.pop()
             if x_mass is not None:
                 np.multiply(x_rows, x_mass, out=x_rows)
             np.add(y0, last if carry is None else carry, out=y0)

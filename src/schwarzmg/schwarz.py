@@ -144,8 +144,6 @@ class SchwarzSmoother:
     state between calls.
     """
 
-    _zero_plan = False  # whether a step from zero is a plan of its own
-
     def __init__(self, op, n_o: int):
         lay = op.layout
         m = lay.p + 1 + 2 * n_o
@@ -171,15 +169,15 @@ class SchwarzSmoother:
         """Sweeps ``first`` ... ``first + n_it - 1`` on A u = f, updating
         ``u`` in place; ``u=None`` starts from zero, so the first colour's
         residual is ``f`` itself. Each colour's step is the plan
-        ``_step`` binds in the scratch pool ``ws`` (``krylov``)."""
+        ``_step`` binds in the scratch pool ``ws`` (``krylov``), one per
+        smoother, colour and dtype, from zero and from u alike."""
         pool = Pool.of(ws)
         factors = self._factors[f.dtype]
         for k in range(first, first + n_it):
             for i in range(len(self._colours))[::-1 if k % 2 else 1]:
                 r = f if u is None else op.apply(u, f, ws=ws)
-                key = (self, i, f.dtype, self._zero_plan and u is None)
-                u = pool.plan(key, lambda pool: (
-                    self._step(pool, r, u, self._colours[i], factors)), r, u)
+                u = pool.plan((self, i), lambda pool: self._step(
+                    pool, r, self._colours[i], factors), r, u)
         return u
 
 
@@ -200,9 +198,8 @@ class AdditiveSchwarz(SchwarzSmoother):
     every node row before it gathers their y windows, and folds each back
     transform onto the nodes without forming the windows
     (``mesh.fold_product``), through the factors diag(w) S_y and
-    S_x^T diag(w), split once by ``mesh.split_factor``."""
-
-    _zero_plan = True  # it folds the correction into a fresh array
+    S_x^T diag(w), split once by ``mesh.split_factor``. Its last fold is
+    fresh: the step from zero, or added onto u."""
 
     def __init__(self, op, n_o: int, kind: WeightKind):
         self._kind = kind
@@ -214,7 +211,7 @@ class AdditiveSchwarz(SchwarzSmoother):
         return (split_factor(w * S_y, 1, op.basis.p, self.n_o),
                 split_factor((w * S_x).T, 2, op.basis.p, self.n_o))
 
-    def _step(self, pool, r, u, colour, factors):
+    def _step(self, pool, r, colour, factors):
         """Binds the step on residuals like r: finish(r, u) -> u."""
         S_x, S_yT, WS_y, S_xTW, inv_lam, inv_nu = factors
         t = take(pool, product(pool, take(pool, r, self._wx, 1), S_x),
@@ -224,8 +221,9 @@ class AdditiveSchwarz(SchwarzSmoother):
         _scale(pool, t, *colour, inv_lam, inv_nu)
         t = fold_product(pool, t, WS_y, 1, n_y)
         cor = fold_product(pool, t.reshape(-1, n_x, m), S_xTW, 2, n_x,
-                           fresh=u is None)
-        return lambda r, u: cor.pop() if u is None else np.add(u, cor, out=u)
+                           fresh=True)
+        return lambda r, u: (cor.pop() if u is None
+                             else np.add(u, cor.pop(), out=u))
 
 
 def _colour_classes(n: int) -> list[slice]:
@@ -263,7 +261,7 @@ class MultiplicativeSchwarz(SchwarzSmoother):
     def _back(self, op, S_x, S_y):
         return S_y, S_x.T.copy()
 
-    def _step(self, pool, r, u, colour, factors):
+    def _step(self, pool, r, colour, factors):
         """Binds the step on residuals like r: finish(r, u) -> u."""
         S_x, S_yT, S_y, S_xT, inv_lam, inv_nu = factors
         c_y, c_x, idx, disjoint = colour

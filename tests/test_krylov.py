@@ -452,23 +452,23 @@ def test_pooled_solve_is_bitwise_the_unpooled_solve(monkeypatch, solver,
 @pytest.mark.parametrize("solver", ["mg", "mgcg"])
 def test_the_pool_keeps_its_buffers_after_the_first_cycle(monkeypatch,
                                                           solver):
-    # After cycle 1 every role has its buffer: cycles 2 ... k and the
+    # After cycle 1 the pool has its three buffers: cycles 2 ... k and the
     # applies between them reuse the same objects.
     h, f, _ = _problem(smoother="mult")
     after = []
 
     def recording(h, r, cycle, ws):
         z = v_cycle(h, r, cycle, ws)
-        after.append(dict(ws))
+        after.append(list(ws))
         return z
 
     monkeypatch.setattr(krylov, "v_cycle", recording)
     _, rep = solve(h, f, SolveConfig(solver=solver, seed=1))
     assert rep.cycles == len(after) >= 3
-    assert {"take", "prod", "edge"} <= after[0].keys()
+    assert len(after[0]) == 3
     for buffers in after[1:]:
-        assert buffers.keys() == after[0].keys()
-        assert all(buffers[role] is after[0][role] for role in buffers)
+        assert len(buffers) == 3
+        assert all(b is b0 for b, b0 in zip(buffers, after[0]))
 
 
 def test_a_solve_with_a_slabbed_top_has_no_pool(monkeypatch):
@@ -493,8 +493,9 @@ def test_a_solve_with_a_slabbed_top_has_no_pool(monkeypatch):
 
 
 def _record_plans(monkeypatch):
-    """Per pool that solves bind on: its plan keys and its count of
-    completed binds. A pool is empty when its first kernel binds."""
+    """Per pool that solves bind on: its plan keys, each with its input's
+    dtype, and its count of completed binds. A pool is empty when its
+    first kernel binds."""
     pools = []
     plan = mesh_module.Pool.plan
 
@@ -505,7 +506,7 @@ def _record_plans(monkeypatch):
             assert not pool and not pool.plans
             pools.append((pool, set(), [0]))
         _, keys, binds = next(p for p in pools if p[0] is pool)
-        keys.add(key)
+        keys.add((key, args[0].dtype))
 
         def counted(pool):
             finish = bind(pool)

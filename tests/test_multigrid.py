@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwarzmg import multigrid
-from schwarzmg.basis import gll_basis
+from schwarzmg.basis import gll_basis, interp_matrix
 from schwarzmg.mesh import (MeshConfig, Pool, fold_product, layout_for,
                             split_factor)
 from schwarzmg.multigrid import (MultigridHierarchy, OverlapRule,
@@ -163,6 +163,20 @@ def test_prolongation_exact_on_coarse_polynomials():
     coarse = _piecewise_poly_field(mesh, 4, fn)
     fine = _piecewise_poly_field(mesh, 8, fn)
     npt.assert_allclose(prolongate(h, 3, coarse), fine, atol=1e-13)
+
+
+def test_a_level_stores_its_interpolation_block_once():
+    # px and py are read-only views of the float64 J[:-1] in the level's
+    # transfers, the one array of it; None on the p = 1 level.
+    h = build_hierarchy(MeshConfig(4, 4), 8, OverlapRule("ceilp8"))
+    assert h.levels[0].px is None and h.levels[0].py is None
+    for lv in h.levels[1:]:
+        J = lv.transfers[np.dtype(np.float64)][0]
+        assert lv.px is J and lv.py is J
+        npt.assert_array_equal(J, interp_matrix(h.levels[lv.l - 1].basis,
+                                                lv.basis)[:-1])
+        with pytest.raises(AttributeError):
+            lv.px = J
 
 
 def test_transfers_are_adjoint():
@@ -860,8 +874,8 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
 @pytest.mark.parametrize("smoother", ["add", "mult"])
 def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
                                                         n_y, rule, dtype):
-    # Three cycles on one scratch pool: the first sizes its buffers, the
-    # later ones reuse the same objects. Every correction is the unpooled
+    # Three cycles on one scratch pool: the first sizes its three buffers,
+    # the later ones reuse the same objects. Every correction is the unpooled
     # cycle's bit for bit and shares no memory with the pool.
     mesh = MeshConfig(n_x, n_y, l_x=1.5)
     h = build_hierarchy(mesh, 8, OverlapRule.parse(rule), smoother=smoother,
@@ -873,13 +887,33 @@ def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
     for cycle in range(3):
         got.append(v_cycle(h, r, cycle, ws))
         if cycle == 0:
-            buffers = dict(ws)
-        assert ws.keys() == buffers.keys()
-        assert all(ws[role] is buffers[role] for role in ws)
-    assert {"take", "prod", "edge"} <= ws.keys()
+            buffers = list(ws)
+        assert len(ws) == 3 and all(b is b0 for b, b0 in zip(ws, buffers))
     for cycle, e in enumerate(got):
-        assert not any(np.shares_memory(e, b) for b in ws.values())
+        assert not any(np.shares_memory(e, b) for b in ws)
         npt.assert_array_equal(e, v_cycle(h, r, cycle))
+
+
+def test_one_pool_serves_two_hierarchies():
+    # Each transfer's plan is keyed by the level whose factors it binds,
+    # so one pool serves hierarchies on two meshes (p=4 on 4x4 and 6x4
+    # elements): every pooled transfer and V-cycle is its hierarchy's
+    # unpooled one bit for bit, when it binds and when it runs the plan.
+    hs = [build_hierarchy(MeshConfig(n_x, 4), 4, OverlapRule("ceilp8"))
+          for n_x in (4, 6)]
+    rng = np.random.default_rng(37)
+    ws = Pool()
+    for h in hs + hs:
+        fields = [rng.standard_normal(
+            (lv.op.layout.N_y, lv.op.layout.N_x)).astype(np.float32)
+            for lv in h.levels]
+        for l in range(1, h.depth + 1):
+            npt.assert_array_equal(prolongate(h, l, fields[l - 1], ws),
+                                   prolongate(h, l, fields[l - 1]))
+            npt.assert_array_equal(restrict_residual(h, l, fields[l], ws),
+                                   restrict_residual(h, l, fields[l]))
+        npt.assert_array_equal(v_cycle(h, fields[-1], 0, ws),
+                               v_cycle(h, fields[-1], 0))
 
 
 def _held_arrays(obj, seen=None):
@@ -938,15 +972,15 @@ def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
 
         ws = Pool()
         got = kernels(ws)
-        assert ws.keys() == {"take", "prod", "own", "edge"}
+        assert len(ws) == 3
         assert ws.plans
         for run in ws.plans.values():
             held = [_root(a) for a in _held_arrays(run)]
-            assert any(b is buf for b in held for buf in ws.values())
-            assert all(any(b is buf for buf in ws.values())
+            assert any(b is buf for b in held for buf in ws)
+            assert all(any(b is buf for buf in ws)
                        for b in held if b.dtype == np.uint8)
         for a, want in zip(got, kernels(None)):
-            assert not any(np.shares_memory(a, b) for b in ws.values())
+            assert not any(np.shares_memory(a, b) for b in ws)
             npt.assert_array_equal(a, want)
 
 
@@ -954,12 +988,12 @@ def test_no_kernel_returns_a_view_of_the_pool(smoother, nu_hat):
 def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
                                                                smoother):
     # numpy copies an operand that overlaps ``out`` without a word, so a
-    # product or gather into the role buffer its operand is a view of
-    # gives the right result at the cost of a copy. Through pooled
-    # V-cycles (4 and 6 colours, two precisions), every bound
-    # ``mesh.product``, ``mesh.take`` and ``mesh.fold_product`` writes
-    # memory that none of its operands shares; and a bind that would is
-    # an error.
+    # product or gather into the buffer its operand is a view of gives
+    # the right result at the cost of a copy. Through pooled V-cycles (4
+    # and 6 colours, two precisions), every bound ``mesh.product``,
+    # ``mesh.take`` and ``mesh.fold_product`` writes memory that none of
+    # its operands shares; and a view that reads every buffer is a new
+    # buffer.
     from schwarzmg import mesh, operators, schwarz
     calls = []
 
@@ -986,12 +1020,12 @@ def test_no_pooled_product_or_gather_writes_the_buffer_it_reads(monkeypatch,
         for dtype in (np.float32, np.float64):
             v_cycle(h, r.astype(dtype), 0, Pool())
     assert {"product", "take", "fold_product"} <= set(calls)
-    # A step writes the first of "take" and "prod" it does not read, so
-    # one that reads both, or that names the buffer it reads, has none.
+    # A step writes the first buffer it does not read, so one that reads
+    # every buffer writes a new one.
     pool = Pool()
     a = pool.view((4, 4), np.float64)
     b = pool.view((4, 4), np.float64, a)
-    with pytest.raises(ValueError, match="writes? the buffer it reads"):
-        mesh.product(pool, a, b)
-    with pytest.raises(ValueError, match="writes? the buffer it reads"):
-        pool.view((4,), np.float64, a[0], role="take")
+    c = pool.view((4, 4), np.float64, a, b)
+    assert len(pool) == 3
+    assert [np.shares_memory(v, buf) for v in (a, b, c)
+            for buf in pool] == [1, 0, 0, 0, 1, 0, 0, 0, 1]

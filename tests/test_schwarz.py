@@ -567,7 +567,7 @@ def _step(sm, u, r, colour, factors, ws):
     """A colour step with the given factors, bound in the pool ws (or
     unpooled) under a key of its own, and made."""
     return Pool.of(ws).plan(object(), lambda pool: sm._step(
-        pool, r, u, colour, factors), r, u)
+        pool, r, colour, factors), r, u)
 
 
 def _colour_step_oracle(basis, mesh, layout, r, c_y, c_x, n_o, nu_bar):
@@ -717,7 +717,7 @@ def test_a_warm_colour_step_allocates_no_colour_block():
     pool = Pool()
 
     def run():
-        pool.plan(0, lambda pool: sm._step(pool, r, u, colour, factors), r, u)
+        pool.plan(0, lambda pool: sm._step(pool, r, colour, factors), r, u)
     run()
     tracemalloc.start()
     try:

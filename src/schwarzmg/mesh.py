@@ -266,7 +266,7 @@ def fold_product(pool, t: np.ndarray, F: tuple[np.ndarray, np.ndarray],
     shape = lead + (n + slot, F[0].shape[axis - 1], r)  # own (..., n, m, r)
     own = None if fresh else pool.view(shape, dtype, t)
     edge = pool.view(lead + (n, F[1].shape[axis - 1], r), dtype, t,
-                     *[] if fresh else [own])
+                     *(() if fresh else (own,)))
     p, n_o = shape[-2], edge.shape[-2] // 2
     if n_o and not wrap:
         raise ValueError("an open-line fold takes only n_o = 0 windows")

@@ -166,8 +166,8 @@ def test_prolongation_exact_on_coarse_polynomials():
 
 
 def test_a_level_stores_its_interpolation_block_once():
-    # px and py are read-only views of the float64 J[:-1] in the level's
-    # transfers, the one array of it; None on the p = 1 level.
+    # px and py are read-only properties that return the float64 J[:-1]
+    # of the level's transfers, its one array; None on the p = 1 level.
     h = build_hierarchy(MeshConfig(4, 4), 8, OverlapRule("ceilp8"))
     assert h.levels[0].px is None and h.levels[0].py is None
     for lv in h.levels[1:]:
@@ -875,8 +875,8 @@ def test_v_cycle_applies_no_operator_to_a_zero_field(smoother, n_pre, n_post):
 def test_pooled_v_cycles_are_bitwise_the_unpooled_ones(smoother, nu_hat, n_x,
                                                         n_y, rule, dtype):
     # Three cycles on one scratch pool: the first sizes its three buffers,
-    # the later ones reuse the same objects. Every correction is the unpooled
-    # cycle's bit for bit and shares no memory with the pool.
+    # the later ones reuse the same objects. Every correction is the
+    # unpooled cycle's bit for bit and shares no memory with the pool.
     mesh = MeshConfig(n_x, n_y, l_x=1.5)
     h = build_hierarchy(mesh, 8, OverlapRule.parse(rule), smoother=smoother,
                         n_post=1, nu_hat=nu_hat)
